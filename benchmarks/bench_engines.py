@@ -4,7 +4,7 @@ The paper's whole argument in one benchmark table — the identical
 level-wise algorithm on interchangeable substrates, timed through the
 unified :mod:`repro.engine` API.  Extra-info records the per-backend
 evidence: operation counts (identical across sequential substrates by
-construction), disk traffic for ``ooc``, transfers for ``multiprocess``.
+construction), disk traffic for ``ooc``, stolen sub-lists for ``threads``.
 
 Run with the same harness as the other ``bench_*`` scripts (the
 ``bench_*`` naming needs explicit collection overrides)::
@@ -51,15 +51,6 @@ def bench_engine_ooc(benchmark, myogenic):
     benchmark.extra_info["n_cliques"] = len(res.cliques)
     benchmark.extra_info["bytes_written"] = res.io.bytes_written
     benchmark.extra_info["bytes_read"] = res.io.bytes_read
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def bench_engine_multiprocess(benchmark, myogenic, jobs):
-    """Process-pool backend at 1 and 2 workers."""
-    res = benchmark(lambda: _run(myogenic.graph, "multiprocess", jobs=jobs))
-    benchmark.extra_info["n_cliques"] = len(res.cliques)
-    benchmark.extra_info["jobs"] = jobs
-    benchmark.extra_info["transfers"] = res.transfers
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 4, 8])

@@ -2,10 +2,10 @@
 
 These pin the performance characteristics the framework depends on: the
 bitmap primitives (one AND per common-neighbor derivation, one
-any-bit-exists per maximality test), the WAH kernel layer (scalar
-per-word vs batched structure-of-arrays — the ratio the
-``kernel="numpy"`` policy exists to win), the expression pipeline
-stages, and the k-clique seeding.
+any-bit-exists per maximality test), the WAH kernel layer (the scalar
+per-word oracle vs the batched structure-of-arrays kernels the
+compressed-domain step runs), the expression pipeline stages, and the
+k-clique seeding.
 """
 
 from __future__ import annotations

@@ -54,9 +54,9 @@ REPEATS = 3
 #: on any host, and a ratio of two noise readings gates nothing.
 LEVEL_NOISE_FLOOR_SECONDS = 0.002
 
-#: the matrix: label -> config kwargs.  ``threads``/``multiprocess``
-#: run at 2 workers so the parallel plumbing (pool, stealing, pipes) is
-#: on the measured path whatever the host's core count.
+#: the matrix: label -> config kwargs.  ``threads`` runs at 2 workers
+#: so the parallel plumbing (pool, stealing) is on the measured path
+#: whatever the host's core count.
 BACKENDS = {
     "incore": {"backend": "incore"},
     "bitscan": {"backend": "bitscan"},
@@ -71,7 +71,6 @@ BACKENDS = {
         "compute_domain": "bitset",
     },
     "threads": {"backend": "threads", "jobs": 2},
-    "multiprocess": {"backend": "multiprocess", "jobs": 2},
 }
 
 
@@ -130,9 +129,9 @@ def measure() -> dict:
     # per-level ratios to the incore level medians: machine-independent
     # like the totals, but localised — a regression confined to one
     # level moves its own ratio even when faster levels mask it in the
-    # total.  Backends that do not report level timings (multiprocess
-    # folds its levels into worker round-trips) are skipped; levels
-    # under the noise floor gate nothing and are recorded as null.
+    # total.  Backends that do not report level timings are skipped;
+    # levels under the noise floor gate nothing and are recorded as
+    # null.
     incore_levels = level_medians["incore"]
     level_ratios: dict[str, list[float | None]] = {}
     for label, levels in level_medians.items():

@@ -7,10 +7,9 @@ workload — planted modules over sparse background noise, the regime the
 paper's closing compression remark targets — across the backend matrix
 and asserts the properties the compressed paths must keep forever:
 
-* **equivalence** — every backend (``incore``/``bitscan``/``ooc``/
-  ``multiprocess``), every store-based backend again on the WAH
-  substrate, and both compute domains on that substrate emit the
-  byte-identical maximal clique set;
+* **equivalence** — every sequential backend (``incore``/``bitscan``/
+  ``ooc``), each again on the WAH substrate, and both compute domains
+  on that substrate emit the byte-identical maximal clique set;
 * **compression** — the WAH store's peak per-level ``candidate_bytes``
   undercuts the in-memory store's peak by at least
   :data:`MIN_PEAK_REDUCTION`, on *both* compute domains (the
@@ -158,9 +157,6 @@ def measure() -> dict:
             level_store="wah",
             compute_domain="bitset",
         ),
-    )
-    runs["multiprocess"] = engine.run(
-        g, EnumerationConfig(backend="multiprocess", k_min=k_min, jobs=2)
     )
 
     digests = {name: _clique_digest(r.cliques) for name, r in runs.items()}

@@ -1,11 +1,11 @@
-"""Parallel clique enumeration: simulated Altix sweep + real processes.
+"""Parallel clique enumeration: simulated Altix sweep + real threads.
 
 Demonstrates both halves of the parallel substrate:
 
 1. the trace-replay simulation of the paper's 256-processor SGI Altix —
    record the enumeration once, replay it at any processor count, and
    print the speedup/balance tables of Figures 5–8;
-2. the real ``multiprocessing`` backend executing the identical
+2. the real ``threads`` backend executing the identical
    level-synchronous algorithm on this machine's cores — selected, like
    its sequential siblings, by backend name through the unified
    enumeration engine.
@@ -13,6 +13,7 @@ Demonstrates both halves of the parallel substrate:
 Run:  python examples/parallel_scaling.py
 """
 
+import threading
 import time
 
 from repro.core.generators import planted_partition
@@ -54,21 +55,21 @@ def main() -> None:
         f"{stats.n_transfers} transfers (paper bound: 10%)"
     )
 
-    # --- real multiprocessing on this host ------------------------------
-    # First measure what the host can deliver at all: two processes
-    # burning pure numpy concurrently.  Containers often cap CPU
-    # bandwidth below the visible core count.
-    host_scaling = _raw_two_process_scaling()
+    # --- real threads on this host --------------------------------------
+    # First measure what the host can deliver at all: two threads
+    # burning GIL-releasing numpy concurrently.  Containers often cap
+    # CPU bandwidth below the visible core count.
+    host_scaling = _raw_two_thread_scaling()
     print(
-        f"\nhost parallel capacity: 2-process raw numpy scaling = "
+        f"\nhost parallel capacity: 2-thread raw numpy scaling = "
         f"{host_scaling:.2f}x (ideal 2.0)"
     )
 
-    print("real multiprocessing backend (partition-persistent workers):")
+    print("real threads backend (shared-memory workers, work stealing):")
     engine = EnumerationEngine()
     seq = engine.run(g, EnumerationConfig(backend="incore", k_min=3))
     par = engine.run(
-        g, EnumerationConfig(backend="multiprocess", k_min=3, jobs=2)
+        g, EnumerationConfig(backend="threads", k_min=3, jobs=2)
     )
 
     assert sorted(seq.cliques) == sorted(par.cliques)
@@ -78,44 +79,31 @@ def main() -> None:
     )
     print(
         f"  identical output ({len(seq.cliques)} maximal cliques), "
-        f"{par.transfers} scheduler transfers; wall-clock ratio "
+        f"{par.transfers} stolen sub-lists; wall-clock ratio "
         f"{seq.wall_seconds / par.wall_seconds:.2f}x against a host "
         f"ceiling of {host_scaling:.2f}x"
     )
 
 
-def _burn(q) -> None:
+def _burn() -> None:
     import numpy as np
 
-    t0 = time.perf_counter()
     a = np.arange(2_000_000, dtype=np.uint64)
-    acc = 0
     for _ in range(40):
-        acc += int(
-            np.bitwise_count(a & np.uint64(0x5555555555555555)).sum() & 7
-        )
-    q.put(time.perf_counter() - t0)
+        np.bitwise_count(a & np.uint64(0x5555555555555555)).sum()
 
 
-def _raw_two_process_scaling() -> float:
-    """Measured speedup of two concurrent numpy burners vs one."""
-    import multiprocessing as mp
-
-    ctx = mp.get_context(
-        "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-    )
-    q = ctx.Queue()
+def _raw_two_thread_scaling() -> float:
+    """Measured speedup of two concurrent numpy burner threads vs one."""
     t0 = time.perf_counter()
-    p = ctx.Process(target=_burn, args=(q,))
-    p.start()
-    p.join()
+    _burn()
     single = time.perf_counter() - t0
+    workers = [threading.Thread(target=_burn) for _ in range(2)]
     t0 = time.perf_counter()
-    procs = [ctx.Process(target=_burn, args=(q,)) for _ in range(2)]
-    for p in procs:
-        p.start()
-    for p in procs:
-        p.join()
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
     double = time.perf_counter() - t0
     return 2 * single / double if double > 0 else 1.0
 

@@ -19,11 +19,12 @@ Subpackages
     the bitmap data structures.
 :mod:`repro.engine`
     The pluggable enumeration engine: a backend registry (``incore``,
-    ``bitscan``, ``ooc``, ``multiprocess``) behind one configuration
-    and result type.
+    ``bitscan``, ``ooc``, ``threads``) behind one configuration and
+    result type.
 :mod:`repro.parallel`
     The simulated large-shared-memory machine (SGI Altix stand-in), the
-    centralised dynamic load balancer, and a real multiprocessing backend.
+    centralised dynamic load balancer, and the shared-memory threaded
+    expander behind the ``threads`` backend.
 :mod:`repro.bio`
     Microarray expression pipeline, metabolic extreme pathways, PPI
     cleaning, pathway alignment, feedback vertex set, sequence alignment.

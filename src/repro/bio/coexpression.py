@@ -5,7 +5,7 @@ threshold filtering — into a gene co-expression :class:`~repro.core.graph.
 Graph` whose maximal cliques are the "pure functional units" the Clique
 Enumerator extracts.  :func:`coexpression_cliques` runs the full chain
 through any :mod:`repro.engine` backend, so the same pipeline scales
-from an in-memory run to disk-spilled or multiprocess enumeration.
+from an in-memory run to disk-spilled or multithreaded enumeration.
 """
 
 from __future__ import annotations

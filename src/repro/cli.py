@@ -5,7 +5,6 @@ Usage::
     python -m repro.cli enumerate GRAPH [--backend NAME] [--jobs N]
                                   [--level-store NAME]
                                   [--compute-domain NAME]
-                                  [--kernel NAME]
                                   [--k-min K] [--k-max K] [--sink SPEC]
     python -m repro.cli engines
     python -m repro.cli maxclique GRAPH
@@ -46,7 +45,6 @@ from repro.core.maximum_clique import maximum_clique
 from repro.core.stats import summarize
 from repro.engine import (
     COMPUTE_DOMAINS,
-    KERNELS,
     LEVEL_STORE_AUTO,
     LEVEL_STORES,
     EnumerationConfig,
@@ -95,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "workers for parallel backends — threads for 'threads', "
-            "processes for 'multiprocess' (default: cpu count)"
+            "worker threads for the parallel 'threads' backend "
+            "(default: cpu count)"
         ),
     )
     p_enum.add_argument(
@@ -122,17 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: auto — 'wah' level stores run the "
             "compressed-domain AND kernels, everything else raw "
             "bit strings)"
-        ),
-    )
-    p_enum.add_argument(
-        "--kernel",
-        default="auto",
-        choices=KERNELS,
-        metavar="NAME",
-        help=(
-            "WAH word-kernel implementation: %(choices)s (default: "
-            "auto — the batched numpy kernels wherever the backend "
-            "advertises them; output is byte-identical either way)"
         ),
     )
     p_enum.add_argument(
@@ -269,11 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="generation-step word representation (default: auto)",
     )
-    p_submit.add_argument(
-        "--kernel", default="auto", choices=KERNELS,
-        metavar="NAME",
-        help="WAH word-kernel implementation (default: auto)",
-    )
     p_submit.add_argument("--k-min", type=int, default=1)
     p_submit.add_argument("--k-max", type=int, default=None)
     p_submit.add_argument(
@@ -334,7 +316,6 @@ def _cmd_enumerate(args) -> int:
         jobs=args.jobs,
         level_store=args.level_store,
         compute_domain=args.compute_domain,
-        kernel=args.kernel,
     )
     spec = args.sink
     if args.count:
@@ -375,7 +356,6 @@ def _cmd_engines(args) -> int:
             info.storage,
             ",".join(info.level_stores) or "-",
             ",".join(info.compute_domains) or "-",
-            ",".join(info.kernels) or "-",
             "yes" if info.parallel else "no",
             info.description,
         )
@@ -384,14 +364,12 @@ def _cmd_engines(args) -> int:
     name_w = max(len(r[0]) for r in rows)
     stores_w = max(len("level stores"), max(len(r[2]) for r in rows))
     domains_w = max(len("domains"), max(len(r[3]) for r in rows))
-    kernels_w = max(len("kernels"), max(len(r[4]) for r in rows))
     print(f"{'backend':<{name_w}}  storage  "
           f"{'level stores':<{stores_w}}  {'domains':<{domains_w}}  "
-          f"{'kernels':<{kernels_w}}  parallel  description")
-    for name, storage, stores, domains, kernels, parallel, desc in rows:
+          "parallel  description")
+    for name, storage, stores, domains, parallel, desc in rows:
         print(f"{name:<{name_w}}  {storage:<7}  {stores:<{stores_w}}  "
-              f"{domains:<{domains_w}}  {kernels:<{kernels_w}}  "
-              f"{parallel:<8}  {desc}")
+              f"{domains:<{domains_w}}  {parallel:<8}  {desc}")
     return 0
 
 
@@ -546,7 +524,6 @@ def _cmd_submit(args) -> int:
         jobs=args.jobs,
         level_store=args.level_store,
         compute_domain=args.compute_domain,
-        kernel=args.kernel,
     )
     with ServiceClient(_service_address(args)) as client:
         job_id = client.submit(
@@ -584,7 +561,7 @@ def _cmd_jobs(args) -> int:
     with ServiceClient(_service_address(args)) as client:
         jobs = client.jobs()
     print(f"{'id':<12} {'status':<10} {'backend':<12} {'domain':<7} "
-          f"{'kernel':<7} {'sink':<14} {'cliques':>8} {'transfers':>9} "
+          f"{'sink':<14} {'cliques':>8} {'transfers':>9} "
           f"{'hit':<3}  label")
     for job in jobs:
         summary = job.get("sink_summary") or {}
@@ -592,11 +569,10 @@ def _cmd_jobs(args) -> int:
         # resolved values when the job ran (an "auto" submission shows
         # what it actually executed on); the spec's otherwise
         domain = job.get("compute_domain") or "-"
-        kernel = job.get("kernel") or "-"
         transfers = job.get("transfers", "")
         hit = "yes" if job.get("cache_hit") else ""
         print(f"{job['id']:<12} {job['status']:<10} "
-              f"{job['backend']:<12} {domain:<7} {kernel:<7} "
+              f"{job['backend']:<12} {domain:<7} "
               f"{job['sink']:<14} {n!s:>8} {transfers!s:>9} {hit:<3}  "
               f"{job['label']}")
     return 0

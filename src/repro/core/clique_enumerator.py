@@ -119,7 +119,7 @@ class EnumerationResult:
         callback consumed them instead.
     level_stats:
         One :class:`LevelStats` per candidate level processed (empty for
-        backends that do not track levels centrally, e.g. multiprocess).
+        backends that do not track levels centrally).
     counters:
         Operation counts (feed the parallel machine model).
     completed:
@@ -135,9 +135,9 @@ class EnumerationResult:
         Wall-clock duration of the run as measured by the engine facade
         (0.0 when the backend was invoked directly).
     n_workers:
-        Worker processes used (1 for sequential substrates).
+        Workers used (1 for sequential substrates).
     transfers:
-        Sub-lists relayed between workers by the load-balancing
+        Sub-lists stolen between workers by the work-stealing
         scheduler (0 for sequential substrates).
     compute_domain:
         The resolved word representation the generation step ran on:
@@ -145,13 +145,6 @@ class EnumerationResult:
         compressed-domain kernels of
         :mod:`repro.core.compressed_domain`).  Always the resolved
         value — a config's ``"auto"`` never appears here.
-    kernel:
-        The resolved WAH kernel implementation of the run:
-        ``"python"`` (scalar per-pair kernels) or ``"numpy"`` (the
-        batched structure-of-arrays kernels of
-        :mod:`repro.core.wah_kernels`).  Like ``compute_domain``,
-        always the resolved value; for pure-bitset runs it records
-        what a WAH store/step of this run would have used.
     domain_stats:
         Compressed-domain telemetry, empty for pure bitset runs:
         ``decompressed_bytes`` (sub-list bytes materialised in raw form
@@ -189,7 +182,6 @@ class EnumerationResult:
     n_workers: int = 1
     transfers: int = 0
     compute_domain: str = "bitset"
-    kernel: str = "python"
     domain_stats: dict = field(default_factory=dict)
     level_seconds: list[float] = field(default_factory=list)
     load_balance: dict | None = None
@@ -456,7 +448,7 @@ def enumerate_maximal_cliques(
 
     This is the historical entry point, now a thin shim over the
     ``"incore"`` backend of :mod:`repro.engine` — the unified driver that
-    also powers the bit-scan, out-of-core, and multiprocess substrates.
+    also powers the bit-scan, out-of-core, and threaded substrates.
     Prefer :class:`repro.engine.EnumerationEngine` for new code; this
     function remains for the paper-faithful sequential algorithm.
 

@@ -35,12 +35,12 @@ Two layers are provided, mirroring :mod:`repro.core.bitset`:
 word-array kernels (:func:`wah_and_into`, :func:`wah_and_any`,
 :func:`wah_and_count`, :func:`wah_indices_above`,
 :func:`wah_from_sorted_indices`)
-    Allocation-light primitives over raw WAH word lists used by the
-    compressed-domain generation step
-    (:class:`repro.core.compressed_domain.CompressedExpander`), where
-    constructing wrapper objects per candidate clique would dominate run
-    time.  A reusable :class:`WahScratch` carries the output buffer and
-    the word-op tally between calls.
+    Allocation-light primitives over raw WAH word lists, one bitmap
+    pair per call.  They are the scalar oracle the batched
+    :mod:`repro.core.wah_kernels` — which the compressed-domain
+    generation step runs — are replayed against.  A reusable
+    :class:`WahScratch` carries the output buffer and the word-op tally
+    between calls.
 """
 
 from __future__ import annotations
@@ -538,15 +538,14 @@ class WahBitmap:
 
 
 # ---------------------------------------------------------------------------
-# Word-array kernels: the compressed-domain hot path
+# Word-array kernels: the scalar oracle of the batched kernels
 # ---------------------------------------------------------------------------
 #
 # These functions operate on raw canonical WAH word lists (as returned by
 # :meth:`WahBitmap.wah_words`) plus an explicit group count, skipping the
-# per-call universe validation the `WahBitmap` constructor performs.  They
-# are what the compressed-domain generation step
-# (:class:`repro.core.compressed_domain.CompressedExpander`) runs once or
-# more per candidate clique, so the contract is deliberately lean:
+# per-call universe validation the `WahBitmap` constructor performs.  The
+# batched kernels of :mod:`repro.core.wah_kernels` must reproduce their
+# output word for word, so the contract is deliberately lean:
 #
 # * both operands must be canonical encodings covering exactly `n_groups`
 #   groups (every `WahBitmap` guarantees this at construction);

@@ -9,7 +9,7 @@ every chunk back to raw ``uint64`` words for expansion, paying the codec
 twice and materialising the full working set anyway.  This module
 delivers the second half: a generation step whose common-neighbor
 derivations and ``BitOneExists`` maximality tests run *directly on the
-WAH words* via the :mod:`repro.core.compressed` kernels, emitting new
+WAH words* via the batched :mod:`repro.core.wah_kernels`, emitting new
 tails and CN strings as WAH words without a ``BitSet`` round trip.
 
 :class:`CompressedExpander` matches the engine's
@@ -34,23 +34,19 @@ backend keeps its documented counter model:
     ``threads``.
 ``"bitscan"``
     The rejected Section 2.3 bit-scan variant, used by ``bitscan``
-    (including its ``bits_scanned`` cost accounting) — except that the
-    partner scan walks the compressed words with fill-run skipping
-    instead of visiting all ``n`` bits.
+    (including its ``bits_scanned`` cost accounting), with the partner
+    scan run as one vectorised ``batch_indices_above`` per parent
+    chunk.
 
-Each step model exists in two *kernel* implementations selected by the
-``kernel`` parameter: ``"python"`` runs the per-pair loops over the
-scalar kernels in :mod:`repro.core.compressed`, while ``"numpy"`` lifts
-whole level chunks into the structure-of-arrays word layout of
-:mod:`repro.core.wah_kernels` and replaces the inner loops with batched
-adjacency probes, one vectorised ``batch_and`` per parent group, and one
-``batch_and_any`` sweep per chunk of generated cliques.  The two kernels
-are *byte-equivalent*: identical emitted cliques in identical order,
-identical children, and identical :class:`~repro.core.counters.
-OpCounters` — the counter model charges algorithmic operations, not
-loop iterations, so bulk charging a batch equals charging its pairs one
-by one.  Only the :meth:`CompressedExpander.stats` telemetry may differ
-(the python kernels early-exit scans the batched kernels run in full).
+Both models lift whole level chunks into the structure-of-arrays word
+layout of :mod:`repro.core.wah_kernels`: batched adjacency probes, one
+vectorised ``batch_and`` per parent group, and one ``batch_and_any``
+sweep per chunk of generated cliques.  The counter model charges
+algorithmic operations, not loop iterations, so bulk charging a batch
+equals charging its pairs one by one.  Every batch kernel produces the
+byte-identical words of the scalar :class:`~repro.core.compressed.
+WahBitmap` kernels, which stay as the oracle
+``tests/core/test_wah_kernel_arrays.py`` replays them against.
 
 Thread safety: one expander serves one run, but its :meth:`step` may be
 called concurrently by the ``threads`` backend's workers — the WAH
@@ -68,14 +64,7 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.core.bitset import WORD_BITS
 from repro.core.clique_enumerator import PAIR_BATCH, _triu_pairs
-from repro.core.compressed import (
-    WahBitmap,
-    WahScratch,
-    wah_and_any,
-    wah_and_into,
-    wah_from_sorted_indices,
-    wah_indices_above,
-)
+from repro.core.compressed import WahBitmap, WahScratch
 from repro.core.counters import OpCounters
 from repro.core.graph import Graph
 from repro.obs.runtime import get_observability
@@ -96,13 +85,10 @@ from repro.core.wah_kernels import (
     take_streams,
 )
 
-__all__ = ["CompressedExpander", "STEP_MODELS", "STEP_KERNELS"]
+__all__ = ["CompressedExpander", "STEP_MODELS"]
 
 #: the two generation-step counter models an expander can mirror.
 STEP_MODELS = ("pairs", "bitscan")
-
-#: the two byte-equivalent kernel implementations of each model.
-STEP_KERNELS = ("python", "numpy")
 
 #: bitscan partner scans decode a (parents, universe) bit matrix; cap
 #: parents per batch so that transient stays bounded (~32 MB of uint32).
@@ -124,57 +110,35 @@ class CompressedExpander:
         generate_next_level`) or ``"bitscan"``
         (:func:`~repro.core.clique_enumerator.
         generate_next_level_bitscan`).
-    emit_compressed:
-        When True, :meth:`step` consumes
-        :class:`~repro.core.sublist.CompressedSubList` entries (as
-        streamed by ``CompressedLevelStore.stream_entries``) and emits
-        children in the same form — the zero-round-trip path.  When
-        False it consumes/produces plain
-        :class:`~repro.core.sublist.CliqueSubList` for the ``memory`` /
-        ``disk`` stores; the kernels still perform the derivations and
-        maximality tests on compressed operands.
-    kernel:
-        ``"python"`` (the scalar per-pair kernels) or ``"numpy"`` (the
-        batched :mod:`repro.core.wah_kernels` structure-of-arrays path).
-        Byte-equivalent outputs and counters; see the module docstring.
-        The numpy kernels additionally accept a whole
-        :class:`~repro.core.sublist.CompressedLevelBatch` as the
-        ``sublists`` argument of :meth:`step` and then return one, so
-        batch-streaming stores never materialise per-entry objects.
+
+    :meth:`step` returns children in the form it was given: plain
+    :class:`~repro.core.sublist.CliqueSubList` for the ``memory`` /
+    ``disk`` stores (the derivations and maximality tests still run on
+    compressed operands), :class:`~repro.core.sublist.
+    CompressedSubList` entries as streamed by
+    ``CompressedLevelStore.stream_entries``, or a whole
+    :class:`~repro.core.sublist.CompressedLevelBatch`, so
+    batch-streaming stores never materialise per-entry objects.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        model: str = "pairs",
-        emit_compressed: bool = False,
-        kernel: str = "python",
-    ):
+    def __init__(self, g: Graph, model: str = "pairs"):
         if model not in STEP_MODELS:
             raise ParameterError(
                 f"step model must be one of {', '.join(STEP_MODELS)}, "
                 f"got {model!r}"
             )
-        if kernel not in STEP_KERNELS:
-            raise ParameterError(
-                f"step kernel must be one of {', '.join(STEP_KERNELS)}, "
-                f"got {kernel!r}"
-            )
         self._g = g
         self._adj = g.adj
         self._model = model
-        self._emit_compressed = emit_compressed
-        self.kernel = kernel
         #: bit universe of every CN string / tail bitmap of this graph —
         #: the full 64-bit word span, matching CompressedSubList.
         self._universe = WORD_BITS * int(g.adj.shape[1]) if g.n else 0
         self._n_groups = (self._universe + 30) // 31
-        self._rows: list[list[int] | None] = [None] * g.n
-        #: numpy-kernel adjacency cache: an SoA ``(words, offsets,
-        #: slot)`` triple where ``slot[v]`` is row ``v``'s stream id
-        #: (-1 while uncached).  Replaced atomically as a whole tuple,
-        #: so lock-free readers always see a consistent snapshot.
-        self._np_cache: tuple[np.ndarray, np.ndarray, np.ndarray] = (
+        #: adjacency-row cache: an SoA ``(words, offsets, slot)``
+        #: triple where ``slot[v]`` is row ``v``'s stream id (-1 while
+        #: uncached).  Replaced atomically as a whole tuple, so
+        #: lock-free readers always see a consistent snapshot.
+        self._row_cache: tuple[np.ndarray, np.ndarray, np.ndarray] = (
             np.empty(0, dtype=np.uint32),
             np.zeros(1, dtype=np.int64),
             np.full(g.n, -1, dtype=np.int64),
@@ -190,19 +154,7 @@ class CompressedExpander:
 
     # -- shared state --------------------------------------------------------
 
-    def _row_words(self, v: int) -> list[int]:
-        """The WAH words of vertex ``v``'s adjacency row (cached)."""
-        row = self._rows[v]
-        if row is None:
-            words = WahBitmap.from_words(self._adj[v]).wah_words().tolist()
-            with self._lock:
-                if self._rows[v] is None:
-                    self._rows[v] = words
-                    self._rows_compressed += 1
-                row = self._rows[v]
-        return row
-
-    def _np_rows_for(
+    def _rows_for(
         self, verts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """An SoA snapshot of the adjacency-row cache covering ``verts``.
@@ -211,12 +163,12 @@ class CompressedExpander:
         batch-encoded under the lock first.  Snapshots are append-only,
         so a slot id stays valid in every later snapshot.
         """
-        words, offsets, slot = self._np_cache
+        words, offsets, slot = self._row_cache
         verts = np.unique(verts)
         missing = verts[slot[verts] < 0]
         if missing.size:
             with self._lock:
-                words, offsets, slot = self._np_cache
+                words, offsets, slot = self._row_cache
                 missing = missing[slot[missing] < 0]
                 if missing.size:
                     new_w, new_o = batch_encode_words(
@@ -229,7 +181,7 @@ class CompressedExpander:
                     words = np.concatenate((words, new_w))
                     slot = slot.copy()
                     slot[missing] = base + np.arange(missing.size)
-                    self._np_cache = (words, offsets, slot)
+                    self._row_cache = (words, offsets, slot)
                     self._rows_compressed += int(missing.size)
         return words, offsets, slot
 
@@ -272,146 +224,22 @@ class CompressedExpander:
         Matches the engine's ``GenerationStep`` signature; ``g`` must be
         the graph the expander was built for.
         """
+        run = (
+            self._step_pairs if self._model == "pairs"
+            else self._step_bitscan
+        )
         if self._tracer is None:
-            return self._dispatch(sublists, counters, emit)
+            return run(sublists, counters, emit)
         with self._tracer.span(
-            "expand",
-            kernel=self.kernel,
-            model=self._model,
-            parents=len(sublists),
+            "expand", model=self._model, parents=len(sublists)
         ) as span:
-            children = self._dispatch(sublists, counters, emit)
+            children = run(sublists, counters, emit)
             span.set(children=len(children))
             return children
 
-    def _dispatch(
-        self,
-        sublists: list,
-        counters: OpCounters,
-        emit: Callable[[tuple[int, ...]], None],
-    ) -> list:
-        """Route one chunk to the configured kernel/model pair."""
-        if self.kernel == "numpy":
-            if self._model == "pairs":
-                return self._step_pairs_np(sublists, counters, emit)
-            return self._step_bitscan_np(sublists, counters, emit)
-        if isinstance(sublists, CompressedLevelBatch):
-            # the python kernels work per entry; round-trip through the
-            # entry form so batch-streaming stores can still select them
-            # (requires emit_compressed — a batch is a compressed level)
-            entries = sublists.to_entries()
-            if self._model == "pairs":
-                children = self._step_pairs(entries, counters, emit)
-            else:
-                children = self._step_bitscan(entries, counters, emit)
-            batch = CompressedLevelBatch.from_entries(children)
-            if not children:
-                batch = CompressedLevelBatch.empty(self._universe)
-            return batch
-        if self._model == "pairs":
-            return self._step_pairs(sublists, counters, emit)
-        return self._step_bitscan(sublists, counters, emit)
+    # -- the structure-of-arrays step ----------------------------------------
 
-    def _unpack(self, sl) -> tuple[list[int], list[int] | None, object]:
-        """``(tails, cn_wah, cn_words)`` whatever the sub-list form.
-
-        ``cn_wah`` is ``None`` for uncompressed input — compressed
-        lazily by the caller only when the sub-list produces children.
-        """
-        if isinstance(sl, CompressedSubList):
-            return (
-                list(sl.tails.iter_indices()),
-                sl.cn.wah_words().tolist(),
-                None,
-            )
-        return sl.tails.tolist(), None, sl.cn_words
-
-    def _child(
-        self,
-        prefix: tuple[int, ...],
-        v: int,
-        cand: list[int],
-        child_cn: list[int],
-        cn_words,
-    ):
-        """Build one retained child sub-list in the configured form."""
-        if self._emit_compressed:
-            universe = self._universe
-            return CompressedSubList(
-                prefix=prefix,
-                n_tails=len(cand),
-                tails=WahBitmap(
-                    universe, wah_from_sorted_indices(universe, cand)
-                ),
-                cn=WahBitmap(universe, list(child_cn)),
-            )
-        if cn_words is None:  # compressed input, uncompressed output
-            child_words = WahBitmap(
-                self._universe, list(child_cn)
-            ).to_words()
-        else:
-            child_words = cn_words & self._adj[v]
-        return CliqueSubList(
-            prefix=prefix,
-            tails=np.asarray(cand, dtype=np.int64),
-            cn_words=child_words,
-        )
-
-    def _step_pairs(self, sublists, counters, emit) -> list:
-        """The tail-list model: counters match ``generate_next_level``."""
-        out: list = []
-        scratch = self._scratch()
-        n_groups = self._n_groups
-        adj = self._adj
-        for sl in sublists:
-            tails, cn_wah, cn_words = self._unpack(sl)
-            t = len(tails)
-            if t < 2:
-                continue
-            counters.pair_checks += t * (t - 1) // 2
-            for i in range(t - 1):
-                v = tails[i]
-                row_v = adj[v]
-                partners = [
-                    u
-                    for u in tails[i + 1:]
-                    if (int(row_v[u >> 6]) >> (u & 63)) & 1
-                ]
-                if not partners:
-                    continue
-                counters.bit_and_ops += 1  # child CN derivation
-                if cn_wah is None:
-                    cn_wah = WahBitmap.from_words(
-                        cn_words
-                    ).wah_words().tolist()
-                child_cn = wah_and_into(
-                    cn_wah, self._row_words(v), n_groups, scratch
-                )
-                child_prefix = sl.prefix + (v,)
-                cand: list[int] = []
-                for u in partners:
-                    counters.cliques_generated += 1
-                    counters.bit_and_ops += 1
-                    counters.bit_exist_checks += 1
-                    if wah_and_any(
-                        child_cn, self._row_words(u), n_groups, scratch
-                    ):
-                        cand.append(u)
-                    else:
-                        counters.maximal_emitted += 1
-                        emit(child_prefix + (u,))
-                if len(cand) > 1:
-                    counters.sublists_created += 1
-                    out.append(
-                        self._child(
-                            child_prefix, v, cand, child_cn, cn_words
-                        )
-                    )
-        return out
-
-    # -- the numpy (structure-of-arrays) kernels -----------------------------
-
-    def _np_load(self, sublists):
+    def _load(self, sublists):
         """Normalise one level chunk into SoA form for the batch kernels.
 
         Accepts a list of :class:`CliqueSubList`, a list of
@@ -479,7 +307,7 @@ class CompressedExpander:
             "raw",
         )
 
-    def _np_children(self, kind, out_prefixes, out_cands, parts):
+    def _children(self, kind, out_prefixes, out_cands, parts):
         """Materialise retained children in the form matching ``kind``.
 
         ``parts`` holds per-batch SoA fragments of the kept child CN
@@ -539,14 +367,14 @@ class CompressedExpander:
             for i in range(len(out_prefixes))
         ]
 
-    def _step_pairs_np(self, sublists, counters, emit):
-        """The tail-list model on the batch kernels.
+    def _step_pairs(self, sublists, counters, emit):
+        """The tail-list model: counters match ``generate_next_level``.
 
-        Mirrors :meth:`_step_pairs` (and the in-core bitset step's
-        ``PAIR_BATCH`` charging structure): counters, emitted cliques,
-        and children are byte-identical to the python kernel's.
+        Follows the in-core bitset step's ``PAIR_BATCH`` charging
+        structure, so counters, emitted cliques, and children are
+        byte-identical to the bitset domain's.
         """
-        prefixes, tails, cn_w, cn_o, kind = self._np_load(sublists)
+        prefixes, tails, cn_w, cn_o, kind = self._load(sublists)
         scratch = self._scratch()
         out_prefixes: list[tuple[int, ...]] = []
         out_cands: list[np.ndarray] = []
@@ -562,14 +390,14 @@ class CompressedExpander:
                     break
                 budget += pairs
                 end += 1
-            self._pairs_batch_np(
+            self._pairs_batch(
                 start, end, prefixes, tails, cn_w, cn_o,
                 counters, emit, scratch, out_prefixes, out_cands, parts,
             )
             start = end
-        return self._np_children(kind, out_prefixes, out_cands, parts)
+        return self._children(kind, out_prefixes, out_cands, parts)
 
-    def _pairs_batch_np(
+    def _pairs_batch(
         self, lo, hi, prefixes, tails, cn_w, cn_o,
         counters, emit, scratch, out_prefixes, out_cands, parts,
     ):
@@ -610,7 +438,7 @@ class CompressedExpander:
         n_groups_here = int(starts.size)
         counters.bit_and_ops += n_groups_here
         gvi, gsid = pvi[starts], psid[starts]
-        rw, ro, slot = self._np_rows_for(np.concatenate((gvi, pvj)))
+        rw, ro, slot = self._rows_for(np.concatenate((gvi, pvj)))
         aw, ao = take_streams(cn_w, cn_o, gsid)
         bw, bo = take_streams(rw, ro, slot[gvi])
         chw, cho = batch_and(aw, ao, bw, bo, ng)
@@ -649,14 +477,13 @@ class CompressedExpander:
                 take_streams(chw, cho, np.asarray(kept, dtype=np.int64))
             )
 
-    def _step_bitscan_np(self, sublists, counters, emit):
-        """The bit-scan model on the batch kernels.
-
-        Mirrors :meth:`_step_bitscan` — including the documented
-        full-``n`` ``bits_scanned`` cost accounting — with the partner
-        scan running as one ``batch_indices_above`` per parent chunk.
+    def _step_bitscan(self, sublists, counters, emit):
+        """The bit-scan model: counters match
+        ``generate_next_level_bitscan`` — including the documented
+        full-``n`` ``bits_scanned`` cost accounting — while the partner
+        scan runs as one ``batch_indices_above`` per parent chunk.
         """
-        prefixes, tails, cn_w, cn_o, kind = self._np_load(sublists)
+        prefixes, tails, cn_w, cn_o, kind = self._load(sublists)
         scratch = self._scratch()
         out_prefixes: list[tuple[int, ...]] = []
         out_cands: list[np.ndarray] = []
@@ -672,14 +499,14 @@ class CompressedExpander:
                     break
                 n_parents += p
                 end += 1
-            self._bitscan_batch_np(
+            self._bitscan_batch(
                 start, end, prefixes, tails, cn_w, cn_o,
                 counters, emit, scratch, out_prefixes, out_cands, parts,
             )
             start = end
-        return self._np_children(kind, out_prefixes, out_cands, parts)
+        return self._children(kind, out_prefixes, out_cands, parts)
 
-    def _bitscan_batch_np(
+    def _bitscan_batch(
         self, lo, hi, prefixes, tails, cn_w, cn_o,
         counters, emit, scratch, out_prefixes, out_cands, parts,
     ):
@@ -701,7 +528,7 @@ class CompressedExpander:
         counters.extra["bits_scanned"] = (
             counters.extra.get("bits_scanned", 0) + self._g.n * n_parents
         )
-        rw, ro, slot = self._np_rows_for(pvi)
+        rw, ro, slot = self._rows_for(pvi)
         aw, ao = take_streams(cn_w, cn_o, psid)
         bw, bo = take_streams(rw, ro, slot[pvi])
         chw, cho = batch_and(aw, ao, bw, bo, ng)
@@ -717,7 +544,7 @@ class CompressedExpander:
         parent_of = np.repeat(
             np.arange(n_parents, dtype=np.int64), np.diff(p_off)
         )
-        rw, ro, slot = self._np_rows_for(flat_p)
+        rw, ro, slot = self._rows_for(flat_p)
         taw, tao = take_streams(chw, cho, parent_of)
         tbw, tbo = take_streams(rw, ro, slot[flat_p])
         nonmax = batch_and_any(taw, tao, tbw, tbo, ng)
@@ -750,55 +577,3 @@ class CompressedExpander:
             parts.append(
                 take_streams(chw, cho, np.asarray(kept, dtype=np.int64))
             )
-
-    def _step_bitscan(self, sublists, counters, emit) -> list:
-        """The bit-scan model: counters match
-        ``generate_next_level_bitscan`` (including ``bits_scanned``),
-        but the partner scan fill-skips the compressed words instead of
-        visiting all ``n`` bits."""
-        out: list = []
-        scratch = self._scratch()
-        n_groups = self._n_groups
-        n = self._g.n
-        for sl in sublists:
-            tails, cn_wah, cn_words = self._unpack(sl)
-            if len(tails) < 2:
-                continue
-            if cn_wah is None:
-                cn_wah = WahBitmap.from_words(
-                    cn_words
-                ).wah_words().tolist()
-            for v in tails[:-1]:
-                counters.bit_and_ops += 1
-                child_cn = wah_and_into(
-                    cn_wah, self._row_words(v), n_groups, scratch
-                )
-                # the documented bitscan cost model charges the full
-                # n-bit scan per child, whatever representation ran it
-                counters.extra["bits_scanned"] = (
-                    counters.extra.get("bits_scanned", 0) + n
-                )
-                partners = list(wah_indices_above(child_cn, v))
-                if not partners:
-                    continue
-                counters.cliques_generated += len(partners)
-                counters.bit_and_ops += len(partners)
-                counters.bit_exist_checks += len(partners)
-                child_prefix = sl.prefix + (v,)
-                cand: list[int] = []
-                for u in partners:
-                    if wah_and_any(
-                        child_cn, self._row_words(u), n_groups, scratch
-                    ):
-                        cand.append(u)
-                    else:
-                        counters.maximal_emitted += 1
-                        emit(child_prefix + (u,))
-                if len(cand) > 1:
-                    counters.sublists_created += 1
-                    out.append(
-                        self._child(
-                            child_prefix, v, cand, child_cn, cn_words
-                        )
-                    )
-        return out

@@ -28,9 +28,9 @@ branching, and literal-dense stretches reduce to one aligned
 Equivalence contract: every kernel here produces byte-identical
 canonical words (and identical predicates / counts) to the Python
 kernels in :mod:`repro.core.compressed` for the same operands — the
-property ``tests/core/test_wah_kernel_arrays.py`` drives at random and
-the engine harness enforces end to end across the
-``kernel="python" | "numpy"`` config policy.
+property ``tests/core/test_wah_kernel_arrays.py`` drives at random.
+These batch kernels are the only compressed path the engine runs; the
+Python kernels stay as their oracle.
 
 The kernels are pure functions of ndarray inputs and release the GIL
 inside every numpy op, which is what finally lets the ``threads``

@@ -19,8 +19,8 @@ package turns that claim into architecture:
   step itself can run on raw words or on the WAH-compressed form
   (``EnumerationConfig.compute_domain``,
   :mod:`repro.core.compressed_domain`);
-* :mod:`~repro.engine.backends` — the five built-ins: ``"incore"``,
-  ``"bitscan"``, ``"ooc"``, ``"threads"``, ``"multiprocess"``;
+* :mod:`~repro.engine.backends` — the four built-ins: ``"incore"``,
+  ``"bitscan"``, ``"ooc"``, ``"threads"``;
 * :class:`~repro.engine.api.EnumerationEngine` — the facade that
   resolves, runs, and times a backend.
 
@@ -29,7 +29,7 @@ Quickstart::
     from repro.engine import EnumerationConfig, EnumerationEngine
 
     result = EnumerationEngine().run(
-        g, EnumerationConfig(backend="multiprocess", k_min=3, jobs=4)
+        g, EnumerationConfig(backend="threads", k_min=3, jobs=4)
     )
 
 Every backend returns the same canonical
@@ -42,13 +42,11 @@ from repro.core.clique_enumerator import EnumerationResult, LevelStats
 from repro.core.counters import IOStats, OpCounters
 from repro.engine.config import (
     COMPUTE_DOMAINS,
-    KERNELS,
     LEVEL_STORE_AUTO,
     LEVEL_STORES,
     EnumerationConfig,
     resolve_compute_domain,
     resolve_for_backend,
-    resolve_kernel,
     resolve_level_store,
 )
 from repro.engine.registry import (
@@ -74,8 +72,6 @@ __all__ = [
     "resolve_for_backend",
     "resolve_compute_domain",
     "COMPUTE_DOMAINS",
-    "KERNELS",
-    "resolve_kernel",
     "EnumerationEngine",
     "EnumerationResult",
     "LevelStats",

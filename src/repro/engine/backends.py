@@ -1,8 +1,7 @@
 """The built-in execution backends.
 
 Each backend is ~30 lines of substrate policy over the shared loop in
-:mod:`repro.engine.level_loop` (or, for ``"multiprocess"``, over the
-partition-persistent worker pool in :mod:`repro.parallel.mp_backend`):
+:mod:`repro.engine.level_loop`:
 
 * ``"incore"`` — the paper's contribution: candidates in RAM, tail-list
   pair generation (Figure 3);
@@ -13,11 +12,9 @@ partition-persistent worker pool in :mod:`repro.parallel.mp_backend`):
 * ``"threads"`` — the paper's actual parallelisation: shared-memory
   worker threads over the same adjacency bitmap, LPT-seeded per level
   with intra-level work stealing
-  (:mod:`repro.parallel.thread_backend`);
-* ``"multiprocess"`` — the process-based analogue: persistent worker
-  partitions plus the centralised load-balancing scheduler.
+  (:mod:`repro.parallel.thread_backend`).
 
-All five return the same canonical
+All four return the same canonical
 :class:`~repro.core.clique_enumerator.EnumerationResult` and emit
 identical clique sets for identical bounds — the invariant
 ``tests/engine/test_equivalence.py`` and the randomized
@@ -28,7 +25,6 @@ registry.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import replace
 
 from repro.errors import ParameterError
 from repro.core.clique_enumerator import (
@@ -44,10 +40,8 @@ from repro.engine.config import (
     LEVEL_STORES,
     EnumerationConfig,
     resolve_compute_domain,
-    resolve_for_backend,
-    resolve_kernel,
 )
-from repro.engine.level_loop import make_emitter, run_level_loop
+from repro.engine.level_loop import run_level_loop
 from repro.engine.level_store import CompressedLevelStore, MemoryLevelStore
 from repro.engine.registry import get_backend, register_backend
 
@@ -56,7 +50,6 @@ __all__ = [
     "run_bitscan",
     "run_ooc",
     "run_threads",
-    "run_multiprocess",
 ]
 
 OnClique = Callable[[tuple[int, ...]], None] | None
@@ -72,9 +65,7 @@ def _reject_unknown_options(config: EnumerationConfig, known: set[str]):
         )
 
 
-def _store_policy(
-    config: EnumerationConfig, default: str, kernel: str = "python"
-):
+def _store_policy(config: EnumerationConfig, default: str):
     """Resolve ``config.level_store`` for a level-loop backend.
 
     Returns ``(store_factory, io, store_options)`` — the factory for
@@ -83,8 +74,6 @@ def _store_policy(
     otherwise), and the option keys the substrate understands (fed to
     :func:`_reject_unknown_options`, so e.g. a spill ``directory`` on
     the in-memory substrate still fails before work starts).
-    ``kernel`` is the run's resolved WAH kernel — the compressed store
-    uses it to pick its (byte-identical) batched or per-entry codec.
     """
     name = config.level_store or default
     if name == "auto":
@@ -98,7 +87,7 @@ def _store_policy(
     if name == "wah":
         chunk_size = config.option("chunk_size", 256)
         return (
-            lambda: CompressedLevelStore(chunk_size, kernel),
+            lambda: CompressedLevelStore(chunk_size),
             None,
             {"chunk_size"},
         )
@@ -135,37 +124,30 @@ def _resolve_step(
 ):
     """Resolve the generation step for the configured compute domain.
 
-    Returns ``(step, stream_mode, expander, domain, kernel)``: the step
+    Returns ``(step, stream_mode, expander, domain)``: the step
     callable for :func:`~repro.engine.level_loop.run_level_loop`, how
     the level streams between store and step (``"raw"`` /
     ``"entries"`` / ``"batches"`` — the compressed modes are the
     ``"wah"`` domain on the ``"wah"`` store, the zero-round-trip
     pairing), the :class:`~repro.core.compressed_domain.
     CompressedExpander` carrying the kernel telemetry (``None`` in the
-    bitset domain), the resolved domain name for
-    ``result.compute_domain``, and the resolved kernel for
-    ``result.kernel``.
+    bitset domain), and the resolved domain name for
+    ``result.compute_domain``.
     """
     info = get_backend(backend_name)
     domain = resolve_compute_domain(config, store_name, info)
-    kernel = resolve_kernel(config, info)
     if domain == "bitset":
-        return bitset_step, "raw", None, "bitset", kernel
-    expander = CompressedExpander(
-        g,
-        model=model,
-        emit_compressed=store_name == "wah",
-        kernel=kernel,
-    )
+        return bitset_step, "raw", None, "bitset"
+    expander = CompressedExpander(g, model=model)
     if store_name != "wah":
         stream_mode = "raw"
-    elif kernel == "numpy" and not info.parallel:
-        # whole-batch streaming; the threads backend partitions levels
-        # across workers per sub-list, so it keeps the entry form
-        stream_mode = "batches"
-    else:
+    elif info.parallel:
+        # the threads backend partitions levels across workers per
+        # sub-list, so it keeps the entry form
         stream_mode = "entries"
-    return expander.step, stream_mode, expander, "wah", kernel
+    else:
+        stream_mode = "batches"
+    return expander.step, stream_mode, expander, "wah"
 
 
 @register_backend(
@@ -174,7 +156,6 @@ def _resolve_step(
     storage="memory",
     level_stores=LEVEL_STORES,
     compute_domains=("bitset", "wah"),
-    kernels=("python", "numpy"),
 )
 def run_incore(
     g: Graph, config: EnumerationConfig, on_clique: OnClique = None
@@ -182,12 +163,10 @@ def run_incore(
     """The paper's in-core Clique Enumerator on the unified loop."""
     _reject_jobs(config)
     store_name = config.level_store or "memory"
-    step, stream_mode, expander, domain, kernel = _resolve_step(
+    step, stream_mode, expander, domain = _resolve_step(
         g, config, store_name, "incore", "pairs", generate_next_level
     )
-    store_factory, io, store_opts = _store_policy(
-        config, "memory", kernel
-    )
+    store_factory, io, store_opts = _store_policy(config, "memory")
     _reject_unknown_options(config, store_opts)
     result = run_level_loop(
         g,
@@ -200,7 +179,6 @@ def run_incore(
         stream_mode=stream_mode,
     )
     result.compute_domain = domain
-    result.kernel = kernel
     if expander is not None:
         result.domain_stats.update(expander.stats())
     return result
@@ -213,7 +191,6 @@ def run_incore(
     storage="memory",
     level_stores=LEVEL_STORES,
     compute_domains=("bitset", "wah"),
-    kernels=("python", "numpy"),
 )
 def run_bitscan(
     g: Graph, config: EnumerationConfig, on_clique: OnClique = None
@@ -221,7 +198,7 @@ def run_bitscan(
     """The Section 2.3 bit-scan generation variant on the unified loop."""
     _reject_jobs(config)
     store_name = config.level_store or "memory"
-    step, stream_mode, expander, domain, kernel = _resolve_step(
+    step, stream_mode, expander, domain = _resolve_step(
         g,
         config,
         store_name,
@@ -229,9 +206,7 @@ def run_bitscan(
         "bitscan",
         generate_next_level_bitscan,
     )
-    store_factory, io, store_opts = _store_policy(
-        config, "memory", kernel
-    )
+    store_factory, io, store_opts = _store_policy(config, "memory")
     _reject_unknown_options(config, store_opts)
     result = run_level_loop(
         g,
@@ -244,7 +219,6 @@ def run_bitscan(
         stream_mode=stream_mode,
     )
     result.compute_domain = domain
-    result.kernel = kernel
     if expander is not None:
         result.domain_stats.update(expander.stats())
     return result
@@ -256,7 +230,6 @@ def run_bitscan(
     "(the retired out-of-core mode)",
     storage="disk",
     level_stores=LEVEL_STORES,
-    kernels=("python", "numpy"),
 )
 def run_ooc(
     g: Graph, config: EnumerationConfig, on_clique: OnClique = None
@@ -267,11 +240,10 @@ def run_ooc(
     holds the levels compressed in RAM instead); the result's ``io``
     field is populated only when the effective substrate touches disk.
     """
-    kernel = resolve_kernel(config, get_backend("ooc"))
-    store_factory, io, store_opts = _store_policy(config, "disk", kernel)
+    store_factory, io, store_opts = _store_policy(config, "disk")
     _reject_unknown_options(config, store_opts)
     _reject_jobs(config)
-    result = run_level_loop(
+    return run_level_loop(
         g,
         config,
         on_clique,
@@ -280,8 +252,6 @@ def run_ooc(
         backend="ooc",
         io=io,
     )
-    result.kernel = kernel
-    return result
 
 
 @register_backend(
@@ -292,7 +262,6 @@ def run_ooc(
     parallel=True,
     level_stores=LEVEL_STORES,
     compute_domains=("bitset", "wah"),
-    kernels=("python", "numpy"),
 )
 def run_threads(
     g: Graph, config: EnumerationConfig, on_clique: OnClique = None
@@ -313,15 +282,14 @@ def run_threads(
 
     In the ``"wah"`` compute domain each worker runs the
     compressed-domain step over the shared WAH adjacency-row cache —
-    with ``kernel="numpy"`` the batched structure-of-arrays kernels,
-    whose vectorised inner loops release the GIL — the partitioning,
-    stealing, and level-barrier machinery is unchanged (work estimates
-    are identical by construction), and with the ``"wah"`` level store
-    the sub-lists workers exchange stay compressed end to end.
+    the batched structure-of-arrays kernels, whose vectorised inner
+    loops release the GIL — the partitioning, stealing, and
+    level-barrier machinery is unchanged (work estimates are identical
+    by construction), and with the ``"wah"`` level store the sub-lists
+    workers exchange stay compressed end to end.
 
-    Unlike ``multiprocess`` (which collects the full clique set before
-    replaying it), cliques stream through ``on_clique`` at every level
-    barrier: budgets trip at the same clique they would in-core, and a
+    Cliques stream through ``on_clique`` at every level barrier:
+    budgets trip at the same clique they would in-core, and a
     cooperative cancellation raised by the sink takes effect one level
     late at worst.
     """
@@ -332,12 +300,10 @@ def run_threads(
     )
 
     store_name = config.level_store or "memory"
-    step, stream_mode, wah_expander, domain, kernel = _resolve_step(
+    step, stream_mode, wah_expander, domain = _resolve_step(
         g, config, store_name, "threads", "pairs", generate_next_level
     )
-    store_factory, io, store_opts = _store_policy(
-        config, "memory", kernel
-    )
+    store_factory, io, store_opts = _store_policy(config, "memory")
     _reject_unknown_options(config, store_opts | {"steal_granularity"})
     expander = ThreadedExpander(
         resolve_worker_count(config.jobs),
@@ -358,7 +324,6 @@ def run_threads(
     result.n_workers = expander.n_workers
     result.transfers = expander.stolen_sublists
     result.compute_domain = domain
-    result.kernel = kernel
     if any(expander.worker_busy):
         # narrow runs (every level below the parallel threshold) never
         # touch the pool and carry no balance evidence
@@ -371,77 +336,4 @@ def run_threads(
         ).to_dict()
     if wah_expander is not None:
         result.domain_stats.update(wah_expander.stats())
-    return result
-
-
-@register_backend(
-    "multiprocess",
-    description="partition-persistent worker processes with centralised "
-    "load balancing",
-    storage="memory",
-    parallel=True,
-    level_stores=("memory",),
-)
-def run_multiprocess(
-    g: Graph, config: EnumerationConfig, on_clique: OnClique = None
-) -> EnumerationResult:
-    """The process-pool substrate, adapted to the canonical result type.
-
-    Workers own persistent sub-list partitions (the paper's thread-local
-    memory); the parent relays sub-lists between them when the estimated
-    load gap crosses ``rel_tolerance``.  Cliques are canonically sorted
-    within each level, so output order matches the sequential backends.
-    Isolated vertices (``k_min == 1``) are emitted in the parent — they
-    carry no parallel work — before the pool starts at level 2.
-
-    The ``max_cliques`` budget is enforced while replaying the pool's
-    output through the shared emitter, i.e. *after* the distributed
-    enumeration has finished — unlike the sequential substrates it
-    bounds the returned output, not the work in flight.
-    """
-    from repro.parallel.mp_backend import enumerate_maximal_cliques_mp
-
-    _reject_unknown_options(config, {"rel_tolerance"})
-    # workers keep their partitions in local memory; pretending to
-    # honour a disk or compressed substrate would silently change what
-    # candidate_bytes means.  The shared resolver raises the same
-    # ConfigError the engine facade and the service submit path do, so
-    # a direct runner call cannot drift from them.
-    config = resolve_for_backend(config, get_backend("multiprocess"))
-    if config.k_max is not None and config.k_max < 2:
-        # no parallel work exists below level 2; the sequential loop is
-        # the exact semantics (isolated vertices, completed flag) —
-        # minus the multiprocess-only knobs it would not understand
-        result = run_incore(
-            g, replace(config, options={}, jobs=None), on_clique
-        )
-        result.backend = "multiprocess"
-        return result
-    result = EnumerationResult(
-        k_min=config.k_min,
-        k_max=config.k_max,
-        backend="multiprocess",
-    )
-    level = [config.k_min]
-    emit = make_emitter(result, config, on_clique, lambda: level[0])
-    if config.k_min == 1:
-        for v in range(g.n):
-            if g.degree(v) == 0:
-                result.counters.maximal_emitted += 1
-                emit((v,))
-    mp_res = enumerate_maximal_cliques_mp(
-        g,
-        k_min=max(2, config.k_min),
-        k_max=config.k_max,
-        n_workers=config.jobs,
-        rel_tolerance=config.option("rel_tolerance", 0.20),
-    )
-    result.counters.merge(mp_res.counters)
-    result.counters.levels = max(result.counters.levels, mp_res.levels)
-    result.n_workers = mp_res.n_workers
-    result.transfers = mp_res.transfers
-    result.completed = mp_res.exhausted
-    for clique in mp_res.cliques:
-        level[0] = len(clique)
-        emit(clique)
     return result

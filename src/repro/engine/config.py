@@ -5,7 +5,7 @@ window (the paper's ``Init_K`` and the optional upper bound), the safety
 budgets, the backend name resolved through
 :mod:`repro.engine.registry`, and a free-form ``options`` mapping for
 backend-specific knobs (spill directory and chunk size for ``"ooc"``,
-scheduler tolerance for ``"multiprocess"``).  The config is frozen and
+steal granularity for ``"threads"``).  The config is frozen and
 validated at construction, so a bad parameter fails before any work
 starts — and before a worker pool or spill directory is created.
 """
@@ -23,11 +23,9 @@ __all__ = [
     "LEVEL_STORES",
     "LEVEL_STORE_AUTO",
     "COMPUTE_DOMAINS",
-    "KERNELS",
     "resolve_for_backend",
     "resolve_level_store",
     "resolve_compute_domain",
-    "resolve_kernel",
 ]
 
 #: the level-storage substrates a config may request: ``"memory"``
@@ -54,15 +52,6 @@ LEVEL_STORE_AUTO = "auto"
 #: backend supports it (keeping the level compressed end to end),
 #: ``"bitset"`` otherwise.
 COMPUTE_DOMAINS = ("auto", "bitset", "wah")
-
-#: the kernel implementations a WAH compute-domain step may select:
-#: ``"python"`` (the scalar per-pair kernels of
-#: :mod:`repro.core.compressed`), ``"numpy"`` (the batched
-#: structure-of-arrays kernels of :mod:`repro.core.wah_kernels`), or
-#: ``"auto"`` — resolve to ``"numpy"`` when the backend advertises it,
-#: ``"python"`` otherwise.  The two are byte-equivalent; the choice
-#: affects only speed and telemetry.
-KERNELS = ("auto", "python", "numpy")
 
 
 def _stable_key(value: Any) -> tuple[str, object]:
@@ -105,7 +94,7 @@ class EnumerationConfig:
     ----------
     backend:
         Registry name of the execution substrate (``"incore"``,
-        ``"bitscan"``, ``"ooc"``, ``"multiprocess"``, or any backend
+        ``"bitscan"``, ``"ooc"``, ``"threads"``, or any backend
         registered via :func:`repro.engine.register_backend`).
     k_min:
         Lower clique-size bound (the paper's ``Init_K``).  All built-in
@@ -123,9 +112,9 @@ class EnumerationConfig:
         it raises :class:`~repro.errors.BudgetExceeded`.  Ignored by
         backends that do not track level storage centrally.
     jobs:
-        Worker count for parallel backends — processes for
-        ``"multiprocess"``, shared-memory threads for ``"threads"``
-        (``None`` lets the backend pick, e.g. the CPU count).
+        Worker count for parallel backends — shared-memory threads
+        for ``"threads"`` (``None`` lets the backend pick, e.g. the
+        CPU count).
         Sequential backends reject a non-``None`` value rather than
         silently ignoring it.
     level_store:
@@ -152,21 +141,9 @@ class EnumerationConfig:
         Part of the config's equality/hash, so the service result cache
         distinguishes the domains even though their outputs are
         byte-identical by construction.
-    kernel:
-        Kernel implementation for the WAH compute domain: one of
-        :data:`KERNELS`.  ``"auto"`` (the default) picks the batched
-        numpy structure-of-arrays kernels when the backend advertises
-        them (``BackendInfo.kernels``) and the scalar python kernels
-        otherwise; the explicit values pin one implementation (e.g. for
-        the equivalence harness or microbenchmarks).  An explicit
-        kernel a backend did not advertise is rejected by
-        :func:`resolve_for_backend`.  Ignored by ``"bitset"``-domain
-        runs, but still part of the config's equality/hash so the
-        service result cache keys stay conservative.
     options:
         Backend-specific knobs, e.g. ``{"directory": ..., "chunk_size":
-        512}`` for ``"ooc"``, ``{"rel_tolerance": 0.1}`` for
-        ``"multiprocess"``, or ``{"steal_granularity": 4}`` for
+        512}`` for ``"ooc"``, or ``{"steal_granularity": 4}`` for
         ``"threads"`` (validated here because it is a concurrency knob
         whose misconfiguration must fail before a pool starts; like
         every option it is hashed into the config identity, so the
@@ -182,7 +159,6 @@ class EnumerationConfig:
     jobs: int | None = None
     level_store: str | None = None
     compute_domain: str = "auto"
-    kernel: str = "auto"
     options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -226,11 +202,6 @@ class EnumerationConfig:
                 f"{', '.join(COMPUTE_DOMAINS)}, got "
                 f"{self.compute_domain!r}"
             )
-        if self.kernel not in KERNELS:
-            raise ParameterError(
-                f"kernel must be one of {', '.join(KERNELS)}, got "
-                f"{self.kernel!r}"
-            )
         # normalise to a plain dict so `options` is hashable-agnostic and
         # cheap to .get() from; the field stays read-only by convention.
         object.__setattr__(self, "options", dict(self.options))
@@ -261,7 +232,6 @@ class EnumerationConfig:
             self.jobs,
             self.level_store,
             self.compute_domain,
-            self.kernel,
             _stable_key(self.options),
         ))
 
@@ -318,15 +288,6 @@ def resolve_for_backend(
             f"backend {config.backend!r} does not support compute "
             f"domain {config.compute_domain!r}; supported: "
             f"{', '.join(info.compute_domains)} (or 'auto')"
-        )
-    if (
-        config.kernel != "auto"
-        and config.kernel not in info.kernels
-    ):
-        raise ConfigError(
-            f"backend {config.backend!r} does not support kernel "
-            f"{config.kernel!r}; supported: "
-            f"{', '.join(info.kernels)} (or 'auto')"
         )
     if config.k_min < info.min_k_min:
         return replace(config, k_min=info.min_k_min)
@@ -418,19 +379,3 @@ def resolve_compute_domain(
     if effective_store == "wah" and "wah" in info.compute_domains:
         return "wah"
     return "bitset"
-
-
-def resolve_kernel(config: "EnumerationConfig", info: Any) -> str:
-    """The concrete kernel (``"python"`` / ``"numpy"``) of one run.
-
-    ``"auto"`` picks the batched numpy kernels whenever the backend
-    advertises them — they are byte-equivalent to the python kernels
-    and strictly faster on whole-level batches — falling back to
-    ``"python"`` otherwise.  Explicit kernels pass through (validated
-    against ``info.kernels`` by :func:`resolve_for_backend`).
-    """
-    if config.kernel != "auto":
-        return config.kernel
-    if "numpy" in info.kernels:
-        return "numpy"
-    return "python"

@@ -186,18 +186,19 @@ class CompressedLevelStore(LevelStore):
     ``domain_stats["decompressed_bytes"]`` /
     ``["decompressed_bytes_avoided"]`` telemetry.
 
-    The numpy kernel (``kernel="numpy"``) changes *how* the same bytes
-    are produced, never the bytes themselves: raw appends are buffered
-    and batch-encoded ``chunk_size`` at a time through
-    :meth:`~repro.core.sublist.CompressedLevelBatch.from_sublists`
-    (one vectorised encode instead of per-entry group walks), the
-    decompressing :meth:`stream` decodes each chunk with one vectorised
-    pass, and the :meth:`append_batch` / :meth:`stream_batches` pair
-    moves whole :class:`~repro.core.sublist.CompressedLevelBatch`
-    levels in and out without materialising per-entry objects at all —
-    the structure-of-arrays fast path of the numpy generation step.
-    The WAH encoding is canonical, so stored words — and therefore
-    every accounting property — are byte-identical across kernels.
+    Raw appends are buffered and batch-encoded ``chunk_size`` at a time
+    through :meth:`~repro.core.sublist.CompressedLevelBatch.
+    from_sublists` (one vectorised encode instead of per-entry group
+    walks), the decompressing :meth:`stream` decodes each chunk with one
+    vectorised pass, and the :meth:`append_batch` /
+    :meth:`stream_batches` pair moves whole
+    :class:`~repro.core.sublist.CompressedLevelBatch` levels in and out
+    without materialising per-entry objects at all — the
+    structure-of-arrays fast path of the generation step.  Every stream
+    yields the level in insertion order, whatever mix of raw, entry,
+    and batch appends built it.  The WAH encoding is canonical, so
+    stored words — and therefore every accounting property — are
+    byte-identical to encoding each sub-list on its own.
 
     Parameters
     ----------
@@ -205,22 +206,14 @@ class CompressedLevelStore(LevelStore):
         Sub-lists decompressed per streamed chunk.  Larger chunks keep
         more of the generation step's cross-sub-list batching; smaller
         chunks bound the transient decompressed working set.
-    kernel:
-        ``"python"`` (per-entry scalar codec) or ``"numpy"`` (batched
-        structure-of-arrays codec).  Byte-identical storage either way.
     """
 
-    def __init__(self, chunk_size: int = 256, kernel: str = "python"):
+    def __init__(self, chunk_size: int = 256):
         if chunk_size < 1:
             raise ParameterError(
                 f"chunk_size must be >= 1, got {chunk_size}"
             )
-        if kernel not in ("python", "numpy"):
-            raise ParameterError(
-                f"kernel must be 'python' or 'numpy', got {kernel!r}"
-            )
         self.chunk_size = chunk_size
-        self.kernel = kernel
         self._pending: list[CliqueSubList] = []
         #: ordered mix of per-entry and whole-batch parts; insertion
         #: order across both kinds is the level's canonical order.
@@ -248,35 +241,29 @@ class CompressedLevelStore(LevelStore):
             raise LevelStoreError(
                 "append() after stream(): the level store is single-pass"
             )
-        if isinstance(sl, CompressedSubList):
-            entry = sl
-            uncompressed = entry.uncompressed_nbytes(
-                INDEX_BYTES, POINTER_BYTES
-            )
-        elif self.kernel == "numpy":
-            # buffer raw appends and batch-encode a chunk at a time —
-            # canonical words, so accounting is unchanged byte for byte
+        if not isinstance(sl, CompressedSubList):
             self._pending.append(sl)
             if len(self._pending) >= self.chunk_size:
                 self._flush_pending()
             return
-        else:
-            entry = CompressedSubList.from_sublist(sl)
-            uncompressed = sl.nbytes(INDEX_BYTES, POINTER_BYTES)
-        self._account(entry, uncompressed)
-
-    def _account(
-        self, entry: CompressedSubList, uncompressed: int
-    ) -> None:
-        self._parts.append(entry)
+        self._flush_pending()
+        self._parts.append(sl)
         self._n_sublists += 1
-        self._n_candidates += len(entry)
-        self._candidate_bytes += entry.nbytes(INDEX_BYTES, POINTER_BYTES)
-        self._uncompressed_bytes += uncompressed
+        self._n_candidates += len(sl)
+        self._candidate_bytes += sl.nbytes(INDEX_BYTES, POINTER_BYTES)
+        self._uncompressed_bytes += sl.uncompressed_nbytes(
+            INDEX_BYTES, POINTER_BYTES
+        )
 
     def _flush_pending(self) -> None:
-        pending, self._pending = self._pending, []
-        self._store_batch(CompressedLevelBatch.from_sublists(pending))
+        """Store the buffered raw appends as one batch part.
+
+        Called before any other part is stored and before any read, so
+        the parts keep the level's insertion order.
+        """
+        if self._pending:
+            pending, self._pending = self._pending, []
+            self._store_batch(CompressedLevelBatch.from_sublists(pending))
 
     def _store_batch(self, batch: CompressedLevelBatch) -> None:
         # batch.nbytes()/uncompressed_nbytes() equal the per-entry sums
@@ -291,7 +278,7 @@ class CompressedLevelStore(LevelStore):
         )
 
     def append_batch(self, batch: CompressedLevelBatch) -> None:
-        """Store a whole compressed level batch (numpy fast path).
+        """Store a whole compressed level batch.
 
         The batch is held as-is — one part, no per-entry objects — and
         accounted in bulk; :meth:`stream_batches` later yields it back
@@ -304,6 +291,7 @@ class CompressedLevelStore(LevelStore):
                 "append() after stream(): the level store is single-pass"
             )
         if len(batch):
+            self._flush_pending()
             self._store_batch(batch)
 
     def __len__(self) -> int:
@@ -317,35 +305,31 @@ class CompressedLevelStore(LevelStore):
     @property
     def n_candidates(self) -> int:
         """The paper's ``M[k]`` for this level."""
-        if self._pending:
-            self._flush_pending()
+        self._flush_pending()
         return self._n_candidates
 
     @property
     def candidate_bytes(self) -> int:
         """Measured *compressed* candidate storage, in bytes."""
-        if self._pending:
-            self._flush_pending()
+        self._flush_pending()
         return self._candidate_bytes
 
     @property
     def uncompressed_bytes(self) -> int:
         """What :class:`MemoryLevelStore` would have charged for this
         level — the baseline for :meth:`compression_ratio`."""
-        if self._pending:
-            self._flush_pending()
+        self._flush_pending()
         return self._uncompressed_bytes
 
     def compression_ratio(self) -> float:
         """Uncompressed bytes over compressed bytes (>= 1 means win)."""
-        if not self._candidate_bytes:
+        if not self.candidate_bytes:
             return 1.0
         return self._uncompressed_bytes / self._candidate_bytes
 
     def entries(self) -> list[CompressedSubList]:
         """The compressed sub-lists, for compressed-domain consumers."""
-        if self._pending:
-            self._flush_pending()
+        self._flush_pending()
         out: list[CompressedSubList] = []
         for part in self._parts:
             if isinstance(part, CompressedLevelBatch):
@@ -381,8 +365,7 @@ class CompressedLevelStore(LevelStore):
             raise LevelStoreError(
                 "stream() called twice on a single-pass level store"
             )
-        if self._pending:
-            self._flush_pending()
+        self._flush_pending()
         self._streamed = True
         return self._stream()
 
@@ -398,27 +381,21 @@ class CompressedLevelStore(LevelStore):
                 entry.uncompressed_nbytes(INDEX_BYTES, POINTER_BYTES)
                 for entry in run
             )
-            if self.kernel == "numpy":
-                yield CompressedLevelBatch.from_entries(
-                    run
-                ).to_sublists()
-            else:
-                yield [entry.to_sublist() for entry in run]
+            yield CompressedLevelBatch.from_entries(run).to_sublists()
 
     def stream_batches(self) -> Iterator[CompressedLevelBatch]:
         """Yield the level as :class:`CompressedLevelBatch` chunks.
 
         The structure-of-arrays counterpart of :meth:`stream_entries`
-        for the numpy generation step: same chunking, same single-pass
-        contract, same ``bypassed_bytes`` accounting — the words never
-        leave compressed form.
+        for the compressed-domain generation step: same chunking, same
+        single-pass contract, same ``bypassed_bytes`` accounting — the
+        words never leave compressed form.
         """
         if self._streamed:
             raise LevelStoreError(
                 "stream() called twice on a single-pass level store"
             )
-        if self._pending:
-            self._flush_pending()
+        self._flush_pending()
         self._streamed = True
         return self._stream_batches()
 
@@ -464,8 +441,7 @@ class CompressedLevelStore(LevelStore):
             raise LevelStoreError(
                 "stream() called twice on a single-pass level store"
             )
-        if self._pending:
-            self._flush_pending()
+        self._flush_pending()
         self._streamed = True
         return self._stream_entries()
 

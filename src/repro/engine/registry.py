@@ -7,10 +7,10 @@ callable ``(graph, config, on_clique) -> EnumerationResult`` registered
 under a name, and every driver in the repo resolves substrates through
 :func:`get_backend` instead of hard-wiring one.
 
-Adding a sixth substrate (a sharded multi-machine backend, a
-GPU-resident bitmap store) is one :func:`register_backend` call — no new
-driver fork; the fifth (``"threads"``, the shared-memory analogue of the
-paper's 256-processor Altix run) landed exactly that way.
+Adding a substrate (a sharded multi-machine backend, a GPU-resident
+bitmap store) is one :func:`register_backend` call — no new driver
+fork; ``"threads"``, the shared-memory analogue of the paper's
+256-processor Altix run, landed exactly that way.
 """
 
 from __future__ import annotations
@@ -48,10 +48,9 @@ class BackendInfo:
     storage:
         Where candidates live: ``"memory"`` or ``"disk"``.
     parallel:
-        True when the backend distributes work across workers —
-        processes (``"multiprocess"``) or shared-memory threads
-        (``"threads"``).  Only parallel backends accept a non-``None``
-        ``config.jobs``.
+        True when the backend distributes work across workers (the
+        shared-memory threads of ``"threads"``).  Only parallel
+        backends accept a non-``None`` ``config.jobs``.
     min_k_min:
         Smallest supported ``k_min``; smaller requested values are
         promoted.  Every built-in supports 1.
@@ -68,14 +67,6 @@ class BackendInfo:
         at least ``"bitset"``; an explicit ``config.compute_domain``
         outside this tuple is rejected before dispatch by the shared
         :func:`~repro.engine.config.resolve_for_backend`.
-    kernels:
-        The concrete :data:`~repro.engine.config.KERNELS` values
-        (``"python"`` / ``"numpy"``, never ``"auto"``) this backend's
-        WAH-domain step can run on.  Every backend supports at least
-        ``"python"``; ``config.kernel = "auto"`` resolves to the
-        fastest advertised kernel
-        (:func:`~repro.engine.config.resolve_kernel`), and an explicit
-        kernel outside this tuple is rejected before dispatch.
     """
 
     name: str
@@ -86,7 +77,6 @@ class BackendInfo:
     min_k_min: int = 1
     level_stores: tuple[str, ...] = ()
     compute_domains: tuple[str, ...] = ("bitset",)
-    kernels: tuple[str, ...] = ("python",)
 
 
 _REGISTRY: dict[str, BackendInfo] = {}
@@ -102,7 +92,6 @@ def register_backend(
     min_k_min: int = 1,
     level_stores: tuple[str, ...] = (),
     compute_domains: tuple[str, ...] = ("bitset",),
-    kernels: tuple[str, ...] = ("python",),
     replace: bool = False,
 ):
     """Register an execution backend under ``name``.
@@ -134,7 +123,6 @@ def register_backend(
             min_k_min=min_k_min,
             level_stores=tuple(level_stores),
             compute_domains=tuple(compute_domains),
-            kernels=tuple(kernels),
         )
         return fn
 

@@ -7,8 +7,6 @@
 * :func:`~repro.parallel.parallel_enumerator.record_trace` /
   :func:`~repro.parallel.parallel_enumerator.simulate_run` — trace-replay
   simulation of the multithreaded Clique Enumerator;
-* :func:`~repro.parallel.mp_backend.enumerate_maximal_cliques_mp` — real
-  multiprocessing execution on host cores;
 * :class:`~repro.parallel.thread_backend.ThreadedExpander` /
   :class:`~repro.parallel.load_balancer.StealingWorkQueue` — the
   shared-memory threaded substrate behind the engine's ``"threads"``
@@ -37,7 +35,6 @@ from repro.parallel.parallel_enumerator import (
     simulate_processor_sweep,
     simulate_run,
 )
-from repro.parallel.mp_backend import MPResult, enumerate_maximal_cliques_mp
 from repro.parallel.thread_backend import (
     ThreadedExpander,
     resolve_worker_count,
@@ -67,8 +64,6 @@ __all__ = [
     "record_trace",
     "simulate_run",
     "simulate_processor_sweep",
-    "MPResult",
-    "enumerate_maximal_cliques_mp",
     "LoadBalanceStats",
     "absolute_speedup",
     "relative_speedups",

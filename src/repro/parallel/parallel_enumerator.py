@@ -23,8 +23,8 @@ schedule-invariant), the simulation splits into two phases:
 
 One trace therefore yields the whole Figure 5/6/7 processor sweep — and
 the per-processor busy times for Figure 8 — without re-running the
-enumeration.  A real ``multiprocessing`` backend for genuine wall-clock
-parallelism lives in :mod:`repro.parallel.mp_backend`.
+enumeration.  Genuine wall-clock parallelism is the engine's
+``"threads"`` backend (:mod:`repro.parallel.thread_backend`).
 """
 
 from __future__ import annotations

@@ -3,12 +3,10 @@
 The closest analogue in this repo to the paper's 256-processor SGI Altix
 run: worker *threads* expand disjoint slices of one candidate level
 against the **shared** adjacency bitmap and sub-list arrays — no
-pickling, no per-level scatter/gather of candidate data, unlike the
-process-based :mod:`repro.parallel.mp_backend` which must ship every
-transferred sub-list through a pipe.  The numpy kernels inside
-:func:`~repro.core.clique_enumerator.generate_next_level` release the
-GIL, so on multi-core hosts the pair scans and bit-string ANDs of
-different slices genuinely overlap.
+pickling, no per-level scatter/gather of candidate data.  The numpy
+kernels inside :func:`~repro.core.clique_enumerator.
+generate_next_level` release the GIL, so on multi-core hosts the pair
+scans and bit-string ANDs of different slices genuinely overlap.
 
 Scheduling is two-phase, mirroring the paper's Section 2.3 scheduler:
 

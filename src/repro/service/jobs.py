@@ -216,7 +216,6 @@ class Job:
             # one happens)
             "level_store": self.resolved_config.level_store,
             "compute_domain": self.spec.config.compute_domain,
-            "kernel": self.spec.config.kernel,
             "cache_hit": self.cache_hit,
             "error": self.error,
             "queued_seconds": self.queued_seconds,
@@ -229,7 +228,7 @@ class Job:
         if self.result is not None:
             out["counters"] = self.result.counters.snapshot()
             out["completed"] = self.result.completed
-            # parallel-substrate observability (threads/multiprocess):
+            # parallel-substrate observability (threads backend):
             # worker count and scheduler transfers ride the same wire
             # payload, so `repro jobs` can show how a parallel job ran
             out["n_workers"] = self.result.n_workers
@@ -238,7 +237,6 @@ class Job:
             # run actually executed on (a submitted "auto" resolves at
             # dispatch) plus the codec/kernel telemetry
             out["compute_domain"] = self.result.compute_domain
-            out["kernel"] = self.result.kernel
             out["domain_stats"] = self.result.domain_stats
             # measured Figure 8 evidence (threads backend); None for
             # sequential or too-narrow runs

@@ -40,7 +40,6 @@ _CONFIG_FIELDS = (
     "jobs",
     "level_store",
     "compute_domain",
-    "kernel",
     "options",
 )
 

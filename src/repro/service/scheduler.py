@@ -77,16 +77,10 @@ class JobScheduler:
     workers:
         Worker-thread count.  Enumeration is numpy-heavy, so threads
         overlap usefully despite the GIL; a job needing parallelism
-        *within* one enumeration uses the ``"threads"`` or
-        ``"multiprocess"`` backend inside its config.  ``"threads"``
-        streams cliques through the sink at every level barrier, so
-        budgets and cooperative cancellation fire at most one level
-        late.  ``"multiprocess"`` collects the full clique set in the
-        parent before replaying it, so streaming sinks do not bound
-        its memory and cancellation only takes effect once the
-        distributed enumeration finishes — for genome-scale streaming
-        or promptly-cancellable jobs, prefer ``"threads"`` or the
-        sequential backends.
+        *within* one enumeration uses the ``"threads"`` backend inside
+        its config, which streams cliques through the sink at every
+        level barrier, so budgets and cooperative cancellation fire at
+        most one level late.
     cache:
         A :class:`ResultCache` to share, ``None`` to disable caching
         entirely, or leave unset for a fresh default cache.

@@ -124,11 +124,9 @@ class TestInteractionModules:
     def test_default_config_and_backend_swap(self, truth):
         reps = simulate_replicates(truth, 3, 0.02, 0.1, seed=8)
         _, incore = interaction_modules(reps, 2)
-        _, mp = interaction_modules(
+        _, threads = interaction_modules(
             reps, 2,
-            config=EnumerationConfig(
-                backend="multiprocess", k_min=3, jobs=2
-            ),
+            config=EnumerationConfig(backend="threads", k_min=3, jobs=2),
         )
         assert incore.k_min == 3
-        assert sorted(incore.cliques) == sorted(mp.cliques)
+        assert sorted(incore.cliques) == sorted(threads.cliques)

@@ -2,14 +2,15 @@
 
 :mod:`repro.core.wah_kernels` re-implements the WAH hot loop as numpy
 word-array operations over many streams at once; the compressed-domain
-generation step swaps them in for the scalar kernels expecting
-*byte-identical* words.  This suite pins that contract: every batch
-kernel is replayed stream by stream through :class:`~repro.core.
-compressed.WahBitmap` (the canonical encoder) and the results compared
-exactly — words, offsets, counts, and decoded indices — across the
-boundary shapes the step actually produces: fill/literal alternation,
-all-ones fills, universes that are not a multiple of the 31-bit group,
-empty streams inside a batch, and empty batches.
+generation step runs them in place of the scalar kernels, which stay
+as the oracle for *byte-identical* words.  This suite pins that
+contract: every batch kernel is replayed stream by stream through
+:class:`~repro.core.compressed.WahBitmap` (the canonical encoder) and
+the results compared exactly — words, offsets, counts, and decoded
+indices — across the boundary shapes the step actually produces:
+fill/literal alternation, all-ones fills, universes that are not a
+multiple of the 31-bit group, empty streams inside a batch, and empty
+batches.
 """
 
 from __future__ import annotations

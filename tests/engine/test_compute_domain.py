@@ -69,13 +69,9 @@ class TestConfigValidation:
         assert a != b
         assert hash(a) != hash(b)
 
-    @pytest.mark.parametrize("backend", ["ooc", "multiprocess"])
+    @pytest.mark.parametrize("backend", ["ooc"])
     def test_explicit_wah_rejected_where_unsupported(self, backend):
-        config = EnumerationConfig(
-            backend=backend,
-            compute_domain="wah",
-            jobs=2 if backend == "multiprocess" else None,
-        )
+        config = EnumerationConfig(backend=backend, compute_domain="wah")
         with pytest.raises(ConfigError, match="compute domain"):
             resolve_for_backend(config, get_backend(backend))
         with pytest.raises(ConfigError, match="compute domain"):
@@ -86,11 +82,9 @@ class TestConfigValidation:
         ConfigError — the shared resolution point."""
         from repro.service.jobs import JobSpec
 
-        config = EnumerationConfig(
-            backend="multiprocess", compute_domain="wah", jobs=2
-        )
+        config = EnumerationConfig(backend="ooc", compute_domain="wah")
         with pytest.raises(ConfigError) as engine_exc:
-            resolve_for_backend(config, get_backend("multiprocess"))
+            resolve_for_backend(config, get_backend("ooc"))
         with pytest.raises(ConfigError) as submit_exc:
             JobSpec(graph=Graph(3), config=config)
         assert str(submit_exc.value) == str(engine_exc.value)
@@ -99,7 +93,6 @@ class TestConfigValidation:
         for name in WAH_BACKENDS:
             assert get_backend(name).compute_domains == ("bitset", "wah")
         assert get_backend("ooc").compute_domains == ("bitset",)
-        assert get_backend("multiprocess").compute_domains == ("bitset",)
 
     def test_auto_resolution(self):
         incore = get_backend("incore")

@@ -163,13 +163,24 @@ class TestResolveForBackend:
         from repro.errors import ConfigError
         from repro.engine import resolve_for_backend
 
-        with pytest.raises(ConfigError, match="does not support"):
-            resolve_for_backend(
-                EnumerationConfig(
-                    backend="multiprocess", level_store="wah", jobs=2
-                ),
-                get_backend("multiprocess"),
-            )
+        @register_backend("test-memory-only", level_stores=("memory",))
+        def run_memory_only(g, config, on_clique=None):
+            """Never dispatched in this test."""
+
+        try:
+            with pytest.raises(ConfigError) as exc:
+                resolve_for_backend(
+                    EnumerationConfig(
+                        backend="test-memory-only", level_store="wah"
+                    ),
+                    get_backend("test-memory-only"),
+                )
+        finally:
+            unregister_backend("test-memory-only")
+        assert str(exc.value) == (
+            "backend 'test-memory-only' does not support level store "
+            "'wah'; supported: memory"
+        )
 
     def test_supported_store_passes_through(self):
         from repro.engine import resolve_for_backend
@@ -193,31 +204,10 @@ class TestResolveForBackend:
             unregister_backend("test-resolve-floor")
         assert out.k_min == 4
 
-    def test_direct_multiprocess_runner_raises_same_error(self, triangle):
-        """Bypassing the facade cannot dodge (or reword) the check."""
-        from repro.errors import ConfigError
-        from repro.engine.backends import run_multiprocess
-
-        with pytest.raises(ConfigError) as direct:
-            run_multiprocess(
-                triangle,
-                EnumerationConfig(
-                    backend="multiprocess", level_store="disk", jobs=2
-                ),
-            )
-        with pytest.raises(ConfigError) as facade:
-            run_enumeration(
-                triangle,
-                EnumerationConfig(
-                    backend="multiprocess", level_store="disk", jobs=2
-                ),
-            )
-        assert str(direct.value) == str(facade.value)
-
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert {"incore", "bitscan", "ooc", "multiprocess"} <= set(
+        assert {"incore", "bitscan", "ooc", "threads"} <= set(
             available_backends()
         )
 
@@ -278,8 +268,8 @@ class TestRegistry:
         assert names == sorted(names)
         ooc = next(info for info in table if info.name == "ooc")
         assert ooc.storage == "disk"
-        mp = next(info for info in table if info.name == "multiprocess")
-        assert mp.parallel
+        threads = next(info for info in table if info.name == "threads")
+        assert threads.parallel
 
     def test_unknown_option_rejected(self, triangle):
         with pytest.raises(ParameterError, match="option"):
@@ -400,22 +390,3 @@ class TestFacade:
         )
         ooc = run_enumeration(g, EnumerationConfig(backend="ooc", k_min=2))
         assert incore.level_stats == ooc.level_stats
-
-    def test_multiprocess_jobs_respected(self):
-        g = erdos_renyi(25, 0.35, seed=4)
-        res = run_enumeration(
-            g, EnumerationConfig(backend="multiprocess", jobs=2)
-        )
-        assert res.n_workers == 2
-
-    def test_multiprocess_counters_are_canonical(self):
-        """Worker op counts fold into the canonical fields, so the
-        counters stay comparable with the sequential substrates."""
-        g = erdos_renyi(25, 0.35, seed=5)
-        mp = run_enumeration(
-            g, EnumerationConfig(backend="multiprocess", k_min=2, jobs=2)
-        )
-        seq = run_enumeration(g, EnumerationConfig(k_min=2))
-        assert mp.counters.pair_checks == seq.counters.pair_checks
-        assert mp.counters.maximal_emitted == seq.counters.maximal_emitted
-        assert mp.counters.total_work() == seq.counters.total_work()

@@ -23,6 +23,7 @@ from repro.engine import (
     EnumerationConfig,
     EnumerationEngine,
     available_backends,
+    get_backend,
 )
 
 ENGINE = EnumerationEngine()
@@ -49,7 +50,7 @@ def _by_size_counts(cliques):
 
 def _config(backend, **kw):
     """Per-backend config: jobs only where the backend is parallel."""
-    jobs = 2 if backend == "multiprocess" else None
+    jobs = 2 if get_backend(backend).parallel else None
     return EnumerationConfig(backend=backend, jobs=jobs, **kw)
 
 

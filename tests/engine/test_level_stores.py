@@ -128,6 +128,34 @@ class TestCompressedLevelStore:
         with pytest.raises(ParameterError):
             CompressedLevelStore(chunk_size=0)
 
+    @pytest.mark.parametrize(
+        "stream", ["stream", "stream_entries", "stream_batches"]
+    )
+    def test_mixed_appends_stream_in_insertion_order(self, stream):
+        """Raw appends wait in a buffer for batch encoding; entries and
+        batches stored meanwhile must not overtake them."""
+        from repro.core.sublist import CompressedLevelBatch
+
+        store = CompressedLevelStore()
+        store.append(_sl([0], [1, 2]))
+        store.append(_sl([1], [2, 3]))
+        store.append(CompressedSubList.from_sublist(_sl([2], [3, 4])))
+        store.append(_sl([3], [4, 5]))
+        store.append_batch(
+            CompressedLevelBatch.from_sublists([_sl([4], [5, 6])])
+        )
+        store.append(_sl([5], [6, 7]))
+        prefixes = [
+            prefix
+            for chunk in getattr(store, stream)()
+            for prefix in (
+                chunk.prefixes
+                if isinstance(chunk, CompressedLevelBatch)
+                else [sl.prefix for sl in chunk]
+            )
+        ]
+        assert prefixes == [(i,) for i in range(6)]
+
     def test_entries_are_compressed_sublists(self):
         store = CompressedLevelStore()
         store.append(_sl([0], [1, 2]))
@@ -159,25 +187,6 @@ class TestLevelStorePolicy:
     def test_registry_advertises_supported_stores(self):
         for backend in STORE_BACKENDS:
             assert get_backend(backend).level_stores == LEVEL_STORES
-        assert get_backend("multiprocess").level_stores == ("memory",)
-
-    def test_multiprocess_rejects_nondefault_store(self, triangle):
-        with pytest.raises(ParameterError, match="does not support"):
-            run_enumeration(
-                triangle,
-                EnumerationConfig(
-                    backend="multiprocess", level_store="wah"
-                ),
-            )
-
-    def test_multiprocess_accepts_memory_store(self, triangle):
-        res = run_enumeration(
-            triangle,
-            EnumerationConfig(
-                backend="multiprocess", level_store="memory", jobs=1
-            ),
-        )
-        assert res.cliques == [(0, 1, 2)]
 
     def test_facade_rejects_store_on_storeless_backend(self, triangle):
         from repro.engine import register_backend, unregister_backend

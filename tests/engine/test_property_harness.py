@@ -130,59 +130,36 @@ def assert_cross_backend_equivalence(
         for store in stores:
             domain_snapshots: dict[str, dict] = {}
             for domain in info.compute_domains or ("bitset",):
-                # the kernel only participates when WAH words exist —
-                # as the store codec or as the generation domain; the
-                # sweep covers every kernel the backend advertises
-                kernels = (
-                    info.kernels
-                    if (store == "wah" or domain == "wah")
-                    else ("python",)
+                label = (
+                    f"[{case}] backend={info.name} store={store} "
+                    f"domain={domain} k_min={k_min} k_max={k_max}"
                 )
-                kernel_snapshots: dict[str, dict] = {}
-                for kernel in kernels:
-                    label = (
-                        f"[{case}] backend={info.name} store={store} "
-                        f"domain={domain} kernel={kernel} "
-                        f"k_min={k_min} k_max={k_max}"
-                    )
-                    config = EnumerationConfig(
-                        backend=info.name,
-                        k_min=k_min,
-                        k_max=k_max,
-                        level_store=store,
-                        compute_domain=domain,
-                        kernel=kernel,
-                        jobs=2 if info.parallel else None,
-                    )
-                    res = ENGINE.run(g, config)
-                    assert res.cliques == ref.cliques, (
-                        f"clique sequence diverged from incore: {label}"
-                    )
-                    assert _by_size(res.cliques) == ref_sizes, (
-                        f"per-size counts diverged: {label}"
-                    )
-                    assert res.completed == ref.completed, (
-                        f"completed flag diverged: {label}"
-                    )
-                    assert res.counters.maximal_emitted == len(
-                        res.cliques
-                    ), f"emission accounting inconsistent: {label}"
-                    kernel_snapshots[kernel] = res.counters.snapshot()
-                    if info.name not in COUNTER_MODEL_EXEMPT:
-                        assert res.counters.snapshot() == ref_snapshot, (
-                            f"merged counters diverged from incore: "
-                            f"{label}"
-                        )
-                first_kernel, first_ksnap = next(
-                    iter(kernel_snapshots.items())
+                config = EnumerationConfig(
+                    backend=info.name,
+                    k_min=k_min,
+                    k_max=k_max,
+                    level_store=store,
+                    compute_domain=domain,
+                    jobs=2 if info.parallel else None,
                 )
-                for kernel, snapshot in kernel_snapshots.items():
-                    assert snapshot == first_ksnap, (
-                        f"[{case}] backend={info.name} store={store} "
-                        f"domain={domain}: counters diverged between "
-                        f"kernels {first_kernel!r} and {kernel!r}"
+                res = ENGINE.run(g, config)
+                assert res.cliques == ref.cliques, (
+                    f"clique sequence diverged from incore: {label}"
+                )
+                assert _by_size(res.cliques) == ref_sizes, (
+                    f"per-size counts diverged: {label}"
+                )
+                assert res.completed == ref.completed, (
+                    f"completed flag diverged: {label}"
+                )
+                assert res.counters.maximal_emitted == len(res.cliques), (
+                    f"emission accounting inconsistent: {label}"
+                )
+                domain_snapshots[domain] = res.counters.snapshot()
+                if info.name not in COUNTER_MODEL_EXEMPT:
+                    assert domain_snapshots[domain] == ref_snapshot, (
+                        f"merged counters diverged from incore: {label}"
                     )
-                domain_snapshots[domain] = first_ksnap
             first_domain, first_snapshot = next(
                 iter(domain_snapshots.items())
             )
@@ -378,43 +355,6 @@ def test_harness_sweeps_the_compute_domain_axis():
             )
     finally:
         unregister_backend("test-wahless")
-
-
-def test_harness_sweeps_the_kernel_axis():
-    """A backend advertising a kernel is tested *on* it.
-
-    Register a backend whose ``"numpy"`` kernel drops a clique while
-    its ``"python"`` kernel is correct; the harness must run both on
-    the WAH combinations and name the kernel in the failure.
-    """
-    from repro.engine.backends import run_incore
-
-    @register_backend(
-        "test-kernelless",
-        description="correct python, defective numpy (harness canary)",
-        level_stores=("wah",),
-        compute_domains=("bitset", "wah"),
-        kernels=("python", "numpy"),
-    )
-    def run_kernelless(g, config, on_clique=None):
-        res = run_incore(
-            g,
-            replace(config, backend="incore", kernel="python"),
-            on_clique,
-        )
-        if config.kernel == "numpy" and res.cliques:
-            res.cliques.pop()
-        res.backend = "test-kernelless"
-        return res
-
-    try:
-        with pytest.raises(AssertionError, match="kernel=numpy"):
-            assert_cross_backend_equivalence(
-                make_family_graph("clique_planted", seed=3, n=24),
-                case="kernel-canary",
-            )
-    finally:
-        unregister_backend("test-kernelless")
 
 
 def test_harness_counter_check_catches_a_lying_merge():

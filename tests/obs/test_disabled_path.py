@@ -62,8 +62,7 @@ class TestEngineFastPath:
         [
             EnumerationConfig(k_min=3),
             EnumerationConfig(
-                k_min=3, compute_domain="wah", kernel="numpy",
-                level_store="wah",
+                k_min=3, compute_domain="wah", level_store="wah",
             ),
             EnumerationConfig(k_min=3, backend="threads", jobs=2),
         ],

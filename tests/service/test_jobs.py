@@ -131,13 +131,15 @@ class TestSubmitTimeResolution:
         assert hash(spec.config) == hash(promoted.config)
 
     def test_unsupported_store_refused_at_spec_construction(self):
+        """Any policy the backend does not advertise — level store or
+        compute domain — is refused before the job is queued."""
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError, match="does not support"):
             JobSpec(
                 graph=complete_graph(2),
                 config=EnumerationConfig(
-                    backend="multiprocess", level_store="wah", jobs=2
+                    backend="ooc", compute_domain="wah"
                 ),
             )
 

@@ -51,8 +51,7 @@ class TestRoundTrip:
     def test_scrape_matches_result_counters_exactly(self, plane, graph):
         """The acceptance criterion: scrape == EnumerationResult."""
         config = EnumerationConfig(
-            k_min=3, compute_domain="wah", kernel="numpy",
-            level_store="wah",
+            k_min=3, compute_domain="wah", level_store="wah",
         )
         with JobScheduler(workers=1) as sched:
             job = sched.submit(JobSpec(graph=graph, config=config))

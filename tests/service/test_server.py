@@ -92,19 +92,26 @@ class TestProtocolPayloads:
 
     def test_spec_payload_rejects_unknown_fields(self):
         """Regression: a misspelled config key must fail the submit,
-        not silently run the job with defaults."""
-        with pytest.raises(ParameterError, match="kmin"):
-            spec_from_payload({"graph": "g.json", "kmin": 3})
+        not silently run the job with defaults — and so must a field
+        the config does not have, such as the ``kernel`` older clients
+        may still send."""
+        for field in ("kmin", "kernel"):
+            with pytest.raises(ParameterError, match=field):
+                spec_from_payload({"graph": "g.json", field: 3})
 
     def test_unknown_submit_field_rejected_over_the_wire(self, client):
-        with pytest.raises(ServiceError, match="unknown submit field"):
-            client.call("submit", graph="g.json", max_clique=100)
+        for field in ({"max_clique": 100}, {"kernel": "numpy"}):
+            with pytest.raises(ServiceError, match="unknown submit field"):
+                client.call("submit", graph="g.json", **field)
 
 
 class TestSubmitTimeResolution:
+    """A policy the backend does not advertise — level store or
+    compute domain, one shared check — is refused at submit time."""
+
     EXPECTED = (
-        "backend 'multiprocess' does not support level store "
-        "'wah'; supported: memory"
+        "backend 'ooc' does not support compute domain 'wah'; "
+        "supported: bitset (or 'auto')"
     )
 
     def test_unsupported_store_refused_client_side(self, client, g):
@@ -116,7 +123,7 @@ class TestSubmitTimeResolution:
             client.submit(
                 g,
                 config=EnumerationConfig(
-                    backend="multiprocess", level_store="wah", jobs=2
+                    backend="ooc", compute_domain="wah"
                 ),
             )
         assert str(exc.value) == self.EXPECTED
@@ -131,9 +138,8 @@ class TestSubmitTimeResolution:
             client.call(
                 "submit",
                 graph_inline={"n": 3, "edges": [[0, 1], [1, 2]]},
-                backend="multiprocess",
-                level_store="wah",
-                jobs=2,
+                backend="ooc",
+                compute_domain="wah",
             )
         assert self.EXPECTED in str(exc.value)
         assert client.jobs() == []  # nothing was queued

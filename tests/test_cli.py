@@ -88,8 +88,6 @@ class TestEnumerateBackends:
         self, backend, graph_file, capsys
     ):
         argv = ["enumerate", graph_file, "--backend", backend, "--count"]
-        if backend == "multiprocess":
-            argv += ["--jobs", "2"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "size 3: 2" in out
@@ -103,7 +101,7 @@ class TestEnumerateBackends:
 
     def test_jobs_must_be_positive(self, graph_file, capsys):
         rc = main(
-            ["enumerate", graph_file, "--backend", "multiprocess",
+            ["enumerate", graph_file, "--backend", "threads",
              "--jobs", "0"]
         )
         assert rc == 1
@@ -150,31 +148,25 @@ class TestEnumerateLevelStores:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_store_rejected_on_multiprocess(self, graph_file, capsys):
-        rc = main(
-            ["enumerate", graph_file, "--backend", "multiprocess",
-             "--jobs", "2", "--level-store", "wah"]
-        )
-        assert rc == 1
-        assert "does not support level store" in capsys.readouterr().err
-
     def test_unsupported_store_message_identical_on_both_paths(
         self, graph_file, capsys
     ):
         """``repro enumerate`` and the service submit path must refuse
-        an unsupported level store with the *identical* ConfigError —
-        the single resolution point in the engine config layer."""
+        a policy the backend does not support with the *identical*
+        ConfigError — the single resolution point in the engine config
+        layer, which checks the level store and the compute domain
+        alike (no built-in backend refuses a level store)."""
         from repro.errors import ConfigError
         from repro.service.jobs import JobSpec
         from repro.engine import EnumerationConfig
 
         expected = (
-            "backend 'multiprocess' does not support level store "
-            "'wah'; supported: memory"
+            "backend 'ooc' does not support compute domain 'wah'; "
+            "supported: bitset (or 'auto')"
         )
         rc = main(
-            ["enumerate", graph_file, "--backend", "multiprocess",
-             "--jobs", "2", "--level-store", "wah"]
+            ["enumerate", graph_file, "--backend", "ooc",
+             "--compute-domain", "wah"]
         )
         assert rc == 1
         assert f"error: {expected}" in capsys.readouterr().err
@@ -182,7 +174,7 @@ class TestEnumerateLevelStores:
             JobSpec(
                 graph=graph_file,
                 config=EnumerationConfig(
-                    backend="multiprocess", level_store="wah", jobs=2
+                    backend="ooc", compute_domain="wah"
                 ),
             )
         assert str(exc.value) == expected

@@ -22,9 +22,9 @@ from repro.core.kose import kose_enumerate
 from repro.core.maximum_clique import maximum_clique, maximum_clique_size
 from repro.core.out_of_core import enumerate_maximal_cliques_ooc
 from repro.core.stats import summarize
+from repro.engine import EnumerationConfig, run_enumeration
 from repro.parallel.machine import MachineSpec
 from repro.parallel.metrics import absolute_speedup, load_balance_stats
-from repro.parallel.mp_backend import enumerate_maximal_cliques_mp
 from repro.parallel.parallel_enumerator import (
     record_trace,
     simulate_processor_sweep,
@@ -71,9 +71,8 @@ class TestExpressionToModules:
         assert sorted(
             enumerate_maximal_cliques_ooc(g, k_min=2).cliques
         ) == ref
-        assert sorted(
-            enumerate_maximal_cliques_mp(g, k_min=2, n_workers=2).cliques
-        ) == ref
+        threads = EnumerationConfig(backend="threads", k_min=2, jobs=2)
+        assert sorted(run_enumeration(g, threads).cliques) == ref
 
 
 class TestPpiToComplexes:

@@ -40,7 +40,6 @@ PUBLIC_MODULES = [
     "repro.parallel.machine",
     "repro.parallel.load_balancer",
     "repro.parallel.parallel_enumerator",
-    "repro.parallel.mp_backend",
     "repro.parallel.metrics",
     "repro.bio.expression",
     "repro.bio.correlation",
