@@ -225,9 +225,21 @@ def _triu_pairs(t: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-#: pair-scan batch budget: bounds the temporary test-matrix memory to
-#: roughly ``PAIR_BATCH * n_words(n) * 8`` bytes.
-PAIR_BATCH = 200_000
+#: byte budget of one pair batch, shared by the bitset and WAH steps.
+#: A batch takes at most ``PAIR_BATCH_BYTES // (8 * n_words)`` pairs,
+#: so every array it holds per pair — the bitset step's
+#: ``adj[v_i] & adj[v_j] & CN`` test rows, the WAH step's operand
+#: streams — is bounded by the budget, however wide the level is.
+PAIR_BATCH_BYTES = 1 << 20
+
+
+def pair_batch_limit(n_words: int) -> int:
+    """Pairs per step batch for adjacency rows of ``n_words`` words.
+
+    Batches split only at sub-list boundaries, so a sub-list with more
+    pairs than this is a batch of its own.
+    """
+    return PAIR_BATCH_BYTES // (8 * max(n_words, 1))
 
 
 def _process_batch(
@@ -328,7 +340,8 @@ def generate_next_level(
     The implementation batches the pair scan across sub-lists — one
     adjacency gather for every (i, j) tail pair of the level, then the
     combined maximality test ``CN(prefix) & N(v_i) & N(v_j)`` row-wise —
-    chunked to :data:`PAIR_BATCH` pairs to bound temporary memory.  The
+    chunked at sub-list boundaries to :data:`PAIR_BATCH_BYTES` of test
+    rows, so temporary memory does not grow with the level.  The
     recorded counters follow the *paper's* operation model (one AND to
     derive each child common-neighbor string, one AND plus one
     BitOneExists per generated clique, one adjacency check per scanned
@@ -338,12 +351,13 @@ def generate_next_level(
     out: list[CliqueSubList] = []
     batch: list[CliqueSubList] = []
     batch_pairs = 0
+    limit = pair_batch_limit(g.adj.shape[1])
     for sl in sublists:
         t = int(sl.tails.size)
         if t < 2:
             continue
         pairs = t * (t - 1) // 2
-        if batch and batch_pairs + pairs > PAIR_BATCH:
+        if batch and batch_pairs + pairs > limit:
             _process_batch(batch, g, counters, emit, out)
             batch = []
             batch_pairs = 0

@@ -63,7 +63,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.core.bitset import WORD_BITS
-from repro.core.clique_enumerator import PAIR_BATCH, _triu_pairs
+from repro.core.clique_enumerator import _triu_pairs, pair_batch_limit
 from repro.core.compressed import WahBitmap, WahScratch
 from repro.core.counters import OpCounters
 from repro.core.graph import Graph
@@ -370,9 +370,11 @@ class CompressedExpander:
     def _step_pairs(self, sublists, counters, emit):
         """The tail-list model: counters match ``generate_next_level``.
 
-        Follows the in-core bitset step's ``PAIR_BATCH`` charging
-        structure, so counters, emitted cliques, and children are
-        byte-identical to the bitset domain's.
+        Cuts pair batches at sub-list boundaries by the same byte budget
+        as the bitset step (:func:`~repro.core.clique_enumerator.
+        pair_batch_limit`), so the transients stay flat however wide
+        the level is.  Counters, emitted cliques, and children are
+        byte-identical to the bitset domain's at any batch size.
         """
         prefixes, tails, cn_w, cn_o, kind = self._load(sublists)
         scratch = self._scratch()
@@ -380,13 +382,14 @@ class CompressedExpander:
         out_cands: list[np.ndarray] = []
         parts: list[tuple[np.ndarray, np.ndarray]] = []
         n_lists = len(prefixes)
+        limit = pair_batch_limit(self._adj.shape[1])
         start = 0
         while start < n_lists:
             end, budget = start, 0
             while end < n_lists:
                 t = int(tails[end].size)
                 pairs = t * (t - 1) // 2
-                if end > start and budget + pairs > PAIR_BATCH:
+                if end > start and budget + pairs > limit:
                     break
                 budget += pairs
                 end += 1

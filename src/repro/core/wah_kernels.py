@@ -166,27 +166,26 @@ def _encode_runs(
     """
     if seg_val.size == 0:
         return _EMPTY_U32, np.zeros(n_streams + 1, dtype=np.int64)
-    cls = np.full(seg_val.size, 2, dtype=np.int8)
-    cls[seg_val == 0] = 0
-    cls[seg_val == _LITERAL_MASK] = 1
+    # a one-group joins a one-fill, a zero-group a zero-fill; a mixed
+    # (literal) group never merges
+    one = seg_val == _LITERAL_MASK
+    lit = seg_val != 0
+    lit &= ~one
     brk = np.empty(seg_val.size, dtype=bool)
     brk[0] = True
     np.not_equal(seg_pair[1:], seg_pair[:-1], out=brk[1:])
-    brk[1:] |= cls[1:] != cls[:-1]
-    brk[1:] |= cls[1:] == 2
-    brk[1:] |= cls[:-1] == 2
-    starts = np.flatnonzero(brk)
-    run_groups = np.add.reduceat(seg_len, starts)
-    run_cls = cls[starts]
-    fills = (
-        _FILL_FLAG
-        | np.where(run_cls == 1, _FILL_BIT, np.uint32(0))
-        | run_groups.astype(np.uint32)
-    )
-    out_words = np.where(run_cls == 2, seg_val[starts], fills)
-    counts = np.bincount(seg_pair[starts], minlength=n_streams)
+    brk[1:] |= one[1:] != one[:-1]
+    brk[1:] |= lit[1:]
+    brk[1:] |= lit[:-1]
+    starts = brk.nonzero()[0]
+    fills = np.add.reduceat(seg_len, starts).astype(np.uint32)
+    fills |= one[starts] * _FILL_BIT
+    fills |= _FILL_FLAG
+    out_words = np.where(lit[starts], seg_val[starts], fills)
     out_offsets = np.zeros(n_streams + 1, dtype=np.int64)
-    np.cumsum(counts, out=out_offsets[1:])
+    np.bincount(seg_pair[starts], minlength=n_streams).cumsum(
+        out=out_offsets[1:]
+    )
     return out_words.astype(np.uint32, copy=False), out_offsets
 
 
@@ -413,15 +412,6 @@ def batch_indices_above(
     return idx, idx_offsets
 
 
-def _encode_group_matrix(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonically encode an ``(N, n_groups)`` group-value matrix."""
-    n, n_groups = groups.shape
-    _check_groups(n_groups)
-    seg_pair = np.repeat(np.arange(n, dtype=np.int64), n_groups)
-    seg_len = np.ones(n * n_groups, dtype=np.int64)
-    return _encode_runs(seg_pair, seg_len, groups.reshape(-1), n)
-
-
 def batch_encode_words(
     mat: np.ndarray, n_bits: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -436,6 +426,7 @@ def batch_encode_words(
     n_groups = (n_bits + GROUP_BITS - 1) // GROUP_BITS
     if n == 0 or n_groups == 0:
         return _EMPTY_U32, np.zeros(n + 1, dtype=np.int64)
+    _check_groups(n_groups)
     bits = np.unpackbits(
         mat.view(np.uint8), axis=1, bitorder="little"
     )
@@ -445,7 +436,12 @@ def batch_encode_words(
         padded.reshape(n, n_groups, GROUP_BITS).astype(np.uint32)
         * _GROUP_WEIGHTS
     ).sum(axis=2, dtype=np.uint32)
-    return _encode_group_matrix(groups)
+    return _encode_runs(
+        np.repeat(np.arange(n, dtype=np.int64), n_groups),
+        np.ones(n * n_groups, dtype=np.int64),
+        groups.reshape(-1),
+        n,
+    )
 
 
 def batch_encode_indices(
@@ -455,12 +451,18 @@ def batch_encode_indices(
 
     The batch counterpart of
     :func:`repro.core.compressed.wah_from_sorted_indices`: stream ``i``
-    holds exactly the set bits ``flat_idx[idx_offsets[i]:idx_offsets[i+1]]``.
+    holds exactly the set bits ``flat_idx[idx_offsets[i]:idx_offsets[i+1]]``
+    (a repeated index sets its bit once).
+
+    Cost is O(set bits + streams), independent of the universe: only
+    the non-zero groups are built, and the zero runs between them are
+    segments whose lengths are key differences.
     """
     n = idx_offsets.size - 1
     n_groups = (n_bits + GROUP_BITS - 1) // GROUP_BITS
     if n == 0 or n_groups == 0:
         return _EMPTY_U32, np.zeros(n + 1, dtype=np.int64)
+    _check_groups(n_groups)
     flat_idx = np.asarray(flat_idx, dtype=np.int64)
     if flat_idx.size and (
         flat_idx.min() < 0 or flat_idx.max() >= n_bits
@@ -468,20 +470,44 @@ def batch_encode_indices(
         raise BitSetError(
             f"index outside the {n_bits}-bit universe"
         )
-    # sparse route: indices are ascending per stream, so the global
-    # group keys are sorted and each group's value is one reduceat sum
-    # of distinct bit weights — no (N, n_bits) dense matrix
-    groups = np.zeros(n * n_groups, dtype=np.uint32)
-    if flat_idx.size:
-        counts = np.diff(idx_offsets)
-        rows = np.repeat(np.arange(n, dtype=np.int64), counts)
-        gkey = rows * n_groups + flat_idx // GROUP_BITS
-        bit = (flat_idx % GROUP_BITS).astype(np.uint32)
-        brk = np.empty(gkey.size, dtype=bool)
-        brk[0] = True
-        np.not_equal(gkey[1:], gkey[:-1], out=brk[1:])
-        starts = np.flatnonzero(brk)
-        groups[gkey[starts]] = np.add.reduceat(
-            np.uint32(1) << bit, starts
-        )
-    return _encode_group_matrix(groups.reshape(n, n_groups))
+    # non-zero groups: indices ascend per stream, so the global group
+    # keys (stream * n_groups + group) ascend too, and each key is one
+    # run of the flat array.  OR its bit weights: a sum would carry a
+    # repeated index into the next bit.
+    stream = np.arange(n, dtype=np.int64)
+    rows = stream.repeat(idx_offsets[1:] - idx_offsets[:-1])
+    grp, bit = np.divmod(flat_idx, GROUP_BITS)
+    key = rows * n_groups + grp
+    brk = np.empty(key.size, dtype=bool)
+    brk[:1] = True
+    np.not_equal(key[1:], key[:-1], out=brk[1:])
+    first = brk.nonzero()[0]
+    gk, g_row = key[first], rows[first]
+    vals = (
+        np.bitwise_or.reduceat(np.uint32(1) << bit.astype(np.uint32), first)
+        if first.size
+        else _EMPTY_U32
+    )
+    # segments in stream order, each at a computable position: a
+    # stream with m non-zero groups owns 2m + 1 of them (a zero gap
+    # before each group, the group, then the zero tail), so group u
+    # of stream r sits at 2u + r + 1 and r's tail at 2 * upto[r] + r
+    n_nz = first.size
+    per_stream = np.bincount(g_row, minlength=n)
+    upto = per_stream.cumsum()
+    # ends[u]: where group u - 1 ends, globally; the stream's own start
+    # clips it, since an earlier stream's group ends before that
+    ends = np.zeros(n_nz + 1, dtype=np.int64)
+    np.add(gk, 1, out=ends[1:])
+    base = stream * n_groups
+    gap_pos = np.arange(0, 2 * n_nz, 2, dtype=np.int64) + g_row
+    tail_pos = 2 * upto + stream
+    seg_len = np.ones(2 * n_nz + n, dtype=np.int64)
+    seg_len[gap_pos] = gk - np.maximum(ends[:-1], base[g_row])
+    seg_len[tail_pos] = base + n_groups - np.maximum(ends[upto], base)
+    seg_val = np.zeros(2 * n_nz + n, dtype=np.uint32)
+    seg_val[gap_pos + 1] = vals
+    seg_pair = stream.repeat(2 * per_stream + 1)
+    # empty gaps and tails would split a one-fill run of adjacent groups
+    keep = seg_len > 0
+    return _encode_runs(seg_pair[keep], seg_len[keep], seg_val[keep], n)

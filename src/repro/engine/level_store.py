@@ -102,9 +102,8 @@ class MemoryLevelStore(LevelStore):
     """In-memory level store: a list with the paper's accounting.
 
     ``stream`` yields the entire level as a single chunk, so the
-    generation step sees every sub-list at once and its cross-sub-list
-    pair batching (``PAIR_BATCH``) is unchanged from the historical
-    in-core driver.
+    generation step sees every sub-list at once and batches pairs
+    across sub-lists under its byte budget (``PAIR_BATCH_BYTES``).
     """
 
     def __init__(self) -> None:

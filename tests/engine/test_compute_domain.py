@@ -17,9 +17,14 @@ it pays.
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ParameterError
+from repro.core import clique_enumerator
 from repro.core.compressed_domain import CompressedExpander
 from repro.core.generators import (
     erdos_renyi,
@@ -49,6 +54,18 @@ def _graph():
         120, [9, 8, 7, 6], 3, p=0.03, seed=11
     )
     return g
+
+
+def _disjoint_k7s(count: int, n: int) -> Graph:
+    """``count`` vertex-disjoint 7-cliques on random vertices of ``n``."""
+    perm = np.random.default_rng(0).permutation(n)
+    return Graph.from_edges(n, [
+        (int(a), int(b))
+        for c in range(count)
+        for a, b in itertools.combinations(
+            sorted(perm[7 * c:7 * c + 7]), 2
+        )
+    ])
 
 
 class TestConfigValidation:
@@ -308,6 +325,55 @@ class TestCompressedExpander:
             assert ours.prefix == theirs.prefix
             assert ours.tails.tolist() == theirs.tails.tolist()
             assert (ours.cn_words == theirs.cn_words).all()
+
+
+class TestPairBatches:
+    """Both steps cut pair batches at sub-list boundaries by one byte
+    budget, ``clique_enumerator.PAIR_BATCH_BYTES``.  Where they cut is
+    invisible in the output, and the budget, not the level width,
+    bounds the step's transients."""
+
+    @pytest.mark.parametrize("domain", ["bitset", "wah"])
+    @pytest.mark.parametrize("store", ["memory", "wah"])
+    def test_batch_boundaries_are_invisible(
+        self, monkeypatch, store, domain
+    ):
+        # at n = 300 the default budget holds every level in one batch;
+        # a zero budget makes every sub-list a batch of its own
+        g, _ = planted_clique(300, 12, 0.05, seed=0)
+        config = EnumerationConfig(
+            backend="incore", level_store=store, compute_domain=domain
+        )
+        whole = ENGINE.run(g, config)
+        monkeypatch.setattr(clique_enumerator, "PAIR_BATCH_BYTES", 0)
+        assert clique_enumerator.pair_batch_limit(g.adj.shape[1]) == 0
+        split = ENGINE.run(g, config)
+        assert len(split.cliques) > 1000
+        assert split.cliques == whole.cliques
+        assert split.level_stats == whole.level_stats
+        assert split.counters.snapshot() == whole.counters.snapshot()
+        # kernel_word_ops, kernel_ands, decompressed/bypassed bytes
+        assert split.domain_stats == whole.domain_stats
+
+    def test_working_set_does_not_grow_with_level_width(self):
+        """Four times the level width (disjoint K7s seeded at k = 3 in
+        a 12,000-vertex universe) must not scale the traced peak with
+        it, as a (children, universe) matrix in the step would."""
+        config = EnumerationConfig(
+            backend="incore", level_store="wah", k_min=3
+        )
+        peaks = []
+        for count in (100, 400):
+            g = _disjoint_k7s(count, 12_000)
+            tracemalloc.start()
+            try:
+                res = ENGINE.run(g, config)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(res.cliques) == count
+            peaks.append(peak)
+        assert peaks[1] < 2 * peaks[0]
 
 
 class TestWireProtocol:
