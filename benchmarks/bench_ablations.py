@@ -145,11 +145,10 @@ def bench_storage_in_core(benchmark, myogenic):
 def bench_storage_out_of_core(benchmark, myogenic):
     """Out-of-core enumeration (the predecessor the paper retired);
     records the disk traffic the in-core version avoids."""
-    from repro.core.out_of_core import enumerate_maximal_cliques_ooc
+    from repro.engine import EnumerationConfig, run_enumeration
 
-    res = benchmark(
-        lambda: enumerate_maximal_cliques_ooc(myogenic.graph, k_min=3)
-    )
+    config = EnumerationConfig(k_min=3, level_store="disk")
+    res = benchmark(lambda: run_enumeration(myogenic.graph, config))
     benchmark.extra_info["bytes_written"] = res.io.bytes_written
     benchmark.extra_info["bytes_read"] = res.io.bytes_read
     benchmark.extra_info["io_ops"] = res.io.read_ops + res.io.write_ops

@@ -4,7 +4,8 @@ The paper's whole argument in one benchmark table — the identical
 level-wise algorithm on interchangeable substrates, timed through the
 unified :mod:`repro.engine` API.  Extra-info records the per-backend
 evidence: operation counts (identical across sequential substrates by
-construction), disk traffic for ``ooc``, stolen sub-lists for ``threads``.
+construction), disk traffic for the out-of-core mode (``incore`` on the
+disk store), stolen sub-lists for ``threads``.
 
 Run with the same harness as the other ``bench_*`` scripts (the
 ``bench_*`` naming needs explicit collection overrides)::
@@ -45,9 +46,12 @@ def bench_engine_bitscan(benchmark, myogenic):
     )
 
 
-def bench_engine_ooc(benchmark, myogenic):
-    """Disk-spilled backend; extra-info shows the avoided I/O."""
-    res = benchmark(lambda: _run(myogenic.graph, "ooc"))
+def bench_engine_incore_disk(benchmark, myogenic):
+    """The out-of-core mode (disk-spilled levels); extra-info shows the
+    avoided I/O."""
+    res = benchmark(
+        lambda: _run(myogenic.graph, "incore", level_store="disk")
+    )
     benchmark.extra_info["n_cliques"] = len(res.cliques)
     benchmark.extra_info["bytes_written"] = res.io.bytes_written
     benchmark.extra_info["bytes_read"] = res.io.bytes_read
@@ -81,22 +85,23 @@ def bench_engine_threads(benchmark, myogenic, jobs):
 
 
 def bench_engine_incore_wah(benchmark, myogenic):
-    """Incore step over the WAH-compressed level store (at-rest path).
+    """Compressed-domain generation over the WAH level store.
 
-    ``compute_domain="bitset"`` pins the PR-3 behaviour — compress at
-    rest, decompress every chunk for expansion — so this bench stays
-    comparable across PRs.  Extra-info records the memory argument: the
-    compressed peak candidate bytes against the uncompressed store's
-    peak, plus the clique-set equality every substrate must preserve.
+    The paper's closing remark made executable: candidates rest
+    WAH-compressed and the generation step's ANDs run directly on the
+    WAH words, so the level never round-trips through raw bit strings.
+    Extra-info records the memory argument — the compressed peak
+    candidate bytes against the uncompressed store's peak — plus the
+    codec traffic avoided and the kernel volume that replaced it, and
+    asserts the output and counters equal the memory store's.
     """
     res = benchmark(
-        lambda: _run(
-            myogenic.graph, "incore", level_store="wah",
-            compute_domain="bitset",
-        )
+        lambda: _run(myogenic.graph, "incore", level_store="wah")
     )
     mem = _run(myogenic.graph, "incore")
-    assert sorted(res.cliques) == sorted(mem.cliques)
+    assert res.cliques == mem.cliques
+    assert res.counters.snapshot() == mem.counters.snapshot()
+    stats = res.domain_stats
     benchmark.extra_info["n_cliques"] = len(res.cliques)
     benchmark.extra_info["peak_candidate_bytes"] = (
         res.peak_candidate_bytes()
@@ -107,49 +112,10 @@ def bench_engine_incore_wah(benchmark, myogenic):
     benchmark.extra_info["peak_compression"] = round(
         mem.peak_candidate_bytes() / max(1, res.peak_candidate_bytes()), 2
     )
-    benchmark.extra_info["generation_decompressed_bytes"] = (
-        res.domain_stats.get("decompressed_bytes", 0)
-    )
-
-
-def bench_engine_incore_wah_domain(benchmark, myogenic):
-    """Compressed-domain generation over the WAH store.
-
-    The paper's closing remark made executable: the generation step's
-    ANDs run directly on the WAH words (``compute_domain="wah"``), so
-    the level never round-trips through raw bit strings.  Extra-info
-    records the codec traffic this avoids relative to the at-rest path
-    of :func:`bench_engine_incore_wah`, plus the kernel volume that
-    replaced it — and asserts the output is byte-identical.
-    """
-    res = benchmark(
-        lambda: _run(
-            myogenic.graph, "incore", level_store="wah",
-            compute_domain="wah",
-        )
-    )
-    at_rest = _run(
-        myogenic.graph, "incore", level_store="wah",
-        compute_domain="bitset",
-    )
-    assert res.cliques == at_rest.cliques
-    assert res.counters.snapshot() == at_rest.counters.snapshot()
-    benchmark.extra_info["n_cliques"] = len(res.cliques)
-    benchmark.extra_info["peak_candidate_bytes"] = (
-        res.peak_candidate_bytes()
-    )
-    benchmark.extra_info["decompressed_bytes"] = (
-        res.domain_stats.get("decompressed_bytes", 0)
-    )
-    benchmark.extra_info["decompressed_bytes_avoided"] = (
-        res.domain_stats.get("decompressed_bytes_avoided", 0)
-    )
-    benchmark.extra_info["at_rest_decompressed_bytes"] = (
-        at_rest.domain_stats.get("decompressed_bytes", 0)
-    )
-    benchmark.extra_info["kernel_word_ops"] = (
-        res.domain_stats.get("kernel_word_ops", 0)
-    )
-    benchmark.extra_info["kernel_ands"] = (
-        res.domain_stats.get("kernel_ands", 0)
-    )
+    for key in (
+        "decompressed_bytes",
+        "decompressed_bytes_avoided",
+        "kernel_word_ops",
+        "kernel_ands",
+    ):
+        benchmark.extra_info[key] = stats.get(key, 0)

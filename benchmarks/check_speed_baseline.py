@@ -3,14 +3,15 @@
 Companion to ``check_wah_baseline.py`` (which gates output equality and
 the compression ratio): this script gates *speed*.  It enumerates the
 same committed sparse Figure-9-style workload on every execution
-backend, records the median wall-clock of ``REPEATS`` runs each, and
+backend and level store, records the median wall-clock of ``REPEATS``
+runs each, and
 derives each backend's **ratio to the in-core median measured in the
 same process on the same machine**.
 
 The gate compares ratios, not seconds: a CI runner may be uniformly
 faster or slower than the machine that wrote the baseline, but the
-*relative* cost of ``ooc`` vs ``incore`` vs ``threads`` is a property
-of the code.  A backend fails only when its measured ratio exceeds the
+*relative* cost of ``incore+disk`` vs ``incore`` vs ``threads`` is a
+property of the code.  A backend fails only when its measured ratio exceeds the
 committed ratio by :data:`TOLERANCE` (generous at 2.5x, so scheduler
 jitter never trips it — any trip is a real regression, which is what
 makes this a non-flaky smoke gate).  Every run's clique digest is also
@@ -54,22 +55,16 @@ REPEATS = 3
 #: on any host, and a ratio of two noise readings gates nothing.
 LEVEL_NOISE_FLOOR_SECONDS = 0.002
 
-#: the matrix: label -> config kwargs.  ``threads`` runs at 2 workers
-#: so the parallel plumbing (pool, stealing) is on the measured path
-#: whatever the host's core count.
+#: the matrix: label -> config kwargs.  ``incore+disk`` is the paper's
+#: out-of-core mode, ``incore+wah`` the compressed-domain step on the
+#: WAH store.  ``threads`` runs at 2 workers so the parallel plumbing
+#: (pool, stealing) is on the measured path whatever the host's core
+#: count.
 BACKENDS = {
     "incore": {"backend": "incore"},
     "bitscan": {"backend": "bitscan"},
-    "ooc": {"backend": "ooc"},
-    # the default ("auto") wah store now runs the compressed-domain
-    # kernels; the +bitset row pins the PR-3 at-rest path so both codec
-    # paths stay speed-gated
+    "incore+disk": {"backend": "incore", "level_store": "disk"},
     "incore+wah": {"backend": "incore", "level_store": "wah"},
-    "incore+wah+bitset": {
-        "backend": "incore",
-        "level_store": "wah",
-        "compute_domain": "bitset",
-    },
     "threads": {"backend": "threads", "jobs": 2},
 }
 

@@ -1,5 +1,5 @@
-"""Regression gate for WAH compression (``--level-store wah``), at rest
-and in the compute domain.
+"""Regression gate for the WAH level store (``--level-store wah``): the
+compressed candidates and the compressed-domain step they run on.
 
 The first committed benchmark baseline (ROADMAP: "publish regression
 baselines in CI").  The script enumerates a tiny sparse Figure-9-style
@@ -7,18 +7,16 @@ workload — planted modules over sparse background noise, the regime the
 paper's closing compression remark targets — across the backend matrix
 and asserts the properties the compressed paths must keep forever:
 
-* **equivalence** — every sequential backend (``incore``/``bitscan``/
-  ``ooc``), each again on the WAH substrate, and both compute domains
-  on that substrate emit the byte-identical maximal clique set;
+* **equivalence** — every sequential backend (``incore``/``bitscan``)
+  on the memory store and again on the WAH store, and ``incore`` on the
+  disk store (the paper's out-of-core mode), emit the byte-identical
+  maximal clique set;
 * **compression** — the WAH store's peak per-level ``candidate_bytes``
   undercuts the in-memory store's peak by at least
-  :data:`MIN_PEAK_REDUCTION`, on *both* compute domains (the
-  compressed-domain path may not regress the at-rest footprint);
-* **compressed-domain generation** — running the generation step's ANDs
-  on the WAH words (``compute_domain="wah"``) cuts the bytes
-  decompressed during generation by at least
-  :data:`MIN_DECOMPRESSED_REDUCTION` versus the at-rest path that
-  decompresses every chunk for expansion.
+  :data:`MIN_PEAK_REDUCTION`;
+* **compressed-domain generation** — the WAH store's step runs its ANDs
+  on the WAH words, so generation decompresses 0 bytes and keeps more
+  than 0 compressed end to end.
 
 Enumeration is deterministic (seeded workload, canonical emission
 order), so ``--check`` compares the measured numbers against the
@@ -64,11 +62,7 @@ WORKLOAD = {
 #: the memory win the compressed store must keep delivering.
 MIN_PEAK_REDUCTION = 3.0
 
-#: the codec win the compressed-domain generation must keep delivering:
-#: bytes decompressed during generation, at-rest path over wah-domain.
-MIN_DECOMPRESSED_REDUCTION = 2.0
-
-STORE_BACKENDS = ("incore", "bitscan", "ooc")
+STORE_BACKENDS = ("incore", "bitscan")
 
 #: metrics compared exactly against the committed baseline (timings are
 #: recorded but never compared).
@@ -79,7 +73,6 @@ DRIFT_KEYS = (
     "store_peak_candidate_bytes",
     "wah_peak_reduction",
     "generation_decompressed_bytes",
-    "wah_decompressed_reduction",
     "kernel_word_ops",
 )
 
@@ -95,9 +88,8 @@ def _store_table(runs: dict) -> str:
     """The per-store, per-level candidate-byte table (failure context)."""
     series = {
         "memory": runs["incore"].level_stats,
-        "disk": runs["ooc"].level_stats,
+        "disk": runs["incore+disk"].level_stats,
         "wah": runs["incore+wah"].level_stats,
-        "wah(bitset)": runs["incore+wah+bitset"].level_stats,
     }
     depth = max(len(stats) for stats in series.values())
     lines = ["level-store candidate bytes per level:"]
@@ -138,25 +130,16 @@ def measure() -> dict:
 
     runs: dict[str, object] = {}
     for backend in STORE_BACKENDS:
-        for store in (None, "wah"):
-            label = backend if store is None else f"{backend}+{store}"
+        for store in ("memory", "wah"):
+            label = backend if store == "memory" else f"{backend}+{store}"
             runs[label] = engine.run(
                 g,
                 EnumerationConfig(
                     backend=backend, k_min=k_min, level_store=store
                 ),
             )
-    # the PR-3 at-rest path, pinned explicitly: candidates compressed in
-    # the store but every chunk decompressed for expansion — the
-    # reference the compressed-domain gate measures against
-    runs["incore+wah+bitset"] = engine.run(
-        g,
-        EnumerationConfig(
-            backend="incore",
-            k_min=k_min,
-            level_store="wah",
-            compute_domain="bitset",
-        ),
+    runs["incore+disk"] = engine.run(
+        g, EnumerationConfig(k_min=k_min, level_store="disk")
     )
 
     digests = {name: _clique_digest(r.cliques) for name, r in runs.items()}
@@ -172,10 +155,9 @@ def measure() -> dict:
 
     peaks = {
         "memory": runs["incore"].peak_candidate_bytes(),
-        # the ooc run IS the disk substrate (and its cliques are
-        # digest-checked above); its candidate_bytes accounting is the
+        # the disk store's candidate_bytes accounting is the
         # algorithmic footprint, directly comparable across stores
-        "disk": runs["ooc"].peak_candidate_bytes(),
+        "disk": runs["incore+disk"].peak_candidate_bytes(),
         "wah": runs["incore+wah"].peak_candidate_bytes(),
     }
     reduction = peaks["memory"] / max(1, peaks["wah"])
@@ -191,38 +173,22 @@ def measure() -> dict:
             f"{MIN_PEAK_REDUCTION}x",
             runs,
         )
-    # "peak candidate bytes no worse": the compressed-domain run stores
-    # the same canonical words, so its per-level footprint must be
-    # byte-identical to the at-rest path's
-    at_rest_peak = runs["incore+wah+bitset"].peak_candidate_bytes()
-    if peaks["wah"] != at_rest_peak:
-        raise _fail(
-            f"compressed-domain peak {peaks['wah']} != at-rest peak "
-            f"{at_rest_peak} (the two paths must store identical words)",
-            runs,
-        )
-
-    # compressed-domain generation gate: bytes decompressed while
-    # generating levels, at-rest vs in-domain
-    at_rest_dec = runs["incore+wah+bitset"].domain_stats.get(
-        "decompressed_bytes", 0
-    )
+    # compressed-domain generation gate: the wah store's step never
+    # decompresses a level, and the telemetry sees the bytes it kept
     wah_dec = runs["incore+wah"].domain_stats.get("decompressed_bytes", 0)
     wah_avoided = runs["incore+wah"].domain_stats.get(
         "decompressed_bytes_avoided", 0
     )
-    if at_rest_dec <= 0:
-        raise _fail(
-            "at-rest path reports no decompressed bytes — the telemetry "
-            "is broken",
-            runs,
-        )
-    dec_reduction = at_rest_dec / max(1, wah_dec)
-    if wah_dec * MIN_DECOMPRESSED_REDUCTION > at_rest_dec:
+    if wah_dec != 0:
         raise _fail(
             f"compressed-domain generation decompressed {wah_dec} bytes "
-            f"vs {at_rest_dec} at rest — less than the required "
-            f"{MIN_DECOMPRESSED_REDUCTION}x reduction",
+            "(must be 0)",
+            runs,
+        )
+    if wah_avoided <= 0:
+        raise _fail(
+            "compressed-domain generation reports no bytes kept "
+            "compressed — the telemetry is broken",
             runs,
         )
     return {
@@ -234,14 +200,9 @@ def measure() -> dict:
         "wah_peak_reduction": round(reduction, 2),
         "min_required_reduction": MIN_PEAK_REDUCTION,
         "generation_decompressed_bytes": {
-            "at_rest": at_rest_dec,
             "wah_domain": wah_dec,
             "wah_domain_avoided": wah_avoided,
         },
-        "wah_decompressed_reduction": (
-            round(dec_reduction, 2) if wah_dec else "inf"
-        ),
-        "min_required_decompressed_reduction": MIN_DECOMPRESSED_REDUCTION,
         "kernel_word_ops": runs["incore+wah"].domain_stats.get(
             "kernel_word_ops", 0
         ),
@@ -249,7 +210,7 @@ def measure() -> dict:
         # ROADMAP's per-level timing baselines; never drift-compared
         "level_seconds": {
             label: [round(s, 5) for s in runs[label].level_seconds]
-            for label in ("incore", "incore+wah", "incore+wah+bitset")
+            for label in ("incore", "incore+wah")
         },
     }
 
@@ -300,9 +261,8 @@ def main(argv: list[str] | None = None) -> int:
         f"candidate bytes {metrics['store_peak_candidate_bytes']['memory']}"
         f" (memory) -> {metrics['store_peak_candidate_bytes']['wah']} "
         f"(wah), {metrics['wah_peak_reduction']}x reduction; "
-        f"generation decompression {dec['at_rest']} (at rest) -> "
-        f"{dec['wah_domain']} (wah domain), "
-        f"{metrics['wah_decompressed_reduction']}x"
+        f"generation decompressed {dec['wah_domain']} bytes, kept "
+        f"{dec['wah_domain_avoided']} compressed"
     )
     return 0
 

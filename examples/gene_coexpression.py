@@ -7,8 +7,9 @@ microarray data with planted co-expression modules:
 2. normalize, compute the Spearman rank correlation matrix,
 3. threshold to a sparse co-expression graph,
 4. enumerate maximal cliques through the unified enumeration engine
-   (swap ``backend="incore"`` for ``"ooc"`` or ``"threads"`` to
-   change the substrate without touching the pipeline),
+   (swap ``backend="incore"`` for ``"threads"``, or add
+   ``level_store="disk"``, to change the substrate without touching
+   the pipeline),
 5. check that the planted modules are recovered as cliques, and extend
    the largest one to a paraclique.
 

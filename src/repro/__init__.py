@@ -19,8 +19,8 @@ Subpackages
     the bitmap data structures.
 :mod:`repro.engine`
     The pluggable enumeration engine: a backend registry (``incore``,
-    ``bitscan``, ``ooc``, ``threads``) behind one configuration and
-    result type.
+    ``bitscan``, ``threads``) over three level stores (``memory``,
+    ``disk``, ``wah``) behind one configuration and result type.
 :mod:`repro.parallel`
     The simulated large-shared-memory machine (SGI Altix stand-in), the
     centralised dynamic load balancer, and the shared-memory threaded

@@ -4,7 +4,6 @@ Usage::
 
     python -m repro.cli enumerate GRAPH [--backend NAME] [--jobs N]
                                   [--level-store NAME]
-                                  [--compute-domain NAME]
                                   [--k-min K] [--k-max K] [--sink SPEC]
     python -m repro.cli engines
     python -m repro.cli maxclique GRAPH
@@ -44,7 +43,6 @@ from repro.core import graph_io
 from repro.core.maximum_clique import maximum_clique
 from repro.core.stats import summarize
 from repro.engine import (
-    COMPUTE_DOMAINS,
     LEVEL_STORE_AUTO,
     LEVEL_STORES,
     EnumerationConfig,
@@ -99,27 +97,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_enum.add_argument(
         "--level-store",
-        default=None,
+        default="memory",
         choices=(*LEVEL_STORES, LEVEL_STORE_AUTO),
         metavar="NAME",
         help=(
             "candidate-level storage substrate: %(choices)s "
-            "(default: the backend's own; 'wah' holds levels "
-            "WAH-compressed to cut the memory peak on sparse graphs; "
-            "'auto' picks the cheapest substrate whose memory-model "
-            "predicted peak fits the available memory)"
-        ),
-    )
-    p_enum.add_argument(
-        "--compute-domain",
-        default="auto",
-        choices=COMPUTE_DOMAINS,
-        metavar="NAME",
-        help=(
-            "word representation of the generation step: %(choices)s "
-            "(default: auto — 'wah' level stores run the "
-            "compressed-domain AND kernels, everything else raw "
-            "bit strings)"
+            "(default: %(default)s; 'disk' spills every level, the "
+            "paper's out-of-core mode; 'wah' holds levels "
+            "WAH-compressed and runs the compressed-domain step, to "
+            "cut the memory peak on sparse graphs; 'auto' picks the "
+            "cheapest substrate whose memory-model predicted peak "
+            "fits the available memory)"
         ),
     )
     p_enum.add_argument(
@@ -242,19 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_submit.add_argument("--jobs", type=int, default=None, metavar="N")
     p_submit.add_argument(
-        "--level-store", default=None,
+        "--level-store", default="memory",
         choices=(*LEVEL_STORES, LEVEL_STORE_AUTO),
         metavar="NAME",
         help=(
-            "candidate-level storage substrate (default: backend's "
-            "own; 'auto' lets the service pick the cheapest one whose "
+            "candidate-level storage substrate (default: %(default)s; "
+            "'auto' lets the service pick the cheapest one whose "
             "predicted peak fits its memory budget)"
         ),
-    )
-    p_submit.add_argument(
-        "--compute-domain", default="auto", choices=COMPUTE_DOMAINS,
-        metavar="NAME",
-        help="generation-step word representation (default: auto)",
     )
     p_submit.add_argument("--k-min", type=int, default=1)
     p_submit.add_argument("--k-max", type=int, default=None)
@@ -315,7 +298,6 @@ def _cmd_enumerate(args) -> int:
         k_max=args.k_max,
         jobs=args.jobs,
         level_store=args.level_store,
-        compute_domain=args.compute_domain,
     )
     spec = args.sink
     if args.count:
@@ -350,26 +332,12 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_engines(args) -> int:
-    rows = [
-        (
-            info.name,
-            info.storage,
-            ",".join(info.level_stores) or "-",
-            ",".join(info.compute_domains) or "-",
-            "yes" if info.parallel else "no",
-            info.description,
-        )
-        for info in backend_table()
-    ]
-    name_w = max(len(r[0]) for r in rows)
-    stores_w = max(len("level stores"), max(len(r[2]) for r in rows))
-    domains_w = max(len("domains"), max(len(r[3]) for r in rows))
-    print(f"{'backend':<{name_w}}  storage  "
-          f"{'level stores':<{stores_w}}  {'domains':<{domains_w}}  "
-          "parallel  description")
-    for name, storage, stores, domains, parallel, desc in rows:
-        print(f"{name:<{name_w}}  {storage:<7}  {stores:<{stores_w}}  "
-              f"{domains:<{domains_w}}  {parallel:<8}  {desc}")
+    table = backend_table()
+    name_w = max(len("backend"), max(len(i.name) for i in table))
+    print(f"{'backend':<{name_w}}  parallel  description")
+    for info in table:
+        parallel = "yes" if info.parallel else "no"
+        print(f"{info.name:<{name_w}}  {parallel:<8}  {info.description}")
     return 0
 
 
@@ -523,7 +491,6 @@ def _cmd_submit(args) -> int:
         k_max=args.k_max,
         jobs=args.jobs,
         level_store=args.level_store,
-        compute_domain=args.compute_domain,
     )
     with ServiceClient(_service_address(args)) as client:
         job_id = client.submit(
@@ -560,19 +527,18 @@ def _cmd_jobs(args) -> int:
 
     with ServiceClient(_service_address(args)) as client:
         jobs = client.jobs()
-    print(f"{'id':<12} {'status':<10} {'backend':<12} {'domain':<7} "
+    print(f"{'id':<12} {'status':<10} {'backend':<12} {'store':<6} "
           f"{'sink':<14} {'cliques':>8} {'transfers':>9} "
           f"{'hit':<3}  label")
     for job in jobs:
         summary = job.get("sink_summary") or {}
         n = summary.get("cliques", job.get("n_cliques", ""))
-        # resolved values when the job ran (an "auto" submission shows
-        # what it actually executed on); the spec's otherwise
-        domain = job.get("compute_domain") or "-"
         transfers = job.get("transfers", "")
         hit = "yes" if job.get("cache_hit") else ""
+        # level_store is the resolved store: an "auto" submission shows
+        # the one the scheduler picked
         print(f"{job['id']:<12} {job['status']:<10} "
-              f"{job['backend']:<12} {domain:<7} "
+              f"{job['backend']:<12} {job['level_store']:<6} "
               f"{job['sink']:<14} {n!s:>8} {transfers!s:>9} {hit:<3}  "
               f"{job['label']}")
     return 0

@@ -49,11 +49,7 @@ from repro.core.decomposition import (
     Module,
     paraclique_decomposition,
 )
-from repro.core.out_of_core import (
-    DiskLevelStore,
-    IOStats,
-    enumerate_maximal_cliques_ooc,
-)
+from repro.core.out_of_core import DiskLevelStore, IOStats
 
 __all__ = [
     "BitSet",
@@ -88,5 +84,4 @@ __all__ = [
     "paraclique_decomposition",
     "DiskLevelStore",
     "IOStats",
-    "enumerate_maximal_cliques_ooc",
 ]

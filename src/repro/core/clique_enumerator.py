@@ -139,14 +139,9 @@ class EnumerationResult:
     transfers:
         Sub-lists stolen between workers by the work-stealing
         scheduler (0 for sequential substrates).
-    compute_domain:
-        The resolved word representation the generation step ran on:
-        ``"bitset"`` (raw ``uint64`` word arrays) or ``"wah"`` (the
-        compressed-domain kernels of
-        :mod:`repro.core.compressed_domain`).  Always the resolved
-        value — a config's ``"auto"`` never appears here.
     domain_stats:
-        Compressed-domain telemetry, empty for pure bitset runs:
+        Compressed-domain telemetry of a ``wah``-store run, empty on
+        the ``memory`` and ``disk`` stores:
         ``decompressed_bytes`` (sub-list bytes materialised in raw form
         while streaming levels), ``decompressed_bytes_avoided`` (raw
         bytes that stayed compressed end to end), ``kernel_word_ops`` /
@@ -154,7 +149,7 @@ class EnumerationResult:
         ``adj_rows_compressed``.  Deliberately *not* part of
         ``counters``: the operation counters follow the paper's
         representation-independent model and stay byte-identical across
-        compute domains.
+        level stores.
     level_seconds:
         Wall-clock seconds per candidate level as timed by the shared
         level loop — entry 0 is the seeding step, entry ``i`` the
@@ -181,7 +176,6 @@ class EnumerationResult:
     wall_seconds: float = 0.0
     n_workers: int = 1
     transfers: int = 0
-    compute_domain: str = "bitset"
     domain_stats: dict = field(default_factory=dict)
     level_seconds: list[float] = field(default_factory=list)
     load_balance: dict | None = None

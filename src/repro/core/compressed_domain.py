@@ -20,11 +20,12 @@ charges the *identical* operation counters: the
 :class:`~repro.core.counters.OpCounters` model counts the paper's
 algorithmic operations (one AND per child CN derivation, one AND plus
 one BitOneExists per generated clique, one adjacency probe per scanned
-pair), which are representation-independent.  Output cliques, per-level
-statistics, and merged counters are therefore byte-identical between
-``compute_domain="bitset"`` and ``"wah"``; only the word arithmetic —
-and the telemetry reported via :meth:`CompressedExpander.stats` —
-differs.
+pair), which are representation-independent.  Output cliques,
+per-level sub-list and candidate counts, and merged counters are
+therefore byte-identical to the raw-word step the ``memory`` and
+``disk`` level stores run; only the word arithmetic — and the
+telemetry reported via :meth:`CompressedExpander.stats` — differs.
+The ``wah`` level store is the one that runs this step.
 
 Two step models are provided, mirroring the two bitset steps so each
 backend keeps its documented counter model:
@@ -68,16 +69,11 @@ from repro.core.compressed import WahBitmap, WahScratch
 from repro.core.counters import OpCounters
 from repro.core.graph import Graph
 from repro.obs.runtime import get_observability
-from repro.core.sublist import (
-    CliqueSubList,
-    CompressedLevelBatch,
-    CompressedSubList,
-)
+from repro.core.sublist import CompressedLevelBatch, CompressedSubList
 from repro.core.wah_kernels import (
     batch_and,
     batch_and_any,
     batch_decode_indices,
-    batch_decode_words,
     batch_encode_indices,
     batch_encode_words,
     batch_indices_above,
@@ -111,14 +107,13 @@ class CompressedExpander:
         (:func:`~repro.core.clique_enumerator.
         generate_next_level_bitscan`).
 
-    :meth:`step` returns children in the form it was given: plain
-    :class:`~repro.core.sublist.CliqueSubList` for the ``memory`` /
-    ``disk`` stores (the derivations and maximality tests still run on
-    compressed operands), :class:`~repro.core.sublist.
-    CompressedSubList` entries as streamed by
-    ``CompressedLevelStore.stream_entries``, or a whole
-    :class:`~repro.core.sublist.CompressedLevelBatch`, so
-    batch-streaming stores never materialise per-entry objects.
+    :meth:`step` takes a level chunk in either form the ``wah`` store
+    streams and returns children in the same form:
+    :class:`~repro.core.sublist.CompressedSubList` entries (as
+    ``CompressedLevelStore.stream_entries`` yields them, for the
+    ``threads`` backend) or a whole :class:`~repro.core.sublist.
+    CompressedLevelBatch`, so batch streaming never materialises
+    per-entry objects.
     """
 
     def __init__(self, g: Graph, model: str = "pairs"):
@@ -242,14 +237,13 @@ class CompressedExpander:
     def _load(self, sublists):
         """Normalise one level chunk into SoA form for the batch kernels.
 
-        Accepts a list of :class:`CliqueSubList`, a list of
-        :class:`CompressedSubList`, or a :class:`CompressedLevelBatch`,
-        and returns ``(prefixes, tails, cn_words, cn_offsets, kind)``
-        where ``tails`` holds one ascending ``int64`` index array per
-        sub-list and ``kind`` names the input form (``"raw"`` /
-        ``"entries"`` / ``"batch"``) so children can be materialised to
-        match.  Sub-lists with fewer than two tails are dropped here:
-        neither step model can derive anything from them.
+        Accepts a :class:`CompressedLevelBatch` or a list of
+        :class:`CompressedSubList`, and returns ``(prefixes, tails,
+        cn_words, cn_offsets, kind)`` where ``tails`` holds one
+        ascending ``int64`` index array per sub-list and ``kind`` names
+        the input form (``"batch"`` / ``"entries"``) so children can be
+        materialised to match.  Sub-lists with fewer than two tails are
+        dropped here: neither step model can derive anything from them.
         """
         ng, universe = self._n_groups, self._universe
         if isinstance(sublists, CompressedLevelBatch):
@@ -277,35 +271,12 @@ class CompressedExpander:
                     for i in range(len(prefixes))
                 ]
             return prefixes, tails, cw, co, "batch"
-        sublists = [sl for sl in sublists if len(sl) >= 2]
-        if not sublists:
-            return (
-                [],
-                [],
-                np.empty(0, dtype=np.uint32),
-                np.zeros(1, dtype=np.int64),
-                "raw",
-            )
-        if isinstance(sublists[0], CompressedSubList):
-            tw, to = concat_streams(
-                [e.tails.wah_words() for e in sublists]
-            )
-            flat, offs = batch_decode_indices(tw, to, ng, universe)
-            tails = [
-                flat[offs[i]:offs[i + 1]] for i in range(len(sublists))
-            ]
-            cw, co = concat_streams([e.cn.wah_words() for e in sublists])
-            return [e.prefix for e in sublists], tails, cw, co, "entries"
-        cw, co = batch_encode_words(
-            np.stack([sl.cn_words for sl in sublists]), universe
-        )
-        return (
-            [sl.prefix for sl in sublists],
-            [sl.tails for sl in sublists],
-            cw,
-            co,
-            "raw",
-        )
+        entries = [e for e in sublists if len(e) >= 2]
+        tw, to = concat_streams([e.tails.wah_words() for e in entries])
+        flat, offs = batch_decode_indices(tw, to, ng, universe)
+        tails = [flat[offs[i]:offs[i + 1]] for i in range(len(entries))]
+        cw, co = concat_streams([e.cn.wah_words() for e in entries])
+        return [e.prefix for e in entries], tails, cw, co, "entries"
 
     def _children(self, kind, out_prefixes, out_cands, parts):
         """Materialise retained children in the form matching ``kind``.
@@ -314,7 +285,7 @@ class CompressedExpander:
         streams, in emission order; ``out_cands`` the matching ascending
         tail-index arrays.
         """
-        universe, ng = self._universe, self._n_groups
+        universe = self._universe
         if not out_prefixes:
             return (
                 CompressedLevelBatch.empty(universe)
@@ -325,16 +296,6 @@ class CompressedExpander:
         lens = np.concatenate([np.diff(o) for _, o in parts])
         offsets = np.zeros(lens.size + 1, dtype=np.int64)
         np.cumsum(lens, out=offsets[1:])
-        if kind == "raw":
-            mats = batch_decode_words(words, offsets, ng, universe)
-            return [
-                CliqueSubList(
-                    prefix=out_prefixes[i],
-                    tails=out_cands[i],
-                    cn_words=mats[i],
-                )
-                for i in range(len(out_prefixes))
-            ]
         counts = np.fromiter(
             (c.size for c in out_cands),
             dtype=np.int64,
@@ -374,7 +335,7 @@ class CompressedExpander:
         as the bitset step (:func:`~repro.core.clique_enumerator.
         pair_batch_limit`), so the transients stay flat however wide
         the level is.  Counters, emitted cliques, and children are
-        byte-identical to the bitset domain's at any batch size.
+        byte-identical to the raw-word step's at any batch size.
         """
         prefixes, tails, cn_w, cn_o, kind = self._load(sublists)
         scratch = self._scratch()

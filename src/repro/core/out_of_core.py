@@ -16,9 +16,9 @@ I/O volume that the in-core algorithm avoids.
 The enumeration logic is the unmodified
 :func:`~repro.core.clique_enumerator.generate_next_level`; only the
 storage layer changes — exactly the framing of the paper's argument.
-The level loop itself lives in :mod:`repro.engine.level_loop`;
-:func:`enumerate_maximal_cliques_ooc` is a compatibility shim over the
-engine's ``"ooc"`` backend.
+Any engine backend runs on it with ``level_store="disk"`` (e.g.
+``EnumerationConfig(backend="incore", level_store="disk")``); the level
+loop itself lives in :mod:`repro.engine.level_loop`.
 """
 
 from __future__ import annotations
@@ -26,20 +26,15 @@ from __future__ import annotations
 import itertools
 import pickle
 import tempfile
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from pathlib import Path
 
 from repro.errors import LevelStoreError, ParameterError
-from repro.core.clique_enumerator import (
-    INDEX_BYTES,
-    POINTER_BYTES,
-    EnumerationResult,
-)
+from repro.core.clique_enumerator import INDEX_BYTES, POINTER_BYTES
 from repro.core.counters import IOStats
-from repro.core.graph import Graph
 from repro.core.sublist import CliqueSubList
 
-__all__ = ["IOStats", "DiskLevelStore", "enumerate_maximal_cliques_ooc"]
+__all__ = ["IOStats", "DiskLevelStore"]
 
 
 class DiskLevelStore:
@@ -206,35 +201,3 @@ class DiskLevelStore:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def enumerate_maximal_cliques_ooc(
-    g: Graph,
-    k_min: int = 2,
-    k_max: int | None = None,
-    directory: str | Path | None = None,
-    chunk_size: int = 256,
-    on_clique: Callable[[tuple[int, ...]], None] | None = None,
-) -> EnumerationResult:
-    """Out-of-core Clique Enumerator: candidates live on disk.
-
-    Compatibility shim over the ``"ooc"`` backend of :mod:`repro.engine`.
-    Identical output to the in-core driver with the same bounds; every
-    level is spilled and re-read once, and the result's ``io`` field
-    (an :class:`IOStats`) records the traffic.  ``k_min`` below 2 is
-    promoted to 2.
-    """
-    if k_max is not None and k_max < max(2, k_min):
-        raise ParameterError(
-            f"k_max ({k_max}) must be >= the effective k_min "
-            f"({max(2, k_min)}; values below 2 are promoted)"
-        )
-    from repro.engine import EnumerationConfig, run_enumeration
-
-    config = EnumerationConfig(
-        backend="ooc",
-        k_min=max(2, k_min),
-        k_max=k_max,
-        options={"directory": directory, "chunk_size": chunk_size},
-    )
-    return run_enumeration(g, config, on_clique=on_clique)

@@ -15,12 +15,12 @@ package turns that claim into architecture:
   :mod:`~repro.engine.level_loop` — the shared single-pass level
   storage contract (``memory`` / ``disk`` / ``wah``-compressed,
   selected by ``EnumerationConfig.level_store``) and the one
-  level-loop skeleton every store-based backend runs; the generation
-  step itself can run on raw words or on the WAH-compressed form
-  (``EnumerationConfig.compute_domain``,
-  :mod:`repro.core.compressed_domain`);
-* :mod:`~repro.engine.backends` — the four built-ins: ``"incore"``,
-  ``"bitscan"``, ``"ooc"``, ``"threads"``;
+  level-loop skeleton every backend runs; the store also fixes the
+  generation step — raw words on ``memory`` and ``disk``, the
+  WAH-compressed form of :mod:`repro.core.compressed_domain` on
+  ``wah``;
+* :mod:`~repro.engine.backends` — the three built-ins: ``"incore"``,
+  ``"bitscan"``, ``"threads"``;
 * :class:`~repro.engine.api.EnumerationEngine` — the facade that
   resolves, runs, and times a backend.
 
@@ -41,11 +41,9 @@ equivalence across the whole registry.
 from repro.core.clique_enumerator import EnumerationResult, LevelStats
 from repro.core.counters import IOStats, OpCounters
 from repro.engine.config import (
-    COMPUTE_DOMAINS,
     LEVEL_STORE_AUTO,
     LEVEL_STORES,
     EnumerationConfig,
-    resolve_compute_domain,
     resolve_for_backend,
     resolve_level_store,
 )
@@ -70,8 +68,6 @@ from repro.engine.api import EnumerationEngine, run_enumeration
 __all__ = [
     "EnumerationConfig",
     "resolve_for_backend",
-    "resolve_compute_domain",
-    "COMPUTE_DOMAINS",
     "EnumerationEngine",
     "EnumerationResult",
     "LevelStats",

@@ -6,7 +6,7 @@ back the canonical result::
     from repro.engine import EnumerationConfig, EnumerationEngine
 
     engine = EnumerationEngine()
-    result = engine.run(g, EnumerationConfig(backend="ooc", k_min=3))
+    result = engine.run(g, EnumerationConfig(level_store="disk", k_min=3))
     print(result.backend, result.wall_seconds, result.io.total_bytes)
 
 :func:`run_enumeration` is the function-style shorthand the legacy
@@ -75,11 +75,8 @@ class EnumerationEngine:
 
         Notes
         -----
-        A ``k_min`` below the backend's registered ``min_k_min`` is
-        promoted before dispatch (every built-in supports 1, so this
-        only affects third-party backends that declare a floor).  An
-        explicit ``level_store`` the backend did not register support
-        for is rejected here — through the shared
+        A ``jobs`` value on a sequential backend is rejected here —
+        through the shared
         :func:`~repro.engine.config.resolve_for_backend`, so the
         service's submit-time validation raises the identical
         :class:`~repro.errors.ConfigError` — before any work starts.
@@ -93,9 +90,7 @@ class EnumerationEngine:
         info = get_backend(cfg.backend)
         cfg = resolve_for_backend(cfg, info)
         if cfg.level_store == LEVEL_STORE_AUTO:
-            cfg = replace(
-                cfg, level_store=resolve_level_store(cfg, g, info)
-            )
+            cfg = replace(cfg, level_store=resolve_level_store(cfg, g))
         t0 = time.perf_counter()
         result = info.runner(g, cfg, on_clique)
         result.wall_seconds = time.perf_counter() - t0

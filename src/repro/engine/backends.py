@@ -1,20 +1,25 @@
 """The built-in execution backends.
 
-Each backend is ~30 lines of substrate policy over the shared loop in
+Each backend is a few lines of substrate policy over the shared loop in
 :mod:`repro.engine.level_loop`:
 
-* ``"incore"`` — the paper's contribution: candidates in RAM, tail-list
-  pair generation (Figure 3);
-* ``"bitscan"`` — same storage, the paper's *rejected* n-bit-scan
-  generation, kept runnable for the ablation;
-* ``"ooc"`` — the retired predecessor: candidates spill to disk per
-  level, I/O counted;
+* ``"incore"`` — the paper's contribution: tail-list pair generation
+  (Figure 3);
+* ``"bitscan"`` — the paper's *rejected* n-bit-scan generation, kept
+  runnable for the ablation;
 * ``"threads"`` — the paper's actual parallelisation: shared-memory
   worker threads over the same adjacency bitmap, LPT-seeded per level
   with intra-level work stealing
   (:mod:`repro.parallel.thread_backend`).
 
-All four return the same canonical
+Every backend runs on every level store (``config.level_store``), and
+the store fixes the generation step: ``"memory"`` and ``"disk"`` (the
+paper's retired out-of-core mode, every level spilled and its I/O
+counted) run the raw-word step, while ``"wah"`` runs the
+compressed-domain step of :mod:`repro.core.compressed_domain`, so a
+compressed level never round-trips through raw bit strings.
+
+All three return the same canonical
 :class:`~repro.core.clique_enumerator.EnumerationResult` and emit
 identical clique sets for identical bounds — the invariant
 ``tests/engine/test_equivalence.py`` and the randomized
@@ -36,19 +41,14 @@ from repro.core.compressed_domain import CompressedExpander
 from repro.core.counters import IOStats
 from repro.core.graph import Graph
 from repro.core.out_of_core import DiskLevelStore
-from repro.engine.config import (
-    LEVEL_STORES,
-    EnumerationConfig,
-    resolve_compute_domain,
-)
+from repro.engine.config import LEVEL_STORES, EnumerationConfig
 from repro.engine.level_loop import run_level_loop
 from repro.engine.level_store import CompressedLevelStore, MemoryLevelStore
-from repro.engine.registry import get_backend, register_backend
+from repro.engine.registry import register_backend
 
 __all__ = [
     "run_incore",
     "run_bitscan",
-    "run_ooc",
     "run_threads",
 ]
 
@@ -65,7 +65,7 @@ def _reject_unknown_options(config: EnumerationConfig, known: set[str]):
         )
 
 
-def _store_policy(config: EnumerationConfig, default: str):
+def _store_policy(config: EnumerationConfig):
     """Resolve ``config.level_store`` for a level-loop backend.
 
     Returns ``(store_factory, io, store_options)`` — the factory for
@@ -75,7 +75,7 @@ def _store_policy(config: EnumerationConfig, default: str):
     :func:`_reject_unknown_options`, so e.g. a spill ``directory`` on
     the in-memory substrate still fails before work starts).
     """
-    name = config.level_store or default
+    name = config.level_store
     if name == "auto":
         raise ParameterError(
             "level_store='auto' must be resolved before a runner is "
@@ -106,151 +106,84 @@ def _store_policy(config: EnumerationConfig, default: str):
     )
 
 
-def _reject_jobs(config: EnumerationConfig):
-    if config.jobs is not None:
-        raise ParameterError(
-            f"backend {config.backend!r} is sequential; jobs is only "
-            "valid for parallel backends (see `repro engines`)"
-        )
-
-
 def _resolve_step(
     g: Graph,
-    config: EnumerationConfig,
     store_name: str,
-    backend_name: str,
     model: str,
     bitset_step,
+    compressed_mode: str = "batches",
 ):
-    """Resolve the generation step for the configured compute domain.
+    """The generation step the level store fixes.
 
-    Returns ``(step, stream_mode, expander, domain)``: the step
-    callable for :func:`~repro.engine.level_loop.run_level_loop`, how
-    the level streams between store and step (``"raw"`` /
-    ``"entries"`` / ``"batches"`` — the compressed modes are the
-    ``"wah"`` domain on the ``"wah"`` store, the zero-round-trip
-    pairing), the :class:`~repro.core.compressed_domain.
-    CompressedExpander` carrying the kernel telemetry (``None`` in the
-    bitset domain), and the resolved domain name for
-    ``result.compute_domain``.
+    Returns ``(step, stream_mode, expander)``.  The ``"memory"`` and
+    ``"disk"`` stores run ``bitset_step`` on raw sub-lists.  The
+    ``"wah"`` store runs a :class:`~repro.core.compressed_domain.
+    CompressedExpander` of the same counter ``model`` on the
+    compressed level, streamed in ``compressed_mode`` (whole
+    ``"batches"``, or ``"entries"`` for ``threads``, which partitions
+    levels per sub-list); the expander also carries the kernel
+    telemetry for ``result.domain_stats``.
     """
-    info = get_backend(backend_name)
-    domain = resolve_compute_domain(config, store_name, info)
-    if domain == "bitset":
-        return bitset_step, "raw", None, "bitset"
-    expander = CompressedExpander(g, model=model)
     if store_name != "wah":
-        stream_mode = "raw"
-    elif info.parallel:
-        # the threads backend partitions levels across workers per
-        # sub-list, so it keeps the entry form
-        stream_mode = "entries"
-    else:
-        stream_mode = "batches"
-    return expander.step, stream_mode, expander, "wah"
+        return bitset_step, "raw", None
+    expander = CompressedExpander(g, model=model)
+    return expander.step, compressed_mode, expander
 
 
-@register_backend(
-    "incore",
-    description="in-memory candidates, tail-list generation (the paper)",
-    storage="memory",
-    level_stores=LEVEL_STORES,
-    compute_domains=("bitset", "wah"),
-)
-def run_incore(
-    g: Graph, config: EnumerationConfig, on_clique: OnClique = None
+def _run_sequential(
+    g: Graph,
+    config: EnumerationConfig,
+    on_clique: OnClique,
+    backend: str,
+    model: str,
+    bitset_step,
 ) -> EnumerationResult:
-    """The paper's in-core Clique Enumerator on the unified loop."""
-    _reject_jobs(config)
-    store_name = config.level_store or "memory"
-    step, stream_mode, expander, domain = _resolve_step(
-        g, config, store_name, "incore", "pairs", generate_next_level
-    )
-    store_factory, io, store_opts = _store_policy(config, "memory")
+    """One sequential level-loop run on the configured store."""
+    store_factory, io, store_opts = _store_policy(config)
     _reject_unknown_options(config, store_opts)
+    step, stream_mode, expander = _resolve_step(
+        g, config.level_store, model, bitset_step
+    )
     result = run_level_loop(
         g,
         config,
         on_clique,
         step=step,
         store_factory=store_factory,
-        backend="incore",
+        backend=backend,
         io=io,
         stream_mode=stream_mode,
     )
-    result.compute_domain = domain
     if expander is not None:
         result.domain_stats.update(expander.stats())
     return result
 
 
+@register_backend("incore", description="tail-list generation (the paper)")
+def run_incore(
+    g: Graph, config: EnumerationConfig, on_clique: OnClique = None
+) -> EnumerationResult:
+    """The paper's in-core Clique Enumerator on the unified loop."""
+    return _run_sequential(
+        g, config, on_clique, "incore", "pairs", generate_next_level
+    )
+
+
 @register_backend(
     "bitscan",
-    description="in-memory candidates, rejected n-bit-scan generation "
-    "(ablation)",
-    storage="memory",
-    level_stores=LEVEL_STORES,
-    compute_domains=("bitset", "wah"),
+    description="rejected n-bit-scan generation (ablation)",
 )
 def run_bitscan(
     g: Graph, config: EnumerationConfig, on_clique: OnClique = None
 ) -> EnumerationResult:
     """The Section 2.3 bit-scan generation variant on the unified loop."""
-    _reject_jobs(config)
-    store_name = config.level_store or "memory"
-    step, stream_mode, expander, domain = _resolve_step(
+    return _run_sequential(
         g,
         config,
-        store_name,
+        on_clique,
         "bitscan",
         "bitscan",
         generate_next_level_bitscan,
-    )
-    store_factory, io, store_opts = _store_policy(config, "memory")
-    _reject_unknown_options(config, store_opts)
-    result = run_level_loop(
-        g,
-        config,
-        on_clique,
-        step=step,
-        store_factory=store_factory,
-        backend="bitscan",
-        io=io,
-        stream_mode=stream_mode,
-    )
-    result.compute_domain = domain
-    if expander is not None:
-        result.domain_stats.update(expander.stats())
-    return result
-
-
-@register_backend(
-    "ooc",
-    description="disk-spilled candidates per level, I/O counted "
-    "(the retired out-of-core mode)",
-    storage="disk",
-    level_stores=LEVEL_STORES,
-)
-def run_ooc(
-    g: Graph, config: EnumerationConfig, on_clique: OnClique = None
-) -> EnumerationResult:
-    """The out-of-core substrate: every level spilled and re-read once.
-
-    ``config.level_store`` can override the substrate (e.g. ``"wah"``
-    holds the levels compressed in RAM instead); the result's ``io``
-    field is populated only when the effective substrate touches disk.
-    """
-    store_factory, io, store_opts = _store_policy(config, "disk")
-    _reject_unknown_options(config, store_opts)
-    _reject_jobs(config)
-    return run_level_loop(
-        g,
-        config,
-        on_clique,
-        step=generate_next_level,
-        store_factory=store_factory,
-        backend="ooc",
-        io=io,
     )
 
 
@@ -258,10 +191,7 @@ def run_ooc(
     "threads",
     description="shared-memory worker threads with intra-level work "
     "stealing (the paper's Altix mode)",
-    storage="memory",
     parallel=True,
-    level_stores=LEVEL_STORES,
-    compute_domains=("bitset", "wah"),
 )
 def run_threads(
     g: Graph, config: EnumerationConfig, on_clique: OnClique = None
@@ -280,13 +210,12 @@ def run_threads(
     backends run, so output, statistics, and operation counters are
     byte-identical to ``incore``.
 
-    In the ``"wah"`` compute domain each worker runs the
-    compressed-domain step over the shared WAH adjacency-row cache —
-    the batched structure-of-arrays kernels, whose vectorised inner
-    loops release the GIL — the partitioning, stealing, and
-    level-barrier machinery is unchanged (work estimates are identical
-    by construction), and with the ``"wah"`` level store the sub-lists
-    workers exchange stay compressed end to end.
+    On the ``"wah"`` level store each worker runs the compressed-domain
+    step over the shared WAH adjacency-row cache — the batched
+    structure-of-arrays kernels, whose vectorised inner loops release
+    the GIL — and the sub-lists workers exchange stay compressed end to
+    end; the partitioning, stealing, and level-barrier machinery is
+    unchanged (work estimates are identical by construction).
 
     Cliques stream through ``on_clique`` at every level barrier:
     budgets trip at the same clique they would in-core, and a
@@ -299,12 +228,11 @@ def run_threads(
         resolve_worker_count,
     )
 
-    store_name = config.level_store or "memory"
-    step, stream_mode, wah_expander, domain = _resolve_step(
-        g, config, store_name, "threads", "pairs", generate_next_level
-    )
-    store_factory, io, store_opts = _store_policy(config, "memory")
+    store_factory, io, store_opts = _store_policy(config)
     _reject_unknown_options(config, store_opts | {"steal_granularity"})
+    step, stream_mode, wah_expander = _resolve_step(
+        g, config.level_store, "pairs", generate_next_level, "entries"
+    )
     expander = ThreadedExpander(
         resolve_worker_count(config.jobs),
         config.option("steal_granularity", DEFAULT_STEAL_GRANULARITY),
@@ -323,7 +251,6 @@ def run_threads(
         )
     result.n_workers = expander.n_workers
     result.transfers = expander.stolen_sublists
-    result.compute_domain = domain
     if any(expander.worker_busy):
         # narrow runs (every level below the parallel threshold) never
         # touch the pool and carry no balance evidence

@@ -3,11 +3,12 @@
 One :class:`EnumerationConfig` describes a run completely: the size
 window (the paper's ``Init_K`` and the optional upper bound), the safety
 budgets, the backend name resolved through
-:mod:`repro.engine.registry`, and a free-form ``options`` mapping for
-backend-specific knobs (spill directory and chunk size for ``"ooc"``,
-steal granularity for ``"threads"``).  The config is frozen and
-validated at construction, so a bad parameter fails before any work
-starts — and before a worker pool or spill directory is created.
+:mod:`repro.engine.registry`, the level store, and a free-form
+``options`` mapping for backend-specific knobs (spill directory and
+chunk size for the ``"disk"`` level store, steal granularity for
+``"threads"``).  The config is frozen and validated at construction,
+so a bad parameter fails before any work starts — and before a worker
+pool or spill directory is created.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ __all__ = [
     "EnumerationConfig",
     "LEVEL_STORES",
     "LEVEL_STORE_AUTO",
-    "COMPUTE_DOMAINS",
     "resolve_for_backend",
     "resolve_level_store",
-    "resolve_compute_domain",
 ]
 
 #: the level-storage substrates a config may request: ``"memory"``
@@ -40,18 +39,9 @@ LEVEL_STORES = ("memory", "disk", "wah")
 #: ``memory`` over ``wah`` over ``disk``.  Resolved per run against
 #: the graph — by :func:`resolve_level_store` via the engine facade,
 #: or by the job scheduler against its configured budget — so it is
-#: deliberately *not* part of :data:`LEVEL_STORES`: backends advertise
-#: and run only concrete substrates.
+#: deliberately *not* part of :data:`LEVEL_STORES`: backends run only
+#: concrete substrates.
 LEVEL_STORE_AUTO = "auto"
-
-#: the word representations a generation step may run on:
-#: ``"bitset"`` (raw ``uint64`` word arrays, the historical hot path),
-#: ``"wah"`` (the compressed-domain kernels of
-#: :mod:`repro.core.compressed_domain`), or ``"auto"`` — resolve to
-#: ``"wah"`` when the effective level store is ``"wah"`` and the
-#: backend supports it (keeping the level compressed end to end),
-#: ``"bitset"`` otherwise.
-COMPUTE_DOMAINS = ("auto", "bitset", "wah")
 
 
 def _stable_key(value: Any) -> tuple[str, object]:
@@ -94,13 +84,10 @@ class EnumerationConfig:
     ----------
     backend:
         Registry name of the execution substrate (``"incore"``,
-        ``"bitscan"``, ``"ooc"``, ``"threads"``, or any backend
-        registered via :func:`repro.engine.register_backend`).
+        ``"bitscan"``, ``"threads"``, or any backend registered via
+        :func:`repro.engine.register_backend`).
     k_min:
-        Lower clique-size bound (the paper's ``Init_K``).  All built-in
-        backends support 1; for a backend registered with a higher
-        ``min_k_min`` floor, the engine promotes the value before
-        dispatch.
+        Lower clique-size bound (the paper's ``Init_K``).
     k_max:
         Optional upper bound; enumeration stops after emitting maximal
         cliques of this size.
@@ -115,35 +102,24 @@ class EnumerationConfig:
         Worker count for parallel backends — shared-memory threads
         for ``"threads"`` (``None`` lets the backend pick, e.g. the
         CPU count).
-        Sequential backends reject a non-``None`` value rather than
-        silently ignoring it.
+        Sequential backends reject a non-``None`` value
+        (:func:`resolve_for_backend`) rather than silently ignoring it.
     level_store:
         Storage substrate for candidate levels: one of
-        :data:`LEVEL_STORES` (``"memory"``, ``"disk"``, ``"wah"``),
-        :data:`LEVEL_STORE_AUTO` (``"auto"`` — the cheapest advertised
-        substrate whose predicted peak fits the memory budget,
-        resolved per run), or ``None`` for the backend's default
-        (memory for ``incore``/``bitscan``, disk for ``ooc``).
-        Backends that do
-        not run the shared level loop reject substrates they cannot
-        honour rather than silently ignoring the policy.  Part of the
+        :data:`LEVEL_STORES` (``"memory"``, the default, ``"disk"``,
+        the paper's out-of-core mode, or ``"wah"``), or
+        :data:`LEVEL_STORE_AUTO` (``"auto"`` — the cheapest substrate
+        whose predicted peak fits the memory budget, resolved per
+        run).  The store also fixes the generation step: ``"wah"``
+        runs the compressed-domain step of
+        :mod:`repro.core.compressed_domain`, so the level never
+        round-trips through raw bit strings; ``"memory"`` and
+        ``"disk"`` run the raw ``uint64`` word step.  Part of the
         config's equality/hash, so the service result cache can never
         conflate runs on different substrates.
-    compute_domain:
-        Word representation of the generation step: one of
-        :data:`COMPUTE_DOMAINS`.  ``"auto"`` (the default) follows the
-        effective level store — a ``"wah"`` store runs the
-        compressed-domain kernels on backends that support them, so the
-        level never round-trips through raw bit strings; anything else
-        runs the historical ``"bitset"`` word arrays.  An explicit
-        domain a backend did not advertise (``BackendInfo.
-        compute_domains``) is rejected by :func:`resolve_for_backend`.
-        Part of the config's equality/hash, so the service result cache
-        distinguishes the domains even though their outputs are
-        byte-identical by construction.
     options:
         Backend-specific knobs, e.g. ``{"directory": ..., "chunk_size":
-        512}`` for ``"ooc"``, or ``{"steal_granularity": 4}`` for
+        512}`` for the ``"disk"`` store, or ``{"steal_granularity": 4}`` for
         ``"threads"`` (validated here because it is a concurrency knob
         whose misconfiguration must fail before a pool starts; like
         every option it is hashed into the config identity, so the
@@ -157,8 +133,7 @@ class EnumerationConfig:
     max_cliques: int | None = None
     max_candidate_bytes: int | None = None
     jobs: int | None = None
-    level_store: str | None = None
-    compute_domain: str = "auto"
+    level_store: str = "memory"
     options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -187,20 +162,12 @@ class EnumerationConfig:
         if self.jobs is not None and self.jobs < 1:
             raise ParameterError(f"jobs must be >= 1, got {self.jobs}")
         if (
-            self.level_store is not None
-            and self.level_store != LEVEL_STORE_AUTO
+            self.level_store != LEVEL_STORE_AUTO
             and self.level_store not in LEVEL_STORES
         ):
             raise ParameterError(
                 f"level_store must be one of {', '.join(LEVEL_STORES)} "
-                f"or {LEVEL_STORE_AUTO!r} (or None for the backend "
-                f"default), got {self.level_store!r}"
-            )
-        if self.compute_domain not in COMPUTE_DOMAINS:
-            raise ParameterError(
-                f"compute_domain must be one of "
-                f"{', '.join(COMPUTE_DOMAINS)}, got "
-                f"{self.compute_domain!r}"
+                f"or {LEVEL_STORE_AUTO!r}, got {self.level_store!r}"
             )
         # normalise to a plain dict so `options` is hashable-agnostic and
         # cheap to .get() from; the field stays read-only by convention.
@@ -231,7 +198,6 @@ class EnumerationConfig:
             self.max_candidate_bytes,
             self.jobs,
             self.level_store,
-            self.compute_domain,
             _stable_key(self.options),
         ))
 
@@ -253,44 +219,20 @@ def resolve_for_backend(
     by every path that accepts a config — the engine facade before
     dispatch, and the job service at *submit* time — so ``repro
     enumerate`` and ``repro submit`` raise the identical
-    :class:`~repro.errors.ConfigError` for the identical mistake
-    (historically the service only discovered an unsupported
-    ``level_store`` when the job ran, burning a queue slot on a job
-    doomed to fail).
+    :class:`~repro.errors.ConfigError` for the identical mistake, and
+    the service never burns a queue slot on a job doomed to fail at
+    dispatch.  It catches one mistake: ``jobs`` on a sequential
+    backend.
 
     ``info`` is a :class:`~repro.engine.registry.BackendInfo` (typed
     loosely to keep this module below the registry).  Returns the
-    config, with ``k_min`` promoted to the backend's ``min_k_min``
-    floor when needed.
+    config unchanged.
     """
-    if config.level_store == LEVEL_STORE_AUTO:
-        if not info.level_stores:
-            # a backend that manages its own storage has nothing for
-            # the auto policy to choose between — its default *is* the
-            # resolution, exactly as a None level_store would be
-            return resolve_for_backend(
-                replace(config, level_store=None), info
-            )
-    elif (
-        config.level_store is not None
-        and config.level_store not in info.level_stores
-    ):
+    if config.jobs is not None and not info.parallel:
         raise ConfigError(
-            f"backend {config.backend!r} does not support level store "
-            f"{config.level_store!r}; supported: "
-            f"{', '.join(info.level_stores) or '(backend-managed)'}"
+            f"backend {config.backend!r} is sequential; jobs is only "
+            "valid for parallel backends (see `repro engines`)"
         )
-    if (
-        config.compute_domain != "auto"
-        and config.compute_domain not in info.compute_domains
-    ):
-        raise ConfigError(
-            f"backend {config.backend!r} does not support compute "
-            f"domain {config.compute_domain!r}; supported: "
-            f"{', '.join(info.compute_domains)} (or 'auto')"
-        )
-    if config.k_min < info.min_k_min:
-        return replace(config, k_min=info.min_k_min)
     return config
 
 
@@ -303,7 +245,6 @@ _AUTO_STORE_PREFERENCE = ("memory", "wah", "disk")
 def resolve_level_store(
     config: "EnumerationConfig",
     g: Any,
-    info: Any,
     budget_bytes: int | None = None,
     *,
     predicted: Any = None,
@@ -312,20 +253,17 @@ def resolve_level_store(
 
     Forward-runs the paper recurrences (:func:`repro.core.memory_model.
     predict_profile`) on the graph's ``(n, m)`` and picks the first
-    substrate in memory → wah → disk order that the backend advertises
-    *and* whose predicted peak fits ``budget_bytes``.  With no budget
-    given, the machine's currently available memory is used; when even
-    that is unknown, or nothing fits, the cheapest advertised substrate
-    (the last preference) wins — the disk spill always "fits" in the
-    sense that its residency barely grows with the level.
+    substrate in memory → wah → disk order whose predicted peak fits
+    ``budget_bytes``.  With no budget given, the machine's currently
+    available memory is used; when even that is unknown the memory
+    store wins, and when nothing fits the disk spill does — it always
+    "fits" in the sense that its residency barely grows with the level.
 
     ``g`` needs ``n``/``m`` attributes, plus the adjacency bitmap when
     ``k_min <= 2`` (for the exact seed count that sharpens the 2→3
     recurrence transition — skipped for duck-typed graphs without
-    ``adj``); ``info`` is the backend's
-    :class:`~repro.engine.registry.BackendInfo`.  A caller that has
-    already run the model (the job scheduler predicts for admission
-    control anyway) passes its
+    ``adj``).  A caller that has already run the model (the job
+    scheduler predicts for admission control anyway) passes its
     :class:`~repro.core.memory_model.PredictedProfile` as ``predicted``
     to skip the recomputation.
     """
@@ -335,18 +273,10 @@ def resolve_level_store(
         seed_sublist_count,
     )
 
-    advertised = [
-        s for s in _AUTO_STORE_PREFERENCE if s in info.level_stores
-    ]
-    if not advertised:
-        raise ConfigError(
-            f"backend {config.backend!r} advertises no level stores; "
-            "level_store='auto' needs at least one to choose from"
-        )
     if budget_bytes is None:
         budget_bytes = available_memory_bytes()
     if budget_bytes is None:
-        return advertised[0]
+        return _AUTO_STORE_PREFERENCE[0]
     if predicted is None:
         seeds = (
             seed_sublist_count(g)
@@ -356,26 +286,7 @@ def resolve_level_store(
         predicted = predict_profile(
             g.n, g.m, config.k_min, seeds, k_max=config.k_max
         )
-    for store in advertised:
+    for store in _AUTO_STORE_PREFERENCE:
         if predicted.peak_bytes(store) <= budget_bytes:
             return store
-    return advertised[-1]
-
-
-def resolve_compute_domain(
-    config: "EnumerationConfig", effective_store: str, info: Any
-) -> str:
-    """The concrete domain (``"bitset"`` / ``"wah"``) of one run.
-
-    ``"auto"`` follows the effective level store: a ``"wah"`` store runs
-    the compressed-domain kernels when the backend advertises them, so
-    the level never round-trips through raw bit strings; every other
-    store — and every backend without compressed kernels — resolves to
-    ``"bitset"``.  Explicit domains pass through (they were validated
-    against ``info.compute_domains`` by :func:`resolve_for_backend`).
-    """
-    if config.compute_domain != "auto":
-        return config.compute_domain
-    if effective_store == "wah" and "wah" in info.compute_domains:
-        return "wah"
-    return "bitset"
+    return _AUTO_STORE_PREFERENCE[-1]

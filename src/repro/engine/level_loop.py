@@ -1,4 +1,4 @@
-"""The shared level-loop skeleton every store-based backend runs.
+"""The shared level-loop skeleton every backend runs.
 
 This is the paper's algorithm with the substrate factored out: seeding
 (edges for ``k_min <= 2``, the ``Init_K`` k-clique enumerator above
@@ -14,8 +14,9 @@ A backend supplies exactly two policies:
   :class:`~repro.engine.level_store.CompressedLevelStore`, resolved
   from ``config.level_store``);
 * ``step`` — how one level becomes the next
-  (:func:`~repro.core.clique_enumerator.generate_next_level` or the
-  bit-scan ablation variant).
+  (:func:`~repro.core.clique_enumerator.generate_next_level`, the
+  bit-scan ablation variant, or their compressed-domain counterpart on
+  the ``wah`` store).
 
 Everything else — budgets, stats, ordering guarantees — is shared, so a
 new substrate cannot drift from the algorithm.
@@ -226,11 +227,12 @@ def run_level_loop(
     size order, canonical order within a size, nothing above ``k_max``.
 
     ``stream_mode`` selects how a level flows between the store and the
-    step (the ``compute_domain="wah"`` + ``level_store="wah"`` pairing
-    never materialises the level in raw word form):
+    step (the ``"wah"`` store's compressed modes never materialise the
+    level in raw word form):
 
     * ``"raw"`` — ``store.stream()`` yields plain
-      :class:`~repro.core.sublist.CliqueSubList` chunks (every store);
+      :class:`~repro.core.sublist.CliqueSubList` chunks (the
+      ``memory`` and ``disk`` stores);
     * ``"entries"`` — ``store.stream_entries()`` yields
       :class:`~repro.core.sublist.CompressedSubList` chunks and the
       step returns the same form (the per-entry compressed path);

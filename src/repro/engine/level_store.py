@@ -177,8 +177,9 @@ class CompressedLevelStore(LevelStore):
     compressed.  ``stream_entries`` skips even that: it yields the
     stored :class:`CompressedSubList` entries themselves, which is how
     the compressed-domain generation step
-    (:class:`~repro.core.compressed_domain.CompressedExpander`,
-    ``compute_domain="wah"``) consumes a level with zero decompression.
+    (:class:`~repro.core.compressed_domain.CompressedExpander`, the step
+    every backend runs on this store) consumes a level with zero
+    decompression.
     Both share the single-pass contract.  The two counters
     :attr:`decompressed_bytes` / :attr:`bypassed_bytes` record which
     path each streamed byte took, feeding the run's

@@ -45,38 +45,18 @@ class BackendInfo:
         ``(graph, config, on_clique) -> EnumerationResult``.
     description:
         One line for ``repro engines`` and the docs.
-    storage:
-        Where candidates live: ``"memory"`` or ``"disk"``.
     parallel:
         True when the backend distributes work across workers (the
         shared-memory threads of ``"threads"``).  Only parallel
-        backends accept a non-``None`` ``config.jobs``.
-    min_k_min:
-        Smallest supported ``k_min``; smaller requested values are
-        promoted.  Every built-in supports 1.
-    level_stores:
-        The :data:`~repro.engine.config.LEVEL_STORES` substrates this
-        backend honours via ``config.level_store``.  Empty means the
-        backend manages its own storage; the engine facade rejects an
-        explicit ``level_store`` before dispatch.  ``storage`` remains
-        the backend's *default* substrate.
-    compute_domains:
-        The concrete :data:`~repro.engine.config.COMPUTE_DOMAINS`
-        values (``"bitset"`` / ``"wah"``, never ``"auto"``) this
-        backend's generation step can run on.  Every backend supports
-        at least ``"bitset"``; an explicit ``config.compute_domain``
-        outside this tuple is rejected before dispatch by the shared
-        :func:`~repro.engine.config.resolve_for_backend`.
+        backends accept a non-``None`` ``config.jobs``; the shared
+        :func:`~repro.engine.config.resolve_for_backend` refuses it
+        for the others before dispatch.
     """
 
     name: str
     runner: BackendRunner
     description: str = ""
-    storage: str = "memory"
     parallel: bool = False
-    min_k_min: int = 1
-    level_stores: tuple[str, ...] = ()
-    compute_domains: tuple[str, ...] = ("bitset",)
 
 
 _REGISTRY: dict[str, BackendInfo] = {}
@@ -87,11 +67,7 @@ def register_backend(
     runner: BackendRunner | None = None,
     *,
     description: str = "",
-    storage: str = "memory",
     parallel: bool = False,
-    min_k_min: int = 1,
-    level_stores: tuple[str, ...] = (),
-    compute_domains: tuple[str, ...] = ("bitset",),
     replace: bool = False,
 ):
     """Register an execution backend under ``name``.
@@ -118,11 +94,7 @@ def register_backend(
             description=description or (fn.__doc__ or "").strip().split(
                 "\n"
             )[0],
-            storage=storage,
             parallel=parallel,
-            min_k_min=min_k_min,
-            level_stores=tuple(level_stores),
-            compute_domains=tuple(compute_domains),
         )
         return fn
 

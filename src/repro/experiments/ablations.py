@@ -49,10 +49,11 @@ class AblationResult:
 def run(workload: Workload | None = None) -> AblationResult:
     """Measure every ablation on the (default myogenic) workload.
 
-    Generation variants and storage substrates are all engine backends
-    now, so each ablation row is the same
+    Generation variants are engine backends and storage substrates are
+    level stores, so each ablation row is the same
     :meth:`~repro.engine.EnumerationEngine.run` call with a different
-    backend name — the comparison measures exactly the substrate.
+    backend or store name — the comparison measures exactly the
+    substrate.
     """
     w = workload or myogenic_like()
     g = w.graph
@@ -62,7 +63,9 @@ def run(workload: Workload | None = None) -> AblationResult:
     scan_res = engine.run(g, EnumerationConfig(backend="bitscan", k_min=2))
 
     in_core = engine.run(g, EnumerationConfig(backend="incore", k_min=3))
-    ooc = engine.run(g, EnumerationConfig(backend="ooc", k_min=3))
+    ooc = engine.run(
+        g, EnumerationConfig(backend="incore", k_min=3, level_store="disk")
+    )
 
     spec = calibrated_spec()
     trace = myogenic_trace(18)

@@ -24,12 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.memory_model import MemoryProfile, memory_profile
-from repro.engine import (
-    LEVEL_STORES,
-    EnumerationConfig,
-    get_backend,
-    run_enumeration,
-)
+from repro.engine import LEVEL_STORES, EnumerationConfig, run_enumeration
 from repro.experiments.workloads import Workload, myogenic_like
 from repro.experiments.reporting import format_bytes, render_table
 
@@ -39,8 +34,6 @@ __all__ = [
     "report",
     "compare_stores",
     "report_stores",
-    "compare_domains",
-    "report_domains",
 ]
 
 #: Paper reference: peak near clique size 13 (of max 28).
@@ -66,11 +59,11 @@ class Figure9Result:
 def run(
     workload: Workload | None = None,
     backend: str = "incore",
-    level_store: str | None = None,
+    level_store: str = "memory",
 ) -> Figure9Result:
     """Enumerate from k=3 and collect the per-level memory series.
 
-    Any store-based :mod:`repro.engine` backend works — the level loop
+    Any :mod:`repro.engine` backend works — the level loop
     records the same ``N[k]``/``M[k]``
     :class:`~repro.core.clique_enumerator.LevelStats` whatever the
     substrate, while ``candidate_bytes`` measures what the chosen
@@ -87,8 +80,7 @@ def run(
         workload=w.name,
         max_clique=res.max_clique_size(),
         profile=memory_profile(res.level_stats),
-        # None means the backend's default substrate (disk for ooc)
-        level_store=level_store or get_backend(backend).storage,
+        level_store=level_store,
     )
 
 
@@ -108,81 +100,6 @@ def compare_stores(
         store: run(w, backend=backend, level_store=store)
         for store in stores
     }
-
-
-def compare_domains(
-    workload: Workload | None = None, backend: str = "incore"
-):
-    """The WAH level store on both compute domains, same workload.
-
-    Returns ``{"bitset": EnumerationResult, "wah": EnumerationResult}``
-    — the PR-3 at-rest path (compress at rest, decompress every chunk
-    for expansion) against the compressed-domain path (the AND kernels
-    run on the WAH words, nothing round-trips).  Cliques, level stats,
-    and counters are byte-identical by construction; what differs is
-    the codec traffic reported in ``result.domain_stats``.
-    """
-    w = workload or myogenic_like()
-    out = {}
-    for domain in ("bitset", "wah"):
-        out[domain] = run_enumeration(
-            w.graph,
-            EnumerationConfig(
-                backend=backend,
-                k_min=3,
-                level_store="wah",
-                compute_domain=domain,
-            ),
-        )
-    return out
-
-
-def report_domains(
-    workload: Workload | None = None, backend: str = "incore"
-) -> str:
-    """Render the at-rest vs compressed-domain codec traffic."""
-    w = workload or myogenic_like()
-    results = compare_domains(w, backend=backend)
-    assert (
-        results["bitset"].cliques == results["wah"].cliques
-    ), "compute domains diverged — the equivalence contract is broken"
-    rows = []
-    for domain, res in results.items():
-        stats = res.domain_stats
-        rows.append([
-            domain,
-            format_bytes(res.peak_candidate_bytes()),
-            format_bytes(stats.get("decompressed_bytes", 0)),
-            format_bytes(stats.get("decompressed_bytes_avoided", 0)),
-            stats.get("kernel_ands", 0),
-            stats.get("kernel_word_ops", 0),
-        ])
-    at_rest = results["bitset"].domain_stats.get("decompressed_bytes", 0)
-    in_domain = results["wah"].domain_stats.get("decompressed_bytes", 0)
-    note = (
-        f"generation-step decompression {format_bytes(at_rest)} -> "
-        f"{format_bytes(in_domain)}"
-        + (
-            f" ({at_rest / in_domain:.1f}x less)"
-            if in_domain
-            else " (eliminated)"
-        )
-        + f"; {len(results['wah'].cliques)} cliques byte-identical"
-    )
-    return (
-        render_table(
-            ["compute domain", "peak candidate bytes",
-             "decompressed bytes", "decompressed avoided",
-             "kernel ANDs", "kernel word ops"],
-            rows,
-            title=(
-                f"Figure 9 - WAH store by compute domain "
-                f"({w.name}, backend={backend})"
-            ),
-        )
-        + "\n"
-        + note
-    )
 
 
 def report(

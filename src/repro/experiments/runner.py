@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.experiments.runner            # everything
     python -m repro.experiments.runner table1 figure9
-    python -m repro.experiments.runner table1 --backend ooc
+    python -m repro.experiments.runner table1 --backend bitscan
 
 Each experiment prints its report; ``all`` (default) runs them in paper
 order.  Regeneration is deterministic: workloads and traces are seeded
@@ -41,14 +41,11 @@ EXPERIMENTS = {
     "figure8": figure8.report,
     "figure9": figure9.report,
     "figure9_stores": figure9.report_stores,
-    "figure9_domains": figure9.report_domains,
     "ablations": ablations.report,
 }
 
 #: experiments whose report() accepts a `backend` keyword.
-BACKEND_AWARE = frozenset(
-    {"table1", "figure9", "figure9_stores", "figure9_domains"}
-)
+BACKEND_AWARE = frozenset({"table1", "figure9", "figure9_stores"})
 
 
 def _store_backends() -> list[str]:

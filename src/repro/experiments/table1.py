@@ -76,7 +76,7 @@ def run(
     pytest-benchmark harness in ``benchmarks/bench_table1.py`` adds
     multi-round statistics).  ``backend`` selects the Clique Enumerator
     substrate from the :mod:`repro.engine` registry, so the comparison
-    can be rerun on any of them (e.g. ``--backend ooc`` through the
+    can be rerun on any of them (e.g. ``--backend bitscan`` through the
     experiments runner).
     """
     w = workload or mouse_brain_sparse()

@@ -146,7 +146,7 @@ class ServiceClient:
         ``graph`` travels inline when it is an in-memory
         :class:`Graph`, or as a server-side path otherwise.  The config
         is either given whole or assembled from keyword shorthand
-        (``k_min=3, backend="ooc"``) — not both.
+        (``k_min=3, level_store="disk"``) — not both.
         """
         if config is not None and config_kwargs:
             raise ServiceError(

@@ -90,24 +90,17 @@ class JobSpec:
                 "JobSpec.config must be an EnumerationConfig, got "
                 f"{type(self.config).__name__}"
             )
-        # resolve the config against the backend registry *now*: an
-        # unknown backend or an unsupported level store must be
-        # refused at submission (with the exact ConfigError the engine
-        # facade raises) instead of burning a queue slot on a job that
-        # can only fail at dispatch.  The resolved config (k_min
-        # promoted to the backend's floor) is stored back, so the
-        # cache key and job listings describe the run that actually
-        # executes.  Imported lazily: repro.engine's package import is
-        # what registers the built-in backends.
+        # check the config against the backend registry *now*: an
+        # unknown backend, or jobs on a sequential one, must be refused
+        # at submission (with the exact error the engine facade raises)
+        # instead of burning a queue slot on a job that can only fail
+        # at dispatch.  Imported lazily: repro.engine's package import
+        # is what registers the built-in backends.
         from repro.engine import get_backend
         from repro.engine.config import resolve_for_backend
 
-        object.__setattr__(
-            self,
-            "config",
-            resolve_for_backend(
-                self.config, get_backend(self.config.backend)
-            ),
+        resolve_for_backend(
+            self.config, get_backend(self.config.backend)
         )
         validate_sink_spec(self.sink)
         if not isinstance(self.priority, int):
@@ -215,7 +208,6 @@ class Job:
             # shows the scheduler's resolution; the spec's value until
             # one happens)
             "level_store": self.resolved_config.level_store,
-            "compute_domain": self.spec.config.compute_domain,
             "cache_hit": self.cache_hit,
             "error": self.error,
             "queued_seconds": self.queued_seconds,
@@ -233,10 +225,8 @@ class Job:
             # payload, so `repro jobs` can show how a parallel job ran
             out["n_workers"] = self.result.n_workers
             out["transfers"] = self.result.transfers
-            # compressed-domain observability: the resolved domain the
-            # run actually executed on (a submitted "auto" resolves at
-            # dispatch) plus the codec/kernel telemetry
-            out["compute_domain"] = self.result.compute_domain
+            # compressed-domain observability (wah store): the
+            # codec/kernel telemetry
             out["domain_stats"] = self.result.domain_stats
             # measured Figure 8 evidence (threads backend); None for
             # sequential or too-narrow runs

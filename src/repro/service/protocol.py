@@ -39,7 +39,6 @@ _CONFIG_FIELDS = (
     "max_candidate_bytes",
     "jobs",
     "level_store",
-    "compute_domain",
     "options",
 )
 

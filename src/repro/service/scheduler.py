@@ -50,7 +50,6 @@ from repro.core.graph_io import graph_fingerprint, load as load_graph
 from repro.core.memory_model import predict_profile, seed_sublist_count
 from repro.engine.api import EnumerationEngine
 from repro.engine.config import LEVEL_STORE_AUTO, resolve_level_store
-from repro.engine.registry import get_backend
 from repro.obs.bridge import fold_job, sample_service
 from repro.obs.runtime import Observability, get_observability
 from repro.service.cache import ResultCache
@@ -254,7 +253,6 @@ class JobScheduler:
             g, _ = self._resolve_graph(spec.graph)
         except (ReproError, OSError):
             return None, config
-        info = get_backend(config.backend)
         seeds = (
             seed_sublist_count(g) if config.k_min <= 2 else None
         )
@@ -265,15 +263,11 @@ class JobScheduler:
             store = resolve_level_store(
                 config,
                 g,
-                info,
                 self.memory_budget_bytes,
                 predicted=predicted,
             )
             config = replace(config, level_store=store)
-        # no explicit store -> the backend's default substrate (always
-        # "memory" or "disk" per BackendInfo.storage)
-        effective = config.level_store or info.storage
-        return predicted.peak_bytes(effective), config
+        return predicted.peak_bytes(config.level_store), config
 
     def _admit_locked(self, key: tuple, job: Job) -> bool:
         """Claim-time admission check; caller holds ``_lock``.

@@ -125,7 +125,7 @@ class TestCoexpressionCliques:
         )
         _, ooc = coexpression_cliques(
             dataset, threshold=0.8,
-            config=EnumerationConfig(backend="ooc", k_min=4),
+            config=EnumerationConfig(level_store="disk", k_min=4),
         )
         assert sorted(incore.cliques) == sorted(ooc.cliques)
         assert ooc.io is not None and ooc.io.bytes_written > 0

@@ -1,4 +1,4 @@
-"""Tests for the out-of-core level store and driver."""
+"""Tests for the out-of-core level store and the out-of-core mode."""
 
 from __future__ import annotations
 
@@ -7,12 +7,9 @@ import pytest
 
 from repro.core.clique_enumerator import enumerate_maximal_cliques
 from repro.core.generators import erdos_renyi, planted_clique
-from repro.core.out_of_core import (
-    DiskLevelStore,
-    IOStats,
-    enumerate_maximal_cliques_ooc,
-)
+from repro.core.out_of_core import DiskLevelStore, IOStats
 from repro.core.sublist import CliqueSubList
+from repro.engine import EnumerationConfig, run_enumeration
 from repro.errors import ParameterError
 
 
@@ -24,6 +21,13 @@ def _sl(prefix, tails, n=32):
         tails=np.asarray(tails, dtype=np.int64),
         cn_words=bs.indices_to_words(tails, n),
     )
+
+
+def _ooc(g, on_clique=None, **kw):
+    """The paper's out-of-core mode: ``incore`` on the disk store."""
+    kw.setdefault("k_min", 2)
+    config = EnumerationConfig(backend="incore", level_store="disk", **kw)
+    return run_enumeration(g, config, on_clique=on_clique)
 
 
 class TestDiskLevelStore:
@@ -74,33 +78,37 @@ class TestDiskLevelStore:
 
 
 class TestOocDriver:
+    """``incore`` + ``level_store="disk"``: every level spilled and
+    re-read once, I/O counted, output identical to the in-core run."""
+
     def test_matches_in_core(self, seeded_er):
         in_core = enumerate_maximal_cliques(seeded_er, k_min=2)
-        ooc = enumerate_maximal_cliques_ooc(seeded_er, k_min=2)
+        ooc = _ooc(seeded_er)
         assert sorted(ooc.cliques) == sorted(in_core.cliques)
 
     def test_io_traffic_positive(self):
         g, _ = planted_clique(50, 9, 0.1, seed=6)
-        ooc = enumerate_maximal_cliques_ooc(g)
+        ooc = _ooc(g)
         assert ooc.io.bytes_written > 0
         assert ooc.io.bytes_read > 0
 
     def test_init_k_seeding(self):
         g, _ = planted_clique(40, 8, 0.12, seed=3)
         in_core = enumerate_maximal_cliques(g, k_min=4)
-        ooc = enumerate_maximal_cliques_ooc(g, k_min=4)
+        ooc = _ooc(g, k_min=4)
         assert sorted(ooc.cliques) == sorted(in_core.cliques)
 
     def test_k_max(self):
         g = erdos_renyi(25, 0.4, seed=1)
         in_core = enumerate_maximal_cliques(g, k_min=2, k_max=3)
-        ooc = enumerate_maximal_cliques_ooc(g, k_max=3)
+        ooc = _ooc(g, k_max=3)
         assert sorted(ooc.cliques) == sorted(in_core.cliques)
+        assert ooc.completed == in_core.completed
 
     def test_callback_mode(self):
         g = erdos_renyi(20, 0.3, seed=2)
         seen: list[tuple[int, ...]] = []
-        res = enumerate_maximal_cliques_ooc(g, on_clique=seen.append)
+        res = _ooc(g, on_clique=seen.append)
         assert res.cliques == []
         assert sorted(seen) == sorted(
             enumerate_maximal_cliques(g, k_min=2).cliques
@@ -108,13 +116,11 @@ class TestOocDriver:
 
     def test_invalid_range(self):
         with pytest.raises(ParameterError):
-            enumerate_maximal_cliques_ooc(
-                erdos_renyi(5, 0.5, seed=0), k_min=4, k_max=3
-            )
+            _ooc(erdos_renyi(5, 0.5, seed=0), k_min=4, k_max=3)
 
     def test_explicit_directory(self, tmp_path):
         g = erdos_renyi(20, 0.35, seed=5)
-        res = enumerate_maximal_cliques_ooc(g, directory=tmp_path)
+        res = _ooc(g, options={"directory": tmp_path})
         assert res.io.bytes_written > 0
         # spill files are cleaned up after streaming
         assert list(tmp_path.glob("*.spill")) == []

@@ -1,18 +1,17 @@
-"""The compute-domain axis: ``bitset`` vs ``wah`` generation.
+"""The generation step the level store fixes: raw words or WAH words.
 
-The contract the tentpole must keep forever: for every backend that
-advertises the ``wah`` compute domain (``incore``/``bitscan``/
-``threads``) on every level store it supports, the compressed-domain
-generation step produces the byte-identical clique *sequence*, the
-byte-identical per-level :class:`~repro.core.clique_enumerator.
-LevelStats`, and the byte-identical merged
-:class:`~repro.core.counters.OpCounters` as the raw-word path — the
+The ``memory`` and ``disk`` stores run the raw-word step; the ``wah``
+store runs the compressed-domain step of
+:mod:`repro.core.compressed_domain` (whole batches, or per-entry under
+``threads``).  The contract the compressed step must keep forever: for
+every backend, the byte-identical clique *sequence*, per-level sub-list
+and candidate counts, and merged
+:class:`~repro.core.counters.OpCounters` as the raw-word step — the
 representation changes, the algorithm (and its paper-faithful operation
-model) does not.  What may differ is only the telemetry in
-``result.domain_stats``, which this suite also pins: the
-``wah``+``wah`` pairing streams levels compressed end to end (zero
-decompressed bytes), while the at-rest path reports the codec traffic
-it pays.
+model) does not.  What may differ is each store's own byte accounting
+and the telemetry in ``result.domain_stats``, which this suite also
+pins: the ``wah`` store streams levels compressed end to end (zero
+decompressed bytes).
 """
 
 from __future__ import annotations
@@ -32,20 +31,18 @@ from repro.core.generators import (
     planted_clique,
 )
 from repro.core.graph import Graph
-from repro.core.sublist import CliqueSubList, CompressedSubList
+from repro.core.sublist import CompressedLevelBatch, CompressedSubList
 from repro.engine import (
-    COMPUTE_DOMAINS,
     EnumerationConfig,
     EnumerationEngine,
     get_backend,
-    resolve_compute_domain,
     resolve_for_backend,
 )
 from repro.engine.level_store import CompressedLevelStore
 
 ENGINE = EnumerationEngine()
 
-#: the backends the tentpole wired the compressed domain into.
+#: every built-in backend runs the compressed step on the wah store.
 WAH_BACKENDS = ("incore", "bitscan", "threads")
 
 
@@ -68,122 +65,73 @@ def _disjoint_k7s(count: int, n: int) -> Graph:
     ])
 
 
+def _counts(result):
+    """Per-level ``(k, N[k], M[k], emitted)``: the store-independent
+    part of the level statistics."""
+    return [
+        (ls.k, ls.n_sublists, ls.n_candidates, ls.maximal_emitted)
+        for ls in result.level_stats
+    ]
+
+
 class TestConfigValidation:
-    def test_domains_tuple(self):
-        assert COMPUTE_DOMAINS == ("auto", "bitset", "wah")
-
-    def test_default_is_auto(self):
-        assert EnumerationConfig().compute_domain == "auto"
-
-    def test_unknown_domain_rejected(self):
-        with pytest.raises(ParameterError, match="compute_domain"):
-            EnumerationConfig(compute_domain="simd")
-
-    def test_hash_and_eq_distinguish_domains(self):
-        """The service result cache may never conflate the domains."""
-        a = EnumerationConfig(level_store="wah", compute_domain="bitset")
-        b = EnumerationConfig(level_store="wah", compute_domain="wah")
-        assert a != b
-        assert hash(a) != hash(b)
-
-    @pytest.mark.parametrize("backend", ["ooc"])
-    def test_explicit_wah_rejected_where_unsupported(self, backend):
-        config = EnumerationConfig(backend=backend, compute_domain="wah")
-        with pytest.raises(ConfigError, match="compute domain"):
-            resolve_for_backend(config, get_backend(backend))
-        with pytest.raises(ConfigError, match="compute domain"):
-            ENGINE.run(Graph(4), config)
-
     def test_submit_path_raises_identical_error(self):
         """`repro submit` refuses at submission with the engine's exact
-        ConfigError — the shared resolution point."""
+        ConfigError — the shared resolution point, whose one check is
+        ``jobs`` on a sequential backend."""
         from repro.service.jobs import JobSpec
 
-        config = EnumerationConfig(backend="ooc", compute_domain="wah")
+        config = EnumerationConfig(backend="incore", jobs=2)
         with pytest.raises(ConfigError) as engine_exc:
-            resolve_for_backend(config, get_backend("ooc"))
+            resolve_for_backend(config, get_backend("incore"))
         with pytest.raises(ConfigError) as submit_exc:
             JobSpec(graph=Graph(3), config=config)
         assert str(submit_exc.value) == str(engine_exc.value)
 
-    def test_advertised_via_backend_info(self):
-        for name in WAH_BACKENDS:
-            assert get_backend(name).compute_domains == ("bitset", "wah")
-        assert get_backend("ooc").compute_domains == ("bitset",)
-
-    def test_auto_resolution(self):
-        incore = get_backend("incore")
-        assert resolve_compute_domain(
-            EnumerationConfig(), "memory", incore
-        ) == "bitset"
-        assert resolve_compute_domain(
-            EnumerationConfig(), "wah", incore
-        ) == "wah"
-        assert resolve_compute_domain(
-            EnumerationConfig(), "wah", get_backend("ooc")
-        ) == "bitset"
-        assert resolve_compute_domain(
-            EnumerationConfig(compute_domain="wah"), "memory", incore
-        ) == "wah"
-
 
 class TestDomainEquivalence:
-    """wah vs bitset: byte-identical everything but the telemetry."""
+    """Another store: byte-identical everything but the accounting."""
 
     @pytest.fixture(scope="class")
     def graph(self):
         return _graph()
 
     @pytest.mark.parametrize("backend", WAH_BACKENDS)
-    @pytest.mark.parametrize("store", ["memory", "disk", "wah"])
+    @pytest.mark.parametrize("store", ["disk", "wah"])
     def test_byte_identical_across_matrix(self, graph, backend, store):
         jobs = 2 if get_backend(backend).parallel else None
         base = ENGINE.run(graph, EnumerationConfig(
-            backend=backend, level_store=store,
-            compute_domain="bitset", jobs=jobs,
+            backend=backend, level_store="memory", jobs=jobs,
         ))
-        wah = ENGINE.run(graph, EnumerationConfig(
-            backend=backend, level_store=store,
-            compute_domain="wah", jobs=jobs,
+        other = ENGINE.run(graph, EnumerationConfig(
+            backend=backend, level_store=store, jobs=jobs,
         ))
-        assert wah.cliques == base.cliques
-        assert wah.level_stats == base.level_stats
-        assert wah.counters.snapshot() == base.counters.snapshot()
-        assert wah.completed == base.completed
-        assert base.compute_domain == "bitset"
-        assert wah.compute_domain == "wah"
+        assert other.cliques == base.cliques
+        assert _counts(other) == _counts(base)
+        assert other.counters.snapshot() == base.counters.snapshot()
+        assert other.completed == base.completed
+        if store == "disk":
+            # the spill store charges the in-memory byte model
+            assert other.level_stats == base.level_stats
 
     def test_size_window_and_budget_parity(self, graph):
         """Init_K seeding, k_max cuts, and streamed sinks behave the
-        same in both domains."""
+        same on the raw-word and the compressed step."""
         collected: list = []
         base = ENGINE.run(graph, EnumerationConfig(
-            backend="incore", level_store="wah", k_min=3, k_max=6,
-            compute_domain="bitset",
+            backend="incore", level_store="memory", k_min=3, k_max=6,
         ))
         wah = ENGINE.run(
             graph,
             EnumerationConfig(
                 backend="incore", level_store="wah", k_min=3, k_max=6,
-                compute_domain="wah",
             ),
             on_clique=collected.append,
         )
         assert collected == base.cliques
         assert wah.completed == base.completed
-
-    def test_resolved_domain_reported_for_auto(self, graph):
-        res = ENGINE.run(graph, EnumerationConfig(
-            backend="incore", level_store="wah"
-        ))
-        assert res.compute_domain == "wah"
-        res = ENGINE.run(graph, EnumerationConfig(backend="incore"))
-        assert res.compute_domain == "bitset"
-        # ooc never runs the wah domain, even under an "auto" config
-        res = ENGINE.run(graph, EnumerationConfig(
-            backend="ooc", level_store="wah"
-        ))
-        assert res.compute_domain == "bitset"
+        assert _counts(wah) == _counts(base)
+        assert wah.counters.snapshot() == base.counters.snapshot()
 
 
 class TestDomainTelemetry:
@@ -193,7 +141,7 @@ class TestDomainTelemetry:
 
     def test_wah_domain_on_wah_store_never_decompresses(self, graph):
         res = ENGINE.run(graph, EnumerationConfig(
-            backend="incore", level_store="wah", compute_domain="wah"
+            backend="incore", level_store="wah"
         ))
         stats = res.domain_stats
         assert stats.get("decompressed_bytes", 0) == 0
@@ -203,15 +151,26 @@ class TestDomainTelemetry:
         assert stats["adj_rows_compressed"] > 0
 
     def test_at_rest_path_reports_codec_traffic(self, graph):
-        res = ENGINE.run(graph, EnumerationConfig(
-            backend="incore", level_store="wah", compute_domain="bitset"
-        ))
-        assert res.domain_stats["decompressed_bytes"] > 0
-        assert res.domain_stats.get("decompressed_bytes_avoided", 0) == 0
+        """The wah store's decompressing ``stream`` — the at-rest path,
+        which no step runs but the store contract keeps — counts the
+        raw bytes it materialises and bypasses none."""
+        from repro.core.counters import OpCounters
+        from repro.engine.level_loop import seed_level
+
+        _, seed = seed_level(graph, 2, OpCounters(), lambda c: None)
+        store = CompressedLevelStore(chunk_size=4)
+        for sl in seed:
+            store.append(sl)
+        assert sum(len(chunk) for chunk in store.stream()) == len(seed)
+        assert store.decompressed_bytes > 0
+        assert store.bypassed_bytes == 0
 
     def test_bitset_on_raw_stores_reports_nothing(self, graph):
-        res = ENGINE.run(graph, EnumerationConfig(backend="incore"))
-        assert res.domain_stats == {}
+        for store in ("memory", "disk"):
+            res = ENGINE.run(graph, EnumerationConfig(
+                backend="incore", level_store=store
+            ))
+            assert res.domain_stats == {}
 
     def test_level_seconds_recorded_by_the_loop(self, graph):
         res = ENGINE.run(graph, EnumerationConfig(backend="incore"))
@@ -220,7 +179,7 @@ class TestDomainTelemetry:
 
 
 class TestCompressedStream:
-    """The zero-round-trip store surface the wah domain rides on."""
+    """The zero-round-trip store surface the wah store's step rides on."""
 
     def _store_with(self, g, k=3):
         store = CompressedLevelStore(chunk_size=2)
@@ -259,10 +218,10 @@ class TestCompressedStream:
             store2.stream_entries()
 
     def test_native_compressed_append_identical_accounting(self):
-        """Appending a CompressedSubList directly (the wah-domain path)
-        charges the same bytes as compressing the equivalent raw
-        sub-list (the bitset path) — so per-level stats stay
-        byte-identical across domains."""
+        """Appending a CompressedSubList directly (what the compressed
+        step produces) charges the same bytes as compressing the
+        equivalent raw sub-list (what seeding appends) — so per-level
+        stats do not depend on which path filled the store."""
         g, _ = planted_clique(40, 6, 0.1, seed=3)
         raw_store = self._store_with(g)
         native_store = CompressedLevelStore(chunk_size=2)
@@ -300,7 +259,8 @@ class TestCompressedExpander:
 
     def test_step_signature_matches_generation_step(self):
         """The expander is a drop-in GenerationStep: same call shape,
-        same children as the reference on raw sub-lists."""
+        and on a compressed level batch the same children as the
+        reference step on the raw sub-lists."""
         from repro.core.clique_enumerator import generate_next_level
         from repro.core.counters import OpCounters
         from repro.engine.level_loop import seed_level
@@ -315,13 +275,17 @@ class TestCompressedExpander:
         )
         expander = CompressedExpander(g, model="pairs")
         wah_children = expander.step(
-            seed, g, wah_counters, wah_cliques.append
+            CompressedLevelBatch.from_sublists(seed),
+            g,
+            wah_counters,
+            wah_cliques.append,
         )
+        assert isinstance(wah_children, CompressedLevelBatch)
         assert wah_cliques == ref_cliques
         assert wah_counters.snapshot() == ref_counters.snapshot()
-        assert len(wah_children) == len(ref_children)
-        for ours, theirs in zip(wah_children, ref_children):
-            assert isinstance(ours, CliqueSubList)
+        ours_all = wah_children.to_sublists()
+        assert len(ours_all) == len(ref_children)
+        for ours, theirs in zip(ours_all, ref_children):
             assert ours.prefix == theirs.prefix
             assert ours.tails.tolist() == theirs.tails.tolist()
             assert (ours.cn_words == theirs.cn_words).all()
@@ -333,18 +297,17 @@ class TestPairBatches:
     invisible in the output, and the budget, not the level width,
     bounds the step's transients."""
 
-    @pytest.mark.parametrize("domain", ["bitset", "wah"])
-    @pytest.mark.parametrize("store", ["memory", "wah"])
-    def test_batch_boundaries_are_invisible(
-        self, monkeypatch, store, domain
-    ):
+    @pytest.mark.parametrize(
+        "store, step", [("memory", "bitset"), ("wah", "wah")]
+    )
+    def test_batch_boundaries_are_invisible(self, monkeypatch, store, step):
         # at n = 300 the default budget holds every level in one batch;
         # a zero budget makes every sub-list a batch of its own
         g, _ = planted_clique(300, 12, 0.05, seed=0)
-        config = EnumerationConfig(
-            backend="incore", level_store=store, compute_domain=domain
-        )
+        config = EnumerationConfig(backend="incore", level_store=store)
         whole = ENGINE.run(g, config)
+        # the store fixes the step: only the wah step reports kernels
+        assert ("kernel_word_ops" in whole.domain_stats) == (step == "wah")
         monkeypatch.setattr(clique_enumerator, "PAIR_BATCH_BYTES", 0)
         assert clique_enumerator.pair_batch_limit(g.adj.shape[1]) == 0
         split = ENGINE.run(g, config)
@@ -378,29 +341,44 @@ class TestPairBatches:
 
 class TestWireProtocol:
     def test_payload_roundtrip(self):
+        """The store travels, and selects the step on the far side; the
+        default store never travels, however it is spelled."""
         from repro.service.protocol import (
             config_from_payload,
             config_to_payload,
         )
 
-        config = EnumerationConfig(
-            backend="incore", level_store="wah", compute_domain="wah"
-        )
+        config = EnumerationConfig(backend="incore", level_store="wah")
         payload = config_to_payload(config)
-        assert payload["compute_domain"] == "wah"
+        assert payload == {"level_store": "wah"}
         assert config_from_payload(payload) == config
-        # the default never travels
-        assert "compute_domain" not in config_to_payload(
-            EnumerationConfig()
-        )
+        assert config_to_payload(EnumerationConfig()) == {}
+        assert config_to_payload(
+            EnumerationConfig(level_store="memory")
+        ) == {}
 
     def test_job_to_dict_carries_domain(self):
-        from repro.service.jobs import Job, JobSpec
+        """The store fixes the step, so the store a job resolved to
+        names the step it ran: an ``auto`` job whose budget fits only
+        the compressed peak runs the wah store's kernels."""
+        from repro.core.memory_model import (
+            predict_profile,
+            seed_sublist_count,
+        )
+        from repro.service.jobs import JobSpec
+        from repro.service.scheduler import JobScheduler
 
-        job = Job("j1", JobSpec(
-            graph=Graph(3),
-            config=EnumerationConfig(
-                backend="incore", level_store="wah", compute_domain="wah"
-            ),
-        ))
-        assert job.to_dict()["compute_domain"] == "wah"
+        g, _ = planted_clique(60, 9, 0.1, seed=6)
+        predicted = predict_profile(g.n, g.m, 1, seed_sublist_count(g))
+        # room for the compressed peak only: "auto" resolves to wah
+        budget = predicted.peak_bytes("wah")
+        with JobScheduler(
+            workers=1, cache=None, memory_budget_bytes=budget
+        ) as sched:
+            job = sched.submit(JobSpec(
+                graph=g, config=EnumerationConfig(level_store="auto"),
+            )).wait(30)
+        out = job.to_dict()
+        assert "compute_domain" not in out
+        assert out["level_store"] == "wah"
+        assert out["domain_stats"]["kernel_word_ops"] > 0

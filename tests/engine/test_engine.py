@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from repro.engine import (
     run_enumeration,
     unregister_backend,
 )
-from repro.errors import BudgetExceeded, ParameterError
+from repro.errors import BudgetExceeded, ConfigError, ParameterError
 
 
 def _sl(prefix, tails, n=32):
@@ -38,6 +40,7 @@ class TestConfig:
         assert cfg.backend == "incore"
         assert cfg.k_min == 1
         assert cfg.k_max is None
+        assert cfg.level_store == "memory"
 
     def test_invalid_k_min(self):
         with pytest.raises(ParameterError):
@@ -56,8 +59,8 @@ class TestConfig:
             EnumerationConfig(backend="")
 
     def test_with_backend(self):
-        cfg = EnumerationConfig(k_min=3).with_backend("ooc")
-        assert cfg.backend == "ooc"
+        cfg = EnumerationConfig(k_min=3).with_backend("bitscan")
+        assert cfg.backend == "bitscan"
         assert cfg.k_min == 3
 
     @pytest.mark.parametrize("bad", [0, -1, "4", 2.5, True])
@@ -82,7 +85,7 @@ class TestConfig:
 
     def test_options_are_copied(self):
         opts = {"chunk_size": 8}
-        cfg = EnumerationConfig(backend="ooc", options=opts)
+        cfg = EnumerationConfig(level_store="disk", options=opts)
         opts["chunk_size"] = 99
         assert cfg.option("chunk_size") == 8
 
@@ -91,8 +94,8 @@ class TestConfig:
             EnumerationConfig().k_min = 2
 
     def test_hashable(self):
-        a = EnumerationConfig(backend="ooc", options={"chunk_size": 8})
-        b = EnumerationConfig(backend="ooc", options={"chunk_size": 8})
+        a = EnumerationConfig(level_store="disk", options={"chunk_size": 8})
+        b = EnumerationConfig(level_store="disk", options={"chunk_size": 8})
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
@@ -100,14 +103,16 @@ class TestConfig:
         """Regression: a list-valued option (e.g. spill dirs) used to
         raise TypeError from __hash__."""
         a = EnumerationConfig(
-            backend="ooc", options={"dirs": ["/tmp/a", "/tmp/b"]}
+            level_store="disk", options={"dirs": ["/tmp/a", "/tmp/b"]}
         )
         b = EnumerationConfig(
-            backend="ooc", options={"dirs": ["/tmp/a", "/tmp/b"]}
+            level_store="disk", options={"dirs": ["/tmp/a", "/tmp/b"]}
         )
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
-        c = EnumerationConfig(backend="ooc", options={"dirs": ["/tmp/c"]})
+        c = EnumerationConfig(
+            level_store="disk", options={"dirs": ["/tmp/c"]}
+        )
         assert a != c
 
     def test_hashable_with_mixed_type_option_keys(self):
@@ -150,8 +155,8 @@ class TestConfig:
         assert {a: "cached"}[b] == "cached"
 
     def test_jobs_rejected_by_sequential_backends(self, triangle):
-        for backend in ("incore", "bitscan", "ooc"):
-            with pytest.raises(ParameterError, match="sequential"):
+        for backend in ("incore", "bitscan"):
+            with pytest.raises(ConfigError, match="sequential"):
                 run_enumeration(
                     triangle,
                     EnumerationConfig(backend=backend, jobs=2),
@@ -160,26 +165,28 @@ class TestConfig:
 
 class TestResolveForBackend:
     def test_unsupported_store_raises_config_error(self):
-        from repro.errors import ConfigError
+        """Every backend runs every store; the one policy a backend can
+        refuse is ``jobs``, and only a sequential one refuses it."""
         from repro.engine import resolve_for_backend
 
-        @register_backend("test-memory-only", level_stores=("memory",))
-        def run_memory_only(g, config, on_clique=None):
+        @register_backend("test-sequential")
+        def run_sequential(g, config, on_clique=None):
             """Never dispatched in this test."""
 
         try:
             with pytest.raises(ConfigError) as exc:
                 resolve_for_backend(
                     EnumerationConfig(
-                        backend="test-memory-only", level_store="wah"
+                        backend="test-sequential", level_store="wah",
+                        jobs=2,
                     ),
-                    get_backend("test-memory-only"),
+                    get_backend("test-sequential"),
                 )
         finally:
-            unregister_backend("test-memory-only")
+            unregister_backend("test-sequential")
         assert str(exc.value) == (
-            "backend 'test-memory-only' does not support level store "
-            "'wah'; supported: memory"
+            "backend 'test-sequential' is sequential; jobs is only "
+            "valid for parallel backends (see `repro engines`)"
         )
 
     def test_supported_store_passes_through(self):
@@ -188,28 +195,13 @@ class TestResolveForBackend:
         cfg = EnumerationConfig(backend="incore", level_store="wah")
         assert resolve_for_backend(cfg, get_backend("incore")) is cfg
 
-    def test_k_min_floor_promoted(self):
-        from repro.engine import resolve_for_backend
-
-        @register_backend("test-resolve-floor", min_k_min=4)
-        def run_floor(g, config, on_clique=None):
-            """Never dispatched in this test."""
-
-        try:
-            out = resolve_for_backend(
-                EnumerationConfig(backend="test-resolve-floor", k_min=2),
-                get_backend("test-resolve-floor"),
-            )
-        finally:
-            unregister_backend("test-resolve-floor")
-        assert out.k_min == 4
-
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert {"incore", "bitscan", "ooc", "threads"} <= set(
+        assert {"incore", "bitscan", "threads"} <= set(
             available_backends()
         )
+        assert "ooc" not in available_backends()
 
     def test_unknown_backend(self):
         with pytest.raises(ParameterError, match="unknown backend"):
@@ -243,31 +235,13 @@ class TestRegistry:
         with pytest.raises(ParameterError, match="already registered"):
             register_backend("incore", lambda g, c, s: None)
 
-    def test_min_k_min_promoted_by_engine(self, triangle):
-        seen: list[int] = []
-
-        @register_backend("test-floor", min_k_min=3)
-        def run_floor(g, config, on_clique=None):
-            """Records the k_min it was dispatched with."""
-            from repro.core.clique_enumerator import EnumerationResult
-
-            seen.append(config.k_min)
-            return EnumerationResult(backend="test-floor")
-
-        try:
-            run_enumeration(
-                triangle, EnumerationConfig(backend="test-floor", k_min=1)
-            )
-        finally:
-            unregister_backend("test-floor")
-        assert seen == [3]
-
     def test_backend_table_entries(self):
         table = backend_table()
         names = [info.name for info in table]
         assert names == sorted(names)
-        ooc = next(info for info in table if info.name == "ooc")
-        assert ooc.storage == "disk"
+        assert [f.name for f in dataclasses.fields(table[0])] == [
+            "name", "runner", "description", "parallel",
+        ]
         threads = next(info for info in table if info.name == "threads")
         assert threads.parallel
 
@@ -343,12 +317,15 @@ class TestFacade:
 
     def test_max_cliques_budget_across_backends(self):
         g = erdos_renyi(30, 0.5, seed=1)
-        for backend in ("incore", "bitscan", "ooc"):
+        for backend, store in (
+            ("incore", "memory"), ("bitscan", "memory"), ("incore", "disk")
+        ):
             with pytest.raises(BudgetExceeded):
                 run_enumeration(
                     g,
                     EnumerationConfig(
-                        backend=backend, k_min=2, max_cliques=3
+                        backend=backend, k_min=2, max_cliques=3,
+                        level_store=store,
                     ),
                 )
 
@@ -358,13 +335,13 @@ class TestFacade:
             run_enumeration(
                 g,
                 EnumerationConfig(
-                    backend="ooc", k_min=2, max_candidate_bytes=10
+                    level_store="disk", k_min=2, max_candidate_bytes=10
                 ),
             )
 
     def test_ooc_reports_io(self):
         g = erdos_renyi(25, 0.35, seed=2)
-        res = run_enumeration(g, EnumerationConfig(backend="ooc"))
+        res = run_enumeration(g, EnumerationConfig(level_store="disk"))
         assert res.io is not None
         assert res.io.bytes_written > 0
         assert res.io.bytes_read > 0
@@ -374,7 +351,7 @@ class TestFacade:
         level's writer truncating the file the current level streams."""
         g = erdos_renyi(120, 0.25, seed=9)
         cfg = EnumerationConfig(
-            backend="ooc",
+            level_store="disk",
             k_min=2,
             options={"directory": tmp_path, "chunk_size": 4},
         )
@@ -388,5 +365,7 @@ class TestFacade:
         incore = run_enumeration(
             g, EnumerationConfig(backend="incore", k_min=2)
         )
-        ooc = run_enumeration(g, EnumerationConfig(backend="ooc", k_min=2))
+        ooc = run_enumeration(
+            g, EnumerationConfig(backend="incore", k_min=2, level_store="disk")
+        )
         assert incore.level_stats == ooc.level_stats

@@ -156,12 +156,14 @@ def test_result_carries_backend_name(backend):
 
 
 @pytest.mark.parametrize("store", ["memory", "disk", "wah"])
-@pytest.mark.parametrize("backend", ["incore", "bitscan", "ooc"])
+@pytest.mark.parametrize("backend", ["incore", "bitscan"])
 @pytest.mark.parametrize("gname", sorted(GRAPHS))
 def test_identical_on_every_level_store(backend, store, gname, reference):
     """The level-store policy never changes the emitted clique set:
-    every store-based backend on every substrate (including the WAH
-    compressed store) matches the incore reference."""
+    every sequential backend on every substrate (including the disk
+    spill of the paper's out-of-core mode and the WAH compressed store,
+    which runs the compressed-domain step) matches the incore
+    reference."""
     g = GRAPHS[gname]()
     config = EnumerationConfig(backend=backend, k_min=2, level_store=store)
     got = sorted(ENGINE.run(g, config).cliques)

@@ -1,6 +1,6 @@
 """Level-store substrate tests: the single-pass contract, the WAH
 compressed store, and the ``level_store`` policy threading through
-config, registry, facade, and cache."""
+config, backends, facade, and cache."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from repro.engine import (
     EnumerationEngine,
     LevelStore,
     MemoryLevelStore,
-    get_backend,
     run_enumeration,
 )
 from repro.errors import LevelStoreError, ParameterError
@@ -26,8 +25,8 @@ from repro.service.cache import ResultCache
 
 ENGINE = EnumerationEngine()
 
-#: the backends that run the shared level loop over a pluggable store.
-STORE_BACKENDS = ("incore", "bitscan", "ooc", "threads")
+#: every backend runs the shared level loop over a pluggable store.
+STORE_BACKENDS = ("incore", "bitscan", "threads")
 
 
 def _sl(prefix, tails, n=256):
@@ -184,33 +183,10 @@ class TestLevelStorePolicy:
         assert a == c and hash(a) == hash(c)
         assert len({a, b, c}) == 2
 
-    def test_registry_advertises_supported_stores(self):
-        for backend in STORE_BACKENDS:
-            assert get_backend(backend).level_stores == LEVEL_STORES
-
-    def test_facade_rejects_store_on_storeless_backend(self, triangle):
-        from repro.engine import register_backend, unregister_backend
-
-        @register_backend("test-storeless")
-        def run_storeless(g, config, on_clique=None):
-            """Backend registered without level-store support."""
-            raise AssertionError("must be rejected before dispatch")
-
-        try:
-            with pytest.raises(ParameterError, match="backend-managed"):
-                run_enumeration(
-                    triangle,
-                    EnumerationConfig(
-                        backend="test-storeless", level_store="memory"
-                    ),
-                )
-        finally:
-            unregister_backend("test-storeless")
-
     def test_spill_directory_rejected_off_disk_substrate(self, triangle):
         """A spill directory on the in-memory substrate fails before
         work, like every other inapplicable option."""
-        for store in (None, "wah"):
+        for store in ("memory", "wah"):
             with pytest.raises(ParameterError, match="directory"):
                 run_enumeration(
                     triangle,
@@ -240,10 +216,12 @@ class TestLevelStorePolicy:
         assert list(tmp_path.glob("*.spill")) == []
 
     def test_ooc_on_wah_substrate_reports_no_io(self):
+        """The out-of-core mode's I/O counters belong to the disk
+        store: the same run on the wah store reports none."""
         g = erdos_renyi(25, 0.3, seed=7)
         res = run_enumeration(
             g,
-            EnumerationConfig(backend="ooc", k_min=2, level_store="wah"),
+            EnumerationConfig(backend="incore", k_min=2, level_store="wah"),
         )
         assert res.io is None
 

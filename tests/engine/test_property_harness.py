@@ -4,13 +4,15 @@
 this harness generalises it into a *property*: for any seeded graph
 from a family spanning the regimes the paper cares about (sparse
 background, dense blocks, bipartite-ish triangle-free, hub-and-spoke,
-planted modules), **every registered backend on every level store and
-every compute domain it advertises** must emit the byte-identical
-maximal clique sequence, the identical per-size counts, and — for
-every backend running the paper's generation step — the byte-identical
-merged operation counters.  Backends with their own documented counter
-model (``bitscan``) are exempt from equality *with incore*, but their
-compute domains must still agree with each other, counter for counter.
+planted modules), **every registered backend on every level store**
+must emit the byte-identical maximal clique sequence, the identical
+per-size counts, and — for every backend running the paper's
+generation step — the byte-identical merged operation counters.  The
+store fixes the step (``memory`` and ``disk`` run the raw-word step,
+``wah`` the compressed-domain one), so sweeping the stores sweeps both
+steps.  Backends with their own documented counter model
+(``bitscan``) are exempt from equality *with incore*, but their stores
+must still agree with each other, counter for counter.
 
 The matrix is read from the live registry
 (:func:`repro.engine.backend_table`) at each call, so a backend
@@ -100,7 +102,7 @@ def _by_size(cliques) -> dict[int, int]:
 def assert_cross_backend_equivalence(
     g: Graph, case: str = "", k_min: int = 1, k_max: int | None = None
 ) -> None:
-    """The harness core: the registry × level-store × domain matrix.
+    """The harness core: the registry × level-store matrix.
 
     Asserts, against the ``incore`` reference on the same window:
 
@@ -113,12 +115,8 @@ def assert_cross_backend_equivalence(
       :data:`COUNTER_MODEL_EXEMPT` — the merge invariant that makes
       per-worker :class:`~repro.core.counters.OpCounters` trustworthy;
     * for exempt backends, identical counter snapshots *across their
-      own compute domains* — the representation may change the word
-      arithmetic, never the documented operation model.
-
-    The compute domains are read from ``BackendInfo.compute_domains``
-    just as the stores are read from ``level_stores``, so a backend
-    that advertises a new domain tomorrow is swept tonight.
+      own stores* — the ``wah`` store's compressed step may change the
+      word arithmetic, never the documented operation model.
     """
     ref = ENGINE.run(
         g, EnumerationConfig(backend="incore", k_min=k_min, k_max=k_max)
@@ -126,49 +124,43 @@ def assert_cross_backend_equivalence(
     ref_sizes = _by_size(ref.cliques)
     ref_snapshot = ref.counters.snapshot()
     for info in backend_table():
-        stores = info.level_stores or (None,)
-        for store in stores:
-            domain_snapshots: dict[str, dict] = {}
-            for domain in info.compute_domains or ("bitset",):
-                label = (
-                    f"[{case}] backend={info.name} store={store} "
-                    f"domain={domain} k_min={k_min} k_max={k_max}"
-                )
-                config = EnumerationConfig(
-                    backend=info.name,
-                    k_min=k_min,
-                    k_max=k_max,
-                    level_store=store,
-                    compute_domain=domain,
-                    jobs=2 if info.parallel else None,
-                )
-                res = ENGINE.run(g, config)
-                assert res.cliques == ref.cliques, (
-                    f"clique sequence diverged from incore: {label}"
-                )
-                assert _by_size(res.cliques) == ref_sizes, (
-                    f"per-size counts diverged: {label}"
-                )
-                assert res.completed == ref.completed, (
-                    f"completed flag diverged: {label}"
-                )
-                assert res.counters.maximal_emitted == len(res.cliques), (
-                    f"emission accounting inconsistent: {label}"
-                )
-                domain_snapshots[domain] = res.counters.snapshot()
-                if info.name not in COUNTER_MODEL_EXEMPT:
-                    assert domain_snapshots[domain] == ref_snapshot, (
-                        f"merged counters diverged from incore: {label}"
-                    )
-            first_domain, first_snapshot = next(
-                iter(domain_snapshots.items())
+        store_snapshots: dict[str, dict] = {}
+        for store in LEVEL_STORES:
+            label = (
+                f"[{case}] backend={info.name} store={store} "
+                f"k_min={k_min} k_max={k_max}"
             )
-            for domain, snapshot in domain_snapshots.items():
-                assert snapshot == first_snapshot, (
-                    f"[{case}] backend={info.name} store={store}: "
-                    f"counters diverged between compute domains "
-                    f"{first_domain!r} and {domain!r}"
+            config = EnumerationConfig(
+                backend=info.name,
+                k_min=k_min,
+                k_max=k_max,
+                level_store=store,
+                jobs=2 if info.parallel else None,
+            )
+            res = ENGINE.run(g, config)
+            assert res.cliques == ref.cliques, (
+                f"clique sequence diverged from incore: {label}"
+            )
+            assert _by_size(res.cliques) == ref_sizes, (
+                f"per-size counts diverged: {label}"
+            )
+            assert res.completed == ref.completed, (
+                f"completed flag diverged: {label}"
+            )
+            assert res.counters.maximal_emitted == len(res.cliques), (
+                f"emission accounting inconsistent: {label}"
+            )
+            store_snapshots[store] = res.counters.snapshot()
+            if info.name not in COUNTER_MODEL_EXEMPT:
+                assert store_snapshots[store] == ref_snapshot, (
+                    f"merged counters diverged from incore: {label}"
                 )
+        first_store, first_snapshot = next(iter(store_snapshots.items()))
+        for store, snapshot in store_snapshots.items():
+            assert snapshot == first_snapshot, (
+                f"[{case}] backend={info.name}: counters diverged "
+                f"between level stores {first_store!r} and {store!r}"
+            )
 
 
 # -- randomized entry point (shrinks, prints the generator seed) ----------
@@ -301,7 +293,6 @@ def test_harness_flags_a_defective_backend():
     @register_backend(
         "test-defective",
         description="drops one clique (harness canary)",
-        level_stores=("memory",),
     )
     def run_defective(g, config, on_clique=None):
         res = run_incore(g, replace(config, backend="incore"), on_clique)
@@ -321,34 +312,28 @@ def test_harness_flags_a_defective_backend():
 
 
 def test_harness_sweeps_the_compute_domain_axis():
-    """A backend advertising a compute domain is tested *on* it.
+    """Every backend is tested on the compressed-domain step.
 
-    Register a backend whose ``"wah"`` domain drops a clique while its
-    ``"bitset"`` domain is correct: only a harness that actually runs
-    the advertised domains can tell them apart — and the failure names
-    the domain.
+    The ``wah`` store fixes the compressed-domain step.  Register a
+    backend that drops a clique on that store only, while its raw-word
+    stores are correct: only a harness that actually runs every store
+    can tell them apart — and the failure names the store.
     """
     from repro.engine.backends import run_incore
 
     @register_backend(
         "test-wahless",
-        description="correct bitset, defective wah (harness canary)",
-        level_stores=("memory",),
-        compute_domains=("bitset", "wah"),
+        description="correct raw stores, defective wah (harness canary)",
     )
     def run_wahless(g, config, on_clique=None):
-        res = run_incore(
-            g,
-            replace(config, backend="incore", compute_domain="bitset"),
-            on_clique,
-        )
-        if config.compute_domain == "wah" and res.cliques:
+        res = run_incore(g, replace(config, backend="incore"), on_clique)
+        if config.level_store == "wah" and res.cliques:
             res.cliques.pop()
         res.backend = "test-wahless"
         return res
 
     try:
-        with pytest.raises(AssertionError, match="domain=wah"):
+        with pytest.raises(AssertionError, match="store=wah"):
             assert_cross_backend_equivalence(
                 make_family_graph("clique_planted", seed=3, n=24),
                 case="domain-canary",
@@ -364,7 +349,6 @@ def test_harness_counter_check_catches_a_lying_merge():
     @register_backend(
         "test-undercount",
         description="forgets half its pair checks (harness canary)",
-        level_stores=("memory",),
     )
     def run_undercount(g, config, on_clique=None):
         res = run_incore(g, replace(config, backend="incore"), on_clique)

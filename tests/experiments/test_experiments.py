@@ -181,8 +181,7 @@ class TestRunner:
     def test_experiment_registry_complete(self):
         assert set(EXPERIMENTS) == {
             "table1", "maxclique", "figure5", "figure6", "figure7",
-            "figure8", "figure9", "figure9_stores", "figure9_domains",
-            "ablations",
+            "figure8", "figure9", "figure9_stores", "ablations",
         }
 
     def test_unknown_experiment_rejected(self, capsys):

@@ -61,9 +61,7 @@ class TestEngineFastPath:
         "config",
         [
             EnumerationConfig(k_min=3),
-            EnumerationConfig(
-                k_min=3, compute_domain="wah", level_store="wah",
-            ),
+            EnumerationConfig(k_min=3, level_store="wah"),
             EnumerationConfig(k_min=3, backend="threads", jobs=2),
         ],
         ids=["incore", "wah-numpy", "threads"],

@@ -86,7 +86,7 @@ class TestJob:
         assert payload["status"] == "failed"
         assert payload["error"] == "boom"
         assert payload["label"] == "sweep"
-        assert payload["level_store"] is None
+        assert payload["level_store"] == "memory"
 
     def test_to_dict_reports_level_store(self):
         from repro.engine import EnumerationConfig
@@ -102,46 +102,38 @@ class TestJob:
 
 
 class TestSubmitTimeResolution:
-    def test_spec_stores_the_resolved_config(self):
-        """The spec keeps the k_min-promoted config, so the cache key
-        matches the run the engine actually dispatches."""
-        from repro.engine import register_backend, unregister_backend
-
-        @register_backend("test-spec-floor", min_k_min=3)
-        def run_floor(g, config, on_clique=None):
-            """Never dispatched in this test."""
-
-        try:
-            spec = JobSpec(
-                graph=complete_graph(2),
-                config=EnumerationConfig(
-                    backend="test-spec-floor", k_min=1
-                ),
-            )
-            promoted = JobSpec(
-                graph=complete_graph(2),
-                config=EnumerationConfig(
-                    backend="test-spec-floor", k_min=3
-                ),
-            )
-        finally:
-            unregister_backend("test-spec-floor")
-        assert spec.config.k_min == 3
-        assert spec.config == promoted.config
-        assert hash(spec.config) == hash(promoted.config)
-
     def test_unsupported_store_refused_at_spec_construction(self):
-        """Any policy the backend does not advertise — level store or
-        compute domain — is refused before the job is queued."""
+        """Every backend runs every store; the policy a backend can
+        refuse — jobs on a sequential one — is refused before the job
+        is queued."""
         from repro.errors import ConfigError
 
-        with pytest.raises(ConfigError, match="does not support"):
+        with pytest.raises(ConfigError, match="sequential"):
             JobSpec(
                 graph=complete_graph(2),
-                config=EnumerationConfig(
-                    backend="ooc", compute_domain="wah"
-                ),
+                config=EnumerationConfig(level_store="wah", jobs=2),
             )
+
+    def test_sequential_jobs_never_reach_the_queue(self):
+        """``jobs`` on a sequential backend fails the submit, instead of
+        a queued job that can only end FAILED at dispatch; the parallel
+        backend takes it."""
+        from repro.errors import ConfigError
+        from repro.service.scheduler import JobScheduler
+
+        with JobScheduler(workers=1, cache=None) as sched:
+            for backend in ("incore", "bitscan"):
+                with pytest.raises(ConfigError, match="sequential"):
+                    sched.submit(JobSpec(
+                        graph=complete_graph(3),
+                        config=EnumerationConfig(backend=backend, jobs=2),
+                    ))
+            assert sched.jobs() == []
+            job = sched.submit(JobSpec(
+                graph=complete_graph(3),
+                config=EnumerationConfig(backend="threads", jobs=2),
+            )).wait(30)
+            assert job.status is JobStatus.DONE
 
     def test_unknown_backend_refused_at_spec_construction(self):
         with pytest.raises(ParameterError, match="unknown backend"):

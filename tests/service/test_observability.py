@@ -50,9 +50,7 @@ def metric_value(text: str, name: str, labels: str = "") -> float:
 class TestRoundTrip:
     def test_scrape_matches_result_counters_exactly(self, plane, graph):
         """The acceptance criterion: scrape == EnumerationResult."""
-        config = EnumerationConfig(
-            k_min=3, compute_domain="wah", level_store="wah",
-        )
+        config = EnumerationConfig(k_min=3, level_store="wah")
         with JobScheduler(workers=1) as sched:
             job = sched.submit(JobSpec(graph=graph, config=config))
             job.wait(timeout=30)

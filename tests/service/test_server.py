@@ -53,8 +53,8 @@ def client(server):
 class TestProtocolPayloads:
     def test_config_round_trip(self):
         cfg = EnumerationConfig(
-            backend="ooc", k_min=3, k_max=7, max_cliques=10,
-            options={"chunk_size": 8},
+            backend="bitscan", k_min=3, k_max=7, max_cliques=10,
+            level_store="disk", options={"chunk_size": 8},
         )
         assert config_from_payload(config_to_payload(cfg)) == cfg
 
@@ -93,25 +93,30 @@ class TestProtocolPayloads:
     def test_spec_payload_rejects_unknown_fields(self):
         """Regression: a misspelled config key must fail the submit,
         not silently run the job with defaults — and so must a field
-        the config does not have, such as the ``kernel`` older clients
-        may still send."""
-        for field in ("kmin", "kernel"):
+        the config does not have, such as the ``kernel`` or
+        ``compute_domain`` older clients may still send."""
+        for field in ("kmin", "kernel", "compute_domain"):
             with pytest.raises(ParameterError, match=field):
                 spec_from_payload({"graph": "g.json", field: 3})
 
     def test_unknown_submit_field_rejected_over_the_wire(self, client):
-        for field in ({"max_clique": 100}, {"kernel": "numpy"}):
+        for field in (
+            {"max_clique": 100},
+            {"kernel": "numpy"},
+            {"compute_domain": "wah"},
+        ):
             with pytest.raises(ServiceError, match="unknown submit field"):
                 client.call("submit", graph="g.json", **field)
 
 
 class TestSubmitTimeResolution:
-    """A policy the backend does not advertise — level store or
-    compute domain, one shared check — is refused at submit time."""
+    """A policy the backend does not support — ``jobs`` on a
+    sequential backend, the one shared check — is refused at submit
+    time."""
 
     EXPECTED = (
-        "backend 'ooc' does not support compute domain 'wah'; "
-        "supported: bitset (or 'auto')"
+        "backend 'incore' is sequential; jobs is only valid for "
+        "parallel backends (see `repro engines`)"
     )
 
     def test_unsupported_store_refused_client_side(self, client, g):
@@ -122,9 +127,7 @@ class TestSubmitTimeResolution:
         with pytest.raises(ConfigError) as exc:
             client.submit(
                 g,
-                config=EnumerationConfig(
-                    backend="ooc", compute_domain="wah"
-                ),
+                config=EnumerationConfig(backend="incore", jobs=2),
             )
         assert str(exc.value) == self.EXPECTED
 
@@ -138,8 +141,8 @@ class TestSubmitTimeResolution:
             client.call(
                 "submit",
                 graph_inline={"n": 3, "edges": [[0, 1], [1, 2]]},
-                backend="ooc",
-                compute_domain="wah",
+                backend="incore",
+                jobs=2,
             )
         assert self.EXPECTED in str(exc.value)
         assert client.jobs() == []  # nothing was queued
@@ -201,6 +204,17 @@ class TestRoundTrip:
         assert after["hits"] == before["hits"] + 1
         assert after["misses"] == before["misses"]  # no re-enumeration
         assert second["n_cliques"] == first["n_cliques"]
+
+    def test_default_store_spelled_out_is_a_cache_hit(self, client, g):
+        """No store and ``level_store="memory"`` are one config, so the
+        service keeps one cache entry for them."""
+        first = client.wait(client.submit(g, k_min=2), timeout=60)
+        second = client.wait(
+            client.submit(g, k_min=2, level_store="memory"), timeout=60
+        )
+        assert not first["cache_hit"]
+        assert second["cache_hit"]
+        assert second["level_store"] == first["level_store"] == "memory"
 
     def test_jsonl_sink_matches_collect_on_disk(self, client, g, tmp_path):
         """Acceptance: jsonl output on disk == collect sink output."""

@@ -20,9 +20,13 @@ from repro.service.sinks import (
 
 ENGINE = EnumerationEngine()
 
-#: the streaming sinks are substrate-independent; two backends with
-#: different storage policies are enough to prove it.
-BACKENDS = ("incore", "ooc")
+#: the streaming sinks are substrate-independent; the in-core mode and
+#: the out-of-core mode (the disk store) are enough to prove it.
+MODES = {"incore": "memory", "ooc": "disk"}
+
+
+def _config(mode):
+    return EnumerationConfig(level_store=MODES[mode], k_min=2)
 
 
 @pytest.fixture(scope="module")
@@ -202,28 +206,24 @@ class TestAccounting:
 
 
 class TestBackendEquivalence:
-    """Each sink × two backends asserting identical counts."""
+    """Each sink × two storage modes asserting identical counts."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("spec", ["collect", "count", "top_k:4"])
-    def test_sink_counts_match_reference(self, backend, spec, workload):
+    def test_sink_counts_match_reference(self, mode, spec, workload):
         g, reference = workload
         sink = make_sink(spec)
-        ENGINE.run(
-            g, EnumerationConfig(backend=backend, k_min=2), on_clique=sink
-        )
+        ENGINE.run(g, _config(mode), on_clique=sink)
         sink.close()
         assert sink.count == len(reference)
         assert sum(sink.by_size.values()) == len(reference)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_jsonl_output_matches_collect(self, backend, workload, tmp_path):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_jsonl_output_matches_collect(self, mode, workload, tmp_path):
         g, reference = workload
-        path = tmp_path / f"{backend}.jsonl"
+        path = tmp_path / f"{mode}.jsonl"
         sink = JsonlSink(path)
-        ENGINE.run(
-            g, EnumerationConfig(backend=backend, k_min=2), on_clique=sink
-        )
+        ENGINE.run(g, _config(mode), on_clique=sink)
         sink.close()
         on_disk = sorted(
             tuple(json.loads(line))
@@ -231,13 +231,11 @@ class TestBackendEquivalence:
         )
         assert on_disk == reference
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_top_k_identical_across_backends(self, backend, workload):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_top_k_identical_across_backends(self, mode, workload):
         g, reference = workload
         sink = make_sink("top_k:3")
-        ENGINE.run(
-            g, EnumerationConfig(backend=backend, k_min=2), on_clique=sink
-        )
+        ENGINE.run(g, _config(mode), on_clique=sink)
         want = sorted(reference, key=lambda c: (len(c), c), reverse=True)[:3]
         assert sink.top == want
 

@@ -103,9 +103,15 @@ class TestSchedulerUnderThreadsBackend:
                         backend=backend,
                         k_min=2,
                         jobs=2 if backend == "threads" else None,
+                        level_store=store,
                     ),
                 )
-                for backend in ("incore", "threads", "ooc", "threads")
+                for backend, store in (
+                    ("incore", "memory"),
+                    ("threads", "memory"),
+                    ("incore", "disk"),
+                    ("threads", "wah"),
+                )
             ]
             jobs = sched.submit_batch(specs)
             sched.drain(timeout=120)

@@ -154,28 +154,26 @@ class TestEnumerateLevelStores:
         """``repro enumerate`` and the service submit path must refuse
         a policy the backend does not support with the *identical*
         ConfigError — the single resolution point in the engine config
-        layer, which checks the level store and the compute domain
-        alike (no built-in backend refuses a level store)."""
+        layer.  Every backend runs every level store; the one refusal
+        is ``--jobs`` on a sequential backend."""
         from repro.errors import ConfigError
         from repro.service.jobs import JobSpec
         from repro.engine import EnumerationConfig
 
         expected = (
-            "backend 'ooc' does not support compute domain 'wah'; "
-            "supported: bitset (or 'auto')"
+            "backend 'incore' is sequential; jobs is only valid for "
+            "parallel backends (see `repro engines`)"
         )
         rc = main(
-            ["enumerate", graph_file, "--backend", "ooc",
-             "--compute-domain", "wah"]
+            ["enumerate", graph_file, "--level-store", "wah",
+             "--jobs", "2"]
         )
         assert rc == 1
         assert f"error: {expected}" in capsys.readouterr().err
         with pytest.raises(ConfigError) as exc:
             JobSpec(
                 graph=graph_file,
-                config=EnumerationConfig(
-                    backend="ooc", compute_domain="wah"
-                ),
+                config=EnumerationConfig(level_store="wah", jobs=2),
             )
         assert str(exc.value) == expected
 
@@ -186,13 +184,7 @@ class TestEngines:
         out = capsys.readouterr().out
         for name in available_backends():
             assert name in out
-        assert "storage" in out
-
-    def test_lists_supported_level_stores(self, capsys):
-        assert main(["engines"]) == 0
-        out = capsys.readouterr().out
-        assert "level stores" in out
-        assert "memory,disk,wah" in out
+        assert "parallel" in out
 
 
 class TestMaxClique:
@@ -272,6 +264,10 @@ class TestServiceCommands:
         out = capsys.readouterr().out
         assert "mylabel" in out
         assert "done" in out
+        # the store column shows the store the job ran on
+        header, row = out.splitlines()[:2]
+        assert header.split()[3] == "store"
+        assert row.split()[3] == "memory"
 
     def test_unreachable_service(self, graph_file, capsys):
         rc = main(

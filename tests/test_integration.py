@@ -20,7 +20,6 @@ from repro.core.decomposition import paraclique_decomposition
 from repro.core.generators import planted_partition
 from repro.core.kose import kose_enumerate
 from repro.core.maximum_clique import maximum_clique, maximum_clique_size
-from repro.core.out_of_core import enumerate_maximal_cliques_ooc
 from repro.core.stats import summarize
 from repro.engine import EnumerationConfig, run_enumeration
 from repro.parallel.machine import MachineSpec
@@ -68,9 +67,8 @@ class TestExpressionToModules:
         g = res.graph
         ref = sorted(enumerate_maximal_cliques(g, k_min=2).cliques)
         assert sorted(kose_enumerate(g, k_min=2).cliques) == ref
-        assert sorted(
-            enumerate_maximal_cliques_ooc(g, k_min=2).cliques
-        ) == ref
+        ooc = EnumerationConfig(k_min=2, level_store="disk")
+        assert sorted(run_enumeration(g, ooc).cliques) == ref
         threads = EnumerationConfig(backend="threads", k_min=2, jobs=2)
         assert sorted(run_enumeration(g, threads).cliques) == ref
 

@@ -53,11 +53,6 @@ GOOD_RL001 = dedent_tree({
 
             def __hash__(self):
                 return hash((self.backend, self.level_store))
-
-        def resolve_for_backend(config, info):
-            if config.level_store not in info.level_stores:
-                raise ValueError("unsupported")
-            return {}
         """,
     "src/repro/cli.py": """\
         def build_parser(parser):
@@ -70,11 +65,6 @@ GOOD_RL001 = dedent_tree({
         class Job:
             def to_dict(self):
                 return {"id": self.id, "level_store": self.level_store}
-        """,
-    "src/repro/engine/registry.py": """\
-        class BackendInfo:
-            name: str = ""
-            level_stores: tuple = ()
         """,
     "src/repro/service/cache.py": """\
         class ResultCache:
@@ -100,13 +90,6 @@ class TestRL001:
                 "__hash__",
             ),
             (
-                "src/repro/engine/config.py",
-                "if config.level_store not in info.level_stores:\n"
-                "        raise ValueError(\"unsupported\")\n    ",
-                "",
-                "resolve_for_backend",
-            ),
-            (
                 "src/repro/cli.py",
                 '"--level-store"',
                 '"--verbose"',
@@ -123,12 +106,6 @@ class TestRL001:
                 '"level_store": self.level_store',
                 '"backend": self.backend',
                 "to_dict",
-            ),
-            (
-                "src/repro/engine/registry.py",
-                "level_stores: tuple = ()",
-                "kernels: tuple = ()",
-                "level_stores",
             ),
         ],
     )

@@ -3,21 +3,16 @@
 A *policy field* on :class:`~repro.engine.config.EnumerationConfig` is
 a field whose ``__post_init__`` validates membership against a
 module-level vocabulary tuple (``self.level_store not in LEVEL_STORES``
-— the pattern every policy since PR 3 followed).  Each such field must
-reach all six layers the engine/service stack threads policies through:
+— the pattern every policy follows).  Each such field must reach all
+four layers the engine/service stack threads policies through:
 
-1. ``resolve_for_backend`` in ``src/repro/engine/config.py`` must read
-   ``config.<field>`` (backend cross-validation);
-2. ``EnumerationConfig.__hash__`` must include ``self.<field>`` (the
+1. ``EnumerationConfig.__hash__`` must include ``self.<field>`` (the
    config identity the service result cache keys on);
-3. ``src/repro/cli.py`` must declare a ``--<field-with-dashes>`` flag;
-4. ``src/repro/service/protocol.py`` must carry the field in
+2. ``src/repro/cli.py`` must declare a ``--<field-with-dashes>`` flag;
+3. ``src/repro/service/protocol.py`` must carry the field in
    ``_CONFIG_FIELDS`` (the wire payload);
-5. ``Job.to_dict`` in ``src/repro/service/jobs.py`` must expose the
-   field (listings/`repro jobs`);
-6. ``BackendInfo`` in ``src/repro/engine/registry.py`` must advertise
-   the supported values under the pluralised attribute
-   (``level_store`` → ``level_stores``).
+4. ``Job.to_dict`` in ``src/repro/service/jobs.py`` must expose the
+   field (listings/`repro jobs`).
 
 Additionally, ``ResultCache.key`` in ``src/repro/service/cache.py``
 must key on the *whole* config object — a projection of hand-picked
@@ -47,10 +42,9 @@ CONFIG = "src/repro/engine/config.py"
 CLI = "src/repro/cli.py"
 PROTOCOL = "src/repro/service/protocol.py"
 JOBS = "src/repro/service/jobs.py"
-REGISTRY = "src/repro/engine/registry.py"
 CACHE = "src/repro/service/cache.py"
 
-LAYERS = (CLI, PROTOCOL, JOBS, REGISTRY, CACHE)
+LAYERS = (CLI, PROTOCOL, JOBS, CACHE)
 
 
 def _policy_fields(
@@ -76,19 +70,6 @@ def _policy_fields(
         ):
             fields.setdefault(attr, node.lineno)
     return fields
-
-
-def _attrs_read_on(node: ast.AST, base: str) -> set[str]:
-    """Attribute names read off ``<base>.<attr>`` anywhere in ``node``."""
-    out: set[str] = set()
-    for sub in ast.walk(node):
-        if (
-            isinstance(sub, ast.Attribute)
-            and isinstance(sub.value, ast.Name)
-            and sub.value.id == base
-        ):
-            out.add(sub.attr)
-    return out
 
 
 def _string_constants(tree: ast.AST) -> set[str]:
@@ -165,9 +146,8 @@ def _check_cache_keys_whole_config(
 @register_rule(
     "RL001",
     "config-threading completeness",
-    "Every EnumerationConfig policy field must reach validation, "
-    "cache identity, the CLI, the wire protocol, Job.to_dict, and the "
-    "BackendInfo advertisement.",
+    "Every EnumerationConfig policy field must reach cache identity, "
+    "the CLI, the wire protocol, and Job.to_dict.",
 )
 def check(project: Project) -> list[Violation]:
     src = project.source(CONFIG)
@@ -210,12 +190,6 @@ def check(project: Project) -> list[Violation]:
                     )
                 )
 
-    resolve = find_function(src.tree.body, "resolve_for_backend")
-    resolve_reads = (
-        _attrs_read_on(resolve, resolve.args.args[0].arg)
-        if resolve is not None and resolve.args.args
-        else set()
-    )
     hash_fn = find_function(cls.body, "__hash__")
     hash_reads = (
         {
@@ -250,40 +224,8 @@ def check(project: Project) -> list[Violation]:
         )
         if to_dict is not None:
             to_dict_keys = _string_constants(to_dict)
-    registry_src = project.source(REGISTRY)
-    backend_info_attrs: set[str] = set()
-    if REGISTRY not in missing_layer:
-        info_cls = find_class(registry_src.tree, "BackendInfo")
-        if info_cls is not None:
-            backend_info_attrs = {
-                stmt.target.id
-                for stmt in info_cls.body
-                if isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-            }
 
     for name, lineno in sorted(fields.items()):
-        if resolve is None:
-            violations.append(
-                Violation(
-                    "RL001",
-                    CONFIG,
-                    lineno,
-                    f"policy field {name!r}: resolve_for_backend not "
-                    "found for backend cross-validation",
-                )
-            )
-        elif name not in resolve_reads:
-            violations.append(
-                Violation(
-                    "RL001",
-                    CONFIG,
-                    resolve.lineno,
-                    f"policy field {name!r} is never validated in "
-                    "resolve_for_backend (backends must reject "
-                    "unadvertised values before dispatch)",
-                )
-            )
         if hash_fn is None or name not in hash_reads:
             violations.append(
                 Violation(
@@ -324,20 +266,6 @@ def check(project: Project) -> list[Violation]:
                     0,
                     f"policy field {name!r} missing from Job.to_dict "
                     "— job listings could not show the policy",
-                )
-            )
-        plural = name + "s"
-        if (
-            REGISTRY not in missing_layer
-            and plural not in backend_info_attrs
-        ):
-            violations.append(
-                Violation(
-                    "RL001",
-                    REGISTRY,
-                    0,
-                    f"policy field {name!r}: BackendInfo has no "
-                    f"{plural!r} advertisement attribute",
                 )
             )
 
