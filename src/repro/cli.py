@@ -41,6 +41,7 @@ import sys
 
 from repro.core import graph_io
 from repro.core.maximum_clique import maximum_clique
+from repro.core.memory_model import parse_byte_size
 from repro.core.stats import summarize
 from repro.engine import (
     LEVEL_STORE_AUTO,
@@ -75,47 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         "enumerate", help="enumerate maximal cliques"
     )
     p_enum.add_argument("graph", help="input graph file")
-    p_enum.add_argument(
-        "--backend",
-        default="incore",
-        choices=available_backends(),
-        metavar="NAME",
-        help=(
-            "execution backend (see the 'engines' subcommand; default: "
-            "incore; choices: %(choices)s)"
-        ),
-    )
-    p_enum.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker threads for the parallel 'threads' backend "
-            "(default: cpu count)"
-        ),
-    )
-    p_enum.add_argument(
-        "--level-store",
-        default="memory",
-        choices=(*LEVEL_STORES, LEVEL_STORE_AUTO),
-        metavar="NAME",
-        help=(
-            "candidate-level storage substrate: %(choices)s "
-            "(default: %(default)s; 'disk' spills every level, the "
-            "paper's out-of-core mode; 'wah' holds levels "
-            "WAH-compressed and runs the compressed-domain step, to "
-            "cut the memory peak on sparse graphs; 'auto' picks the "
-            "cheapest substrate whose memory-model predicted peak "
-            "fits the available memory)"
-        ),
-    )
-    p_enum.add_argument(
-        "--k-min", type=int, default=1, help="minimum clique size (Init_K)"
-    )
-    p_enum.add_argument(
-        "--k-max", type=int, default=None, help="maximum clique size"
-    )
+    _add_config_flags(p_enum)
     p_enum.add_argument(
         "--sink",
         default=None,
@@ -184,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-cache entries, 0 disables (default: %(default)s)",
     )
     p_serve.add_argument(
-        "--memory-budget", default=None, metavar="SIZE",
+        "--memory-budget", type=parse_byte_size, default=None,
+        metavar="SIZE",
         help=(
             "admission-control memory budget, e.g. 512M or 2GB: "
             "workers only claim a job when its memory-model predicted "
@@ -193,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_serve.add_argument(
-        "--metrics", nargs="?", const=True, default=None,
+        "--metrics", nargs="?", type=int, const=True, default=None,
         metavar="PORT",
         help=(
             "enable the metrics plane (the 'metrics' wire op); with a "
@@ -224,23 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_submit.add_argument("graph", help="graph file (server-side path)")
     add_connect(p_submit)
-    p_submit.add_argument(
-        "--backend", default="incore", metavar="NAME",
-        help="execution backend (default: incore)",
-    )
-    p_submit.add_argument("--jobs", type=int, default=None, metavar="N")
-    p_submit.add_argument(
-        "--level-store", default="memory",
-        choices=(*LEVEL_STORES, LEVEL_STORE_AUTO),
-        metavar="NAME",
-        help=(
-            "candidate-level storage substrate (default: %(default)s; "
-            "'auto' lets the service pick the cheapest one whose "
-            "predicted peak fits its memory budget)"
-        ),
-    )
-    p_submit.add_argument("--k-min", type=int, default=1)
-    p_submit.add_argument("--k-max", type=int, default=None)
+    _add_config_flags(p_submit)
     p_submit.add_argument(
         "--sink", default="count", metavar="SPEC",
         help="job sink spec (default: count)",
@@ -280,6 +226,63 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """The :class:`EnumerationConfig` flags ``enumerate`` and ``submit``
+    share (read back by :func:`_config_from_args`)."""
+    p.add_argument(
+        "--backend",
+        default="incore",
+        choices=available_backends(),
+        metavar="NAME",
+        help=(
+            "execution backend (see the 'engines' subcommand; default: "
+            "incore; choices: %(choices)s)"
+        ),
+    )
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        metavar="N",
+        help=(
+            "worker threads for the parallel 'threads' backend "
+            "(default: cpu count)"
+        ),
+    )
+    p.add_argument(
+        "--level-store",
+        default="memory",
+        choices=(*LEVEL_STORES, LEVEL_STORE_AUTO),
+        metavar="NAME",
+        help=(
+            "candidate-level storage substrate: %(choices)s "
+            "(default: %(default)s; 'disk' spills every level, the "
+            "paper's out-of-core mode; 'wah' holds levels "
+            "WAH-compressed and runs the compressed-domain step, to "
+            "cut the memory peak on sparse graphs; 'auto' picks the "
+            "cheapest substrate whose memory-model predicted peak "
+            "fits the memory budget — the service's, or the "
+            "available memory)"
+        ),
+    )
+    p.add_argument(
+        "--k-min", type=int, default=1, help="minimum clique size (Init_K)"
+    )
+    p.add_argument(
+        "--k-max", type=int, default=None, help="maximum clique size"
+    )
+
+
+def _config_from_args(args: argparse.Namespace) -> EnumerationConfig:
+    return EnumerationConfig(
+        backend=args.backend,
+        k_min=args.k_min,
+        k_max=args.k_max,
+        jobs=args.jobs,
+        level_store=args.level_store,
+    )
+
+
 def _print_size_counts(by_size: dict[int, int], total: int) -> None:
     for size, count in sorted(by_size.items()):
         print(f"size {size}: {count}")
@@ -292,13 +295,7 @@ def _cmd_enumerate(args) -> int:
     )
 
     g = graph_io.load(args.graph)
-    config = EnumerationConfig(
-        backend=args.backend,
-        k_min=args.k_min,
-        k_max=args.k_max,
-        jobs=args.jobs,
-        level_store=args.level_store,
-    )
+    config = _config_from_args(args)
     spec = args.sink
     if args.count:
         if spec is not None and spec != "count":
@@ -407,10 +404,17 @@ def _cmd_trace(args) -> int:
     if args.file is not None:
         records = []
         with open(args.file, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
-                if line:
+                if not line:
+                    continue
+                try:
                     records.append(json.loads(line))
+                except ValueError as exc:
+                    raise ReproError(
+                        f"{args.file}:{lineno}: malformed trace "
+                        f"record: {exc}"
+                    ) from None
         if args.limit is not None and args.limit >= 0:
             records = records[-args.limit:]
     else:
@@ -443,26 +447,18 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.core.memory_model import parse_byte_size
     from repro.service import serve
 
     # --metrics alone enables the plane (wire-op scrapes only);
     # --metrics PORT additionally serves GET /metrics on that port
-    metrics_port = None
-    if args.metrics is not None and args.metrics is not True:
-        metrics_port = int(args.metrics)
-    budget = (
-        parse_byte_size(args.memory_budget)
-        if args.memory_budget is not None
-        else None
-    )
+    metrics_port = args.metrics if args.metrics is not True else None
     serve(
         host=args.host,
         port=args.port,
         socket_path=args.socket,
         workers=args.workers,
         cache_size=args.cache_size,
-        memory_budget_bytes=budget,
+        memory_budget_bytes=args.memory_budget,
         metrics=args.metrics is not None,
         metrics_port=metrics_port,
         trace_path=args.trace,
@@ -485,13 +481,7 @@ def _service_address(args):
 def _cmd_submit(args) -> int:
     from repro.service import ServiceClient
 
-    config = EnumerationConfig(
-        backend=args.backend,
-        k_min=args.k_min,
-        k_max=args.k_max,
-        jobs=args.jobs,
-        level_store=args.level_store,
-    )
+    config = _config_from_args(args)
     with ServiceClient(_service_address(args)) as client:
         job_id = client.submit(
             args.graph,

@@ -8,7 +8,7 @@ package turns that claim into architecture:
 
 * :class:`~repro.engine.config.EnumerationConfig` — one frozen,
   validated description of a run (size window, budgets, backend name,
-  backend options);
+  workers, level store, spill directory);
 * :mod:`~repro.engine.registry` — named backends, each a callable
   ``(graph, config, on_clique) -> EnumerationResult``;
 * :mod:`~repro.engine.level_store` /

@@ -55,25 +55,13 @@ __all__ = [
 OnClique = Callable[[tuple[int, ...]], None] | None
 
 
-def _reject_unknown_options(config: EnumerationConfig, known: set[str]):
-    unknown = set(config.options) - known
-    if unknown:
-        raise ParameterError(
-            f"backend {config.backend!r} does not understand option(s) "
-            f"{', '.join(sorted(unknown))}; known: "
-            f"{', '.join(sorted(known)) or '(none)'}"
-        )
-
-
 def _store_policy(config: EnumerationConfig):
     """Resolve ``config.level_store`` for a level-loop backend.
 
-    Returns ``(store_factory, io, store_options)`` — the factory for
-    :func:`~repro.engine.level_loop.run_level_loop`, the shared
+    Returns ``(store_factory, io)`` — the factory for
+    :func:`~repro.engine.level_loop.run_level_loop` and the shared
     :class:`IOStats` when the substrate touches disk (``None``
-    otherwise), and the option keys the substrate understands (fed to
-    :func:`_reject_unknown_options`, so e.g. a spill ``directory`` on
-    the in-memory substrate still fails before work starts).
+    otherwise).
     """
     name = config.level_store
     if name == "auto":
@@ -83,23 +71,12 @@ def _store_policy(config: EnumerationConfig):
             "job service), which picks the concrete substrate"
         )
     if name == "memory":
-        return MemoryLevelStore, None, set()
+        return MemoryLevelStore, None
     if name == "wah":
-        chunk_size = config.option("chunk_size", 256)
-        return (
-            lambda: CompressedLevelStore(chunk_size),
-            None,
-            {"chunk_size"},
-        )
+        return CompressedLevelStore, None
     if name == "disk":
         io = IOStats()
-        directory = config.option("directory")
-        chunk_size = config.option("chunk_size", 256)
-        return (
-            lambda: DiskLevelStore(directory, chunk_size, io),
-            io,
-            {"directory", "chunk_size"},
-        )
+        return lambda: DiskLevelStore(config.spill_dir, stats=io), io
     raise ParameterError(  # pragma: no cover - config validates first
         f"unknown level store {name!r}; expected one of "
         f"{', '.join(LEVEL_STORES)}"
@@ -139,8 +116,7 @@ def _run_sequential(
     bitset_step,
 ) -> EnumerationResult:
     """One sequential level-loop run on the configured store."""
-    store_factory, io, store_opts = _store_policy(config)
-    _reject_unknown_options(config, store_opts)
+    store_factory, io = _store_policy(config)
     step, stream_mode, expander = _resolve_step(
         g, config.level_store, model, bitset_step
     )
@@ -201,7 +177,7 @@ def run_threads(
     The generation *step* is the parallel policy: each level (or store
     chunk) is LPT-partitioned across a persistent pool of
     ``config.jobs`` worker threads which expand shared-state sub-lists
-    and steal ``steal_granularity``-sized slices from the heaviest
+    and steal ``DEFAULT_STEAL_GRANULARITY``-sized slices from the heaviest
     partition when their own runs dry
     (:class:`~repro.parallel.thread_backend.ThreadedExpander`).
     Everything else — seeding, budgets, per-level statistics, all three
@@ -228,14 +204,13 @@ def run_threads(
         resolve_worker_count,
     )
 
-    store_factory, io, store_opts = _store_policy(config)
-    _reject_unknown_options(config, store_opts | {"steal_granularity"})
+    store_factory, io = _store_policy(config)
     step, stream_mode, wah_expander = _resolve_step(
         g, config.level_store, "pairs", generate_next_level, "entries"
     )
     expander = ThreadedExpander(
         resolve_worker_count(config.jobs),
-        config.option("steal_granularity", DEFAULT_STEAL_GRANULARITY),
+        DEFAULT_STEAL_GRANULARITY,
         step=step,
     )
     with expander:

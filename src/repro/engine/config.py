@@ -3,18 +3,20 @@
 One :class:`EnumerationConfig` describes a run completely: the size
 window (the paper's ``Init_K`` and the optional upper bound), the safety
 budgets, the backend name resolved through
-:mod:`repro.engine.registry`, the level store, and a free-form
-``options`` mapping for backend-specific knobs (spill directory and
-chunk size for the ``"disk"`` level store, steal granularity for
-``"threads"``).  The config is frozen and validated at construction,
+:mod:`repro.engine.registry`, the level store, and the disk store's
+spill directory.  The config is frozen and validated at construction,
 so a bad parameter fails before any work starts — and before a worker
 pool or spill directory is created.
+
+Its dataclass fields are the one list of config fields: the generated
+``__eq__``/``__hash__`` (the service result-cache identity) and the
+wire payload of :mod:`repro.service.protocol` both derive from them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ConfigError, ParameterError
@@ -44,41 +46,32 @@ LEVEL_STORES = ("memory", "disk", "wah")
 LEVEL_STORE_AUTO = "auto"
 
 
-def _stable_key(value: Any) -> tuple[str, object]:
-    """An order-insensitive, hash/eq-consistent stand-in for ``value``.
+def _check_int(
+    name: str, value: Any, minimum: int, optional: bool = False
+) -> int | None:
+    """``value`` as a plain ``int >= minimum`` (or ``None`` if optional).
 
-    Containers whose equality crosses hashability lines are unified
-    *before* the hashable fast path — ``frozenset({1}) == {1}`` and a
-    hashable Mapping equal to a plain dict must produce the same key —
-    and are canonically sorted, so two equal options dicts built in
-    different insertion orders agree.  Everything else collapses to its
-    hash (``1`` and ``1.0`` compare equal and hash equal, so they stay
-    consistent; ``tuple`` never equals ``list``, so their different
-    tags are safe).  The leading tag keeps the sort inside
-    mappings/sets well-defined for mixed types.
+    Integral values pass, numpy integers normalised to ``int`` so the
+    config stays JSON-safe; ``bool``, ``float`` and ``str`` are refused
+    rather than coerced — a wire payload's ``"k_min": "3"`` or
+    ``2.5`` is a client bug, not a size.
     """
-    if isinstance(value, Mapping):
-        return (
-            "m",
-            tuple(sorted(
-                (_stable_key(k), _stable_key(v))
-                for k, v in value.items()
-            )),
-        )
-    if isinstance(value, (set, frozenset)):
-        return ("s", tuple(sorted(_stable_key(v) for v in value)))
-    try:
-        return ("h", hash(value))
-    except TypeError:
-        pass
-    if isinstance(value, (list, tuple)):
-        return ("l", tuple(_stable_key(v) for v in value))
-    return ("r", repr(value))
+    if value is None and optional:
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
 class EnumerationConfig:
     """Everything a backend needs to know about one enumeration run.
+
+    Every field is hashable, so the generated ``__eq__``/``__hash__``
+    cover all of them: the service result cache can never conflate
+    runs that differ in any field.
 
     Attributes
     ----------
@@ -114,17 +107,12 @@ class EnumerationConfig:
         runs the compressed-domain step of
         :mod:`repro.core.compressed_domain`, so the level never
         round-trips through raw bit strings; ``"memory"`` and
-        ``"disk"`` run the raw ``uint64`` word step.  Part of the
-        config's equality/hash, so the service result cache can never
-        conflate runs on different substrates.
-    options:
-        Backend-specific knobs, e.g. ``{"directory": ..., "chunk_size":
-        512}`` for the ``"disk"`` store, or ``{"steal_granularity": 4}`` for
-        ``"threads"`` (validated here because it is a concurrency knob
-        whose misconfiguration must fail before a pool starts; like
-        every option it is hashed into the config identity, so the
-        service result cache never conflates runs with different
-        stealing policies).  Unknown keys are rejected by the backend.
+        ``"disk"`` run the raw ``uint64`` word step.
+    spill_dir:
+        Directory the ``"disk"`` store spills its levels into (a fresh
+        temporary directory when ``None``).  A deployment path, so it
+        is only accepted with ``level_store="disk"``; a directory that
+        does not exist fails the run when the first level spills.
     """
 
     backend: str = "incore"
@@ -134,33 +122,23 @@ class EnumerationConfig:
     max_candidate_bytes: int | None = None
     jobs: int | None = None
     level_store: str = "memory"
-    options: Mapping[str, Any] = field(default_factory=dict)
+    spill_dir: str | None = None
 
     def __post_init__(self) -> None:
         if not self.backend or not isinstance(self.backend, str):
             raise ParameterError(
                 f"backend must be a non-empty string, got {self.backend!r}"
             )
-        if self.k_min < 1:
-            raise ParameterError(f"k_min must be >= 1, got {self.k_min}")
-        if self.k_max is not None and self.k_max < self.k_min:
-            raise ParameterError(
-                f"k_max ({self.k_max}) must be >= k_min ({self.k_min})"
-            )
-        if self.max_cliques is not None and self.max_cliques < 0:
-            raise ParameterError(
-                f"max_cliques must be >= 0, got {self.max_cliques}"
-            )
-        if (
-            self.max_candidate_bytes is not None
-            and self.max_candidate_bytes < 0
+        for name, minimum, optional in (
+            ("k_min", 1, False),
+            ("max_cliques", 0, True),
+            ("max_candidate_bytes", 0, True),
+            ("jobs", 1, True),
         ):
-            raise ParameterError(
-                "max_candidate_bytes must be >= 0, got "
-                f"{self.max_candidate_bytes}"
-            )
-        if self.jobs is not None and self.jobs < 1:
-            raise ParameterError(f"jobs must be >= 1, got {self.jobs}")
+            value = _check_int(name, getattr(self, name), minimum, optional)
+            object.__setattr__(self, name, value)
+        k_max = _check_int("k_max", self.k_max, self.k_min, optional=True)
+        object.__setattr__(self, "k_max", k_max)
         if (
             self.level_store != LEVEL_STORE_AUTO
             and self.level_store not in LEVEL_STORES
@@ -169,45 +147,18 @@ class EnumerationConfig:
                 f"level_store must be one of {', '.join(LEVEL_STORES)} "
                 f"or {LEVEL_STORE_AUTO!r}, got {self.level_store!r}"
             )
-        # normalise to a plain dict so `options` is hashable-agnostic and
-        # cheap to .get() from; the field stays read-only by convention.
-        object.__setattr__(self, "options", dict(self.options))
-        gran = self.options.get("steal_granularity")
-        if gran is not None and (
-            not isinstance(gran, int)
-            or isinstance(gran, bool)
-            or gran < 1
-        ):
-            raise ParameterError(
-                f"steal_granularity must be an int >= 1, got {gran!r}"
-            )
-
-    def __hash__(self) -> int:
-        # the frozen dataclass's auto-hash would choke on the options
-        # dict; hash its canonical :func:`_stable_key` instead.  The
-        # canonical key is used unconditionally — a fast path for
-        # all-hashable options would hash equal values differently
-        # (frozenset vs set) depending on which path they took,
-        # breaking the hash/eq contract the service ResultCache dict
-        # key depends on.
-        return hash((
-            self.backend,
-            self.k_min,
-            self.k_max,
-            self.max_cliques,
-            self.max_candidate_bytes,
-            self.jobs,
-            self.level_store,
-            _stable_key(self.options),
-        ))
-
-    def with_backend(self, backend: str) -> "EnumerationConfig":
-        """A copy of this config targeting a different backend."""
-        return replace(self, backend=backend)
-
-    def option(self, key: str, default: Any = None) -> Any:
-        """Read one backend-specific option with a default."""
-        return self.options.get(key, default)
+        if self.spill_dir is not None:
+            if not isinstance(self.spill_dir, str) or not self.spill_dir:
+                raise ParameterError(
+                    "spill_dir must be a non-empty path string, got "
+                    f"{self.spill_dir!r}"
+                )
+            if self.level_store != "disk":
+                raise ParameterError(
+                    "spill_dir is the disk store's spill directory; it "
+                    "needs level_store='disk', got "
+                    f"level_store={self.level_store!r}"
+                )
 
 
 def resolve_for_backend(

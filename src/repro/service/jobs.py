@@ -107,6 +107,14 @@ class JobSpec:
             raise ParameterError(
                 f"priority must be an int, got {self.priority!r}"
             )
+        if not isinstance(self.use_cache, bool):
+            raise ParameterError(
+                f"use_cache must be a bool, got {self.use_cache!r}"
+            )
+        if not isinstance(self.label, str):
+            raise ParameterError(
+                f"label must be a str, got {self.label!r}"
+            )
 
 
 class Job:

@@ -14,6 +14,7 @@ and :class:`~repro.service.jobs.JobSpec` from a ``submit`` payload
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from repro.errors import ParameterError
@@ -31,15 +32,8 @@ __all__ = [
 ]
 
 #: EnumerationConfig fields carried flat in submit payloads.
-_CONFIG_FIELDS = (
-    "backend",
-    "k_min",
-    "k_max",
-    "max_cliques",
-    "max_candidate_bytes",
-    "jobs",
-    "level_store",
-    "options",
+_CONFIG_FIELDS = tuple(
+    f.name for f in dataclasses.fields(EnumerationConfig)
 )
 
 
@@ -57,8 +51,6 @@ def config_to_payload(config: EnumerationConfig) -> dict:
 def config_from_payload(payload: dict) -> EnumerationConfig:
     """Rebuild a validated config from submit-payload fields."""
     kwargs = {k: payload[k] for k in _CONFIG_FIELDS if k in payload}
-    if "options" in kwargs and not isinstance(kwargs["options"], dict):
-        raise ParameterError("config options must be a JSON object")
     return EnumerationConfig(**kwargs)
 
 
@@ -112,26 +104,36 @@ def spec_from_payload(payload: dict) -> JobSpec:
             f"known: {', '.join(sorted(_SUBMIT_FIELDS - {'op'}))}"
         )
     if "graph_inline" in payload:
-        inline = payload["graph_inline"]
-        if not isinstance(inline, dict) or "n" not in inline:
-            raise ParameterError(
-                "graph_inline must be {'n': int, 'edges': [[u, v], ...]}"
-            )
-        graph = Graph.from_edges(
-            inline["n"],
-            [(int(u), int(v)) for u, v in inline.get("edges", [])],
-        )
+        graph = _inline_graph(payload["graph_inline"])
     elif "graph" in payload:
-        graph = str(payload["graph"])
+        graph = payload["graph"]
     else:
         raise ParameterError("submit needs 'graph' (path) or 'graph_inline'")
     return JobSpec(
         graph=graph,
         config=config_from_payload(payload),
         sink=payload.get("sink", "collect"),
-        priority=int(payload.get("priority", 0)),
-        use_cache=bool(payload.get("use_cache", True)),
-        label=str(payload.get("label", "")),
+        priority=payload.get("priority", 0),
+        use_cache=payload.get("use_cache", True),
+        label=payload.get("label", ""),
+    )
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _inline_graph(inline: object) -> Graph:
+    """The graph of a ``graph_inline`` payload; any other shape raises."""
+    if isinstance(inline, dict):
+        n, edges = inline.get("n"), inline.get("edges", [])
+        if _is_int(n) and isinstance(edges, list) and all(
+            isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
+            for e in edges
+        ):
+            return Graph.from_edges(n, edges)
+    raise ParameterError(
+        "graph_inline must be {'n': int, 'edges': [[u, v], ...]}"
     )
 
 
@@ -144,7 +146,7 @@ def decode_line(line: bytes | str) -> dict:
     """Parse one protocol line into a dict; raises on malformed input."""
     try:
         message = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise ParameterError(f"malformed protocol line: {exc}") from None
     if not isinstance(message, dict):
         raise ParameterError("protocol messages must be JSON objects")

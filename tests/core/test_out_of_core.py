@@ -120,7 +120,7 @@ class TestOocDriver:
 
     def test_explicit_directory(self, tmp_path):
         g = erdos_renyi(20, 0.35, seed=5)
-        res = _ooc(g, options={"directory": tmp_path})
+        res = _ooc(g, spill_dir=str(tmp_path))
         assert res.io.bytes_written > 0
         # spill files are cleaned up after streaming
         assert list(tmp_path.glob("*.spill")) == []

@@ -34,6 +34,19 @@ def _sl(prefix, tails, n=32):
     )
 
 
+#: a non-default value of every EnumerationConfig field
+_NON_DEFAULT = {
+    "backend": "bitscan",
+    "k_min": 3,
+    "k_max": 5,
+    "max_cliques": 10,
+    "max_candidate_bytes": 1 << 20,
+    "jobs": 2,
+    "level_store": "wah",
+    "spill_dir": "/tmp/spill",
+}
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = EnumerationConfig()
@@ -58,101 +71,63 @@ class TestConfig:
         with pytest.raises(ParameterError):
             EnumerationConfig(backend="")
 
-    def test_with_backend(self):
-        cfg = EnumerationConfig(k_min=3).with_backend("bitscan")
-        assert cfg.backend == "bitscan"
-        assert cfg.k_min == 3
-
-    @pytest.mark.parametrize("bad", [0, -1, "4", 2.5, True])
-    def test_invalid_steal_granularity(self, bad):
-        with pytest.raises(ParameterError, match="steal_granularity"):
-            EnumerationConfig(
-                backend="threads", options={"steal_granularity": bad}
-            )
-
-    def test_steal_granularity_part_of_identity(self):
-        a = EnumerationConfig(
-            backend="threads", options={"steal_granularity": 2}
-        )
-        b = EnumerationConfig(
-            backend="threads", options={"steal_granularity": 8}
-        )
-        c = EnumerationConfig(
-            backend="threads", options={"steal_granularity": 2}
-        )
-        assert a != b
-        assert a == c and hash(a) == hash(c)
-
-    def test_options_are_copied(self):
-        opts = {"chunk_size": 8}
-        cfg = EnumerationConfig(level_store="disk", options=opts)
-        opts["chunk_size"] = 99
-        assert cfg.option("chunk_size") == 8
-
     def test_frozen(self):
         with pytest.raises(AttributeError):
             EnumerationConfig().k_min = 2
 
     def test_hashable(self):
-        a = EnumerationConfig(level_store="disk", options={"chunk_size": 8})
-        b = EnumerationConfig(level_store="disk", options={"chunk_size": 8})
-        assert hash(a) == hash(b)
-        assert len({a, b}) == 1
-
-    def test_hashable_with_unhashable_option_values(self):
-        """Regression: a list-valued option (e.g. spill dirs) used to
-        raise TypeError from __hash__."""
-        a = EnumerationConfig(
-            level_store="disk", options={"dirs": ["/tmp/a", "/tmp/b"]}
-        )
-        b = EnumerationConfig(
-            level_store="disk", options={"dirs": ["/tmp/a", "/tmp/b"]}
-        )
-        assert hash(a) == hash(b)
-        assert len({a, b}) == 1
-        c = EnumerationConfig(
-            level_store="disk", options={"dirs": ["/tmp/c"]}
-        )
-        assert a != c
-
-    def test_hashable_with_mixed_type_option_keys(self):
-        """Regression: mixed-type keys broke sorted() inside __hash__."""
-        a = EnumerationConfig(options={1: "x", "z": 2})
-        b = EnumerationConfig(options={"z": 2, 1: "x"})
+        a = EnumerationConfig(level_store="disk", spill_dir="/tmp/a")
+        b = EnumerationConfig(level_store="disk", spill_dir="/tmp/a")
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
     def test_hash_fallback_still_usable_as_dict_key(self):
-        cfg = EnumerationConfig(options={"dirs": ["/tmp/a"]})
+        cfg = EnumerationConfig(level_store="disk", spill_dir="/tmp/a")
         table = {cfg: "cached"}
-        same = EnumerationConfig(options={"dirs": ["/tmp/a"]})
+        same = EnumerationConfig(level_store="disk", spill_dir="/tmp/a")
         assert table[same] == "cached"
 
-    def test_hash_eq_contract_with_nested_dict_insertion_order(self):
-        """Regression: equal configs whose unhashable option values are
-        dicts built in different insertion orders must hash equal."""
-        a = EnumerationConfig(options={"m": {"a": 1, "b": 2}, "l": [0]})
-        b = EnumerationConfig(options={"m": {"b": 2, "a": 1}, "l": [0]})
-        assert a == b
-        assert hash(a) == hash(b)
-        assert len({a, b}) == 1
+    @pytest.mark.parametrize("bad", [2.5, True, "3"])
+    @pytest.mark.parametrize(
+        "name",
+        ["k_min", "k_max", "max_cliques", "max_candidate_bytes", "jobs"],
+    )
+    def test_int_fields_refuse_non_ints(self, name, bad):
+        with pytest.raises(ParameterError, match=name):
+            EnumerationConfig(**{name: bad})
 
-    def test_hash_eq_contract_with_numeric_type_mix(self):
-        """[1] == [1.0] implies the configs are equal; their hashes
-        must agree (hash(1) == hash(1.0) carries through)."""
-        a = EnumerationConfig(options={"x": [1]})
-        b = EnumerationConfig(options={"x": [1.0]})
-        assert a == b
-        assert hash(a) == hash(b)
+    def test_numpy_ints_normalised(self):
+        cfg = EnumerationConfig(k_min=np.int64(3), k_max=np.int32(5))
+        assert type(cfg.k_min) is int and type(cfg.k_max) is int
+        assert cfg == EnumerationConfig(k_min=3, k_max=5)
 
-    def test_hash_eq_contract_across_hashability_lines(self):
-        """frozenset({1}) == {1}: equal configs must hash equal even
-        when one option value is hashable and the other is not."""
-        a = EnumerationConfig(options={"x": frozenset({1})})
-        b = EnumerationConfig(options={"x": {1}})
-        assert a == b
-        assert hash(a) == hash(b)
-        assert {a: "cached"}[b] == "cached"
+    @pytest.mark.parametrize(
+        "field", dataclasses.fields(EnumerationConfig), ids=lambda f: f.name
+    )
+    def test_every_field_is_part_of_identity(self, field, triangle):
+        """Each field changes equality, hash and the result-cache key,
+        and survives the wire: a new field needs a value here."""
+        from repro.service.cache import ResultCache
+        from repro.service.protocol import (
+            config_from_payload,
+            config_to_payload,
+            decode_line,
+            encode_line,
+        )
+
+        base = EnumerationConfig(
+            level_store="disk" if field.name == "spill_dir" else "memory"
+        )
+        other = dataclasses.replace(
+            base, **{field.name: _NON_DEFAULT[field.name]}
+        )
+        assert other != base
+        assert hash(other) != hash(base)
+        wire = decode_line(encode_line(config_to_payload(other)))
+        assert config_from_payload(wire) == other
+        assert ResultCache.key(triangle, other) != ResultCache.key(
+            triangle, base
+        )
 
     def test_jobs_rejected_by_sequential_backends(self, triangle):
         for backend in ("incore", "bitscan"):
@@ -244,15 +219,6 @@ class TestRegistry:
         ]
         threads = next(info for info in table if info.name == "threads")
         assert threads.parallel
-
-    def test_unknown_option_rejected(self, triangle):
-        with pytest.raises(ParameterError, match="option"):
-            run_enumeration(
-                triangle,
-                EnumerationConfig(
-                    backend="incore", options={"bogus": 1}
-                ),
-            )
 
 
 class TestLevelStores:
@@ -349,11 +315,24 @@ class TestFacade:
     def test_ooc_shared_directory_across_levels(self, tmp_path):
         """Consecutive levels spill into one directory without the next
         level's writer truncating the file the current level streams."""
+        # small chunks, so the next level flushes while this one streams
+        current = DiskLevelStore(tmp_path, chunk_size=4)
+        for i in range(10):
+            current.append(_sl([i], [i + 1, i + 2]))
+        following = DiskLevelStore(tmp_path, chunk_size=4)
+        streamed = []
+        for chunk in current.stream():
+            streamed.extend(sl.prefix for sl in chunk)
+            for sl in chunk:
+                following.append(_sl(sl.prefix + (0,), [31]))
+        assert streamed == [(i,) for i in range(10)]
+        assert len(list(following.stream())) == 3
+        # and the facade threads spill_dir through to the disk store
         g = erdos_renyi(120, 0.25, seed=9)
         cfg = EnumerationConfig(
             level_store="disk",
             k_min=2,
-            options={"directory": tmp_path, "chunk_size": 4},
+            spill_dir=str(tmp_path),
         )
         res = run_enumeration(g, cfg)
         ref = run_enumeration(g, EnumerationConfig(k_min=2))

@@ -183,19 +183,15 @@ class TestLevelStorePolicy:
         assert a == c and hash(a) == hash(c)
         assert len({a, b, c}) == 2
 
-    def test_spill_directory_rejected_off_disk_substrate(self, triangle):
-        """A spill directory on the in-memory substrate fails before
-        work, like every other inapplicable option."""
-        for store in ("memory", "wah"):
-            with pytest.raises(ParameterError, match="directory"):
-                run_enumeration(
-                    triangle,
-                    EnumerationConfig(
-                        backend="incore",
-                        level_store=store,
-                        options={"directory": "/tmp/x"},
-                    ),
-                )
+    def test_spill_directory_rejected_off_disk_substrate(self):
+        """A spill directory off the disk store fails at construction,
+        before any work; so does one that is not a path string."""
+        for store in ("memory", "wah", "auto"):
+            with pytest.raises(ParameterError, match="spill_dir"):
+                EnumerationConfig(level_store=store, spill_dir="/tmp/x")
+        for bad in (5, "", ["/tmp/x"]):
+            with pytest.raises(ParameterError, match="spill_dir"):
+                EnumerationConfig(level_store="disk", spill_dir=bad)
 
     def test_incore_on_disk_substrate_accepts_spill_options(
         self, tmp_path
@@ -207,7 +203,7 @@ class TestLevelStorePolicy:
                 backend="incore",
                 k_min=2,
                 level_store="disk",
-                options={"directory": tmp_path, "chunk_size": 4},
+                spill_dir=str(tmp_path),
             ),
         )
         ref = run_enumeration(g, EnumerationConfig(k_min=2))

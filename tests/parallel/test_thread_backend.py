@@ -27,6 +27,7 @@ from repro.core.generators import (
 )
 from repro.core.graph import Graph
 from repro.engine import EnumerationConfig, EnumerationEngine
+from repro.parallel import thread_backend as tb
 from repro.parallel.thread_backend import (
     ThreadedExpander,
     resolve_worker_count,
@@ -135,25 +136,25 @@ class TestDegenerateInputs:
 
 @pytest.mark.stress
 class TestConcurrencyStress:
-    def test_oversubscribed_workers_finest_stealing(self):
+    def test_oversubscribed_workers_finest_stealing(self, monkeypatch):
         """Workers far beyond cores, steal slices of one: max contention."""
+        monkeypatch.setattr(tb, "DEFAULT_STEAL_GRANULARITY", 1)
         g = planted_partition(
             80, [10, 9, 8, 7], p_in=0.9, p_out=0.05, seed=6
         )[0]
         ref = _run(g, backend="incore", k_min=1)
-        res = _run(
-            g, jobs=16, k_min=1, options={"steal_granularity": 1}
-        )
+        res = _run(g, jobs=16, k_min=1)
         assert res.cliques == ref.cliques
         assert res.counters.snapshot() == ref.counters.snapshot()
         assert res.n_workers == 16
 
-    def test_stealing_reported_as_transfers(self):
+    def test_stealing_reported_as_transfers(self, monkeypatch):
         """With more workers than seed sub-lists some pools start empty,
         so any observed transfer traffic is genuine stealing; output
         stays canonical regardless of how much occurred."""
+        monkeypatch.setattr(tb, "DEFAULT_STEAL_GRANULARITY", 1)
         g = erdos_renyi(60, 0.2, seed=13)
-        res = _run(g, jobs=8, k_min=2, options={"steal_granularity": 1})
+        res = _run(g, jobs=8, k_min=2)
         assert res.transfers >= 0
         assert res.cliques == _run(g, backend="incore", k_min=2).cliques
 
@@ -162,8 +163,6 @@ class TestConcurrencyStress:
         pinned deterministically by substituting an expander that
         reports a known count (steal timing itself is nondeterministic,
         so the integration tests above can only assert >= 0)."""
-        from repro.parallel import thread_backend as tb
-
         from repro.core.clique_enumerator import generate_next_level
 
         class FakeExpander(tb.ThreadedExpander):
@@ -244,17 +243,14 @@ class TestConcurrencyStress:
         assert thr.value.emitted == seq.value.emitted
         assert thr.value.level == seq.value.level
 
-    def test_many_runs_are_deterministic(self):
+    def test_many_runs_are_deterministic(self, monkeypatch):
         """Repeated threaded runs interleave differently but must emit
         the byte-identical sequence every time."""
+        monkeypatch.setattr(tb, "DEFAULT_STEAL_GRANULARITY", 2)
         g = erdos_renyi(50, 0.25, seed=3)
-        first = _run(
-            g, jobs=6, k_min=1, options={"steal_granularity": 2}
-        )
+        first = _run(g, jobs=6, k_min=1)
         for _ in range(4):
-            again = _run(
-                g, jobs=6, k_min=1, options={"steal_granularity": 2}
-            )
+            again = _run(g, jobs=6, k_min=1)
             assert again.cliques == first.cliques
             assert (
                 again.counters.snapshot() == first.counters.snapshot()

@@ -155,15 +155,22 @@ class TestBudgetsAndFailure:
         assert "budget" in job.error
         assert "emitted=3" in job.error
 
-    def test_bad_backend_option_fails_job(self, sched):
+    def test_bad_backend_option_fails_job(self, sched, tmp_path):
+        """A spill directory that does not exist fails the job with
+        its error, and the pool keeps serving."""
+        missing = tmp_path / "missing"
         job = sched.submit(
             JobSpec(
                 graph=complete_graph(4),
-                config=EnumerationConfig(options={"bogus": 1}),
+                config=EnumerationConfig(
+                    level_store="disk", spill_dir=str(missing)
+                ),
             )
         ).wait(30)
         assert job.status is JobStatus.FAILED
-        assert "option" in job.error
+        assert str(missing) in job.error
+        after = sched.submit(JobSpec(graph=complete_graph(4))).wait(30)
+        assert after.status is JobStatus.DONE
 
     def test_failed_jsonl_job_preserves_previous_output(
         self, sched, tmp_path

@@ -17,6 +17,7 @@ from repro.core import graph_io
 from repro.core.generators import barbell_graph, erdos_renyi
 from repro.engine import EnumerationConfig, EnumerationEngine
 from repro.errors import ParameterError, ServiceError
+from repro.parallel import thread_backend
 from repro.service import (
     EnumerationServer,
     JobScheduler,
@@ -26,11 +27,48 @@ from repro.service import (
 from repro.service.protocol import (
     config_from_payload,
     config_to_payload,
+    decode_line,
+    encode_line,
     spec_from_payload,
     spec_to_payload,
 )
 
 ENGINE = EnumerationEngine()
+
+
+def _submit(**fields):
+    return encode_line({"op": "submit", "graph": "g.json", **fields})
+
+
+def _inline(**graph):
+    return _submit(graph_inline=graph)
+
+
+#: (protocol line, the name its refusal must mention)
+MALFORMED_SUBMITS = [
+    pytest.param(b"\xff\xfe{", "malformed protocol line", id="not-utf8"),
+    pytest.param(_submit(k_min=2.5), "k_min", id="k_min-float"),
+    pytest.param(_submit(k_min=True), "k_min", id="k_min-bool"),
+    pytest.param(_submit(k_min="3"), "k_min", id="k_min-str"),
+    pytest.param(_submit(k_max="3"), "k_max", id="k_max-str"),
+    pytest.param(_submit(max_cliques="9"), "max_cliques", id="max_cliques"),
+    pytest.param(
+        _submit(backend="threads", jobs="2"), "jobs", id="jobs-str"
+    ),
+    pytest.param(_submit(spill_dir="/tmp"), "spill_dir", id="spill_dir"),
+    pytest.param(_submit(use_cache="false"), "use_cache", id="use_cache"),
+    pytest.param(_submit(priority="hi"), "priority", id="priority"),
+    pytest.param(_submit(label=7), "label", id="label"),
+    pytest.param(_submit(graph=5), "graph", id="graph-int"),
+    pytest.param(_inline(n="5", edges=[]), "graph_inline", id="n-str"),
+    pytest.param(
+        _inline(n=3, edges=[[0, 1, 2]]), "graph_inline", id="edge-triple"
+    ),
+    pytest.param(_inline(n=3, edges="ab"), "graph_inline", id="edges-str"),
+    pytest.param(
+        _inline(n=3, edges=[[0, "1"]]), "graph_inline", id="vertex-str"
+    ),
+]
 
 
 @pytest.fixture
@@ -54,7 +92,7 @@ class TestProtocolPayloads:
     def test_config_round_trip(self):
         cfg = EnumerationConfig(
             backend="bitscan", k_min=3, k_max=7, max_cliques=10,
-            level_store="disk", options={"chunk_size": 8},
+            level_store="disk", spill_dir="/tmp/spill",
         )
         assert config_from_payload(config_to_payload(cfg)) == cfg
 
@@ -95,15 +133,23 @@ class TestProtocolPayloads:
         not silently run the job with defaults — and so must a field
         the config does not have, such as the ``kernel`` or
         ``compute_domain`` older clients may still send."""
-        for field in ("kmin", "kernel", "compute_domain"):
+        for field in ("kmin", "kernel", "compute_domain", "options"):
             with pytest.raises(ParameterError, match=field):
                 spec_from_payload({"graph": "g.json", field: 3})
+
+    @pytest.mark.parametrize("line, name", MALFORMED_SUBMITS)
+    def test_malformed_submit_refused(self, line, name):
+        """Wrong types are refused with a ParameterError naming the
+        field, never coerced or left to fail as a TypeError later."""
+        with pytest.raises(ParameterError, match=name):
+            spec_from_payload(decode_line(line))
 
     def test_unknown_submit_field_rejected_over_the_wire(self, client):
         for field in (
             {"max_clique": 100},
             {"kernel": "numpy"},
             {"compute_domain": "wah"},
+            {"options": {"directory": "/tmp"}},
         ):
             with pytest.raises(ServiceError, match="unknown submit field"):
                 client.call("submit", graph="g.json", **field)
@@ -157,18 +203,16 @@ class TestSubmitTimeResolution:
                 backend="warpdrive",
             )
 
-    def test_threads_job_round_trips_with_worker_stats(self, client, g):
+    def test_threads_job_round_trips_with_worker_stats(
+        self, client, g, monkeypatch
+    ):
         """A threads job travels the wire, runs, and reports its
         parallel substrate (worker count, stolen sub-lists)."""
+        monkeypatch.setattr(thread_backend, "DEFAULT_STEAL_GRANULARITY", 1)
         job = client.wait(
             client.submit(
                 g,
-                config=EnumerationConfig(
-                    backend="threads",
-                    k_min=2,
-                    jobs=2,
-                    options={"steal_granularity": 1},
-                ),
+                config=EnumerationConfig(backend="threads", k_min=2, jobs=2),
             ),
             timeout=60,
         )

@@ -18,12 +18,19 @@ import pytest
 
 from repro.core.generators import planted_partition
 from repro.engine import EnumerationConfig, EnumerationEngine
+from repro.parallel import thread_backend
 from repro.service import scheduler as scheduler_module
 from repro.service.jobs import JobSpec, JobStatus
 from repro.service.scheduler import JobScheduler
 from repro.service.sinks import CollectSink
 
 pytestmark = pytest.mark.stress
+
+
+@pytest.fixture(autouse=True)
+def finest_stealing(monkeypatch):
+    """Threads jobs steal slices of one sub-list: maximum contention."""
+    monkeypatch.setattr(thread_backend, "DEFAULT_STEAL_GRANULARITY", 1)
 
 
 @pytest.fixture
@@ -47,7 +54,6 @@ def _threads_spec(graph, jobs=2, priority=0, **kw):
             backend="threads",
             k_min=2,
             jobs=jobs,
-            options={"steal_granularity": 1},
         ),
         priority=priority,
         **kw,

@@ -290,6 +290,64 @@ class TestServiceCommands:
         assert "error" in capsys.readouterr().err
 
 
+class TestConfigFlags:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            ([], {}),
+            (
+                ["--backend", "threads", "--jobs", "2", "--level-store",
+                 "wah", "--k-min", "3", "--k-max", "6"],
+                {"backend": "threads", "jobs": 2, "level_store": "wah",
+                 "k_min": 3, "k_max": 6},
+            ),
+        ],
+    )
+    def test_enumerate_and_submit_parse_configs_alike(self, argv, expected):
+        from repro.cli import _config_from_args, build_parser
+        from repro.engine import EnumerationConfig
+
+        parser = build_parser()
+        for cmd in ("enumerate", "submit"):
+            args = parser.parse_args([cmd, "g.json", *argv])
+            assert _config_from_args(args) == EnumerationConfig(**expected)
+
+    def test_submit_unknown_backend_is_argparse_error(
+        self, graph_file, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["submit", graph_file, "--backend", "warpdrive"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--metrics", "abc"],
+            ["serve", "--memory-budget", "12XB"],
+        ],
+    )
+    def test_serve_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert argv[1] in err
+        assert "Traceback" not in err
+
+    def test_malformed_trace_record_names_file_and_line(
+        self, tmp_path, capsys
+    ):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"kind": "event", "name": "ok"}\n\n{oops\n')
+        assert main(["trace", "--file", str(trace)]) == 1
+        assert f"{trace}:3: malformed trace record" in (
+            capsys.readouterr().err
+        )
+
+
 class TestConvert:
     def test_json_to_dimacs(self, graph_file, tmp_path, capsys):
         out_path = tmp_path / "g.dimacs"

@@ -40,116 +40,6 @@ def codes(violations) -> set[str]:
     return {v.rule for v in violations}
 
 
-# -- RL001: config-threading completeness ------------------------------------
-
-GOOD_RL001 = dedent_tree({
-    "src/repro/engine/config.py": """\
-        LEVEL_STORES = ("memory", "disk")
-
-        class EnumerationConfig:
-            def __post_init__(self):
-                if self.level_store not in LEVEL_STORES:
-                    raise ValueError("bad level_store")
-
-            def __hash__(self):
-                return hash((self.backend, self.level_store))
-        """,
-    "src/repro/cli.py": """\
-        def build_parser(parser):
-            parser.add_argument("--level-store", default="memory")
-        """,
-    "src/repro/service/protocol.py": """\
-        _CONFIG_FIELDS = ("backend", "level_store")
-        """,
-    "src/repro/service/jobs.py": """\
-        class Job:
-            def to_dict(self):
-                return {"id": self.id, "level_store": self.level_store}
-        """,
-    "src/repro/service/cache.py": """\
-        class ResultCache:
-            @staticmethod
-            def key(graph, config):
-                return ("fingerprint", config)
-        """,
-})
-
-
-class TestRL001:
-    def test_complete_threading_is_clean(self, tmp_path):
-        write_tree(tmp_path, GOOD_RL001)
-        assert lint_project(tmp_path, select=["RL001"]) == []
-
-    @pytest.mark.parametrize(
-        "relpath, old, new, fragment",
-        [
-            (
-                "src/repro/engine/config.py",
-                "self.backend, self.level_store",
-                "self.backend,",
-                "__hash__",
-            ),
-            (
-                "src/repro/cli.py",
-                '"--level-store"',
-                '"--verbose"',
-                "--level-store",
-            ),
-            (
-                "src/repro/service/protocol.py",
-                '"level_store"',
-                '"options"',
-                "_CONFIG_FIELDS",
-            ),
-            (
-                "src/repro/service/jobs.py",
-                '"level_store": self.level_store',
-                '"backend": self.backend',
-                "to_dict",
-            ),
-        ],
-    )
-    def test_each_missing_layer_fires(
-        self, tmp_path, relpath, old, new, fragment
-    ):
-        files = dict(GOOD_RL001)
-        assert old in textwrap.dedent(files[relpath])
-        files[relpath] = textwrap.dedent(files[relpath]).replace(
-            old, new
-        )
-        write_tree(tmp_path, files)
-        violations = lint_project(tmp_path, select=["RL001"])
-        assert codes(violations) == {"RL001"}
-        assert any(fragment in v.message for v in violations)
-
-    def test_cache_projection_fires(self, tmp_path):
-        files = dict(GOOD_RL001)
-        files["src/repro/service/cache.py"] = """\
-            class ResultCache:
-                @staticmethod
-                def key(graph, config):
-                    return ("fingerprint", config.backend)
-            """
-        write_tree(tmp_path, files)
-        violations = lint_project(tmp_path, select=["RL001"])
-        assert any(
-            v.path == "src/repro/service/cache.py" for v in violations
-        )
-
-    def test_whole_config_through_hash_is_clean(self, tmp_path):
-        # hash(config) passes the whole object (its __hash__ carries
-        # every policy field), unlike the config.backend projection
-        files = dict(GOOD_RL001)
-        files["src/repro/service/cache.py"] = """\
-            class ResultCache:
-                @staticmethod
-                def key(graph, config):
-                    return (id(graph), hash(config))
-            """
-        write_tree(tmp_path, files)
-        assert lint_project(tmp_path, select=["RL001"]) == []
-
-
 # -- RL002: metric-name authority ---------------------------------------------
 
 GOOD_RL002 = dedent_tree({
@@ -695,7 +585,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RL001", "RL002", "RL003", "RL004", "RL005"):
+        for code in ("RL002", "RL003", "RL004", "RL005"):
             assert code in out
 
 
@@ -705,7 +595,6 @@ class TestCli:
 class TestLiveTree:
     def test_rule_catalogue_is_complete(self):
         assert [r.code for r in all_rules()] == [
-            "RL001",
             "RL002",
             "RL003",
             "RL004",

@@ -1,20 +1,16 @@
 """repro-lint: AST-based enforcement of the repo's cross-cutting contracts.
 
-Every PR since the engine unification has hand-threaded the same
-invariants: a new :class:`~repro.engine.config.EnumerationConfig` policy
-field must reach six layers (validation, cache identity, CLI, wire
-protocol, ``Job.to_dict``, ``BackendInfo``); metric names must stay in
-lockstep with the :mod:`repro.obs.bridge` authority and the
-``docs/ARCHITECTURE.md`` table; the observability disabled path must
-stay allocation-free; shared mutable state must stay behind its lock;
-level stores must enforce the single-pass contract.  ``repro-lint``
-checks all of that mechanically from the ASTs, so the completeness the
-paper's byte-identical-results claim rests on is verified at review
-time instead of discovered in production.
+Some invariants span several files and no test exercises them all:
+metric names must stay in lockstep with the :mod:`repro.obs.bridge`
+authority and the ``docs/ARCHITECTURE.md`` table; the observability
+disabled path must stay allocation-free; shared mutable state must stay
+behind its lock; level stores must enforce the single-pass contract.
+``repro-lint`` checks all of that mechanically from the ASTs, so they
+are verified at review time instead of discovered in production.
 
 Usage::
 
-    python -m tools.repro_lint [--format json] [--select RL001,...]
+    python -m tools.repro_lint [--format json] [--select RL002,...]
     repro-lint            # console entry point (installed)
 
 Rules live in :mod:`tools.repro_lint.rules`; each registers itself with

@@ -57,8 +57,8 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro-lint",
         description=(
             "AST-based enforcement of the repo's cross-cutting "
-            "contracts (config threading, metric-name authority, obs "
-            "purity, lock discipline, level-store single-pass)."
+            "contracts (metric-name authority, obs purity, lock "
+            "discipline, level-store single-pass)."
         ),
     )
     parser.add_argument(

@@ -34,7 +34,7 @@ __all__ = [
     "lint_project",
 ]
 
-#: ``# repro-lint: disable=RL001,RL004`` (or ``disable=all``).
+#: ``# repro-lint: disable=RL003,RL004`` (or ``disable=all``).
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,]+)"
 )
@@ -294,22 +294,3 @@ def module_constants(tree: ast.Module) -> dict[str, tuple[str, ...]]:
             if isinstance(target, ast.Name):
                 out[target.id] = const
     return out
-
-
-def find_class(tree: ast.Module, name: str) -> ast.ClassDef | None:
-    for stmt in tree.body:
-        if isinstance(stmt, ast.ClassDef) and stmt.name == name:
-            return stmt
-    return None
-
-
-def find_function(
-    body: list[ast.stmt], name: str
-) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-    for stmt in body:
-        if (
-            isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and stmt.name == name
-        ):
-            return stmt
-    return None
