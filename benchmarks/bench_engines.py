@@ -5,7 +5,7 @@ level-wise algorithm on interchangeable substrates, timed through the
 unified :mod:`repro.engine` API.  Extra-info records the per-backend
 evidence: operation counts (identical across sequential substrates by
 construction), disk traffic for the out-of-core mode (``incore`` on the
-disk store), stolen sub-lists for ``threads``.
+disk store), stolen sub-list ranges for ``threads``.
 
 Run with the same harness as the other ``bench_*`` scripts (the
 ``bench_*`` naming needs explicit collection overrides)::
@@ -76,7 +76,7 @@ def bench_engine_threads(benchmark, myogenic, jobs):
     assert sorted(res.cliques) == sorted(base.cliques)
     benchmark.extra_info["n_cliques"] = len(res.cliques)
     benchmark.extra_info["jobs"] = jobs
-    benchmark.extra_info["stolen_sublists"] = res.transfers
+    benchmark.extra_info["stolen_ranges"] = res.transfers
     stats = getattr(benchmark, "stats", None)
     if stats is not None:  # absent under --benchmark-disable
         benchmark.extra_info["speedup_vs_incore"] = round(

@@ -57,9 +57,10 @@ LEVEL_NOISE_FLOOR_SECONDS = 0.002
 
 #: the matrix: label -> config kwargs.  ``incore+disk`` is the paper's
 #: out-of-core mode, ``incore+wah`` the compressed-domain step on the
-#: WAH store.  ``threads`` runs at 2 workers so the parallel plumbing
-#: (pool, stealing) is on the measured path whatever the host's core
-#: count.
+#: WAH store.  ``threads`` runs at 2 workers, but every level of this
+#: workload fits one pair-budget range, so its row times the range cut
+#: and the inline step — the pool never starts here; the tier-1 thread
+#: tests run it at a zero pair budget instead.
 BACKENDS = {
     "incore": {"backend": "incore"},
     "bitscan": {"backend": "bitscan"},

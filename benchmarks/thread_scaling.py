@@ -2,12 +2,14 @@
 
 Runs the committed regression workload (the same one the speed and WAH
 baselines gate) through the ``threads`` backend at a sweep of worker
-counts and prints median wall-clock, speedup over one worker, and
-stolen sub-lists per point.  The numbers are **recorded, not gated**:
-scaling depends on the physical core count of the host, which CI
-cannot pin, so the curve is evidence, not a pass/fail check — CI runs
-this on its multi-core runner and the latest curve is transcribed into
-``ROADMAP.md``.
+counts and prints median wall-clock, speedup over one worker, stolen
+sub-list ranges, and whether the worker pool ran, per point.  Every
+point must emit exactly the clique sequence and operation counters of
+the first (``jobs=1`` by default), or the script exits non-zero.  The
+timings are **recorded, not gated**: scaling depends on the physical
+core count of the host, which CI cannot pin, so the curve is evidence,
+not a pass/fail check — CI runs this on its multi-core runner and the
+latest curve is transcribed into ``ROADMAP.md``.
 
 Usage::
 
@@ -52,6 +54,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"host cpu_count={os.cpu_count()}  workload n={WORKLOAD['n']}")
     base = None
     reference = None
+    reference_counters = None
     for jobs in args.jobs:
         config = EnumerationConfig(
             k_min=WORKLOAD["k_min"],
@@ -64,18 +67,21 @@ def main(argv: list[str] | None = None) -> int:
             t0 = time.perf_counter()
             result = engine.run(g, config)
             times.append(time.perf_counter() - t0)
-        cliques = sorted(result.cliques)
+        counters = result.counters.snapshot()
         if reference is None:
-            reference = cliques
-        elif cliques != reference:
-            raise SystemExit(f"clique set diverged at jobs={jobs}")
+            reference, reference_counters = result.cliques, counters
+        elif result.cliques != reference:
+            raise SystemExit(f"clique sequence diverged at jobs={jobs}")
+        elif counters != reference_counters:
+            raise SystemExit(f"operation counters diverged at jobs={jobs}")
         median = statistics.median(times)
         if base is None:
             base = median
+        pool = "ran" if result.load_balance is not None else "not started"
         print(
             f"jobs={jobs}: median {median:.4f}s  "
             f"speedup x{base / median:.2f}  "
-            f"stolen sub-lists {result.transfers}"
+            f"stolen ranges {result.transfers}  pool {pool}"
         )
     return 0
 

@@ -79,7 +79,7 @@ def main() -> None:
     )
     print(
         f"  identical output ({len(seq.cliques)} maximal cliques), "
-        f"{par.transfers} stolen sub-lists; wall-clock ratio "
+        f"{par.transfers} stolen sub-list ranges; wall-clock ratio "
         f"{seq.wall_seconds / par.wall_seconds:.2f}x against a host "
         f"ceiling of {host_scaling:.2f}x"
     )

@@ -137,7 +137,7 @@ class EnumerationResult:
     n_workers:
         Workers used (1 for sequential substrates).
     transfers:
-        Sub-lists stolen between workers by the work-stealing
+        Sub-list ranges stolen between workers by the work-stealing
         scheduler (0 for sequential substrates).
     domain_stats:
         Compressed-domain telemetry of a ``wah``-store run, empty on
@@ -162,7 +162,7 @@ class EnumerationResult:
         ``n_workers``, ``mean_busy`` / ``std_busy`` seconds,
         ``std_over_mean`` against the paper's ±10% criterion, and the
         transfer count.  ``None`` for sequential runs and for parallel
-        runs whose levels were too narrow to fan out.
+        runs whose every level was one range (never fanned out).
     """
 
     cliques: list[tuple[int, ...]] = field(default_factory=list)
@@ -234,6 +234,34 @@ def pair_batch_limit(n_words: int) -> int:
     pairs than this is a batch of its own.
     """
     return PAIR_BATCH_BYTES // (8 * max(n_words, 1))
+
+
+def pair_batches(tail_counts, n_words: int) -> list[tuple[int, int]]:
+    """Cut a level into contiguous ``[start, end)`` sub-list ranges.
+
+    ``tail_counts[i]`` is sub-list ``i``'s tail count.  Each range
+    holds at most :func:`pair_batch_limit` pairs, except that a range
+    always takes at least one sub-list, so a sub-list over the limit
+    is a range of its own.  Both generation steps cut their pair
+    batches with this rule, and the ``threads`` backend its work units.
+    """
+    t = np.asarray(tail_counts, dtype=np.int64)
+    return weight_batches(t * (t - 1) // 2, pair_batch_limit(n_words))
+
+
+def weight_batches(weights, limit: int) -> list[tuple[int, int]]:
+    """Contiguous ``[start, end)`` ranges of at most ``limit`` total
+    weight, each taking at least one item (the rule of
+    :func:`pair_batches`, over any per-item weight)."""
+    cum = np.cumsum(np.asarray(weights, dtype=np.int64))
+    ranges: list[tuple[int, int]] = []
+    start, base = 0, 0
+    while start < cum.size:
+        end = int(np.searchsorted(cum, base + limit, side="right"))
+        end = max(end, start + 1)
+        ranges.append((start, end))
+        start, base = end, int(cum[end - 1])
+    return ranges
 
 
 def _process_batch(
@@ -343,22 +371,10 @@ def generate_next_level(
     even though the word-level arithmetic is batched.
     """
     out: list[CliqueSubList] = []
-    batch: list[CliqueSubList] = []
-    batch_pairs = 0
-    limit = pair_batch_limit(g.adj.shape[1])
-    for sl in sublists:
-        t = int(sl.tails.size)
-        if t < 2:
-            continue
-        pairs = t * (t - 1) // 2
-        if batch and batch_pairs + pairs > limit:
-            _process_batch(batch, g, counters, emit, out)
-            batch = []
-            batch_pairs = 0
-        batch.append(sl)
-        batch_pairs += pairs
-    if batch:
-        _process_batch(batch, g, counters, emit, out)
+    live = [sl for sl in sublists if sl.tails.size >= 2]
+    tail_counts = [sl.tails.size for sl in live]
+    for start, end in pair_batches(tail_counts, g.adj.shape[1]):
+        _process_batch(live[start:end], g, counters, emit, out)
     return out
 
 

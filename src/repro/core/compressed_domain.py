@@ -64,20 +64,22 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.core.bitset import WORD_BITS
-from repro.core.clique_enumerator import _triu_pairs, pair_batch_limit
-from repro.core.compressed import WahBitmap, WahScratch
+from repro.core.clique_enumerator import (
+    _triu_pairs,
+    pair_batches,
+    weight_batches,
+)
+from repro.core.compressed import WahScratch
 from repro.core.counters import OpCounters
 from repro.core.graph import Graph
 from repro.obs.runtime import get_observability
-from repro.core.sublist import CompressedLevelBatch, CompressedSubList
+from repro.core.sublist import CompressedLevelBatch
 from repro.core.wah_kernels import (
     batch_and,
     batch_and_any,
-    batch_decode_indices,
     batch_encode_indices,
     batch_encode_words,
     batch_indices_above,
-    concat_streams,
     take_streams,
 )
 
@@ -107,12 +109,10 @@ class CompressedExpander:
         (:func:`~repro.core.clique_enumerator.
         generate_next_level_bitscan`).
 
-    :meth:`step` takes a level chunk in either form the ``wah`` store
-    streams and returns children in the same form:
-    :class:`~repro.core.sublist.CompressedSubList` entries (as
-    ``CompressedLevelStore.stream_entries`` yields them, for the
-    ``threads`` backend) or a whole :class:`~repro.core.sublist.
-    CompressedLevelBatch`, so batch streaming never materialises
+    :meth:`step` takes a whole :class:`~repro.core.sublist.
+    CompressedLevelBatch`, as ``CompressedLevelStore.stream_batches``
+    yields it (or a row slice of one, under ``threads``), and returns
+    the children as one batch, so a level never materialises
     per-entry objects.
     """
 
@@ -126,7 +126,7 @@ class CompressedExpander:
         self._adj = g.adj
         self._model = model
         #: bit universe of every CN string / tail bitmap of this graph —
-        #: the full 64-bit word span, matching CompressedSubList.
+        #: the full 64-bit word span, matching CompressedLevelBatch.
         self._universe = WORD_BITS * int(g.adj.shape[1]) if g.n else 0
         self._n_groups = (self._universe + 30) // 31
         #: adjacency-row cache: an SoA ``(words, offsets, slot)``
@@ -209,11 +209,11 @@ class CompressedExpander:
 
     def step(
         self,
-        sublists: list,
+        batch: CompressedLevelBatch,
         g: Graph,
         counters: OpCounters,
         emit: Callable[[tuple[int, ...]], None],
-    ) -> list:
+    ) -> CompressedLevelBatch:
         """One ``GenerateKCliques`` step in the compressed domain.
 
         Matches the engine's ``GenerationStep`` signature; ``g`` must be
@@ -224,62 +224,38 @@ class CompressedExpander:
             else self._step_bitscan
         )
         if self._tracer is None:
-            return run(sublists, counters, emit)
+            return run(batch, counters, emit)
         with self._tracer.span(
-            "expand", model=self._model, parents=len(sublists)
+            "expand", model=self._model, parents=len(batch)
         ) as span:
-            children = run(sublists, counters, emit)
+            children = run(batch, counters, emit)
             span.set(children=len(children))
             return children
 
     # -- the structure-of-arrays step ----------------------------------------
 
-    def _load(self, sublists):
-        """Normalise one level chunk into SoA form for the batch kernels.
+    def _load(self, batch: CompressedLevelBatch):
+        """Normalise one level batch into SoA form for the batch kernels.
 
-        Accepts a :class:`CompressedLevelBatch` or a list of
-        :class:`CompressedSubList`, and returns ``(prefixes, tails,
-        cn_words, cn_offsets, kind)`` where ``tails`` holds one
-        ascending ``int64`` index array per sub-list and ``kind`` names
-        the input form (``"batch"`` / ``"entries"``) so children can be
-        materialised to match.  Sub-lists with fewer than two tails are
-        dropped here: neither step model can derive anything from them.
+        Returns ``(prefixes, tails, cn_words, cn_offsets)`` where
+        ``tails`` holds one ascending ``int64`` index array per
+        sub-list.  Sub-lists with fewer than two tails are dropped
+        here: neither step model can derive anything from them.
         """
-        ng, universe = self._n_groups, self._universe
-        if isinstance(sublists, CompressedLevelBatch):
-            tw, to = sublists.tails_words, sublists.tails_offsets
-            cw, co = sublists.cn_words, sublists.cn_offsets
-            prefixes = list(sublists.prefixes)
-            keep = np.flatnonzero(sublists.n_tails >= 2)
-            filtered = keep.size < len(prefixes)
-            if filtered:
-                cw, co = take_streams(cw, co, keep)
-                prefixes = [prefixes[i] for i in keep.tolist()]
-            if sublists.tails_idx is not None:
-                # the producing step cached its decoded tails — slice
-                # the kept streams straight out of the cache
-                flat, offs = sublists.tails_idx
-                tails = [
-                    flat[offs[i]:offs[i + 1]] for i in keep.tolist()
-                ]
-            else:
-                if filtered:
-                    tw, to = take_streams(tw, to, keep)
-                flat, offs = batch_decode_indices(tw, to, ng, universe)
-                tails = [
-                    flat[offs[i]:offs[i + 1]]
-                    for i in range(len(prefixes))
-                ]
-            return prefixes, tails, cw, co, "batch"
-        entries = [e for e in sublists if len(e) >= 2]
-        tw, to = concat_streams([e.tails.wah_words() for e in entries])
-        flat, offs = batch_decode_indices(tw, to, ng, universe)
-        tails = [flat[offs[i]:offs[i + 1]] for i in range(len(entries))]
-        cw, co = concat_streams([e.cn.wah_words() for e in entries])
-        return [e.prefix for e in entries], tails, cw, co, "entries"
+        cw, co = batch.cn_words, batch.cn_offsets
+        prefixes = list(batch.prefixes)
+        keep = np.flatnonzero(batch.n_tails >= 2)
+        if keep.size < len(prefixes):
+            cw, co = take_streams(cw, co, keep)
+            prefixes = [prefixes[i] for i in keep.tolist()]
+        # every producer in the level loop caches the decoded tails, so
+        # this slices the kept streams straight out of the cache
+        flat, offs = batch.decoded_tails()
+        tails = [flat[offs[i]:offs[i + 1]] for i in keep.tolist()]
+        return prefixes, tails, cw, co
 
-    def _children(self, kind, out_prefixes, out_cands, parts):
-        """Materialise retained children in the form matching ``kind``.
+    def _children(self, out_prefixes, out_cands, parts):
+        """Materialise the retained children as one level batch.
 
         ``parts`` holds per-batch SoA fragments of the kept child CN
         streams, in emission order; ``out_cands`` the matching ascending
@@ -287,11 +263,7 @@ class CompressedExpander:
         """
         universe = self._universe
         if not out_prefixes:
-            return (
-                CompressedLevelBatch.empty(universe)
-                if kind == "batch"
-                else []
-            )
+            return CompressedLevelBatch.empty(universe)
         words = np.concatenate([w for w, _ in parts])
         lens = np.concatenate([np.diff(o) for _, o in parts])
         offsets = np.zeros(lens.size + 1, dtype=np.int64)
@@ -305,61 +277,39 @@ class CompressedExpander:
         np.cumsum(counts, out=idx_offsets[1:])
         flat_cands = np.concatenate(out_cands)
         tw, to = batch_encode_indices(flat_cands, idx_offsets, universe)
-        if kind == "batch":
-            return CompressedLevelBatch(
-                prefixes=tuple(out_prefixes),
-                universe=universe,
-                n_tails=counts,
-                tails_words=tw,
-                tails_offsets=to,
-                cn_words=words,
-                cn_offsets=offsets,
-                tails_idx=(flat_cands, idx_offsets),
-            )
-        return [
-            CompressedSubList(
-                prefix=out_prefixes[i],
-                n_tails=int(counts[i]),
-                tails=WahBitmap._trusted(universe, tw[to[i]:to[i + 1]]),
-                cn=WahBitmap._trusted(
-                    universe, words[offsets[i]:offsets[i + 1]]
-                ),
-            )
-            for i in range(len(out_prefixes))
-        ]
+        return CompressedLevelBatch(
+            prefixes=tuple(out_prefixes),
+            universe=universe,
+            n_tails=counts,
+            tails_words=tw,
+            tails_offsets=to,
+            cn_words=words,
+            cn_offsets=offsets,
+            tails_idx=(flat_cands, idx_offsets),
+        )
 
-    def _step_pairs(self, sublists, counters, emit):
+    def _step_pairs(self, batch, counters, emit):
         """The tail-list model: counters match ``generate_next_level``.
 
         Cuts pair batches at sub-list boundaries by the same byte budget
-        as the bitset step (:func:`~repro.core.clique_enumerator.
-        pair_batch_limit`), so the transients stay flat however wide
-        the level is.  Counters, emitted cliques, and children are
-        byte-identical to the raw-word step's at any batch size.
+        and rule as the bitset step (:func:`~repro.core.
+        clique_enumerator.pair_batches`), so the transients stay flat
+        however wide the level is.  Counters, emitted cliques, and
+        children are byte-identical to the raw-word step's at any batch
+        size.
         """
-        prefixes, tails, cn_w, cn_o, kind = self._load(sublists)
+        prefixes, tails, cn_w, cn_o = self._load(batch)
         scratch = self._scratch()
         out_prefixes: list[tuple[int, ...]] = []
         out_cands: list[np.ndarray] = []
         parts: list[tuple[np.ndarray, np.ndarray]] = []
-        n_lists = len(prefixes)
-        limit = pair_batch_limit(self._adj.shape[1])
-        start = 0
-        while start < n_lists:
-            end, budget = start, 0
-            while end < n_lists:
-                t = int(tails[end].size)
-                pairs = t * (t - 1) // 2
-                if end > start and budget + pairs > limit:
-                    break
-                budget += pairs
-                end += 1
+        tail_counts = [t.size for t in tails]
+        for start, end in pair_batches(tail_counts, self._adj.shape[1]):
             self._pairs_batch(
                 start, end, prefixes, tails, cn_w, cn_o,
                 counters, emit, scratch, out_prefixes, out_cands, parts,
             )
-            start = end
-        return self._children(kind, out_prefixes, out_cands, parts)
+        return self._children(out_prefixes, out_cands, parts)
 
     def _pairs_batch(
         self, lo, hi, prefixes, tails, cn_w, cn_o,
@@ -441,34 +391,25 @@ class CompressedExpander:
                 take_streams(chw, cho, np.asarray(kept, dtype=np.int64))
             )
 
-    def _step_bitscan(self, sublists, counters, emit):
+    def _step_bitscan(self, batch, counters, emit):
         """The bit-scan model: counters match
         ``generate_next_level_bitscan`` — including the documented
         full-``n`` ``bits_scanned`` cost accounting — while the partner
         scan runs as one ``batch_indices_above`` per parent chunk.
         """
-        prefixes, tails, cn_w, cn_o, kind = self._load(sublists)
+        prefixes, tails, cn_w, cn_o = self._load(batch)
         scratch = self._scratch()
         out_prefixes: list[tuple[int, ...]] = []
         out_cands: list[np.ndarray] = []
         parts: list[tuple[np.ndarray, np.ndarray]] = []
-        n_lists = len(prefixes)
         cap = max(64, _BITSCAN_BITS_BUDGET // max(self._universe, 64))
-        start = 0
-        while start < n_lists:
-            end, n_parents = start, 0
-            while end < n_lists:
-                p = int(tails[end].size) - 1
-                if end > start and n_parents + p > cap:
-                    break
-                n_parents += p
-                end += 1
+        n_parents = [t.size - 1 for t in tails]
+        for start, end in weight_batches(n_parents, cap):
             self._bitscan_batch(
                 start, end, prefixes, tails, cn_w, cn_o,
                 counters, emit, scratch, out_prefixes, out_cands, parts,
             )
-            start = end
-        return self._children(kind, out_prefixes, out_cands, parts)
+        return self._children(out_prefixes, out_cands, parts)
 
     def _bitscan_batch(
         self, lo, hi, prefixes, tails, cn_w, cn_o,

@@ -32,7 +32,6 @@ from repro.core.wah_kernels import (
     batch_decode_words,
     batch_encode_indices,
     batch_encode_words,
-    concat_streams,
 )
 
 __all__ = ["CliqueSubList", "CompressedSubList", "CompressedLevelBatch"]
@@ -109,10 +108,14 @@ class CompressedSubList:
 
     The paper closes by observing that the sparsity of the bitmap memory
     index "can potentially provide high compression rate"; this is the
-    candidate representation that realises it.  Tails are ascending and
-    unique, so they are losslessly held as a bitmap over the same
-    vertex universe as the common-neighbor string — on sparse
-    genome-scale graphs both compress to a handful of words.
+    per-entry form of that candidate representation.  Tails are
+    ascending and unique, so they are losslessly held as a bitmap over
+    the same vertex universe as the common-neighbor string — on sparse
+    genome-scale graphs both compress to a handful of words.  Levels
+    are stored and expanded as :class:`CompressedLevelBatch` objects;
+    this form is the scalar-codec oracle the batch encoders are checked
+    against, and what :meth:`CompressedLevelBatch.to_entries` (the
+    store's per-entry ``stream_entries`` view) yields.
 
     Attributes
     ----------
@@ -189,18 +192,6 @@ class CompressedSubList:
             + self.cn.n // 8
             + pointer_bytes
         )
-
-    def work_estimate(self) -> int:
-        """Generation-work units, identical to
-        :meth:`CliqueSubList.work_estimate` for the same content.
-
-        Computed from the cached tail count and the universe size so the
-        parallel load balancer partitions compressed and uncompressed
-        levels identically (``cn.n // 64`` is the raw word count the
-        uncompressed estimate reads from ``cn_words.size``).
-        """
-        t = self.n_tails
-        return t * (t - 1) // 2 + t * max(1, (self.cn.n // WORD_BITS) // 8)
 
     def __repr__(self) -> str:
         return (
@@ -324,34 +315,6 @@ class CompressedLevelBatch:
         )
 
     @classmethod
-    def from_entries(
-        cls, entries: list[CompressedSubList]
-    ) -> "CompressedLevelBatch":
-        """Assemble a batch from per-entry compressed sub-lists."""
-        if not entries:
-            return cls.empty(0)
-        universe = entries[0].cn.n
-        tails_words, tails_offsets = concat_streams(
-            [e.tails.wah_words() for e in entries]
-        )
-        cn_words, cn_offsets = concat_streams(
-            [e.cn.wah_words() for e in entries]
-        )
-        return cls(
-            prefixes=tuple(e.prefix for e in entries),
-            universe=universe,
-            n_tails=np.fromiter(
-                (e.n_tails for e in entries),
-                dtype=np.int64,
-                count=len(entries),
-            ),
-            tails_words=tails_words,
-            tails_offsets=tails_offsets,
-            cn_words=cn_words,
-            cn_offsets=cn_offsets,
-        )
-
-    @classmethod
     def concat(
         cls, batches: "list[CompressedLevelBatch]"
     ) -> "CompressedLevelBatch":
@@ -412,6 +375,35 @@ class CompressedLevelBatch:
             tails_offsets=np.zeros(1, dtype=np.int64),
             cn_words=np.zeros(0, dtype=np.uint32),
             cn_offsets=np.zeros(1, dtype=np.int64),
+            tails_idx=(
+                np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+            ),
+        )
+
+    def rows(self, start: int, end: int) -> "CompressedLevelBatch":
+        """Sub-lists ``[start, end)`` as a batch of their own.
+
+        The word arrays and the decoded-tails cache are views into this
+        batch, never copies; only the ``end - start + 1`` offsets are
+        rebased.
+        """
+        to, co = self.tails_offsets, self.cn_offsets
+        idx = None
+        if self.tails_idx is not None:
+            flat, offs = self.tails_idx
+            idx = (
+                flat[offs[start]:offs[end]],
+                offs[start:end + 1] - offs[start],
+            )
+        return CompressedLevelBatch(
+            prefixes=self.prefixes[start:end],
+            universe=self.universe,
+            n_tails=self.n_tails[start:end],
+            tails_words=self.tails_words[to[start]:to[end]],
+            tails_offsets=to[start:end + 1] - to[start],
+            cn_words=self.cn_words[co[start]:co[end]],
+            cn_offsets=co[start:end + 1] - co[start],
+            tails_idx=idx,
         )
 
     # -- conversions -------------------------------------------------------

@@ -83,28 +83,20 @@ def _store_policy(config: EnumerationConfig):
     )
 
 
-def _resolve_step(
-    g: Graph,
-    store_name: str,
-    model: str,
-    bitset_step,
-    compressed_mode: str = "batches",
-):
+def _resolve_step(g: Graph, store_name: str, model: str, bitset_step):
     """The generation step the level store fixes.
 
     Returns ``(step, stream_mode, expander)``.  The ``"memory"`` and
     ``"disk"`` stores run ``bitset_step`` on raw sub-lists.  The
     ``"wah"`` store runs a :class:`~repro.core.compressed_domain.
-    CompressedExpander` of the same counter ``model`` on the
-    compressed level, streamed in ``compressed_mode`` (whole
-    ``"batches"``, or ``"entries"`` for ``threads``, which partitions
-    levels per sub-list); the expander also carries the kernel
+    CompressedExpander` of the same counter ``model`` on whole
+    compressed level batches; the expander also carries the kernel
     telemetry for ``result.domain_stats``.
     """
     if store_name != "wah":
         return bitset_step, "raw", None
     expander = CompressedExpander(g, model=model)
-    return expander.step, compressed_mode, expander
+    return expander.step, "batches", expander
 
 
 def _run_sequential(
@@ -174,24 +166,23 @@ def run_threads(
 ) -> EnumerationResult:
     """The shared-memory threaded substrate on the unified loop.
 
-    The generation *step* is the parallel policy: each level (or store
-    chunk) is LPT-partitioned across a persistent pool of
-    ``config.jobs`` worker threads which expand shared-state sub-lists
-    and steal ``DEFAULT_STEAL_GRANULARITY``-sized slices from the heaviest
+    The generation *step* is the parallel policy: each store chunk is
+    cut into contiguous sub-list ranges by the step's own pair budget,
+    and the ranges are LPT-partitioned across a persistent pool of
+    ``config.jobs`` worker threads, which steal
+    ``DEFAULT_STEAL_GRANULARITY`` ranges at a time from the heaviest
     partition when their own runs dry
-    (:class:`~repro.parallel.thread_backend.ThreadedExpander`).
-    Everything else — seeding, budgets, per-level statistics, all three
-    level stores — is the same
+    (:class:`~repro.parallel.thread_backend.ThreadedExpander`).  A
+    chunk that is one range runs on the calling thread.  Everything
+    else — seeding, budgets, per-level statistics, all three level
+    stores and their stream modes — is the same
     :func:`~repro.engine.level_loop.run_level_loop` the sequential
     backends run, so output, statistics, and operation counters are
     byte-identical to ``incore``.
 
     On the ``"wah"`` level store each worker runs the compressed-domain
-    step over the shared WAH adjacency-row cache — the batched
-    structure-of-arrays kernels, whose vectorised inner loops release
-    the GIL — and the sub-lists workers exchange stay compressed end to
-    end; the partitioning, stealing, and level-barrier machinery is
-    unchanged (work estimates are identical by construction).
+    step on a zero-copy row slice of the level batch, over the shared
+    WAH adjacency-row cache, so the level stays compressed end to end.
 
     Cliques stream through ``on_clique`` at every level barrier:
     budgets trip at the same clique they would in-core, and a
@@ -206,7 +197,7 @@ def run_threads(
 
     store_factory, io = _store_policy(config)
     step, stream_mode, wah_expander = _resolve_step(
-        g, config.level_store, "pairs", generate_next_level, "entries"
+        g, config.level_store, "pairs", generate_next_level
     )
     expander = ThreadedExpander(
         resolve_worker_count(config.jobs),
@@ -225,15 +216,15 @@ def run_threads(
             stream_mode=stream_mode,
         )
     result.n_workers = expander.n_workers
-    result.transfers = expander.stolen_sublists
+    result.transfers = expander.stolen_ranges
     if any(expander.worker_busy):
-        # narrow runs (every level below the parallel threshold) never
-        # touch the pool and carry no balance evidence
+        # runs whose every level is one range never touch the pool
+        # and carry no balance evidence
         from repro.parallel.metrics import worker_load_balance
 
         result.load_balance = worker_load_balance(
             expander.worker_busy,
-            transfers=expander.stolen_sublists,
+            transfers=expander.stolen_ranges,
             max_level_imbalance=expander.max_step_imbalance,
         ).to_dict()
     if wah_expander is not None:

@@ -227,19 +227,15 @@ def run_level_loop(
     size order, canonical order within a size, nothing above ``k_max``.
 
     ``stream_mode`` selects how a level flows between the store and the
-    step (the ``"wah"`` store's compressed modes never materialise the
-    level in raw word form):
+    step:
 
     * ``"raw"`` — ``store.stream()`` yields plain
-      :class:`~repro.core.sublist.CliqueSubList` chunks (the
-      ``memory`` and ``disk`` stores);
-    * ``"entries"`` — ``store.stream_entries()`` yields
-      :class:`~repro.core.sublist.CompressedSubList` chunks and the
-      step returns the same form (the per-entry compressed path);
+      :class:`~repro.core.sublist.CliqueSubList` chunks and the step
+      returns a list of them (the ``memory`` and ``disk`` stores);
     * ``"batches"`` — ``store.stream_batches()`` yields whole
       :class:`~repro.core.sublist.CompressedLevelBatch` objects and the
       step returns one per chunk, appended via ``append_batch`` (the
-      numpy structure-of-arrays fast path).
+      ``wah`` store, whose level never exists in raw word form).
     """
     k_min = config.k_min  # k_max >= k_min is the config's own invariant
     counters = OpCounters()
@@ -306,8 +302,6 @@ def run_level_loop(
                 try:
                     if stream_mode == "batches":
                         stream = store.stream_batches()
-                    elif stream_mode == "entries":
-                        stream = store.stream_entries()
                     else:
                         stream = store.stream()
                     for chunk in stream:

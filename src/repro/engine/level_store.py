@@ -161,51 +161,49 @@ class MemoryLevelStore(LevelStore):
 class CompressedLevelStore(LevelStore):
     """WAH-compressed in-memory level store — the paper's "work underway".
 
-    Every appended sub-list is held as a
-    :class:`~repro.core.sublist.CompressedSubList`: tails and the
-    common-neighbor string become
-    :class:`~repro.core.compressed.WahBitmap` payloads, so
-    :attr:`candidate_bytes` — the figure the Figure-9 experiment and the
-    ``max_candidate_bytes`` budget read — is the *compressed* footprint.
-    On sparse genome-scale graphs the deep-level common-neighbor strings
-    are a few set bits in a universe of thousands, where WAH shrinks
-    them by an order of magnitude.
+    The level is held as :class:`~repro.core.sublist.
+    CompressedLevelBatch` parts: tails and common-neighbor strings are
+    WAH words in two flat arrays per part, so :attr:`candidate_bytes`
+    — the figure the Figure-9 experiment and the
+    ``max_candidate_bytes`` budget read — is the *compressed*
+    footprint.  On sparse genome-scale graphs the deep-level
+    common-neighbor strings are a few set bits in a universe of
+    thousands, where WAH shrinks them by an order of magnitude.
 
-    ``stream`` decompresses ``chunk_size`` sub-lists at a time, so at
-    most one chunk of full-width bit strings is live while the
-    generation step expands the level; everything not yet streamed stays
-    compressed.  ``stream_entries`` skips even that: it yields the
-    stored :class:`CompressedSubList` entries themselves, which is how
-    the compressed-domain generation step
-    (:class:`~repro.core.compressed_domain.CompressedExpander`, the step
-    every backend runs on this store) consumes a level with zero
-    decompression.
-    Both share the single-pass contract.  The two counters
-    :attr:`decompressed_bytes` / :attr:`bypassed_bytes` record which
-    path each streamed byte took, feeding the run's
-    ``domain_stats["decompressed_bytes"]`` /
-    ``["decompressed_bytes_avoided"]`` telemetry.
-
-    Raw appends are buffered and batch-encoded ``chunk_size`` at a time
-    through :meth:`~repro.core.sublist.CompressedLevelBatch.
-    from_sublists` (one vectorised encode instead of per-entry group
-    walks), the decompressing :meth:`stream` decodes each chunk with one
-    vectorised pass, and the :meth:`append_batch` /
-    :meth:`stream_batches` pair moves whole
-    :class:`~repro.core.sublist.CompressedLevelBatch` levels in and out
-    without materialising per-entry objects at all — the
-    structure-of-arrays fast path of the generation step.  Every stream
-    yields the level in insertion order, whatever mix of raw, entry,
-    and batch appends built it.  The WAH encoding is canonical, so
-    stored words — and therefore every accounting property — are
+    Raw :meth:`append` calls (the seed level) are buffered and
+    batch-encoded ``chunk_size`` at a time through
+    :meth:`~repro.core.sublist.CompressedLevelBatch.from_sublists`;
+    :meth:`append_batch` stores a whole batch as-is, which is how the
+    compressed-domain step (:class:`~repro.core.compressed_domain.
+    CompressedExpander`, the step every backend runs on this store)
+    hands back its children.  The WAH encoding is canonical, so stored
+    words — and therefore every accounting property — are
     byte-identical to encoding each sub-list on its own.
+
+    Three streams read the level back, each in insertion order and
+    under one single-pass contract (one streaming pass total, whichever
+    method starts it):
+
+    * :meth:`stream_batches` yields the stored batches coalesced into
+      one, never decompressing — the stream the level loop runs;
+    * :meth:`stream` decompresses one stored part at a time (a
+      ``chunk_size`` run of raw appends, or one appended batch), so
+      only that part's full-width bit strings are live;
+    * :meth:`stream_entries` yields per-entry
+      :class:`~repro.core.sublist.CompressedSubList` views over the
+      stored words, without decompressing them.
+
+    The two counters :attr:`decompressed_bytes` /
+    :attr:`bypassed_bytes` record which path each streamed byte took,
+    feeding the run's ``domain_stats["decompressed_bytes"]`` /
+    ``["decompressed_bytes_avoided"]`` telemetry.
 
     Parameters
     ----------
     chunk_size:
-        Sub-lists decompressed per streamed chunk.  Larger chunks keep
-        more of the generation step's cross-sub-list batching; smaller
-        chunks bound the transient decompressed working set.
+        Raw appends encoded per stored part.  Larger parts keep more of
+        a decompressing consumer's cross-sub-list batching; smaller
+        parts bound its transient decompressed working set.
     """
 
     def __init__(self, chunk_size: int = 256):
@@ -215,9 +213,8 @@ class CompressedLevelStore(LevelStore):
             )
         self.chunk_size = chunk_size
         self._pending: list[CliqueSubList] = []
-        #: ordered mix of per-entry and whole-batch parts; insertion
-        #: order across both kinds is the level's canonical order.
-        self._parts: list[CompressedSubList | CompressedLevelBatch] = []
+        #: the stored batches, in insertion order
+        self._parts: list[CompressedLevelBatch] = []
         self._n_sublists = 0
         self._n_candidates = 0
         self._candidate_bytes = 0
@@ -225,35 +222,19 @@ class CompressedLevelStore(LevelStore):
         self._streamed = False
         #: raw sub-list bytes materialised by the decompressing stream().
         self.decompressed_bytes = 0
-        #: raw-equivalent bytes that stayed compressed through
-        #: stream_entries() — the "decompressed bytes avoided".
+        #: raw-equivalent bytes streamed without decompressing — the
+        #: "decompressed bytes avoided".
         self.bypassed_bytes = 0
 
-    def append(self, sl: CliqueSubList | CompressedSubList) -> None:
-        """Store one sub-list, compressing unless it already is.
-
-        A :class:`CompressedSubList` (as produced by the
-        compressed-domain generation step) is stored as-is — no
-        re-encode; the WAH encoder is canonical, so the stored words
-        are identical either way.
-        """
+    def append(self, sl: CliqueSubList) -> None:
+        """Buffer one raw sub-list for batch compression."""
         if self._streamed:
             raise LevelStoreError(
                 "append() after stream(): the level store is single-pass"
             )
-        if not isinstance(sl, CompressedSubList):
-            self._pending.append(sl)
-            if len(self._pending) >= self.chunk_size:
-                self._flush_pending()
-            return
-        self._flush_pending()
-        self._parts.append(sl)
-        self._n_sublists += 1
-        self._n_candidates += len(sl)
-        self._candidate_bytes += sl.nbytes(INDEX_BYTES, POINTER_BYTES)
-        self._uncompressed_bytes += sl.uncompressed_nbytes(
-            INDEX_BYTES, POINTER_BYTES
-        )
+        self._pending.append(sl)
+        if len(self._pending) >= self.chunk_size:
+            self._flush_pending()
 
     def _flush_pending(self) -> None:
         """Store the buffered raw appends as one batch part.
@@ -282,9 +263,7 @@ class CompressedLevelStore(LevelStore):
 
         The batch is held as-is — one part, no per-entry objects — and
         accounted in bulk; :meth:`stream_batches` later yields it back
-        untouched, so a batches-mode level loop never materialises an
-        entry.  Equivalent byte for byte to appending
-        ``batch.to_entries()`` one at a time.
+        untouched, so the level loop never materialises an entry.
         """
         if self._streamed:
             raise LevelStoreError(
@@ -327,137 +306,75 @@ class CompressedLevelStore(LevelStore):
             return 1.0
         return self._uncompressed_bytes / self._candidate_bytes
 
-    def entries(self) -> list[CompressedSubList]:
-        """The compressed sub-lists, for compressed-domain consumers."""
+    def _begin_stream(self) -> list[CompressedLevelBatch]:
+        """Start the single streaming pass; the stored parts."""
         self._flush_pending()
-        out: list[CompressedSubList] = []
-        for part in self._parts:
-            if isinstance(part, CompressedLevelBatch):
-                out.extend(part.to_entries())
-            else:
-                out.append(part)
-        return out
-
-    def _iter_runs(
-        self,
-    ) -> Iterator[CompressedLevelBatch | list[CompressedSubList]]:
-        """The stored parts in insertion order: whole batches as-is,
-        loose entries re-chunked ``chunk_size`` at a time between them.
-        """
-        buf: list[CompressedSubList] = []
-        for part in self._parts:
-            if isinstance(part, CompressedLevelBatch):
-                if buf:
-                    yield buf
-                    buf = []
-                yield part
-            else:
-                buf.append(part)
-                if len(buf) >= self.chunk_size:
-                    yield buf
-                    buf = []
-        if buf:
-            yield buf
+        self._streamed = True
+        return self._parts
 
     def stream(self) -> Iterator[list[CliqueSubList]]:
-        """Decompress and yield ``chunk_size`` sub-lists at a time."""
+        """Decompress and yield one stored part at a time."""
         if self._streamed:
             raise LevelStoreError(
                 "stream() called twice on a single-pass level store"
             )
-        self._flush_pending()
-        self._streamed = True
-        return self._stream()
+        return self._stream(self._begin_stream())
 
-    def _stream(self) -> Iterator[list[CliqueSubList]]:
-        for run in self._iter_runs():
-            if isinstance(run, CompressedLevelBatch):
-                self.decompressed_bytes += run.uncompressed_nbytes(
-                    INDEX_BYTES, POINTER_BYTES
-                )
-                yield run.to_sublists()
-                continue
-            self.decompressed_bytes += sum(
-                entry.uncompressed_nbytes(INDEX_BYTES, POINTER_BYTES)
-                for entry in run
+    def _stream(
+        self, parts: list[CompressedLevelBatch]
+    ) -> Iterator[list[CliqueSubList]]:
+        for part in parts:
+            self.decompressed_bytes += part.uncompressed_nbytes(
+                INDEX_BYTES, POINTER_BYTES
             )
-            yield CompressedLevelBatch.from_entries(run).to_sublists()
+            yield part.to_sublists()
 
     def stream_batches(self) -> Iterator[CompressedLevelBatch]:
-        """Yield the level as :class:`CompressedLevelBatch` chunks.
+        """Yield the whole level as one :class:`CompressedLevelBatch`.
 
-        The structure-of-arrays counterpart of :meth:`stream_entries`
-        for the compressed-domain generation step: same chunking, same
-        single-pass contract, same ``bypassed_bytes`` accounting — the
-        words never leave compressed form.
+        The stored parts are coalesced: the consumer's per-call fixed
+        cost dominates the array concat, and nothing decompresses
+        either way, so there is no working-set concern.  The words never
+        leave compressed form.
         """
         if self._streamed:
             raise LevelStoreError(
                 "stream() called twice on a single-pass level store"
             )
-        self._flush_pending()
-        self._streamed = True
-        return self._stream_batches()
+        return self._stream_batches(self._begin_stream())
 
-    def _stream_batches(self) -> Iterator[CompressedLevelBatch]:
-        # consecutive batch parts are coalesced into one yield: the
-        # consumer's per-call fixed cost dominates the array concat, and
-        # nothing decompresses either way, so no working-set concern
-        batch_run: list[CompressedLevelBatch] = []
-        for run in self._iter_runs():
-            if isinstance(run, CompressedLevelBatch):
-                batch_run.append(run)
-                continue
-            if batch_run:
-                yield self._merge_batches(batch_run)
-                batch_run = []
-            self.bypassed_bytes += sum(
-                entry.uncompressed_nbytes(INDEX_BYTES, POINTER_BYTES)
-                for entry in run
+    def _stream_batches(
+        self, parts: list[CompressedLevelBatch]
+    ) -> Iterator[CompressedLevelBatch]:
+        if parts:
+            merged = CompressedLevelBatch.concat(parts)
+            self.bypassed_bytes += merged.uncompressed_nbytes(
+                INDEX_BYTES, POINTER_BYTES
             )
-            yield CompressedLevelBatch.from_entries(run)
-        if batch_run:
-            yield self._merge_batches(batch_run)
-
-    def _merge_batches(
-        self, batch_run: list[CompressedLevelBatch]
-    ) -> CompressedLevelBatch:
-        merged = CompressedLevelBatch.concat(batch_run)
-        self.bypassed_bytes += merged.uncompressed_nbytes(
-            INDEX_BYTES, POINTER_BYTES
-        )
-        return merged
+            yield merged
 
     def stream_entries(self) -> Iterator[list[CompressedSubList]]:
-        """Yield the compressed entries themselves, never decompressing.
+        """Yield per-entry views of the stored parts, never
+        decompressing.
 
-        The zero-round-trip counterpart of :meth:`stream` for
-        compressed-domain consumers; shares the same single-pass
-        contract (one streaming pass total, whichever method starts
-        it).  Chunking follows ``chunk_size`` so the generation step's
-        chunk granularity matches the decompressing path.
+        Each chunk is one stored part as :class:`CompressedSubList`
+        objects sharing its word arrays
+        (:meth:`~repro.core.sublist.CompressedLevelBatch.to_entries`).
         """
         if self._streamed:
             raise LevelStoreError(
                 "stream() called twice on a single-pass level store"
             )
-        self._flush_pending()
-        self._streamed = True
-        return self._stream_entries()
+        return self._stream_entries(self._begin_stream())
 
-    def _stream_entries(self) -> Iterator[list[CompressedSubList]]:
-        for run in self._iter_runs():
-            if isinstance(run, CompressedLevelBatch):
-                self.bypassed_bytes += run.uncompressed_nbytes(
-                    INDEX_BYTES, POINTER_BYTES
-                )
-                yield run.to_entries()
-                continue
-            self.bypassed_bytes += sum(
-                entry.uncompressed_nbytes(INDEX_BYTES, POINTER_BYTES)
-                for entry in run
+    def _stream_entries(
+        self, parts: list[CompressedLevelBatch]
+    ) -> Iterator[list[CompressedSubList]]:
+        for part in parts:
+            self.bypassed_bytes += part.uncompressed_nbytes(
+                INDEX_BYTES, POINTER_BYTES
             )
-            yield run
+            yield part.to_entries()
 
     def close(self) -> None:
         """Drop the compressed level."""

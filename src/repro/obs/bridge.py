@@ -201,7 +201,7 @@ def fold_result(registry: MetricsRegistry, result: Any) -> None:
     if result.transfers:
         registry.counter(
             "repro_transfers_total",
-            "Sub-lists migrated between workers (steals/relays).",
+            "Sub-list ranges stolen between threads workers.",
         ).inc(result.transfers)
     if result.io is not None:
         registry.counter(

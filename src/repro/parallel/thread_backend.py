@@ -1,32 +1,39 @@
 """Shared-memory threaded level expansion with intra-level work stealing.
 
 The closest analogue in this repo to the paper's 256-processor SGI Altix
-run: worker *threads* expand disjoint slices of one candidate level
+run: worker *threads* expand disjoint ranges of one candidate level
 against the **shared** adjacency bitmap and sub-list arrays — no
-pickling, no per-level scatter/gather of candidate data.  The numpy
-kernels inside :func:`~repro.core.clique_enumerator.
-generate_next_level` release the GIL, so on multi-core hosts the pair
-scans and bit-string ANDs of different slices genuinely overlap.
+pickling, no per-level scatter/gather of candidate data.
+
+The work unit is the pair batch the sequential step already cuts: a
+store chunk (a ``list[CliqueSubList]``, or a whole
+:class:`~repro.core.sublist.CompressedLevelBatch` on the ``wah`` store)
+is split into contiguous sub-list ranges by the ``PAIR_BATCH_BYTES``
+rule of :func:`~repro.core.clique_enumerator.pair_batches`, and a
+worker expands a range with the unchanged sequential step on a list
+slice or a zero-copy row slice of the batch.  A chunk that is one
+range runs on the calling thread, without the pool.
 
 Scheduling is two-phase, mirroring the paper's Section 2.3 scheduler:
 
-* **seed**: each level's sub-lists are LPT-partitioned across workers
+* **seed**: each chunk's ranges are LPT-partitioned across workers
   by :meth:`~repro.parallel.load_balancer.LoadBalancer.partition`
   ("divides all k-cliques evenly" — by estimated work, not by count);
 * **steal**: within the level, a worker that drains its own partition
-  pulls ``steal_granularity``-sized slices from the tail of the
-  heaviest remaining partition
+  pulls ``steal_granularity`` ranges from the tail of the heaviest
+  remaining partition
   (:class:`~repro.parallel.load_balancer.StealingWorkQueue`), so the
   estimate errors that static sharding cannot absorb are fixed while
   the level runs instead of one level later.
 
-Determinism: every sub-list is expanded exactly once with its own
-accounting, per-worker :class:`~repro.core.counters.OpCounters` merge
-through the existing :meth:`~repro.core.counters.OpCounters.merge`, and
-both the emitted cliques and the child sub-lists are restored to
-canonical order at the level barrier — so output, per-level statistics,
-*and operation counters* are byte-identical to the sequential
-``incore`` backend no matter how the steals interleave.
+Determinism: every range is expanded exactly once with its own clique
+and child lists, per-worker :class:`~repro.core.counters.OpCounters`
+merge through :meth:`~repro.core.counters.OpCounters.merge`, and the
+ranges' cliques and children are concatenated in range order at the
+level barrier — the sequential order by construction, since the ranges
+are contiguous.  Output, per-level statistics, *and operation
+counters* are byte-identical to the sequential ``incore`` backend no
+matter how the steals interleave.
 """
 
 from __future__ import annotations
@@ -37,25 +44,27 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 from repro.errors import ParameterError
-from repro.core.clique_enumerator import generate_next_level
+from repro.core.clique_enumerator import generate_next_level, pair_batches
 from repro.core.counters import OpCounters
 from repro.core.graph import Graph
-from repro.core.sublist import CliqueSubList
+from repro.core.sublist import CliqueSubList, CompressedLevelBatch
 from repro.obs.runtime import get_observability
 from repro.parallel.load_balancer import StealingWorkQueue
 
 __all__ = [
     "DEFAULT_STEAL_GRANULARITY",
     "EMIT_BATCH",
+    "level_ranges",
     "resolve_worker_count",
     "ThreadedExpander",
 ]
 
-#: sub-lists per chunk a worker takes (and a thief steals) at once.
-#: Small enough that a mis-estimated heavy tail can still migrate,
-#: large enough that the queue lock is touched once per chunk, not once
-#: per sub-list.
+#: sub-list ranges per chunk a thief steals at once.  Small enough that
+#: a mis-estimated heavy tail can still migrate, large enough that the
+#: queue lock is touched once per chunk, not once per range.
 DEFAULT_STEAL_GRANULARITY = 4
 
 #: cliques per ``emit.batch`` call when draining a merged level through
@@ -63,6 +72,34 @@ DEFAULT_STEAL_GRANULARITY = 4
 #: cliques instead of per clique, while keeping any single sink call —
 #: and the partial delivery before a budget trip — bounded.
 EMIT_BATCH = 1024
+
+#: one store chunk, in either form a level store streams
+Chunk = list[CliqueSubList] | CompressedLevelBatch
+
+
+def level_ranges(
+    chunk: Chunk, n_words: int
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """The work units of one store chunk: ranges and their estimates.
+
+    Returns the contiguous ``[start, end)`` sub-list ranges of
+    :func:`~repro.core.clique_enumerator.pair_batches` for adjacency
+    rows of ``n_words`` words, and per range the sum of
+    :meth:`~repro.core.sublist.CliqueSubList.work_estimate` over its
+    sub-lists.  Both read tail counts only, so a compressed batch and
+    the raw sub-lists it holds partition identically.
+    """
+    if isinstance(chunk, CompressedLevelBatch):
+        t = chunk.n_tails
+    else:
+        t = np.fromiter(
+            (sl.tails.size for sl in chunk), dtype=np.int64,
+            count=len(chunk),
+        )
+    ranges = pair_batches(t, n_words)
+    work = np.zeros(t.size + 1, dtype=np.int64)
+    np.cumsum(t * (t - 1) // 2 + t * max(1, n_words // 8), out=work[1:])
+    return ranges, [int(work[end] - work[start]) for start, end in ranges]
 
 
 def resolve_worker_count(jobs: int | None) -> int:
@@ -78,7 +115,7 @@ class ThreadedExpander:
     """A persistent worker-thread pool expanding levels with stealing.
 
     One expander serves one enumeration run: the pool is created lazily
-    on the first level wide enough to parallelise and reused for every
+    on the first chunk of more than one range and reused for every
     later level (the paper's threads likewise persist across levels).
     :meth:`step` matches the engine's
     :data:`~repro.engine.level_loop.GenerationStep` signature, so the
@@ -91,9 +128,9 @@ class ThreadedExpander:
     n_workers:
         Worker-thread count (see :func:`resolve_worker_count`).
     steal_granularity:
-        Sub-lists per work chunk / steal slice.
+        Ranges per steal slice.
     step:
-        The sequential generation step each worker runs on its chunks
+        The sequential generation step each worker runs on its ranges
         (the paper's tail-list generation by default).
 
     Use as a context manager; :meth:`close` joins the pool.
@@ -122,8 +159,8 @@ class ThreadedExpander:
         # this one lock regardless of which thread drives step()
         self._emit_lock = threading.Lock()
         self.steals = 0
-        self.stolen_sublists = 0
-        #: wall-clock seconds each worker spent expanding chunks across
+        self.stolen_ranges = 0
+        #: wall-clock seconds each worker spent expanding ranges across
         #: the run's parallel steps — the measured Figure 8 signal
         #: (:func:`repro.parallel.metrics.worker_load_balance`)
         self.worker_busy = [0.0] * n_workers
@@ -161,36 +198,47 @@ class ThreadedExpander:
 
     def step(
         self,
-        sublists: list[CliqueSubList],
+        chunk: Chunk,
         g: Graph,
         counters: OpCounters,
         emit: Callable[[tuple[int, ...]], None],
-    ) -> list[CliqueSubList]:
-        """One level (or store chunk) of generation, fanned across the pool.
+    ) -> Chunk:
+        """One store chunk of generation, fanned across the pool.
 
-        Workers expand stolen-or-local chunks into *local* clique and
-        child lists with *local* counters; at the barrier the locals
-        merge (``OpCounters.merge``), cliques are emitted through
-        ``emit`` in canonical order, and children are returned sorted
-        by prefix — the exact sequence the sequential step produces.
-        ``emit`` runs only on the calling thread, after the barrier, so
-        a raising sink (budget trip, cancellation, broken ``jsonl``
+        The chunk is cut into ranges (:func:`level_ranges`); one range
+        runs on the calling thread.  Otherwise workers expand
+        LPT-seeded or stolen ranges into per-range clique and child
+        lists with *local* counters; at the barrier the counters merge
+        (``OpCounters.merge``), and the ranges' cliques are emitted and
+        their children returned in range order — the exact sequence the
+        sequential step produces, in the chunk's own form.  ``emit``
+        runs only on the calling thread, after the barrier, so a
+        raising sink (budget trip, cancellation, broken ``jsonl``
         target) propagates without a worker deadlock: workers never
         block on anything but finished work.
         """
-        if self.n_workers == 1 or len(sublists) < 2:
-            return self._step(sublists, g, counters, emit)
+        ranges, estimates = level_ranges(chunk, g.adj.shape[1])
+        if self.n_workers == 1 or len(ranges) < 2:
+            return self._step(chunk, g, counters, emit)
+        batch = isinstance(chunk, CompressedLevelBatch)
+        parts = [
+            chunk.rows(start, end) if batch else chunk[start:end]
+            for start, end in ranges
+        ]
         queue = StealingWorkQueue.from_partition(
-            sublists,
-            [sl.work_estimate() for sl in sublists],
+            list(range(len(parts))),
+            estimates,
             self.n_workers,
             graph_size=g.n,
             steal_granularity=self.steal_granularity,
         )
+        #: per range: (cliques, children), written by whichever worker
+        #: expanded it
+        results: list = [None] * len(parts)
         stop = threading.Event()
         pool = self._ensure_pool()
         futures = [
-            pool.submit(self._drain, w, queue, g, stop)
+            pool.submit(self._drain, w, queue, parts, g, results, stop)
             for w in range(self.n_workers)
         ]
         outcomes = []
@@ -208,16 +256,10 @@ class ThreadedExpander:
         if error is not None:
             raise error
         self.steals += queue.steals
-        self.stolen_sublists += queue.stolen_items
-        cliques: list[tuple[int, ...]] = []
-        children: list[CliqueSubList] = []
+        self.stolen_ranges += queue.stolen_items
         step_busy = []
-        for worker, (
-            worker_counters, worker_cliques, worker_children, busy
-        ) in enumerate(outcomes):
+        for worker, (worker_counters, busy) in enumerate(outcomes):
             counters.merge(worker_counters)
-            cliques.extend(worker_cliques)
-            children.extend(worker_children)
             self.worker_busy[worker] += busy
             step_busy.append(busy)
         mean_busy = sum(step_busy) / len(step_busy)
@@ -230,15 +272,17 @@ class ThreadedExpander:
             self._tracer.event(
                 "steal",
                 steals=queue.steals,
-                stolen_sublists=queue.stolen_items,
+                stolen_ranges=queue.stolen_items,
                 workers=self.n_workers,
             )
-        # restore the sequential emission/storage order: cliques ascend
-        # canonically within the level, children ascend by (unique)
-        # prefix — identical to the order one worker would have produced
-        self._emit_cliques(sorted(cliques), emit)
-        children.sort(key=lambda sl: sl.prefix)
-        return children
+        self._emit_cliques(
+            [clique for cliques, _ in results for clique in cliques], emit
+        )
+        if batch:
+            return CompressedLevelBatch.concat(
+                [children for _, children in results]
+            )
+        return [child for _, children in results for child in children]
 
     def _emit_cliques(
         self,
@@ -266,26 +310,28 @@ class ThreadedExpander:
         self,
         worker: int,
         queue: StealingWorkQueue,
+        parts: list[Chunk],
         g: Graph,
+        results: list,
         stop: threading.Event,
-    ) -> tuple[OpCounters, list, list, float]:
-        """Worker body: pull chunks (local, then stolen) until dry.
+    ) -> tuple[OpCounters, float]:
+        """Worker body: expand ranges (local, then stolen) until dry.
 
-        Returns the worker's locals plus the wall-clock it spent inside
-        the step — the per-worker busy time the load-balance stats and
-        the paper's ±10% check are computed from.
+        Range ``i``'s cliques and children land in ``results[i]``.
+        Returns the worker's counters plus the wall-clock it spent
+        inside the step — the per-worker busy time the load-balance
+        stats and the paper's ±10% check are computed from.
         """
         counters = OpCounters()
-        cliques: list[tuple[int, ...]] = []
-        children: list[CliqueSubList] = []
         busy = 0.0
         while not stop.is_set():
-            chunk = queue.take(worker)
-            if chunk is None:
+            taken = queue.take(worker)
+            if taken is None:
                 break
             t0 = time.perf_counter()
-            children.extend(
-                self._step(chunk, g, counters, cliques.append)
-            )
+            for i in taken:
+                cliques: list[tuple[int, ...]] = []
+                children = self._step(parts[i], g, counters, cliques.append)
+                results[i] = (cliques, children)
             busy += time.perf_counter() - t0
-        return counters, cliques, children, busy
+        return counters, busy

@@ -47,10 +47,17 @@ from repro.service.protocol import (
 from repro.service.jobs import JobStatus
 from repro.service.scheduler import JobScheduler
 
-__all__ = ["DEFAULT_PORT", "EnumerationServer", "serve"]
+__all__ = [
+    "DEFAULT_PORT", "MAX_REQUEST_BYTES", "EnumerationServer", "serve",
+]
 
 #: default TCP port of the enumeration job service (the CLI shares it).
 DEFAULT_PORT = 7531
+
+#: longest request line the server reads, newline included.  An inline
+#: genome-scale graph is ~80 KB, so this leaves room for graphs far
+#: larger while bounding what one connection can make the server buffer.
+MAX_REQUEST_BYTES = 64 << 20
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -59,7 +66,18 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         server: EnumerationServer
         server = self.server.enumeration_server  # type: ignore[attr-defined]
-        for raw in self.rfile:
+        while True:
+            raw = self.rfile.readline(MAX_REQUEST_BYTES + 1)
+            if not raw:
+                return
+            if len(raw) > MAX_REQUEST_BYTES:
+                # the rest of the line is never read: answer, then close
+                self._reply({
+                    "ok": False,
+                    "error": "request line exceeds "
+                    f"{MAX_REQUEST_BYTES} bytes",
+                })
+                return
             line = raw.strip()
             if not line:
                 continue
@@ -73,11 +91,17 @@ class _Handler(socketserver.StreamRequestHandler):
                     "ok": False,
                     "error": f"{type(exc).__name__}: {exc}",
                 }
-            try:
-                self.wfile.write(encode_line(response))
-                self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError):
+            if not self._reply(response):
                 return
+
+    def _reply(self, response: dict) -> bool:
+        """Write one response line; False once the client is gone."""
+        try:
+            self.wfile.write(encode_line(response))
+            self.wfile.flush()
+        except (BrokenPipeError, ConnectionResetError):
+            return False
+        return True
 
 
 class _ThreadingTCPServer(socketserver.ThreadingTCPServer):

@@ -2,10 +2,10 @@
 
 The ``memory`` and ``disk`` stores run the raw-word step; the ``wah``
 store runs the compressed-domain step of
-:mod:`repro.core.compressed_domain` (whole batches, or per-entry under
-``threads``).  The contract the compressed step must keep forever: for
-every backend, the byte-identical clique *sequence*, per-level sub-list
-and candidate counts, and merged
+:mod:`repro.core.compressed_domain` on whole level batches (row slices
+of them under ``threads``).  The contract the compressed step must
+keep forever: for every backend, the byte-identical clique *sequence*,
+per-level sub-list and candidate counts, and merged
 :class:`~repro.core.counters.OpCounters` as the raw-word step — the
 representation changes, the algorithm (and its paper-faithful operation
 model) does not.  What may differ is each store's own byte accounting
@@ -218,10 +218,10 @@ class TestCompressedStream:
             store2.stream_entries()
 
     def test_native_compressed_append_identical_accounting(self):
-        """Appending a CompressedSubList directly (what the compressed
-        step produces) charges the same bytes as compressing the
-        equivalent raw sub-list (what seeding appends) — so per-level
-        stats do not depend on which path filled the store."""
+        """Appending a compressed batch (what the compressed step
+        produces) charges the same bytes as compressing the equivalent
+        raw sub-lists (what seeding appends) — so per-level stats do
+        not depend on which path filled the store."""
         g, _ = planted_clique(40, 6, 0.1, seed=3)
         raw_store = self._store_with(g)
         native_store = CompressedLevelStore(chunk_size=2)
@@ -229,8 +229,7 @@ class TestCompressedStream:
         from repro.engine.level_loop import seed_level
 
         _, seed = seed_level(g, 2, OpCounters(), lambda c: None)
-        for sl in seed:
-            native_store.append(CompressedSubList.from_sublist(sl))
+        native_store.append_batch(CompressedLevelBatch.from_sublists(seed))
         assert native_store.candidate_bytes == raw_store.candidate_bytes
         assert native_store.n_candidates == raw_store.n_candidates
         assert (
@@ -243,19 +242,39 @@ class TestCompressedExpander:
         with pytest.raises(ParameterError, match="step model"):
             CompressedExpander(Graph(4), model="vectorised")
 
-    def test_work_estimate_parity(self):
-        """LPT partitioning sees identical weights in both forms."""
-        g = erdos_renyi(80, 0.2, seed=2)
+    def test_work_estimate_parity(self, monkeypatch):
+        """LPT partitioning sees identical ranges and weights whether
+        the threads backend is handed the raw level or its compressed
+        batch, and a range weighs what its sub-lists do."""
         from repro.core.counters import OpCounters
         from repro.engine.level_loop import seed_level
+        from repro.parallel.thread_backend import level_ranges
 
+        g = erdos_renyi(80, 0.2, seed=2)
         _, seed = seed_level(g, 2, OpCounters(), lambda c: None)
-        assert seed
-        for sl in seed:
-            assert (
-                CompressedSubList.from_sublist(sl).work_estimate()
-                == sl.work_estimate()
+        batch = CompressedLevelBatch.from_sublists(seed)
+        n_words = g.adj.shape[1]
+        default = clique_enumerator.PAIR_BATCH_BYTES
+        counts = {}
+        for budget in (default, 4096, 0):
+            monkeypatch.setattr(
+                clique_enumerator, "PAIR_BATCH_BYTES", budget
             )
+            ranges, estimates = level_ranges(seed, n_words)
+            assert level_ranges(batch, n_words) == (ranges, estimates)
+            # contiguous, covering, never splitting a sub-list
+            assert [start for start, _ in ranges] == [0] + [
+                end for _, end in ranges[:-1]
+            ]
+            assert ranges[-1][1] == len(seed)
+            assert estimates == [
+                sum(sl.work_estimate() for sl in seed[start:end])
+                for start, end in ranges
+            ]
+            counts[budget] = len(ranges)
+        assert counts[default] == 1
+        assert 1 < counts[4096] < len(seed)
+        assert counts[0] == len(seed)
 
     def test_step_signature_matches_generation_step(self):
         """The expander is a drop-in GenerationStep: same call shape,

@@ -131,14 +131,16 @@ class TestCompressedLevelStore:
         "stream", ["stream", "stream_entries", "stream_batches"]
     )
     def test_mixed_appends_stream_in_insertion_order(self, stream):
-        """Raw appends wait in a buffer for batch encoding; entries and
-        batches stored meanwhile must not overtake them."""
+        """Raw appends wait in a buffer for batch encoding; batches
+        stored meanwhile must not overtake them."""
         from repro.core.sublist import CompressedLevelBatch
 
         store = CompressedLevelStore()
         store.append(_sl([0], [1, 2]))
         store.append(_sl([1], [2, 3]))
-        store.append(CompressedSubList.from_sublist(_sl([2], [3, 4])))
+        store.append_batch(
+            CompressedLevelBatch.from_sublists([_sl([2], [3, 4])])
+        )
         store.append(_sl([3], [4, 5]))
         store.append_batch(
             CompressedLevelBatch.from_sublists([_sl([4], [5, 6])])
@@ -158,7 +160,7 @@ class TestCompressedLevelStore:
     def test_entries_are_compressed_sublists(self):
         store = CompressedLevelStore()
         store.append(_sl([0], [1, 2]))
-        (entry,) = store.entries()
+        ((entry,),) = store.stream_entries()
         assert isinstance(entry, CompressedSubList)
         assert len(entry) == 2
         # compressed-domain ops work without any decompression

@@ -35,6 +35,8 @@ import pytest
 from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
+from repro.core import clique_enumerator
+from repro.core.clique_enumerator import EnumerationResult
 from repro.core.generators import (
     erdos_renyi,
     overlapping_cliques,
@@ -116,14 +118,20 @@ def assert_cross_backend_equivalence(
       per-worker :class:`~repro.core.counters.OpCounters` trustworthy;
     * for exempt backends, identical counter snapshots *across their
       own stores* — the ``wah`` store's compressed step may change the
-      word arithmetic, never the documented operation model.
+      word arithmetic, never the documented operation model;
+    * for parallel backends, identical level statistics and
+      ``domain_stats`` to ``incore`` on the same store.  They run at a
+      zero pair budget, so every sub-list is a range of its own and the
+      worker pool runs even on the harness's small graphs.
     """
     ref = ENGINE.run(
         g, EnumerationConfig(backend="incore", k_min=k_min, k_max=k_max)
     )
     ref_sizes = _by_size(ref.cliques)
     ref_snapshot = ref.counters.snapshot()
-    for info in backend_table():
+    incore_by_store: dict[str, EnumerationResult] = {}
+    # incore first: the parallel backends compare against its stores
+    for info in sorted(backend_table(), key=lambda i: i.name != "incore"):
         store_snapshots: dict[str, dict] = {}
         for store in LEVEL_STORES:
             label = (
@@ -137,7 +145,14 @@ def assert_cross_backend_equivalence(
                 level_store=store,
                 jobs=2 if info.parallel else None,
             )
-            res = ENGINE.run(g, config)
+            with pytest.MonkeyPatch.context() as patch:
+                if info.parallel:
+                    patch.setattr(
+                        clique_enumerator, "PAIR_BATCH_BYTES", 0
+                    )
+                res = ENGINE.run(g, config)
+            if info.name == "incore":
+                incore_by_store[store] = res
             assert res.cliques == ref.cliques, (
                 f"clique sequence diverged from incore: {label}"
             )
@@ -154,6 +169,14 @@ def assert_cross_backend_equivalence(
             if info.name not in COUNTER_MODEL_EXEMPT:
                 assert store_snapshots[store] == ref_snapshot, (
                     f"merged counters diverged from incore: {label}"
+                )
+            if info.parallel:
+                same_store = incore_by_store[store]
+                assert res.level_stats == same_store.level_stats, (
+                    f"level statistics diverged from incore: {label}"
+                )
+                assert res.domain_stats == same_store.domain_stats, (
+                    f"domain_stats diverged from incore: {label}"
                 )
         first_store, first_snapshot = next(iter(store_snapshots.items()))
         for store, snapshot in store_snapshots.items():

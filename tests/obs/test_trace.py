@@ -124,3 +124,77 @@ class TestDisabledSingletons:
         NULL_TRACER.event("steal")
         assert NULL_TRACER.records() == []
         assert NULL_TRACER.enabled is False
+
+
+class TestThreadsJobRecords:
+    """The field names a traced ``threads`` job writes — the taxonomy
+    ``docs/ARCHITECTURE.md`` documents for external tooling."""
+
+    def test_level_and_steal_record_fields(self, plane, monkeypatch):
+        from repro.core import clique_enumerator
+        from repro.core.graph import Graph
+        from repro.engine import EnumerationConfig, EnumerationEngine
+        from repro.engine import backends
+        from repro.parallel import thread_backend
+
+        # eight disjoint K4s seed 16 sub-lists (8 of three tails, 8 of
+        # two); a zero pair budget makes each a range, LPT hands each of
+        # the two workers 8, and steals move one range at a time
+        g = Graph.from_edges(32, [
+            (4 * i + a, 4 * i + b)
+            for i in range(8)
+            for a in range(4)
+            for b in range(a + 1, 4)
+        ])
+        monkeypatch.setattr(clique_enumerator, "PAIR_BATCH_BYTES", 0)
+        monkeypatch.setattr(
+            thread_backend, "DEFAULT_STEAL_GRANULARITY", 1
+        )
+        step = backends.generate_next_level
+        cond = threading.Condition()
+        state = {"calls": 0, "done": 0}
+
+        def gated(sublists, graph, counters, emit):
+            # the very first range waits until its worker's partner has
+            # finished its own 8 ranges and one stolen from this one
+            with cond:
+                state["calls"] += 1
+                first = state["calls"] == 1
+                if first:
+                    assert cond.wait_for(
+                        lambda: state["done"] > 8, timeout=30
+                    ), "no range was stolen"
+            out = step(sublists, graph, counters, emit)
+            with cond:
+                state["done"] += 1
+                cond.notify_all()
+            return out
+
+        monkeypatch.setattr(backends, "generate_next_level", gated)
+        res = EnumerationEngine().run(
+            g, EnumerationConfig(backend="threads", jobs=2, k_min=2)
+        )
+        assert res.cliques == [
+            tuple(range(4 * i, 4 * i + 4)) for i in range(8)
+        ]
+        records = plane.tracer.records()
+        levels = [r for r in records if r["name"] == "level"]
+        steals = [r for r in records if r["name"] == "steal"]
+        assert [r["fields"]["k"] for r in levels] == [3, 4]
+        for record in levels:
+            assert set(record["fields"]) == {
+                "k", "backend", "stream", "parents",
+                "sublists", "candidates", "emitted", "candidate_bytes",
+            }
+            assert record["fields"]["backend"] == "threads"
+            assert record["fields"]["stream"] == "raw"
+        assert steals
+        for record in steals:
+            assert record["kind"] == "event"
+            assert set(record["fields"]) == {
+                "steals", "stolen_ranges", "workers",
+            }
+            assert record["fields"]["workers"] == 2
+        assert res.transfers == sum(
+            r["fields"]["stolen_ranges"] for r in steals
+        ) >= 1

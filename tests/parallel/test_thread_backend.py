@@ -7,16 +7,23 @@ under skew, exception propagation out of the worker pool, pool
 lifecycle, and degenerate inputs — plus the
 :class:`~repro.parallel.thread_backend.ThreadedExpander` surface
 directly.
+
+The expander's work unit is a range of sub-lists cut by the step's pair
+budget, and every graph here fits one range at the default budget, so
+the autouse fixture sets the budget to zero: each sub-list is then a
+range of its own, and the worker pool runs.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.errors import BudgetExceeded, ParameterError
+from repro.core import clique_enumerator
 from repro.core.counters import OpCounters
 from repro.core.generators import (
     complete_graph,
@@ -26,6 +33,7 @@ from repro.core.generators import (
     star_graph,
 )
 from repro.core.graph import Graph
+from repro.core.sublist import CompressedSubList
 from repro.engine import EnumerationConfig, EnumerationEngine
 from repro.parallel import thread_backend as tb
 from repro.parallel.thread_backend import (
@@ -34,6 +42,15 @@ from repro.parallel.thread_backend import (
 )
 
 ENGINE = EnumerationEngine()
+
+#: the pair budget the program ships with
+DEFAULT_PAIR_BATCH_BYTES = clique_enumerator.PAIR_BATCH_BYTES
+
+
+@pytest.fixture(autouse=True)
+def range_per_sublist(monkeypatch):
+    """A zero pair budget: every sub-list is a range, so workers run."""
+    monkeypatch.setattr(clique_enumerator, "PAIR_BATCH_BYTES", 0)
 
 
 def _run(g, backend="threads", on_clique=None, **kw):
@@ -137,13 +154,21 @@ class TestDegenerateInputs:
 @pytest.mark.stress
 class TestConcurrencyStress:
     def test_oversubscribed_workers_finest_stealing(self, monkeypatch):
-        """Workers far beyond cores, steal slices of one: max contention."""
+        """Workers far beyond cores, steal slices of one, switching
+        threads every microsecond: a lost per-range result or counter
+        update would change the output."""
         monkeypatch.setattr(tb, "DEFAULT_STEAL_GRANULARITY", 1)
         g = planted_partition(
             80, [10, 9, 8, 7], p_in=0.9, p_out=0.05, seed=6
         )[0]
         ref = _run(g, backend="incore", k_min=1)
-        res = _run(g, jobs=16, k_min=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            res = _run(g, jobs=16, k_min=1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert res.load_balance is not None
         assert res.cliques == ref.cliques
         assert res.counters.snapshot() == ref.counters.snapshot()
         assert res.n_workers == 16
@@ -155,11 +180,13 @@ class TestConcurrencyStress:
         monkeypatch.setattr(tb, "DEFAULT_STEAL_GRANULARITY", 1)
         g = erdos_renyi(60, 0.2, seed=13)
         res = _run(g, jobs=8, k_min=2)
+        assert res.load_balance is not None
         assert res.transfers >= 0
+        assert res.load_balance["transfers"] == res.transfers
         assert res.cliques == _run(g, backend="incore", k_min=2).cliques
 
     def test_transfers_wired_from_expander_accounting(self, monkeypatch):
-        """`result.transfers` is the expander's stolen-sub-list tally —
+        """`result.transfers` is the expander's stolen-range tally —
         pinned deterministically by substituting an expander that
         reports a known count (steal timing itself is nondeterministic,
         so the integration tests above can only assert >= 0)."""
@@ -168,7 +195,7 @@ class TestConcurrencyStress:
         class FakeExpander(tb.ThreadedExpander):
             def __init__(self, n_workers, steal_granularity, **kw):
                 super().__init__(n_workers, steal_granularity, **kw)
-                self.stolen_sublists = 7
+                self.stolen_ranges = 7
 
             def step(self, sublists, g, counters, emit):
                 # expand inline: no queue, so the tally stays put
@@ -210,6 +237,7 @@ class TestConcurrencyStress:
         assert _settled_thread_count(baseline) <= baseline
         # and the engine is immediately reusable
         res = _run(g, jobs=4, k_min=2)
+        assert res.load_balance is not None
         assert res.cliques == _run(g, backend="incore", k_min=2).cliques
 
     def test_cancellation_style_exception_mid_level(self):
@@ -242,6 +270,8 @@ class TestConcurrencyStress:
             _run(g, backend="incore", k_min=2, max_cliques=5)
         assert thr.value.emitted == seq.value.emitted
         assert thr.value.level == seq.value.level
+        # the unbudgeted run fans out: the trip above was a pool's
+        assert _run(g, jobs=4, k_min=2).load_balance is not None
 
     def test_many_runs_are_deterministic(self, monkeypatch):
         """Repeated threaded runs interleave differently but must emit
@@ -264,6 +294,51 @@ class TestConcurrencyStress:
         for store in ("memory", "disk", "wah"):
             res = _run(g, jobs=8, k_min=1, level_store=store)
             assert res.cliques == ref.cliques, store
+
+
+class TestRanges:
+    """The work unit: contiguous sub-list ranges cut by the pair budget."""
+
+    def test_levels_of_one_range_never_start_the_pool(self, monkeypatch):
+        """At the default budget every level of this graph is one
+        range: the step runs on the calling thread and no pool exists."""
+        monkeypatch.setattr(
+            clique_enumerator, "PAIR_BATCH_BYTES", DEFAULT_PAIR_BATCH_BYTES
+        )
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-range level started the pool")
+
+        monkeypatch.setattr(tb, "ThreadPoolExecutor", no_pool)
+        g = planted_partition(
+            60, [9, 8, 7], p_in=0.9, p_out=0.04, seed=11
+        )[0]
+        ref = _run(g, backend="incore", k_min=1)
+        for store in ("memory", "disk", "wah"):
+            res = _run(g, jobs=4, k_min=1, level_store=store)
+            assert res.cliques == ref.cliques, store
+            assert res.load_balance is None
+            assert res.transfers == 0
+
+    def test_threads_on_wah_builds_no_compressed_sublist(
+        self, monkeypatch
+    ):
+        """Workers read row slices of the level batch; no level is ever
+        split into per-entry objects."""
+        def trap(self, *args, **kwargs):
+            raise AssertionError("CompressedSubList built")
+
+        monkeypatch.setattr(CompressedSubList, "__init__", trap)
+        g = planted_partition(
+            60, [9, 8, 7], p_in=0.9, p_out=0.04, seed=11
+        )[0]
+        ref = _run(g, backend="incore", k_min=1, level_store="wah")
+        res = _run(g, jobs=4, k_min=1, level_store="wah")
+        assert res.load_balance is not None
+        assert res.cliques == ref.cliques
+        assert res.level_stats == ref.level_stats
+        assert res.counters.snapshot() == ref.counters.snapshot()
+        assert res.domain_stats == ref.domain_stats
 
 
 class TestEmissionBatching:

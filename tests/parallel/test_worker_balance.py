@@ -12,6 +12,7 @@ import math
 
 import pytest
 
+from repro.core import clique_enumerator
 from repro.core.generators import planted_clique
 from repro.engine.api import run_enumeration
 from repro.engine.config import EnumerationConfig
@@ -70,6 +71,12 @@ class TestWorkerLoadBalance:
 
 
 class TestThreadsRunMeasurement:
+    @pytest.fixture(autouse=True)
+    def range_per_sublist(self, monkeypatch):
+        """A zero pair budget: every sub-list is a range of its own, so
+        these small graphs fan out across the pool."""
+        monkeypatch.setattr(clique_enumerator, "PAIR_BATCH_BYTES", 0)
+
     @pytest.fixture
     def graph(self):
         return planted_clique(60, 7, p=0.3, seed=3)[0]
@@ -91,8 +98,8 @@ class TestThreadsRunMeasurement:
         assert result.load_balance is None
 
     def test_single_worker_narrow_run_has_none(self):
-        # every level is below the parallel threshold: the pool never
-        # spins up, so there is no balance evidence to report
+        # one worker expands every level inline: the pool never spins
+        # up, so there is no balance evidence to report
         tiny = planted_clique(6, 3, p=0.2, seed=1)[0]
         result = run_enumeration(
             tiny, EnumerationConfig(backend="threads", jobs=1)

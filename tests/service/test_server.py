@@ -207,7 +207,7 @@ class TestSubmitTimeResolution:
         self, client, g, monkeypatch
     ):
         """A threads job travels the wire, runs, and reports its
-        parallel substrate (worker count, stolen sub-lists)."""
+        parallel substrate (worker count, stolen ranges)."""
         monkeypatch.setattr(thread_backend, "DEFAULT_STEAL_GRANULARITY", 1)
         job = client.wait(
             client.submit(
@@ -360,6 +360,44 @@ class TestRoundTrip:
     def test_submit_rejects_config_and_kwargs(self, client, g):
         with pytest.raises(ServiceError, match="not both"):
             client.submit(g, config=EnumerationConfig(), k_min=2)
+
+
+class TestRequestSizeBound:
+    def test_overlong_line_refused_and_server_survives(
+        self, server, monkeypatch
+    ):
+        """A line that never ends is cut off at MAX_REQUEST_BYTES with
+        a typed refusal, its connection is closed, and the server keeps
+        answering new connections."""
+        import socket
+
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_REQUEST_BYTES", 1024)
+        with socket.create_connection(server.address, timeout=10) as raw:
+            raw.sendall(b"x" * 4096)  # no newline, ever
+            stream = raw.makefile("rb")
+            reply = json.loads(stream.readline())
+            assert reply == {
+                "ok": False,
+                "error": "request line exceeds 1024 bytes",
+            }
+            assert stream.readline() == b""  # the server hung up
+        with ServiceClient(server.address, timeout=10) as fresh:
+            assert fresh.ping()["pong"]
+
+    def test_large_inline_graph_fits_the_default_bound(self, client):
+        """A 10k-edge inline graph — a longer line than the genome
+        graph's ~80 KB — is read whole and runs."""
+        from repro.service.server import MAX_REQUEST_BYTES
+
+        g = erdos_renyi(2000, 0.005, seed=1)
+        line = encode_line(
+            {"op": "submit", **spec_to_payload(JobSpec(graph=g))}
+        )
+        assert 100_000 < len(line) < MAX_REQUEST_BYTES
+        job = client.wait(client.submit(g, sink="count"), timeout=60)
+        assert job["status"] == "done"
 
 
 class TestUnixSocket:

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.core import clique_enumerator
 from repro.core.generators import planted_partition
 from repro.engine import EnumerationConfig, EnumerationEngine
 from repro.parallel import thread_backend
@@ -29,8 +30,15 @@ pytestmark = pytest.mark.stress
 
 @pytest.fixture(autouse=True)
 def finest_stealing(monkeypatch):
-    """Threads jobs steal slices of one sub-list: maximum contention."""
+    """Threads jobs steal one range at a time: maximum contention."""
     monkeypatch.setattr(thread_backend, "DEFAULT_STEAL_GRANULARITY", 1)
+
+
+@pytest.fixture(autouse=True)
+def range_per_sublist(monkeypatch):
+    """A zero pair budget: every sub-list is a range of its own, so
+    threads jobs on this small graph run their worker pools."""
+    monkeypatch.setattr(clique_enumerator, "PAIR_BATCH_BYTES", 0)
 
 
 @pytest.fixture
