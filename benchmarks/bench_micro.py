@@ -132,11 +132,11 @@ def bench_wah_count_batch(benchmark, wah_batch):
 
 
 def bench_wah_encode_batch(benchmark, wah_batch):
-    """Batch index→WAH encode of 512 decoded streams."""
-    _, _, aw, ao, _, _, ng = wah_batch
-    n = 12422
-    flat, offs = wk.batch_decode_indices(aw, ao, ng, n)
-    benchmark(wk.batch_encode_indices, flat, offs, n)
+    """Batch raw-word→WAH encode of 512 CN strings over the genome
+    graph's 64-bit-padded 12,480-bit universe."""
+    a = wah_batch[0]
+    mat = np.stack([WahBitmap(12422, w).to_words() for w in a])
+    benchmark(wk.batch_encode_words, mat, 12480)
 
 
 def bench_spearman_1242_genes(benchmark):

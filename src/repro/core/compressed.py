@@ -33,8 +33,7 @@ Two layers are provided, mirroring :mod:`repro.core.bitset`:
     used by the level stores and the public API.
 
 word-array kernels (:func:`wah_and_into`, :func:`wah_and_any`,
-:func:`wah_and_count`, :func:`wah_indices_above`,
-:func:`wah_from_sorted_indices`)
+:func:`wah_and_count`, :func:`wah_indices_above`)
     Allocation-light primitives over raw WAH word lists, one bitmap
     pair per call.  They are the scalar oracle the batched
     :mod:`repro.core.wah_kernels` — which the compressed-domain
@@ -60,7 +59,6 @@ __all__ = [
     "wah_and_any",
     "wah_and_count",
     "wah_indices_above",
-    "wah_from_sorted_indices",
 ]
 
 #: Number of payload bits per WAH group/literal.
@@ -866,79 +864,3 @@ def wah_indices_above(words: Sequence[int], lo: int) -> Iterator[int]:
                         yield idx
                     value ^= low
             base += GROUP_BITS
-
-
-def wah_from_sorted_indices(n: int, indices: Sequence[int]) -> list[int]:
-    """Canonically encode ascending set-bit indices as WAH words.
-
-    The compressed-domain tail encoder: builds the word stream directly
-    from the indices (cost proportional to the output, not to ``n``),
-    producing exactly the words :meth:`WahBitmap.from_indices` would —
-    so compressed-domain children and encoder-built children are
-    byte-identical.
-
-    Examples
-    --------
-    >>> words = wah_from_sorted_indices(10_000, [5, 310, 311])
-    >>> sorted(WahBitmap(10_000, words).iter_indices())
-    [5, 310, 311]
-    >>> words == WahBitmap.from_indices(
-    ...     10_000, [5, 310, 311]
-    ... ).wah_words().tolist()
-    True
-    """
-    n_groups = (n + GROUP_BITS - 1) // GROUP_BITS
-    out: list[int] = []
-    run_bit = -1
-    run_len = 0
-    cur_group = 0
-    i = 0
-    n_idx = len(indices)
-    while i < n_idx:
-        gi = indices[i] // GROUP_BITS
-        if gi >= n_groups:
-            raise BitSetError(
-                f"index {indices[i]} outside the {n}-bit universe"
-            )
-        if gi > cur_group:
-            gap = gi - cur_group
-            if run_bit == 0:
-                run_len += gap
-            else:
-                if run_len:
-                    _flush_run(out, run_bit, run_len)
-                run_bit = 0
-                run_len = gap
-            cur_group = gi
-        group = 0
-        base = gi * GROUP_BITS
-        while i < n_idx and indices[i] < base + GROUP_BITS:
-            group |= 1 << (indices[i] - base)
-            i += 1
-        if group == _LITERAL_MASK:
-            if run_bit == 1:
-                run_len += 1
-            else:
-                if run_len:
-                    _flush_run(out, run_bit, run_len)
-                run_bit = 1
-                run_len = 1
-        else:
-            if run_len:
-                _flush_run(out, run_bit, run_len)
-                run_bit = -1
-                run_len = 0
-            out.append(group)
-        cur_group = gi + 1
-    if cur_group < n_groups:
-        gap = n_groups - cur_group
-        if run_bit == 0:
-            run_len += gap
-        else:
-            if run_len:
-                _flush_run(out, run_bit, run_len)
-            run_bit = 0
-            run_len = gap
-    if run_len:
-        _flush_run(out, run_bit, run_len)
-    return out

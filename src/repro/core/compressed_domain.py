@@ -10,7 +10,8 @@ twice and materialising the full working set anyway.  This module
 delivers the second half: a generation step whose common-neighbor
 derivations and ``BitOneExists`` maximality tests run *directly on the
 WAH words* via the batched :mod:`repro.core.wah_kernels`, emitting new
-tails and CN strings as WAH words without a ``BitSet`` round trip.
+CN strings as WAH words without a ``BitSet`` round trip; tails stay
+``int64`` index arrays throughout.
 
 :class:`CompressedExpander` matches the engine's
 :data:`~repro.engine.level_loop.GenerationStep` signature, so it plugs
@@ -77,7 +78,6 @@ from repro.core.sublist import CompressedLevelBatch
 from repro.core.wah_kernels import (
     batch_and,
     batch_and_any,
-    batch_encode_indices,
     batch_encode_words,
     batch_indices_above,
     take_streams,
@@ -125,8 +125,8 @@ class CompressedExpander:
         self._g = g
         self._adj = g.adj
         self._model = model
-        #: bit universe of every CN string / tail bitmap of this graph —
-        #: the full 64-bit word span, matching CompressedLevelBatch.
+        #: bit universe of every CN string of this graph — the full
+        #: 64-bit word span, matching CompressedLevelBatch.
         self._universe = WORD_BITS * int(g.adj.shape[1]) if g.n else 0
         self._n_groups = (self._universe + 30) // 31
         #: adjacency-row cache: an SoA ``(words, offsets, slot)``
@@ -248,45 +248,9 @@ class CompressedExpander:
         if keep.size < len(prefixes):
             cw, co = take_streams(cw, co, keep)
             prefixes = [prefixes[i] for i in keep.tolist()]
-        # every producer in the level loop caches the decoded tails, so
-        # this slices the kept streams straight out of the cache
-        flat, offs = batch.decoded_tails()
+        flat, offs = batch.tails, batch.tail_offsets
         tails = [flat[offs[i]:offs[i + 1]] for i in keep.tolist()]
         return prefixes, tails, cw, co
-
-    def _children(self, out_prefixes, out_cands, parts):
-        """Materialise the retained children as one level batch.
-
-        ``parts`` holds per-batch SoA fragments of the kept child CN
-        streams, in emission order; ``out_cands`` the matching ascending
-        tail-index arrays.
-        """
-        universe = self._universe
-        if not out_prefixes:
-            return CompressedLevelBatch.empty(universe)
-        words = np.concatenate([w for w, _ in parts])
-        lens = np.concatenate([np.diff(o) for _, o in parts])
-        offsets = np.zeros(lens.size + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        counts = np.fromiter(
-            (c.size for c in out_cands),
-            dtype=np.int64,
-            count=len(out_cands),
-        )
-        idx_offsets = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=idx_offsets[1:])
-        flat_cands = np.concatenate(out_cands)
-        tw, to = batch_encode_indices(flat_cands, idx_offsets, universe)
-        return CompressedLevelBatch(
-            prefixes=tuple(out_prefixes),
-            universe=universe,
-            n_tails=counts,
-            tails_words=tw,
-            tails_offsets=to,
-            cn_words=words,
-            cn_offsets=offsets,
-            tails_idx=(flat_cands, idx_offsets),
-        )
 
     def _step_pairs(self, batch, counters, emit):
         """The tail-list model: counters match ``generate_next_level``.
@@ -309,7 +273,9 @@ class CompressedExpander:
                 start, end, prefixes, tails, cn_w, cn_o,
                 counters, emit, scratch, out_prefixes, out_cands, parts,
             )
-        return self._children(out_prefixes, out_cands, parts)
+        return CompressedLevelBatch.from_parts(
+            tuple(out_prefixes), self._universe, out_cands, parts
+        )
 
     def _pairs_batch(
         self, lo, hi, prefixes, tails, cn_w, cn_o,
@@ -409,7 +375,9 @@ class CompressedExpander:
                 start, end, prefixes, tails, cn_w, cn_o,
                 counters, emit, scratch, out_prefixes, out_cands, parts,
             )
-        return self._children(out_prefixes, out_cands, parts)
+        return CompressedLevelBatch.from_parts(
+            tuple(out_prefixes), self._universe, out_cands, parts
+        )
 
     def _bitscan_batch(
         self, lo, hi, prefixes, tails, cn_w, cn_o,

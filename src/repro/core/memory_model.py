@@ -30,7 +30,9 @@ from repro.core.clique_enumerator import (
     INDEX_BYTES,
     POINTER_BYTES,
     LevelStats,
+    build_initial_sublists,
 )
+from repro.core.counters import OpCounters
 from repro.core.graph import Graph
 
 __all__ = [
@@ -51,10 +53,10 @@ _UNITS = {"B": 1, "KB": 1024, "MB": 1024**2, "GB": 1024**3, "TB": 1024**4}
 
 #: measured whole-level WAH compression of candidate storage on the
 #: evaluation graphs (the paper's closing observation; the committed
-#: ``benchmarks/baselines/engines_wah.json`` baseline pins ~5.2x).
+#: ``benchmarks/baselines/engines_wah.json`` baseline pins ~4.4x).
 #: Used to *calibrate* the raw prediction for the ``"wah"`` store —
 #: an estimate for admission control, not a bound.
-WAH_COMPRESSION_RATIO = 5.2
+WAH_COMPRESSION_RATIO = 4.4
 
 #: resident-set divisor for the ``"disk"`` store: levels spill to disk
 #: and stream back chunk-by-chunk, so only a small working set of
@@ -322,24 +324,16 @@ def predict_profile(
 def seed_sublist_count(g: Graph) -> int:
     """Exact ``N[2]``: level-2 sub-lists the seeding will build.
 
-    Mirrors ``build_initial_sublists`` — vertex ``v`` contributes a
-    sub-list iff at least two of its higher-numbered neighbors form
-    non-maximal edges with it (an edge is non-maximal when the
-    endpoints share a common neighbor).  Exactness matters: the 2→3
-    recurrence transition in :func:`predict_profile` is only a valid
-    bound for ``n_seed_sublists <= N[2]``.
+    Runs ``build_initial_sublists`` itself, so the count cannot drift
+    from the seeding loop.  Exactness matters: the 2→3 recurrence
+    transition in :func:`predict_profile` is only a valid bound for
+    ``n_seed_sublists <= N[2]``.
     """
-    adj = g.adj
-    count = 0
-    for v in range(g.n):
-        nbrs = g.neighbors(v)
-        tails = nbrs[nbrs > v]
-        if tails.size < 2:
-            continue
-        nonmax = (adj[tails] & adj[v][None, :]).any(axis=1)
-        if int(nonmax.sum()) > 1:
-            count += 1
-    return count
+    return len(
+        build_initial_sublists(
+            g, OpCounters(), lambda clique: None, emit_maximal_edges=False
+        )
+    )
 
 
 def parse_byte_size(text: str) -> int:

@@ -21,18 +21,13 @@ A :class:`CliqueSubList` therefore stores
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bitset import WORD_BITS, words_to_indices
+from repro.core.bitset import WORD_BITS
 from repro.core.compressed import WahBitmap
-from repro.core.wah_kernels import (
-    batch_decode_indices,
-    batch_decode_words,
-    batch_encode_indices,
-    batch_encode_words,
-)
+from repro.core.wah_kernels import batch_decode_words, batch_encode_words
 
 __all__ = ["CliqueSubList", "CompressedSubList", "CompressedLevelBatch"]
 
@@ -104,72 +99,41 @@ class CliqueSubList:
 
 @dataclass(frozen=True)
 class CompressedSubList:
-    """A :class:`CliqueSubList` with both arrays WAH-compressed.
+    """A :class:`CliqueSubList` whose common-neighbor string is WAH words.
 
     The paper closes by observing that the sparsity of the bitmap memory
-    index "can potentially provide high compression rate"; this is the
-    per-entry form of that candidate representation.  Tails are
-    ascending and unique, so they are losslessly held as a bitmap over
-    the same vertex universe as the common-neighbor string — on sparse
-    genome-scale graphs both compress to a handful of words.  Levels
-    are stored and expanded as :class:`CompressedLevelBatch` objects;
-    this form is the scalar-codec oracle the batch encoders are checked
-    against, and what :meth:`CompressedLevelBatch.to_entries` (the
-    store's per-entry ``stream_entries`` view) yields.
+    index "can potentially provide high compression rate"; the bitmap
+    index is the common-neighbor string, so that is the one array held
+    compressed.  Tails stay the ascending ``int64`` index array the
+    generation step reads.  Levels are stored and expanded as
+    :class:`CompressedLevelBatch` objects; this per-entry form is what
+    :meth:`CompressedLevelBatch.to_entries` (the store's
+    ``stream_entries`` view) yields.
 
     Attributes
     ----------
     prefix:
-        The shared (k-1)-clique, stored uncompressed (it is k-1 small
-        integers).
-    n_tails:
-        ``len(tails)``, cached so accounting never pays a
-        compressed-domain :meth:`~repro.core.compressed.WahBitmap.count`.
+        The shared (k-1)-clique, ascending vertex indices.
     tails:
-        Compressed bitmap of the k-th vertices.
+        ``int64`` array of k-th vertices, ascending, as in
+        :class:`CliqueSubList`.
     cn:
         Compressed common-neighbor string of ``prefix``.
     """
 
     prefix: tuple[int, ...]
-    n_tails: int
-    tails: WahBitmap
+    tails: np.ndarray
     cn: WahBitmap
 
-    @classmethod
-    def from_sublist(cls, sl: CliqueSubList) -> "CompressedSubList":
-        """Compress one sub-list (universe = the cn word span)."""
-        n_bits = WORD_BITS * int(sl.cn_words.size)
-        return cls(
-            prefix=sl.prefix,
-            n_tails=int(sl.tails.size),
-            tails=WahBitmap.from_indices(n_bits, sl.tails),
-            cn=WahBitmap.from_words(sl.cn_words),
-        )
-
-    def to_sublist(self) -> CliqueSubList:
-        """Decompress back to the hot-loop representation.
-
-        Exact inverse of :meth:`from_sublist`: tails come back as the
-        ascending ``int64`` array, ``cn_words`` as the ``uint64``
-        bit-string words the generation step ANDs against adjacency.
-        """
-        return CliqueSubList(
-            prefix=self.prefix,
-            tails=words_to_indices(self.tails.to_words(), self.tails.n),
-            cn_words=self.cn.to_words(),
-        )
-
     def __len__(self) -> int:
-        return self.n_tails
+        return int(self.tails.size)
 
     def nbytes(self, index_bytes: int = 8, pointer_bytes: int = 8) -> int:
-        """Measured compressed storage, comparable to
-        :meth:`CliqueSubList.nbytes` (prefix + both compressed payloads
-        + the list pointer)."""
+        """Measured storage, comparable to :meth:`CliqueSubList.nbytes`
+        (prefix + tails + the compressed CN payload + the list
+        pointer)."""
         return (
-            len(self.prefix) * index_bytes
-            + self.tails.nbytes()
+            (self.tails.size + len(self.prefix)) * index_bytes
             + self.cn.nbytes()
             + pointer_bytes
         )
@@ -180,15 +144,13 @@ class CompressedSubList:
         """What :meth:`CliqueSubList.nbytes` would charge for this
         sub-list, computed without decompressing anything.
 
-        The tails array would be ``n_tails`` indices and the
-        common-neighbor string ``cn.n / 8`` bytes of raw ``uint64``
-        words (the universe is always a whole number of 64-bit words,
-        see :meth:`from_sublist`).  This is the per-entry baseline the
-        compressed paths report as *decompressed bytes avoided*.
+        The common-neighbor string would be ``cn.n / 8`` bytes of raw
+        ``uint64`` words (the universe is always a whole number of
+        64-bit words).  This is the per-entry baseline the compressed
+        paths report as *decompressed bytes avoided*.
         """
         return (
-            self.n_tails * index_bytes
-            + len(self.prefix) * index_bytes
+            (self.tails.size + len(self.prefix)) * index_bytes
             + self.cn.n // 8
             + pointer_bytes
         )
@@ -196,9 +158,7 @@ class CompressedSubList:
     def __repr__(self) -> str:
         return (
             f"CompressedSubList(prefix={self.prefix}, "
-            f"n_tails={self.n_tails}, "
-            f"words={self.tails.compressed_words()}"
-            f"+{self.cn.compressed_words()})"
+            f"n_tails={len(self)}, words={self.cn.compressed_words()})"
         )
 
 
@@ -207,111 +167,110 @@ class CompressedLevelBatch:
     """A whole level chunk of compressed sub-lists, structure-of-arrays.
 
     The batch counterpart of a ``list[CompressedSubList]``: instead of
-    one Python object (and two :class:`~repro.core.compressed.WahBitmap`
-    wrappers) per sub-list, the level chunk holds **two flat ``uint32``
-    word arrays** — every tails stream concatenated, every CN stream
-    concatenated — plus ``int64`` offset arrays, the layout the
-    :mod:`repro.core.wah_kernels` batch kernels consume directly.  All
-    streams share one bit universe (the graph's 64-bit-padded vertex
-    span), so the batch AND / decode / encode kernels can treat the
-    whole chunk as run-boundary arithmetic on two arrays.
+    one Python object (and a :class:`~repro.core.compressed.WahBitmap`
+    wrapper) per sub-list, the level chunk holds **one flat ``uint32``
+    word array** of every CN stream concatenated and **one flat
+    ``int64`` tails array**, each with an ``int64`` offset array — the
+    layout the :mod:`repro.core.wah_kernels` batch kernels consume
+    directly.  All CN streams share one bit universe (the graph's
+    64-bit-padded vertex span), so the batch AND / decode / encode
+    kernels can treat the whole chunk as run-boundary arithmetic on one
+    array.  Tails are not compressed: on the genome graph their WAH
+    words are no smaller than 8-byte indices, and the generation step
+    reads indices.
 
     Attributes
     ----------
     prefixes:
         The shared (k-1)-clique of each sub-list, in level order.
     universe:
-        Bit universe of every tails/CN stream (``64 * ceil(n / 64)``).
-    n_tails:
-        ``int64`` per-entry tail counts (cached like
-        :attr:`CompressedSubList.n_tails`).
-    tails_words / tails_offsets:
-        SoA batch of the compressed tails bitmaps; stream ``i`` is
-        ``tails_words[tails_offsets[i]:tails_offsets[i + 1]]``.
+        Bit universe of every CN stream (``64 * ceil(n / 64)``).
+    tails / tail_offsets:
+        Every sub-list's ascending tail indices, concatenated; sub-list
+        ``i`` owns ``tails[tail_offsets[i]:tail_offsets[i + 1]]``.
     cn_words / cn_offsets:
-        SoA batch of the compressed common-neighbor strings.
-    tails_idx:
-        Optional decoded-tails cache ``(flat_idx, idx_offsets)`` —
-        exactly what :func:`~repro.core.wah_kernels.
-        batch_decode_indices` would return for the tails batch.
-        Constructors that already hold the indices (the batch encoder,
-        the numpy generation step) attach them so consumers never pay
-        the round-trip decode; purely derived data, excluded from
-        comparison and repr.
+        SoA batch of the compressed common-neighbor strings; stream
+        ``i`` is ``cn_words[cn_offsets[i]:cn_offsets[i + 1]]``.
     """
 
     prefixes: tuple[tuple[int, ...], ...]
     universe: int
-    n_tails: np.ndarray
-    tails_words: np.ndarray
-    tails_offsets: np.ndarray
+    tails: np.ndarray
+    tail_offsets: np.ndarray
     cn_words: np.ndarray
     cn_offsets: np.ndarray
-    tails_idx: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, compare=False, repr=False
-    )
-
-    def decoded_tails(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(flat_idx, idx_offsets)`` of every tails stream, cached."""
-        if self.tails_idx is not None:
-            return self.tails_idx
-        return batch_decode_indices(
-            self.tails_words, self.tails_offsets,
-            self.n_groups, self.universe,
-        )
 
     def __len__(self) -> int:
         return len(self.prefixes)
 
     @property
+    def n_tails(self) -> np.ndarray:
+        """``int64`` per-entry tail counts."""
+        return np.diff(self.tail_offsets)
+
+    @property
     def n_groups(self) -> int:
-        """Shared WAH group count of every stream in the batch."""
+        """Shared WAH group count of every CN stream in the batch."""
         return (self.universe + 30) // 31
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_parts(
+        cls,
+        prefixes: tuple[tuple[int, ...], ...],
+        universe: int,
+        tails: list[np.ndarray],
+        cn_parts: list[tuple[np.ndarray, np.ndarray]],
+    ) -> "CompressedLevelBatch":
+        """Assemble a batch from per-sub-list tails and CN fragments.
+
+        ``tails[i]`` is sub-list ``i``'s ascending index array;
+        ``cn_parts`` are SoA ``(words, offsets)`` batches whose streams,
+        taken in order, are the sub-lists' compressed CN strings.
+        """
+        if not prefixes:
+            return cls.empty(universe)
+        counts = np.fromiter(
+            (t.size for t in tails), dtype=np.int64, count=len(tails)
+        )
+        tail_offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=tail_offsets[1:])
+        cn_words, cn_offsets = _cat(
+            [w for w, _ in cn_parts], [o for _, o in cn_parts]
+        )
+        return cls(
+            prefixes=prefixes,
+            universe=universe,
+            tails=np.concatenate(tails),
+            tail_offsets=tail_offsets,
+            cn_words=cn_words,
+            cn_offsets=cn_offsets,
+        )
+
+    @classmethod
     def from_sublists(
         cls, sublists: list[CliqueSubList]
     ) -> "CompressedLevelBatch":
-        """Batch-compress raw sub-lists (one vectorised encode each way).
+        """Batch-compress raw sub-lists (one vectorised CN encode).
 
-        Produces byte-identical streams to
-        :meth:`CompressedSubList.from_sublist` entry by entry — the
-        canonicalisation lives in one shared kernel — so accounting and
-        storage measurements are independent of which path compressed a
-        chunk.
+        Each CN stream is byte-identical to ``WahBitmap.from_words`` of
+        that sub-list's ``cn_words`` — the canonicalisation lives in
+        one shared kernel — so accounting and storage measurements are
+        independent of which path compressed a chunk.
         """
         if not sublists:
             return cls.empty(0)
         universe = WORD_BITS * int(sublists[0].cn_words.size)
-        cn_words, cn_offsets = batch_encode_words(
-            np.stack([sl.cn_words for sl in sublists]), universe
-        )
-        counts = np.fromiter(
-            (sl.tails.size for sl in sublists),
-            dtype=np.int64,
-            count=len(sublists),
-        )
-        idx_offsets = np.zeros(len(sublists) + 1, dtype=np.int64)
-        np.cumsum(counts, out=idx_offsets[1:])
-        flat_idx = (
-            np.concatenate([sl.tails for sl in sublists])
-            if idx_offsets[-1]
-            else np.zeros(0, dtype=np.int64)
-        )
-        tails_words, tails_offsets = batch_encode_indices(
-            flat_idx, idx_offsets, universe
-        )
-        return cls(
-            prefixes=tuple(sl.prefix for sl in sublists),
-            universe=universe,
-            n_tails=counts,
-            tails_words=tails_words,
-            tails_offsets=tails_offsets,
-            cn_words=cn_words,
-            cn_offsets=cn_offsets,
-            tails_idx=(flat_idx, idx_offsets),
+        return cls.from_parts(
+            tuple(sl.prefix for sl in sublists),
+            universe,
+            [sl.tails for sl in sublists],
+            [
+                batch_encode_words(
+                    np.stack([sl.cn_words for sl in sublists]), universe
+                )
+            ],
         )
 
     @classmethod
@@ -322,46 +281,27 @@ class CompressedLevelBatch:
 
         Pure array concatenation — streams are copied verbatim, never
         re-encoded — so the result is byte-for-byte the batch that would
-        have been built from the combined entries.  The decoded-tails
-        cache survives when every input carries one.
+        have been built from the combined entries.
         """
         if len(batches) == 1:
             return batches[0]
         if not batches:
             return cls.empty(0)
-
-        def _cat(words, offsets):
-            lens = np.concatenate([np.diff(o) for o in offsets])
-            out = np.zeros(lens.size + 1, dtype=np.int64)
-            np.cumsum(lens, out=out[1:])
-            return np.concatenate(words), out
-
-        tw, to = _cat(
-            [b.tails_words for b in batches],
-            [b.tails_offsets for b in batches],
+        tails, tail_offsets = _cat(
+            [b.tails for b in batches], [b.tail_offsets for b in batches]
         )
-        cw, co = _cat(
-            [b.cn_words for b in batches],
-            [b.cn_offsets for b in batches],
+        cn_words, cn_offsets = _cat(
+            [b.cn_words for b in batches], [b.cn_offsets for b in batches]
         )
-        idx = None
-        if all(b.tails_idx is not None for b in batches):
-            flat, offs = _cat(
-                [b.tails_idx[0] for b in batches],
-                [b.tails_idx[1] for b in batches],
-            )
-            idx = (flat, offs)
         return cls(
             prefixes=tuple(
                 p for b in batches for p in b.prefixes
             ),
             universe=batches[0].universe,
-            n_tails=np.concatenate([b.n_tails for b in batches]),
-            tails_words=tw,
-            tails_offsets=to,
-            cn_words=cw,
-            cn_offsets=co,
-            tails_idx=idx,
+            tails=tails,
+            tail_offsets=tail_offsets,
+            cn_words=cn_words,
+            cn_offsets=cn_offsets,
         )
 
     @classmethod
@@ -370,83 +310,60 @@ class CompressedLevelBatch:
         return cls(
             prefixes=(),
             universe=universe,
-            n_tails=np.zeros(0, dtype=np.int64),
-            tails_words=np.zeros(0, dtype=np.uint32),
-            tails_offsets=np.zeros(1, dtype=np.int64),
+            tails=np.zeros(0, dtype=np.int64),
+            tail_offsets=np.zeros(1, dtype=np.int64),
             cn_words=np.zeros(0, dtype=np.uint32),
             cn_offsets=np.zeros(1, dtype=np.int64),
-            tails_idx=(
-                np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
-            ),
         )
 
     def rows(self, start: int, end: int) -> "CompressedLevelBatch":
         """Sub-lists ``[start, end)`` as a batch of their own.
 
-        The word arrays and the decoded-tails cache are views into this
-        batch, never copies; only the ``end - start + 1`` offsets are
-        rebased.
+        The tails and word arrays are views into this batch, never
+        copies; only the ``end - start + 1`` offsets are rebased.
         """
-        to, co = self.tails_offsets, self.cn_offsets
-        idx = None
-        if self.tails_idx is not None:
-            flat, offs = self.tails_idx
-            idx = (
-                flat[offs[start]:offs[end]],
-                offs[start:end + 1] - offs[start],
-            )
+        to, co = self.tail_offsets, self.cn_offsets
         return CompressedLevelBatch(
             prefixes=self.prefixes[start:end],
             universe=self.universe,
-            n_tails=self.n_tails[start:end],
-            tails_words=self.tails_words[to[start]:to[end]],
-            tails_offsets=to[start:end + 1] - to[start],
+            tails=self.tails[to[start]:to[end]],
+            tail_offsets=to[start:end + 1] - to[start],
             cn_words=self.cn_words[co[start]:co[end]],
             cn_offsets=co[start:end + 1] - co[start],
-            tails_idx=idx,
         )
 
     # -- conversions -------------------------------------------------------
 
     def to_entries(self) -> list[CompressedSubList]:
         """Per-entry view: ``CompressedSubList`` objects sharing the
-        flat word arrays (zero word copies — the bitmap wrappers are
-        read-only views into the batch)."""
+        flat arrays (zero copies — tails are views and the bitmap
+        wrappers are read-only views into the batch)."""
         universe = self.universe
-        to = self.tails_offsets
-        co = self.cn_offsets
-        tw = self.tails_words
+        to, co = self.tail_offsets, self.cn_offsets
         cw = self.cn_words
-        tw.setflags(write=False)
         cw.setflags(write=False)
         return [
             CompressedSubList(
                 prefix=self.prefixes[i],
-                n_tails=int(self.n_tails[i]),
-                tails=WahBitmap._trusted(
-                    universe, tw[to[i]:to[i + 1]]
-                ),
+                tails=self.tails[to[i]:to[i + 1]],
                 cn=WahBitmap._trusted(universe, cw[co[i]:co[i + 1]]),
             )
             for i in range(len(self.prefixes))
         ]
 
     def to_sublists(self) -> list[CliqueSubList]:
-        """Batch-decompress to the raw hot-loop representation.
-
-        Entry-by-entry equal to :meth:`CompressedSubList.to_sublist`,
-        via two vectorised decodes instead of ``2 N`` group walks.
-        """
+        """Batch-decompress to the raw hot-loop representation, via one
+        vectorised CN decode; tails are views of :attr:`tails`."""
         if not self.prefixes:
             return []
         mat = batch_decode_words(
             self.cn_words, self.cn_offsets, self.n_groups, self.universe
         )
-        flat_idx, idx_offsets = self.decoded_tails()
+        to = self.tail_offsets
         return [
             CliqueSubList(
                 prefix=self.prefixes[i],
-                tails=flat_idx[idx_offsets[i]:idx_offsets[i + 1]],
+                tails=self.tails[to[i]:to[i + 1]],
                 cn_words=mat[i],
             )
             for i in range(len(self.prefixes))
@@ -458,8 +375,8 @@ class CompressedLevelBatch:
         """Sum of the per-entry :meth:`CompressedSubList.nbytes`."""
         prefix_len = sum(len(p) for p in self.prefixes)
         return (
-            prefix_len * index_bytes
-            + 4 * int(self.tails_words.size + self.cn_words.size)
+            (self.tails.size + prefix_len) * index_bytes
+            + 4 * self.cn_words.size
             + pointer_bytes * len(self.prefixes)
         )
 
@@ -470,14 +387,23 @@ class CompressedLevelBatch:
         :meth:`CompressedSubList.uncompressed_nbytes`."""
         prefix_len = sum(len(p) for p in self.prefixes)
         return (
-            int(self.n_tails.sum()) * index_bytes
-            + prefix_len * index_bytes
+            (self.tails.size + prefix_len) * index_bytes
             + (self.universe // 8 + pointer_bytes) * len(self.prefixes)
         )
 
     def __repr__(self) -> str:
         return (
             f"CompressedLevelBatch(entries={len(self.prefixes)}, "
-            f"universe={self.universe}, "
-            f"words={int(self.tails_words.size + self.cn_words.size)})"
+            f"universe={self.universe}, tails={self.tails.size}, "
+            f"words={self.cn_words.size})"
         )
+
+
+def _cat(
+    flats: list[np.ndarray], offsets: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate ``(flat, offsets)`` batches, rebasing the offsets."""
+    lens = np.concatenate([np.diff(o) for o in offsets])
+    out = np.zeros(lens.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=out[1:])
+    return np.concatenate(flats), out

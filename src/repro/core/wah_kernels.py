@@ -33,8 +33,10 @@ These batch kernels are the only compressed path the engine runs; the
 Python kernels stay as their oracle.
 
 The kernels are pure functions of ndarray inputs and release the GIL
-inside every numpy op, which is what finally lets the ``threads``
-backend scale the compressed domain across cores.
+inside every numpy op.  That has not made the ``threads`` backend
+scale the compressed domain: on the genome graph at ``jobs=2`` its
+measured parallelism is 1.34, at wall-time parity with ``incore``
+(ROADMAP.md records the runs).
 """
 
 from __future__ import annotations
@@ -53,10 +55,8 @@ __all__ = [
     "batch_and_count",
     "batch_decode_groups",
     "batch_decode_words",
-    "batch_decode_indices",
     "batch_indices_above",
     "batch_encode_words",
-    "batch_encode_indices",
 ]
 
 _LITERAL_MASK = np.uint32((1 << GROUP_BITS) - 1)
@@ -324,7 +324,7 @@ def batch_and_count(
 
 
 # ---------------------------------------------------------------------------
-# Batch codec: SoA WAH <-> group values <-> raw uint64 words <-> indices
+# Batch codec: SoA WAH <-> group values <-> raw uint64 words
 # ---------------------------------------------------------------------------
 
 
@@ -362,24 +362,6 @@ def batch_decode_words(
     flat = bits.reshape(n, n_groups * GROUP_BITS)[:, :n_bits]
     packed = np.packbits(flat, axis=1, bitorder="little")
     return packed.view(np.uint64)
-
-
-def batch_decode_indices(
-    words: np.ndarray, offsets: np.ndarray, n_groups: int, n_bits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a batch to flat ascending set-bit indices + offsets."""
-    n = offsets.size - 1
-    if n == 0 or n_groups == 0:
-        return _EMPTY_I64, np.zeros(n + 1, dtype=np.int64)
-    groups = batch_decode_groups(words, offsets, n_groups)
-    bits = (groups[:, :, None] >> _GROUP_SHIFTS) & np.uint32(1)
-    rows, cols = np.nonzero(bits.reshape(n, n_groups * GROUP_BITS))
-    keep = cols < n_bits  # canonical padding is zero, but stay exact
-    rows, cols = rows[keep], cols[keep]
-    counts = np.bincount(rows, minlength=n)
-    idx_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=idx_offsets[1:])
-    return cols.astype(np.int64), idx_offsets
 
 
 def batch_indices_above(
@@ -442,72 +424,3 @@ def batch_encode_words(
         groups.reshape(-1),
         n,
     )
-
-
-def batch_encode_indices(
-    flat_idx: np.ndarray, idx_offsets: np.ndarray, n_bits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encode per-stream ascending index runs into a canonical SoA batch.
-
-    The batch counterpart of
-    :func:`repro.core.compressed.wah_from_sorted_indices`: stream ``i``
-    holds exactly the set bits ``flat_idx[idx_offsets[i]:idx_offsets[i+1]]``
-    (a repeated index sets its bit once).
-
-    Cost is O(set bits + streams), independent of the universe: only
-    the non-zero groups are built, and the zero runs between them are
-    segments whose lengths are key differences.
-    """
-    n = idx_offsets.size - 1
-    n_groups = (n_bits + GROUP_BITS - 1) // GROUP_BITS
-    if n == 0 or n_groups == 0:
-        return _EMPTY_U32, np.zeros(n + 1, dtype=np.int64)
-    _check_groups(n_groups)
-    flat_idx = np.asarray(flat_idx, dtype=np.int64)
-    if flat_idx.size and (
-        flat_idx.min() < 0 or flat_idx.max() >= n_bits
-    ):
-        raise BitSetError(
-            f"index outside the {n_bits}-bit universe"
-        )
-    # non-zero groups: indices ascend per stream, so the global group
-    # keys (stream * n_groups + group) ascend too, and each key is one
-    # run of the flat array.  OR its bit weights: a sum would carry a
-    # repeated index into the next bit.
-    stream = np.arange(n, dtype=np.int64)
-    rows = stream.repeat(idx_offsets[1:] - idx_offsets[:-1])
-    grp, bit = np.divmod(flat_idx, GROUP_BITS)
-    key = rows * n_groups + grp
-    brk = np.empty(key.size, dtype=bool)
-    brk[:1] = True
-    np.not_equal(key[1:], key[:-1], out=brk[1:])
-    first = brk.nonzero()[0]
-    gk, g_row = key[first], rows[first]
-    vals = (
-        np.bitwise_or.reduceat(np.uint32(1) << bit.astype(np.uint32), first)
-        if first.size
-        else _EMPTY_U32
-    )
-    # segments in stream order, each at a computable position: a
-    # stream with m non-zero groups owns 2m + 1 of them (a zero gap
-    # before each group, the group, then the zero tail), so group u
-    # of stream r sits at 2u + r + 1 and r's tail at 2 * upto[r] + r
-    n_nz = first.size
-    per_stream = np.bincount(g_row, minlength=n)
-    upto = per_stream.cumsum()
-    # ends[u]: where group u - 1 ends, globally; the stream's own start
-    # clips it, since an earlier stream's group ends before that
-    ends = np.zeros(n_nz + 1, dtype=np.int64)
-    np.add(gk, 1, out=ends[1:])
-    base = stream * n_groups
-    gap_pos = np.arange(0, 2 * n_nz, 2, dtype=np.int64) + g_row
-    tail_pos = 2 * upto + stream
-    seg_len = np.ones(2 * n_nz + n, dtype=np.int64)
-    seg_len[gap_pos] = gk - np.maximum(ends[:-1], base[g_row])
-    seg_len[tail_pos] = base + n_groups - np.maximum(ends[upto], base)
-    seg_val = np.zeros(2 * n_nz + n, dtype=np.uint32)
-    seg_val[gap_pos + 1] = vals
-    seg_pair = stream.repeat(2 * per_stream + 1)
-    # empty gaps and tails would split a one-fill run of adjacent groups
-    keep = seg_len > 0
-    return _encode_runs(seg_pair[keep], seg_len[keep], seg_val[keep], n)

@@ -188,7 +188,7 @@ def resolve_for_backend(
 
 
 #: substrate preference of the auto policy: raw in-memory candidates
-#: are fastest, WAH compression cuts the peak ~5.2x at modest CPU
+#: are fastest, WAH compression cuts the peak ~4.4x at modest CPU
 #: cost, and the disk spill bounds residency at streaming speed.
 _AUTO_STORE_PREFERENCE = ("memory", "wah", "disk")
 

@@ -13,11 +13,11 @@ policy choice (:attr:`repro.engine.config.EnumerationConfig.level_store`):
 * :class:`~repro.core.out_of_core.DiskLevelStore` — candidates spill to
   disk and stream back chunk by chunk with counted I/O (the retired
   out-of-core mode, kept measurable);
-* :class:`CompressedLevelStore` — candidates held WAH-compressed
-  (:mod:`repro.core.compressed`), realising the paper's closing remark
-  that the sparse bitmap index "can potentially provide high
-  compression rate"; decompression happens one chunk at a time as the
-  level streams back for expansion.
+* :class:`CompressedLevelStore` — common-neighbor strings held
+  WAH-compressed (:mod:`repro.core.compressed`), realising the paper's
+  closing remark that the sparse bitmap index "can potentially provide
+  high compression rate"; the level streams back still compressed, and
+  the compressed-domain step expands it without decompressing.
 
 All are driven by the same loop in :mod:`repro.engine.level_loop`, and
 all enforce the single-pass contract: a second ``stream()`` — or an
@@ -162,13 +162,15 @@ class CompressedLevelStore(LevelStore):
     """WAH-compressed in-memory level store — the paper's "work underway".
 
     The level is held as :class:`~repro.core.sublist.
-    CompressedLevelBatch` parts: tails and common-neighbor strings are
-    WAH words in two flat arrays per part, so :attr:`candidate_bytes`
-    — the figure the Figure-9 experiment and the
-    ``max_candidate_bytes`` budget read — is the *compressed*
-    footprint.  On sparse genome-scale graphs the deep-level
-    common-neighbor strings are a few set bits in a universe of
-    thousands, where WAH shrinks them by an order of magnitude.
+    CompressedLevelBatch` parts: common-neighbor strings are WAH words
+    in one flat array per part and tails one flat ``int64`` index
+    array, so :attr:`candidate_bytes` — the figure the Figure-9
+    experiment and the ``max_candidate_bytes`` budget read — is the
+    bytes the level holds: :class:`MemoryLevelStore`'s charge with each
+    raw CN string replaced by its WAH words.  On sparse genome-scale
+    graphs the deep-level common-neighbor strings are a few set bits
+    in a universe of thousands, where WAH shrinks them by an order of
+    magnitude.
 
     Raw :meth:`append` calls (the seed level) are buffered and
     batch-encoded ``chunk_size`` at a time through
@@ -191,7 +193,7 @@ class CompressedLevelStore(LevelStore):
       only that part's full-width bit strings are live;
     * :meth:`stream_entries` yields per-entry
       :class:`~repro.core.sublist.CompressedSubList` views over the
-      stored words, without decompressing them.
+      stored arrays, without decompressing the CN strings.
 
     The two counters :attr:`decompressed_bytes` /
     :attr:`bypassed_bytes` record which path each streamed byte took,

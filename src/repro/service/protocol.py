@@ -18,11 +18,13 @@ import dataclasses
 import json
 
 from repro.errors import ParameterError
+from repro.core.bitset import n_words
 from repro.core.graph import Graph
 from repro.engine.config import EnumerationConfig
 from repro.service.jobs import JobSpec
 
 __all__ = [
+    "MAX_REQUEST_BYTES",
     "config_to_payload",
     "config_from_payload",
     "spec_to_payload",
@@ -30,6 +32,13 @@ __all__ = [
     "encode_line",
     "decode_line",
 ]
+
+#: longest request line the server reads, newline included, and the
+#: largest adjacency an inline graph may ask for.  An inline
+#: genome-scale graph is ~80 KB on the wire and a 19 MB adjacency
+#: (n = 12,422), so this leaves room for graphs far larger while
+#: bounding what one request can make the server buffer or allocate.
+MAX_REQUEST_BYTES = 64 << 20
 
 #: EnumerationConfig fields carried flat in submit payloads.
 _CONFIG_FIELDS = tuple(
@@ -124,13 +133,24 @@ def _is_int(value: object) -> bool:
 
 
 def _inline_graph(inline: object) -> Graph:
-    """The graph of a ``graph_inline`` payload; any other shape raises."""
+    """The graph of a ``graph_inline`` payload; any other shape raises.
+
+    A few bytes of ``n`` ask for an ``n * ceil(n / 64)``-word adjacency,
+    so one larger than :data:`MAX_REQUEST_BYTES` is refused before it
+    is allocated (``n <= 23,168``).
+    """
     if isinstance(inline, dict):
         n, edges = inline.get("n"), inline.get("edges", [])
-        if _is_int(n) and isinstance(edges, list) and all(
+        if _is_int(n) and n >= 0 and isinstance(edges, list) and all(
             isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
             for e in edges
         ):
+            adj_bytes = n * n_words(n) * 8
+            if adj_bytes > MAX_REQUEST_BYTES:
+                raise ParameterError(
+                    f"graph_inline n={n} needs a {adj_bytes}-byte "
+                    f"adjacency, over the {MAX_REQUEST_BYTES}-byte bound"
+                )
             return Graph.from_edges(n, edges)
     raise ParameterError(
         "graph_inline must be {'n': int, 'edges': [[u, v], ...]}"

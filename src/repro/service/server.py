@@ -40,6 +40,7 @@ from repro.obs.http import MetricsExporter
 from repro.obs.metrics import CONTENT_TYPE
 from repro.obs.runtime import Observability, set_observability
 from repro.service.protocol import (
+    MAX_REQUEST_BYTES,
     decode_line,
     encode_line,
     spec_from_payload,
@@ -53,11 +54,6 @@ __all__ = [
 
 #: default TCP port of the enumeration job service (the CLI shares it).
 DEFAULT_PORT = 7531
-
-#: longest request line the server reads, newline included.  An inline
-#: genome-scale graph is ~80 KB, so this leaves room for graphs far
-#: larger while bounding what one connection can make the server buffer.
-MAX_REQUEST_BYTES = 64 << 20
 
 
 class _Handler(socketserver.StreamRequestHandler):

@@ -25,7 +25,6 @@ from repro.core.compressed import (
     wah_and_any,
     wah_and_count,
     wah_and_into,
-    wah_from_sorted_indices,
     wah_indices_above,
 )
 
@@ -84,8 +83,6 @@ class TestKernelOracle:
             assert list(wah_indices_above(bm.wah_words(), lo)) == [
                 i for i in idx if i > lo
             ]
-            # direct canonical encode == encoder output
-            assert wah_from_sorted_indices(n, idx) == bm.wah_words().tolist()
 
     def test_kernel_and_matches_bitset_words(self):
         """End to end through the uint64 word layout the hot loops use."""
@@ -179,9 +176,8 @@ class TestEdgeCases:
         # ANDing with itself round-trips, and the result revalidates
         # (including the padding-bits-zero check) in the constructor
         assert WahBitmap(n, out) == bm
-        assert wah_from_sorted_indices(n, idx) == bm.wah_words().tolist()
-        with pytest.raises(BitSetError, match="outside"):
-            wah_from_sorted_indices(n, [n + GROUP_BITS])
+        with pytest.raises(BitSetError, match="out of range"):
+            WahBitmap.from_indices(n, [n + GROUP_BITS])
 
 
 class TestWahScratch:

@@ -16,7 +16,6 @@ batches.
 from __future__ import annotations
 
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,9 +32,7 @@ from repro.core.wah_kernels import (
     batch_and,
     batch_and_any,
     batch_and_count,
-    batch_decode_indices,
     batch_decode_words,
-    batch_encode_indices,
     batch_encode_words,
     batch_indices_above,
     concat_streams,
@@ -158,43 +155,6 @@ class TestAndKernels:
 class TestCodec:
     """encode/decode kernels against WahBitmap construction."""
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_encode_indices_matches_encoder(self, seed):
-        rng = random.Random(200 + seed)
-        cases = []
-        for _ in range(30):
-            n = rng.choice([u for u in UNIVERSES if u])
-            cases.append((n, [
-                _random_indices(rng, n, rng.choice(DENSITIES))
-                for _ in range(rng.randrange(1, 8))
-            ]))
-        # a repeated index sets its bit once: bit 3, not bit 4
-        cases.append((100, [[3, 3, 40], [], [0, 0, 0, 99]]))
-        for n, sets in cases:
-            counts = np.array([len(s) for s in sets], dtype=np.int64)
-            offs = np.zeros(counts.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=offs[1:])
-            flat = np.array(
-                [i for s in sets for i in s], dtype=np.int64
-            )
-            words, offsets = batch_encode_indices(flat, offs, n)
-            for i, s in enumerate(sets):
-                np.testing.assert_array_equal(
-                    words[offsets[i]:offsets[i + 1]],
-                    WahBitmap.from_indices(n, s).wah_words(),
-                )
-            # and back again, each set bit once
-            dflat, doffs = batch_decode_indices(
-                words, offsets, _n_groups(n), n
-            )
-            distinct = [sorted(set(s)) for s in sets]
-            np.testing.assert_array_equal(
-                dflat, [i for s in distinct for i in s]
-            )
-            np.testing.assert_array_equal(
-                np.diff(doffs), [len(s) for s in distinct]
-            )
-
     @pytest.mark.parametrize("n", [64, 128, 512, 1984])
     def test_encode_words_roundtrip(self, n):
         # word-encode requires 64-bit-word universes (CN strings)
@@ -215,36 +175,6 @@ class TestCodec:
         np.testing.assert_array_equal(
             batch_decode_words(words, offsets, _n_groups(n), n), mat
         )
-
-    def test_encode_indices_rejects_out_of_universe(self):
-        with pytest.raises(BitSetError):
-            batch_encode_indices(
-                np.array([7], dtype=np.int64),
-                np.array([0, 1], dtype=np.int64),
-                7,
-            )
-
-    def test_encode_indices_memory_follows_set_bits(self):
-        """Encoding child tails costs O(set bits + streams): 20,000
-        two-bit streams over the genome graph's 12,480-bit universe
-        stay within a small multiple of their input and output bytes,
-        which no (streams, groups) matrix fits in."""
-        rng = np.random.default_rng(5)
-        n_bits, n_streams = 12_480, 20_000
-        flat = np.sort(
-            rng.choice(n_bits, size=(n_streams, 2)), axis=1
-        ).reshape(-1)
-        offs = np.arange(0, flat.size + 1, 2, dtype=np.int64)
-        tracemalloc.start()
-        try:
-            words, offsets = batch_encode_indices(flat, offs, n_bits)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        io_bytes = (
-            flat.nbytes + offs.nbytes + words.nbytes + offsets.nbytes
-        )
-        assert peak < 16 * io_bytes
 
     def test_decode_words_rejects_ragged_universe(self):
         with pytest.raises(BitSetError):

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from repro.core import bitset as bs
+from repro.core.compressed import WahBitmap
+from repro.core.counters import OpCounters
 from repro.core.generators import erdos_renyi, overlapping_cliques
 from repro.core.sublist import CliqueSubList, CompressedSubList
 from repro.engine import (
@@ -20,6 +22,7 @@ from repro.engine import (
     MemoryLevelStore,
     run_enumeration,
 )
+from repro.engine.level_loop import seed_level
 from repro.errors import LevelStoreError, ParameterError
 from repro.service.cache import ResultCache
 
@@ -163,10 +166,33 @@ class TestCompressedLevelStore:
         ((entry,),) = store.stream_entries()
         assert isinstance(entry, CompressedSubList)
         assert len(entry) == 2
-        # compressed-domain ops work without any decompression
+        # the CN string stays compressed; tails are the index array
         assert entry.cn.count() == 2
-        assert list(entry.tails.iter_indices()) == [1, 2]
-        assert entry.tails.intersect_any(entry.cn)
+        assert entry.tails.dtype == np.int64
+        assert entry.tails.tolist() == [1, 2]
+        assert list(entry.cn.iter_indices()) == [1, 2]
+
+    def test_stores_differ_only_in_the_cn_term(self):
+        """The wah store charges exactly what the memory store does,
+        with each raw CN string replaced by its WAH words: tails,
+        prefixes and pointers are held once, as indices."""
+        g, _ = overlapping_cliques(
+            300, [9, 8, 7], overlap=3, p=0.02, seed=4
+        )
+        _, seed = seed_level(g, 2, OpCounters(), lambda c: None)
+        mem, wah = MemoryLevelStore(), CompressedLevelStore(chunk_size=7)
+        for sl in seed:
+            mem.append(sl)
+            wah.append(sl)
+        raw_cn = sum(sl.cn_words.nbytes for sl in seed)
+        wah_cn = sum(
+            WahBitmap.from_words(sl.cn_words).nbytes() for sl in seed
+        )
+        assert len(seed) > 7
+        assert wah.candidate_bytes == (
+            mem.candidate_bytes - raw_cn + wah_cn
+        )
+        assert wah.uncompressed_bytes == mem.candidate_bytes
 
 
 class TestLevelStorePolicy:

@@ -68,6 +68,10 @@ MALFORMED_SUBMITS = [
     pytest.param(
         _inline(n=3, edges=[[0, "1"]]), "graph_inline", id="vertex-str"
     ),
+    pytest.param(_inline(n=10**9, edges=[]), "graph_inline", id="n-huge"),
+    pytest.param(
+        _inline(n=30_000, edges=[]), "graph_inline", id="n-over-bound"
+    ),
 ]
 
 
