@@ -5,7 +5,7 @@ bitmap primitives (one AND per common-neighbor derivation, one
 any-bit-exists per maximality test), the WAH kernel layer (the scalar
 per-word oracle vs the batched structure-of-arrays kernels the
 compressed-domain step runs), the expression pipeline stages, and the
-k-clique seeding.
+seeding (edges, and Init_K both ways).
 """
 
 from __future__ import annotations
@@ -25,9 +25,13 @@ from repro.core.compressed import (
     wah_and_count,
     wah_and_into,
 )
+from repro.core.clique_enumerator import build_initial_sublists
+from repro.core.counters import OpCounters
 from repro.core.generators import erdos_renyi
+from repro.core.graph import Graph
 from repro.core.graph_ops import at_least_k_of_n
 from repro.core.kclique import enumerate_k_cliques
+from repro.engine.level_loop import seed_level
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +163,39 @@ def bench_kclique_seeding(benchmark, myogenic):
     benchmark.extra_info["n_kcliques"] = len(res.maximal) + len(
         res.non_maximal
     )
+
+
+def bench_init_k_seed_level(benchmark, myogenic):
+    """Init_K=9 seeding as the engine runs it: the level step from the
+    8-core's edges up to k = 9 (compare bench_kclique_seeding)."""
+    k, seed = benchmark(
+        seed_level, myogenic.graph, 9, OpCounters(), lambda clique: None
+    )
+    assert k == 9
+    benchmark.extra_info["n_sublists"] = len(seed)
+
+
+@pytest.fixture(scope="module")
+def sparse_genome_graph():
+    """A sparse graph at the paper's probe-set count: 6,151 random
+    pairs over 12,422 vertices (drawn as pairs, never as the n^2 pair
+    list that erdos_renyi walks), plus a few planted 8-cliques so the
+    seed has candidates."""
+    n = 12422
+    rng = np.random.default_rng(13)
+    pairs = rng.integers(0, n, size=(6151, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]].tolist()
+    for members in rng.choice(n, size=(20, 8), replace=False).tolist():
+        pairs += [(a, b) for i, a in enumerate(members)
+                  for b in members[i + 1:]]
+    return Graph.from_edges(n, pairs)
+
+
+def bench_edge_seeding_genome(benchmark, sparse_genome_graph):
+    """Level-2 edge seeding over 12,422 vertices: one pass over the
+    edge arrays."""
+    subs = benchmark(
+        build_initial_sublists, sparse_genome_graph, OpCounters(),
+        lambda clique: None, True,
+    )
+    benchmark.extra_info["n_sublists"] = len(subs)

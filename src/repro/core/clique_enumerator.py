@@ -24,14 +24,25 @@ Consequently maximal cliques are emitted in **non-decreasing order of
 size**, each exactly once, and memory holds only candidates — the two
 properties the paper contrasts against Kose et al. and Bron–Kerbosch.
 
+The step runs on one array form of a level (:class:`LevelArrays`:
+an ``(N, k-1)`` prefix matrix, flat tails with offsets, an
+``(N, n_words)`` CN row matrix), so its Python runs per pair batch:
+pairs come from segment arithmetic over the tail offsets, groups and
+children from ``flatnonzero`` over the batch.  The compressed-domain
+step (:mod:`repro.core.compressed_domain`) shares the pair builder and
+the group selector.
+
 Drivers
 -------
 :func:`enumerate_maximal_cliques` runs the complete pipeline: seeding at
-``k_min`` (edges for ``k_min <= 2``, the k-clique enumerator of
-:mod:`repro.core.kclique` for ``k_min >= 3`` — the paper's ``Init_K``),
-then levels until exhaustion or ``k_max``.  Per-level statistics (the
-paper's ``N[k]``, ``M[k]``) are recorded for the memory-usage experiment
-(Figure 9) and for the parallel machine model.
+``k_min`` — edges for ``k_min <= 2`` (:func:`build_initial_sublists`,
+one pass over the edge arrays), and for ``k_min >= 3`` the paper's
+``Init_K``, which the engine seeds by running this step from the edges
+of the ``(k_min-1)``-core up to ``k_min``
+(:func:`repro.engine.level_loop.seed_level`) — then levels until
+exhaustion or ``k_max``.  Per-level statistics (the paper's ``N[k]``,
+``M[k]``) are recorded for the memory-usage experiment (Figure 9) and
+for the parallel machine model.
 """
 
 from __future__ import annotations
@@ -50,7 +61,10 @@ from repro.core.sublist import CliqueSubList
 __all__ = [
     "LevelStats",
     "EnumerationResult",
+    "LevelArrays",
     "paper_formula_bytes",
+    "expand_level",
+    "edge_level",
     "generate_next_level",
     "generate_next_level_bitscan",
     "build_initial_sublists",
@@ -204,20 +218,95 @@ class EnumerationResult:
 
 
 # ---------------------------------------------------------------------------
-# Core generation step (Figure 3 of the paper)
+# The array form of a level
 # ---------------------------------------------------------------------------
 
-_TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@dataclass(frozen=True)
+class LevelArrays:
+    """One candidate level of the tail-list step, as arrays.
+
+    The array counterpart of a ``list[CliqueSubList]``: sub-list ``i``
+    has prefix ``prefixes[i]`` (a row of the ``(N, k-1)`` ``int64``
+    matrix), ascending tails ``tails[offsets[i]:offsets[i + 1]]`` (one
+    flat ``int64`` array) and prefix common-neighbor string ``cn[i]``
+    (a row of the ``(N, n_words)`` ``uint64`` matrix).  The step
+    (:func:`expand_level`) reads and writes this form, so its Python
+    runs once per pair batch, not once per sub-list or group.
+    """
+
+    prefixes: np.ndarray
+    tails: np.ndarray
+    offsets: np.ndarray
+    cn: np.ndarray
+
+    def __len__(self) -> int:
+        return self.prefixes.shape[0]
+
+    @classmethod
+    def empty(cls, k: int, n_words: int) -> "LevelArrays":
+        """The zero-sub-list level of ``k``-cliques."""
+        return cls(
+            prefixes=np.zeros((0, k - 1), dtype=np.int64),
+            tails=np.zeros(0, dtype=np.int64),
+            offsets=np.zeros(1, dtype=np.int64),
+            cn=np.zeros((0, n_words), dtype=np.uint64),
+        )
+
+    @classmethod
+    def from_sublists(cls, sublists: list[CliqueSubList]) -> "LevelArrays":
+        """Gather a non-empty list of one level's sub-lists."""
+        counts = [sl.tails.size for sl in sublists]
+        offsets = np.zeros(len(sublists) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return cls(
+            prefixes=np.array(
+                [sl.prefix for sl in sublists], dtype=np.int64
+            ).reshape(len(sublists), -1),
+            tails=np.concatenate([sl.tails for sl in sublists]),
+            offsets=offsets,
+            cn=np.array([sl.cn_words for sl in sublists]),
+        )
+
+    @classmethod
+    def concat(cls, levels: list["LevelArrays"]) -> "LevelArrays":
+        """Concatenate levels of the same ``k``, in order."""
+        if len(levels) == 1:
+            return levels[0]
+        counts = np.concatenate([np.diff(lv.offsets) for lv in levels])
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return cls(
+            prefixes=np.concatenate([lv.prefixes for lv in levels]),
+            tails=np.concatenate([lv.tails for lv in levels]),
+            offsets=offsets,
+            cn=np.concatenate([lv.cn for lv in levels]),
+        )
+
+    def rows(self, start: int, end: int) -> "LevelArrays":
+        """Sub-lists ``[start, end)`` as views, offsets rebased."""
+        o = self.offsets
+        return LevelArrays(
+            prefixes=self.prefixes[start:end],
+            tails=self.tails[o[start]:o[end]],
+            offsets=o[start:end + 1] - o[start],
+            cn=self.cn[start:end],
+        )
+
+    def to_sublists(self) -> list[CliqueSubList]:
+        """The level as sub-lists whose tails and CN strings are views
+        of these arrays."""
+        o = self.offsets.tolist()
+        return [
+            CliqueSubList(tuple(prefix), self.tails[a:b], cn)
+            for prefix, a, b, cn in zip(
+                self.prefixes.tolist(), o, o[1:], self.cn
+            )
+        ]
 
 
-def _triu_pairs(t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached upper-triangle index pairs for sub-lists of ``t`` tails."""
-    cached = _TRIU_CACHE.get(t)
-    if cached is None:
-        cached = np.triu_indices(t, k=1)
-        _TRIU_CACHE[t] = cached
-    return cached
-
+# ---------------------------------------------------------------------------
+# Core generation step (Figure 3 of the paper)
+# ---------------------------------------------------------------------------
 
 #: byte budget of one pair batch, shared by the bitset and WAH steps.
 #: A batch takes at most ``PAIR_BATCH_BYTES // (8 * n_words)`` pairs,
@@ -264,86 +353,178 @@ def weight_batches(weights, limit: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _process_batch(
-    batch: list[CliqueSubList],
-    g: Graph,
+def tail_pairs(
+    offsets: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every tail pair of a run of sub-lists, by segment arithmetic.
+
+    The sub-lists' tails are ``tails[offsets[s]:offsets[s + 1]]`` of
+    one flat array.  Returns ``(i, j, sid)``: the flat positions
+    ``i < j`` of the two tails of every pair within a sub-list and the
+    pair's sub-list (0-based over ``offsets``), sub-list by sub-list
+    in ``np.triu_indices`` order — the canonical order of the
+    generated cliques.
+    """
+    counts = np.diff(offsets)
+    owner = np.repeat(np.arange(counts.size), counts)
+    pos = np.arange(offsets[0], offsets[-1])
+    above = offsets[1:][owner] - 1 - pos  # partners after each tail
+    i = np.repeat(pos, above)
+    # pair q of tail p (run starting at pair run[p]) has j = p+1+q-run[p]
+    run = np.cumsum(above) - above
+    j = np.arange(i.size) + np.repeat(pos + 1 - run, above)
+    return i, j, np.repeat(owner, above)
+
+
+def generated_cliques(
+    adj: np.ndarray,
+    tails: np.ndarray,
+    offsets: np.ndarray,
+    counters: OpCounters,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (k+1)-cliques a run of sub-lists generates: its tail pairs
+    that are edges, found by one adjacency gather over
+    :func:`tail_pairs`.
+
+    Returns ``(first, v_i, v_j, sid)`` per generated clique, ``first``
+    being the flat tail position of ``v_i``.  Counts one adjacency
+    check per pair, and per generated clique the AND and BitOneExists
+    of its maximality test.
+    """
+    i, j, sid = tail_pairs(offsets)
+    counters.pair_checks += int(i.size)
+    vi, vj = tails[i], tails[j]
+    hit = np.flatnonzero(
+        (adj[vi, vj >> 6] >> (vj & 63).astype(np.uint64)) & np.uint64(1)
+    )
+    n = int(hit.size)
+    counters.cliques_generated += n
+    counters.bit_exist_checks += n
+    counters.bit_and_ops += n
+    return i[hit], vi[hit], vj[hit], sid[hit]
+
+
+def pair_groups(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parent groups of the generated cliques: runs of equal ``first``.
+
+    ``first`` is each generated clique's flat tail position of ``v_i``
+    (non-empty, non-decreasing), so a run is one ``(sub-list, v_i)``
+    parent.  Returns each group's first clique and each clique's group.
+    """
+    boundary = np.empty(first.size, dtype=bool)
+    boundary[0] = True
+    np.not_equal(first[1:], first[:-1], out=boundary[1:])
+    return np.flatnonzero(boundary), np.cumsum(boundary) - 1
+
+
+def select_children(
+    nonmax: np.ndarray, starts: np.ndarray, group_of: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The groups retained as child sub-lists: at least two non-maximal
+    cliques.  Returns the retained groups, a mask of the cliques that
+    become their tails, and each retained group's tail count."""
+    n_nonmax = np.add.reduceat(nonmax, starts, dtype=np.int64)
+    retained = n_nonmax > 1
+    kids = np.flatnonzero(retained)
+    return kids, nonmax & retained[group_of], n_nonmax[kids]
+
+
+def emit_cliques(
+    cliques: np.ndarray,
     counters: OpCounters,
     emit: Callable[[tuple[int, ...]], None],
-    out: list[CliqueSubList],
 ) -> None:
+    """Emit the rows of a clique matrix, in row order."""
+    rows = cliques.tolist()
+    counters.maximal_emitted += len(rows)
+    for row in rows:
+        emit(tuple(row))
+
+
+def _expand_batch(
+    level: LevelArrays,
+    adj: np.ndarray,
+    counters: OpCounters,
+    emit: Callable[[tuple[int, ...]], None] | None,
+    tally: np.ndarray | None,
+) -> LevelArrays:
     """Run the pair scan for one batch of sub-lists with batched word ops."""
-    adj = g.adj
-    one = np.uint64(1)
-    vi_parts: list[np.ndarray] = []
-    vj_parts: list[np.ndarray] = []
-    pair_counts: list[int] = []
-    for sl in batch:
-        iu, ju = _triu_pairs(int(sl.tails.size))
-        vi_parts.append(sl.tails[iu])
-        vj_parts.append(sl.tails[ju])
-        pair_counts.append(int(iu.size))
-    all_vi = np.concatenate(vi_parts)
-    all_vj = np.concatenate(vj_parts)
-    all_sid = np.repeat(
-        np.arange(len(batch), dtype=np.int64),
-        np.asarray(pair_counts, dtype=np.int64),
+    first, vi, vj, sid = generated_cliques(
+        adj, level.tails, level.offsets, counters
     )
-    counters.pair_checks += int(all_vi.size)
-    # adjacency bit of every (v_i, v_j) pair in one gather
-    bits = (adj[all_vi, all_vj >> 6] >> (all_vj & 63).astype(np.uint64)) & one
-    mask = bits.astype(bool)
-    if not mask.any():
-        return
-    pvi = all_vi[mask]
-    pvj = all_vj[mask]
-    psid = all_sid[mask]
-    n_pairs = int(pvi.size)
-    counters.cliques_generated += n_pairs
-    counters.bit_exist_checks += n_pairs
-    counters.bit_and_ops += n_pairs
+    if not first.size:
+        return LevelArrays.empty(level.prefixes.shape[1] + 2, adj.shape[1])
     # maximality for every generated clique at once:
-    # CN(prefix) & N(v_i) & N(v_j) row-wise over the whole batch
-    cn_stack = np.stack([sl.cn_words for sl in batch])
-    tests = adj[pvi] & adj[pvj]
-    np.bitwise_and(tests, cn_stack[psid], out=tests)
+    # CN(prefix) & N(v_i) & N(v_j) row-wise, ANDed in place
+    tests = adj[vi]
+    np.bitwise_and(tests, adj[vj], out=tests)
+    np.bitwise_and(tests, level.cn[sid], out=tests)
     nonmax = tests.any(axis=1)
-    # group boundaries: (sub-list, v_i) pairs are emitted in canonical
-    # order because sub-lists arrive prefix-sorted and iu ascends
-    boundary = np.concatenate(
-        ([True], (psid[1:] != psid[:-1]) | (pvi[1:] != pvi[:-1]))
+    del tests
+    starts, group_of = pair_groups(first)
+    counters.bit_and_ops += int(starts.size)  # child CN derivations
+    kids, keep, counts = select_children(nonmax, starts, group_of)
+    parent = starts[kids]  # each child's first generated clique
+    if tally is not None:
+        n = len(level)
+        tally[:, 0] += np.bincount(sid, minlength=n)
+        tally[:, 1] += np.bincount(sid[starts], minlength=n)
+        tally[:, 2] += np.bincount(sid[~nonmax], minlength=n)
+        tally[:, 3] += np.bincount(sid[parent], minlength=n)
+    if emit is not None:
+        maximal = np.flatnonzero(~nonmax)
+        emit_cliques(
+            np.column_stack(
+                (level.prefixes[sid[maximal]], vi[maximal], vj[maximal])
+            ),
+            counters,
+            emit,
+        )
+    counters.sublists_created += int(kids.size)
+    cn = level.cn[sid[parent]]
+    np.bitwise_and(cn, adj[vi[parent]], out=cn)
+    offsets = np.zeros(kids.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return LevelArrays(
+        prefixes=np.column_stack((level.prefixes[sid[parent]], vi[parent])),
+        tails=vj[keep],
+        offsets=offsets,
+        cn=cn,
     )
-    starts = np.flatnonzero(boundary)
-    n_nonmax = np.add.reduceat(nonmax, starts).astype(np.int64)
-    ends = np.concatenate((starts[1:], [n_pairs]))
-    sizes = ends - starts
-    starts_l = starts.tolist()
-    ends_l = ends.tolist()
-    sizes_l = sizes.tolist()
-    n_nonmax_l = n_nonmax.tolist()
-    pvj_list = pvj.tolist()
-    nonmax_list = nonmax.tolist()
-    counters.bit_and_ops += len(starts_l)  # child CN derivations (paper)
-    for gi in range(len(starts_l)):
-        s = starts_l[gi]
-        size = sizes_l[gi]
-        nm = n_nonmax_l[gi]
-        if nm == size and nm <= 1:
-            continue  # nothing maximal to emit, nothing to retain
-        e = ends_l[gi]
-        sl = batch[int(psid[s])]
-        v = int(pvi[s])
-        child_prefix = sl.prefix + (v,)
-        if nm < size:  # some generated cliques are maximal: emit them
-            for idx in range(s, e):
-                if not nonmax_list[idx]:
-                    counters.maximal_emitted += 1
-                    emit(child_prefix + (pvj_list[idx],))
-        if nm > 1:  # at least two candidates: retain the sub-list
-            cand = pvj[s:e][nonmax[s:e]]
-            counters.sublists_created += 1
-            out.append(
-                CliqueSubList(child_prefix, cand, sl.cn_words & adj[v])
-            )
+
+
+def expand_level(
+    level: LevelArrays,
+    adj: np.ndarray,
+    counters: OpCounters,
+    emit: Callable[[tuple[int, ...]], None] | None,
+    tally: np.ndarray | None = None,
+) -> LevelArrays:
+    """One ``GenerateKCliques`` step on the array form of a level.
+
+    The tail pairs of each :data:`PAIR_BATCH_BYTES` batch of sub-lists
+    are built by segment arithmetic (:func:`tail_pairs`), tested for
+    adjacency in one gather and for maximality in one row-wise
+    ``CN(prefix) & N(v_i) & N(v_j)``; the maximal cliques are emitted
+    in pair order, and each ``(sub-list, v_i)`` group with at least two
+    non-maximal cliques becomes a child sub-list whose CN string is one
+    batched AND.  ``emit=None`` generates without emitting (nor
+    counting ``maximal_emitted``): the ``Init_K`` seed levels below
+    ``k_min``.  ``tally``, an ``(N, 4)`` ``int64`` array, accumulates
+    per sub-list the generated cliques, groups, maximal cliques and
+    children (the work records of
+    :func:`repro.parallel.parallel_enumerator.record_trace`).
+    """
+    parts = [
+        _expand_batch(
+            level.rows(start, end), adj, counters, emit,
+            None if tally is None else tally[start:end],
+        )
+        for start, end in pair_batches(np.diff(level.offsets), adj.shape[1])
+    ]
+    if not parts:
+        return LevelArrays.empty(level.prefixes.shape[1] + 2, adj.shape[1])
+    return LevelArrays.concat(parts)
 
 
 def generate_next_level(
@@ -359,28 +540,76 @@ def generate_next_level(
     never mutated, so the parallel driver can hand disjoint slices of
     ``sublists`` to different workers and merge the outputs.
 
-    The implementation batches the pair scan across sub-lists — one
-    adjacency gather for every (i, j) tail pair of the level, then the
-    combined maximality test ``CN(prefix) & N(v_i) & N(v_j)`` row-wise —
-    chunked at sub-list boundaries to :data:`PAIR_BATCH_BYTES` of test
-    rows, so temporary memory does not grow with the level.  The
-    recorded counters follow the *paper's* operation model (one AND to
-    derive each child common-neighbor string, one AND plus one
-    BitOneExists per generated clique, one adjacency check per scanned
-    pair), so analyses and the machine model stay faithful to Figure 3
-    even though the word-level arithmetic is batched.
+    The step runs on the array form of the level (:class:`LevelArrays`,
+    :func:`expand_level`): the sub-lists are gathered into arrays on
+    entry and the children handed back as sub-lists viewing the child
+    arrays.  Pairs are batched across sub-lists — one adjacency gather
+    for every (i, j) tail pair of a batch, then the combined maximality
+    test ``CN(prefix) & N(v_i) & N(v_j)`` row-wise — chunked at
+    sub-list boundaries to :data:`PAIR_BATCH_BYTES` of test rows, so
+    temporary memory does not grow with the level.  The recorded
+    counters follow the *paper's* operation model (one AND to derive
+    each child common-neighbor string, one AND plus one BitOneExists per
+    generated clique, one adjacency check per scanned pair), so analyses
+    and the machine model stay faithful to Figure 3 even though the
+    word-level arithmetic is batched.
     """
-    out: list[CliqueSubList] = []
-    live = [sl for sl in sublists if sl.tails.size >= 2]
-    tail_counts = [sl.tails.size for sl in live]
-    for start, end in pair_batches(tail_counts, g.adj.shape[1]):
-        _process_batch(live[start:end], g, counters, emit, out)
-    return out
+    if not sublists:
+        return []
+    level = LevelArrays.from_sublists(sublists)
+    return expand_level(level, g.adj, counters, emit).to_sublists()
 
 
 # ---------------------------------------------------------------------------
 # Seeding
 # ---------------------------------------------------------------------------
+
+def _edge_groups(
+    adj: np.ndarray, u: np.ndarray, v: np.ndarray, counters: OpCounters
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The seeding step over the edges ``u < v`` (canonical order).
+
+    Tests every edge for a common neighbor (``(adj[u] & adj[v]).any``,
+    in :data:`PAIR_BATCH_BYTES` chunks) and groups the non-maximal ones
+    by low endpoint.  Returns ``(nonmax, lows, tails, offsets)``: the
+    per-edge test, and the groups of at least two candidates — group
+    ``i`` has prefix ``(lows[i],)`` and tails
+    ``tails[offsets[i]:offsets[i + 1]]``.
+    """
+    m = int(u.size)
+    counters.cliques_generated += m
+    counters.bit_and_ops += m
+    counters.bit_exist_checks += m
+    nonmax = np.zeros(m, dtype=bool)
+    chunk = max(1, pair_batch_limit(adj.shape[1]))
+    for a in range(0, m, chunk):
+        tests = adj[u[a:a + chunk]]
+        np.bitwise_and(tests, adj[v[a:a + chunk]], out=tests)
+        nonmax[a:a + chunk] = tests.any(axis=1)
+    cu, cv = u[nonmax], v[nonmax]
+    if not cu.size:
+        return nonmax, cu, cv, np.zeros(1, dtype=np.int64)
+    starts, group_of = pair_groups(cu)
+    counts = np.diff(np.append(starts, cu.size))
+    kept = counts > 1
+    counters.sublists_created += int(kept.sum())
+    offsets = np.zeros(int(kept.sum()) + 1, dtype=np.int64)
+    np.cumsum(counts[kept], out=offsets[1:])
+    return nonmax, cu[starts[kept]], cv[kept[group_of]], offsets
+
+
+def edge_level(
+    adj: np.ndarray, u: np.ndarray, v: np.ndarray, counters: OpCounters
+) -> LevelArrays:
+    """Level 2 over the edges ``u < v``, as arrays, emitting nothing.
+
+    The ``Init_K`` seed's first level: the same sub-lists and counters
+    as :func:`build_initial_sublists` on those edges, with the CN
+    strings gathered into a matrix.
+    """
+    _, lows, tails, offsets = _edge_groups(adj, u, v, counters)
+    return LevelArrays(lows[:, None], tails, offsets, adj[lows])
+
 
 def build_initial_sublists(
     g: Graph,
@@ -392,30 +621,23 @@ def build_initial_sublists(
 
     An edge ``{v, u}`` (``v < u``) lives in the sub-list whose prefix is
     ``(v,)``.  Maximal edges — no common neighbor — are emitted (when
-    ``emit_maximal_edges``) and excluded from the candidates; sub-lists
-    with fewer than two candidates are dropped.
+    ``emit_maximal_edges``) in canonical edge order and excluded from
+    the candidates; sub-lists with fewer than two candidates are
+    dropped.  One pass over :meth:`~repro.core.graph.Graph.edge_arrays`;
+    each sub-list's CN string is a view of its adjacency row.
     """
     adj = g.adj
-    out: list[CliqueSubList] = []
-    for v in range(g.n):
-        nbrs = g.neighbors(v)
-        tails = nbrs[nbrs > v]
-        if tails.size == 0:
-            continue
-        counters.cliques_generated += int(tails.size)
-        counters.bit_and_ops += int(tails.size)
-        counters.bit_exist_checks += int(tails.size)
-        tests = adj[tails] & adj[v][None, :]
-        nonmax = tests.any(axis=1)
-        if emit_maximal_edges:
-            for u in tails[~nonmax].tolist():
-                counters.maximal_emitted += 1
-                emit((v, int(u)))
-        cand = tails[nonmax]
-        if cand.size > 1:
-            counters.sublists_created += 1
-            out.append(CliqueSubList((v,), cand, adj[v]))
-    return out
+    u, v = g.edge_arrays()
+    nonmax, lows, tails, offsets = _edge_groups(adj, u, v, counters)
+    if emit_maximal_edges:
+        emit_cliques(
+            np.column_stack((u[~nonmax], v[~nonmax])), counters, emit
+        )
+    o = offsets.tolist()
+    return [
+        CliqueSubList((low,), tails[a:b], adj[low])
+        for low, a, b in zip(lows.tolist(), o, o[1:])
+    ]
 
 
 def build_sublists_from_k_cliques(
@@ -428,7 +650,10 @@ def build_sublists_from_k_cliques(
 
     ``cliques`` must be sorted tuples in canonical order (as produced by
     :func:`repro.core.kclique.enumerate_k_cliques`); maximal k-cliques must
-    already have been emitted by the caller and excluded here.
+    already have been emitted by the caller and excluded here.  The
+    Figure 5–8 trace (:func:`repro.parallel.parallel_enumerator.
+    record_trace`) seeds with it; the engine seeds ``Init_K`` through
+    the level step instead, to the same sub-lists.
     """
     if k < 2:
         raise ParameterError(f"sub-lists exist for k >= 2, got {k}")

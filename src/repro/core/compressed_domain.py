@@ -66,8 +66,11 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.core.bitset import WORD_BITS
 from repro.core.clique_enumerator import (
-    _triu_pairs,
+    emit_cliques,
+    generated_cliques,
     pair_batches,
+    pair_groups,
+    select_children,
     weight_batches,
 )
 from repro.core.compressed import WahScratch
@@ -237,20 +240,24 @@ class CompressedExpander:
     def _load(self, batch: CompressedLevelBatch):
         """Normalise one level batch into SoA form for the batch kernels.
 
-        Returns ``(prefixes, tails, cn_words, cn_offsets)`` where
-        ``tails`` holds one ascending ``int64`` index array per
-        sub-list.  Sub-lists with fewer than two tails are dropped
-        here: neither step model can derive anything from them.
+        Returns ``(prefixes, tails, tail_offsets, cn_words,
+        cn_offsets)``: the batch's own flat arrays, minus the sub-lists
+        with fewer than two tails — neither step model can derive
+        anything from them.
         """
+        prefixes = batch.prefixes
+        tails, offsets = batch.tails, batch.tail_offsets
         cw, co = batch.cn_words, batch.cn_offsets
-        prefixes = list(batch.prefixes)
-        keep = np.flatnonzero(batch.n_tails >= 2)
-        if keep.size < len(prefixes):
+        n_tails = batch.n_tails
+        live = n_tails >= 2
+        if not live.all():
+            keep = np.flatnonzero(live)
             cw, co = take_streams(cw, co, keep)
-            prefixes = [prefixes[i] for i in keep.tolist()]
-        flat, offs = batch.tails, batch.tail_offsets
-        tails = [flat[offs[i]:offs[i + 1]] for i in keep.tolist()]
-        return prefixes, tails, cw, co
+            prefixes = tuple(prefixes[i] for i in keep.tolist())
+            tails = tails[np.repeat(live, n_tails)]
+            offsets = np.zeros(keep.size + 1, dtype=np.int64)
+            np.cumsum(n_tails[keep], out=offsets[1:])
+        return prefixes, tails, offsets, cw, co
 
     def _step_pairs(self, batch, counters, emit):
         """The tail-list model: counters match ``generate_next_level``.
@@ -258,63 +265,54 @@ class CompressedExpander:
         Cuts pair batches at sub-list boundaries by the same byte budget
         and rule as the bitset step (:func:`~repro.core.
         clique_enumerator.pair_batches`), so the transients stay flat
-        however wide the level is.  Counters, emitted cliques, and
-        children are byte-identical to the raw-word step's at any batch
-        size.
+        however wide the level is, and builds and groups each batch's
+        pairs with the bitset step's own helpers.  Counters, emitted
+        cliques, and children are byte-identical to the raw-word step's
+        at any batch size.
         """
-        prefixes, tails, cn_w, cn_o = self._load(batch)
+        prefixes, tails, offsets, cn_w, cn_o = self._load(batch)
+        pm = np.array(prefixes, dtype=np.int64)
         scratch = self._scratch()
-        out_prefixes: list[tuple[int, ...]] = []
-        out_cands: list[np.ndarray] = []
-        parts: list[tuple[np.ndarray, np.ndarray]] = []
-        tail_counts = [t.size for t in tails]
-        for start, end in pair_batches(tail_counts, self._adj.shape[1]):
+        parts = [
             self._pairs_batch(
-                start, end, prefixes, tails, cn_w, cn_o,
-                counters, emit, scratch, out_prefixes, out_cands, parts,
+                start, end, pm, tails, offsets, cn_w, cn_o,
+                counters, emit, scratch,
             )
+            for start, end in pair_batches(
+                np.diff(offsets), self._adj.shape[1]
+            )
+        ]
+        parts = [part for part in parts if part is not None]
+        if not parts:
+            return CompressedLevelBatch.empty(self._universe)
+        child_pm, child_tails, counts, cn_parts = zip(*parts)
         return CompressedLevelBatch.from_parts(
-            tuple(out_prefixes), self._universe, out_cands, parts
+            tuple(map(tuple, np.concatenate(child_pm).tolist())),
+            self._universe,
+            child_tails,
+            np.concatenate(counts),
+            cn_parts,
         )
 
     def _pairs_batch(
-        self, lo, hi, prefixes, tails, cn_w, cn_o,
-        counters, emit, scratch, out_prefixes, out_cands, parts,
+        self, lo, hi, prefixes, tails, offsets, cn_w, cn_o,
+        counters, emit, scratch,
     ):
-        """Expand sub-lists ``[lo, hi)`` as one vectorised pair batch."""
+        """Expand sub-lists ``[lo, hi)`` as one vectorised pair batch.
+
+        Returns the children as ``(prefixes, tails, tail counts, CN
+        streams)``, or None when the batch retains none.
+        """
         ng = self._n_groups
-        vi_parts, vj_parts, sid_parts = [], [], []
-        for s in range(lo, hi):
-            iu, ju = _triu_pairs(int(tails[s].size))
-            vi_parts.append(tails[s][iu])
-            vj_parts.append(tails[s][ju])
-            sid_parts.append(np.full(iu.size, s, dtype=np.int64))
-        all_vi = np.concatenate(vi_parts)
-        all_vj = np.concatenate(vj_parts)
-        all_sid = np.concatenate(sid_parts)
-        counters.pair_checks += int(all_vi.size)
-        if not all_vi.size:
-            return
-        adjacent = (
-            self._adj[all_vi, all_vj >> 6]
-            >> (all_vj & 63).astype(np.uint64)
-        ) & np.uint64(1)
-        mask = adjacent.astype(bool)
-        if not mask.any():
-            return
-        pvi, pvj, psid = all_vi[mask], all_vj[mask], all_sid[mask]
-        n_pairs = int(pvi.size)
-        counters.cliques_generated += n_pairs
-        counters.bit_and_ops += n_pairs
-        counters.bit_exist_checks += n_pairs
-        # parent groups: one child-CN derivation per distinct (sl, vi)
-        boundary = np.empty(n_pairs, dtype=bool)
-        boundary[0] = True
-        np.logical_or(
-            psid[1:] != psid[:-1], pvi[1:] != pvi[:-1], out=boundary[1:]
+        first, pvi, pvj, psid = generated_cliques(
+            self._adj, tails, offsets[lo:hi + 1], counters
         )
-        starts = np.flatnonzero(boundary)
-        group_of = np.cumsum(boundary) - 1
+        if not first.size:
+            return None
+        psid += lo
+        n_pairs = int(first.size)
+        # parent groups: one child-CN derivation per distinct (sl, vi)
+        starts, group_of = pair_groups(first)
         n_groups_here = int(starts.size)
         counters.bit_and_ops += n_groups_here
         gvi, gsid = pvi[starts], psid[starts]
@@ -330,32 +328,24 @@ class CompressedExpander:
         nonmax = batch_and_any(taw, tao, tbw, tbo, ng)
         scratch.and_ops += n_pairs
         scratch.word_ops += int(tao[-1] + tbo[-1])
-        n_nonmax = np.add.reduceat(nonmax.astype(np.int64), starts)
-        ends = np.append(starts[1:], n_pairs)
-        pvj_l, nonmax_l = pvj.tolist(), nonmax.tolist()
-        starts_l, ends_l = starts.tolist(), ends.tolist()
-        kept: list[int] = []
-        for gi in range(n_groups_here):
-            s, e = starts_l[gi], ends_l[gi]
-            nm = int(n_nonmax[gi])
-            size = e - s
-            if nm == size and nm <= 1:
-                continue
-            child_prefix = prefixes[int(gsid[gi])] + (int(gvi[gi]),)
-            if nm < size:
-                for idx in range(s, e):
-                    if not nonmax_l[idx]:
-                        counters.maximal_emitted += 1
-                        emit(child_prefix + (pvj_l[idx],))
-            if nm > 1:
-                counters.sublists_created += 1
-                kept.append(gi)
-                out_prefixes.append(child_prefix)
-                out_cands.append(pvj[s:e][nonmax[s:e]])
-        if kept:
-            parts.append(
-                take_streams(chw, cho, np.asarray(kept, dtype=np.int64))
-            )
+        kids, keep, counts = select_children(nonmax, starts, group_of)
+        maximal = np.flatnonzero(~nonmax)
+        emit_cliques(
+            np.column_stack(
+                (prefixes[psid[maximal]], pvi[maximal], pvj[maximal])
+            ),
+            counters,
+            emit,
+        )
+        if not kids.size:
+            return None
+        counters.sublists_created += int(kids.size)
+        return (
+            np.column_stack((prefixes[gsid[kids]], gvi[kids])),
+            pvj[keep],
+            counts,
+            take_streams(chw, cho, kids),
+        )
 
     def _step_bitscan(self, batch, counters, emit):
         """The bit-scan model: counters match
@@ -363,7 +353,9 @@ class CompressedExpander:
         full-``n`` ``bits_scanned`` cost accounting — while the partner
         scan runs as one ``batch_indices_above`` per parent chunk.
         """
-        prefixes, tails, cn_w, cn_o = self._load(batch)
+        prefixes, flat, offs, cn_w, cn_o = self._load(batch)
+        o = offs.tolist()
+        tails = [flat[a:b] for a, b in zip(o, o[1:])]
         scratch = self._scratch()
         out_prefixes: list[tuple[int, ...]] = []
         out_cands: list[np.ndarray] = []
@@ -376,7 +368,11 @@ class CompressedExpander:
                 counters, emit, scratch, out_prefixes, out_cands, parts,
             )
         return CompressedLevelBatch.from_parts(
-            tuple(out_prefixes), self._universe, out_cands, parts
+            tuple(out_prefixes),
+            self._universe,
+            out_cands,
+            [c.size for c in out_cands],
+            parts,
         )
 
     def _bitscan_batch(

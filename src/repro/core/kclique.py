@@ -20,7 +20,13 @@ removes vertices the single pass would eventually starve anyway.
 
 The non-maximal k-cliques seed the Clique Enumerator of
 :mod:`repro.core.clique_enumerator` at a user-chosen lower bound (the
-``Init_K`` of the paper's evaluation).
+``Init_K`` of the paper's evaluation).  The engine no longer seeds with
+this recursion: :func:`repro.engine.level_loop.seed_level` reaches the
+same sub-lists by running the level step from the edges of the
+(k-1)-core (:func:`k_core_mask`).  The enumerator now feeds the
+Figure 5–8 trace (:func:`repro.parallel.parallel_enumerator.
+record_trace`), whose seed work it counts, and stays the public
+k-clique enumerator.
 """
 
 from __future__ import annotations
@@ -71,21 +77,25 @@ def k_core_mask(g: Graph, k: int) -> np.ndarray:
 
     A vertex needs at least ``k - 1`` neighbors to belong to a k-clique;
     eliminating one vertex can disqualify others, so the rule is applied to
-    a fixed point (equivalently: the (k-1)-core membership mask).
+    a fixed point (equivalently: the (k-1)-core membership mask).  Each
+    round peels every vertex below the threshold at once, on the edge
+    arrays: one ``bincount`` of the lost neighbors.
     """
     alive = np.ones(g.n, dtype=bool)
-    deg = g.degrees().astype(np.int64)
-    changed = True
-    while changed:
-        changed = False
-        for v in range(g.n):
-            if alive[v] and deg[v] < k - 1:
-                alive[v] = False
-                changed = True
-                for u in g.neighbors(v).tolist():
-                    if alive[u]:
-                        deg[u] -= 1
-    return alive
+    deg = g.degrees()
+    u, v = g.edge_arrays()
+    while True:
+        drop = alive & (deg < k - 1)
+        if not drop.any():
+            return alive
+        alive &= ~drop
+        # each edge losing one endpoint costs the other one degree
+        cut_u, cut_v = drop[u], drop[v]
+        deg -= np.bincount(
+            np.concatenate((v[cut_u], u[cut_v])), minlength=g.n
+        )
+        live = ~(cut_u | cut_v)
+        u, v = u[live], v[live]
 
 
 def enumerate_k_cliques(

@@ -221,21 +221,21 @@ class CompressedLevelBatch:
         prefixes: tuple[tuple[int, ...], ...],
         universe: int,
         tails: list[np.ndarray],
+        tail_counts,
         cn_parts: list[tuple[np.ndarray, np.ndarray]],
     ) -> "CompressedLevelBatch":
-        """Assemble a batch from per-sub-list tails and CN fragments.
+        """Assemble a batch from tail and CN fragments.
 
-        ``tails[i]`` is sub-list ``i``'s ascending index array;
-        ``cn_parts`` are SoA ``(words, offsets)`` batches whose streams,
-        taken in order, are the sub-lists' compressed CN strings.
+        ``tails`` are ``int64`` fragments whose concatenation is every
+        sub-list's ascending tails in order, ``tail_counts[i]`` the
+        number of sub-list ``i``'s tails; ``cn_parts`` are SoA
+        ``(words, offsets)`` batches whose streams, taken in order, are
+        the sub-lists' compressed CN strings.
         """
         if not prefixes:
             return cls.empty(universe)
-        counts = np.fromiter(
-            (t.size for t in tails), dtype=np.int64, count=len(tails)
-        )
-        tail_offsets = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=tail_offsets[1:])
+        tail_offsets = np.zeros(len(prefixes) + 1, dtype=np.int64)
+        np.cumsum(tail_counts, out=tail_offsets[1:])
         cn_words, cn_offsets = _cat(
             [w for w, _ in cn_parts], [o for _, o in cn_parts]
         )
@@ -266,6 +266,7 @@ class CompressedLevelBatch:
             tuple(sl.prefix for sl in sublists),
             universe,
             [sl.tails for sl in sublists],
+            [sl.tails.size for sl in sublists],
             [
                 batch_encode_words(
                     np.stack([sl.cn_words for sl in sublists]), universe

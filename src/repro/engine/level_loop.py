@@ -1,10 +1,12 @@
 """The shared level-loop skeleton every backend runs.
 
 This is the paper's algorithm with the substrate factored out: seeding
-(edges for ``k_min <= 2``, the ``Init_K`` k-clique enumerator above
-that), then repeated ``GenerateKCliques`` steps until exhaustion or
-``k_max``, with per-level statistics, budget checks, and the emission
-bookkeeping that every historical driver re-implemented separately.
+(edges for ``k_min <= 2``; above that the ``Init_K`` seed, which runs
+the array step from the edges of the ``(k_min-1)``-core up to
+``k_min``), then repeated ``GenerateKCliques`` steps until exhaustion
+or ``k_max``, with per-level statistics, budget checks, and the
+emission bookkeeping that every historical driver re-implemented
+separately.
 
 A backend supplies exactly two policies:
 
@@ -27,17 +29,27 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 
+import numpy as np
+
 from repro.errors import BudgetExceeded
+# build_sublists_from_k_cliques and enumerate_k_cliques are no longer
+# called here; they stay importable under this module's names because
+# perfbench's layer spans wrap them here (perfbench/spans.py TARGETS)
 from repro.core.clique_enumerator import (
     EnumerationResult,
     LevelStats,
     build_initial_sublists,
-    build_sublists_from_k_cliques,
+    build_sublists_from_k_cliques,  # noqa: F401
+    edge_level,
+    expand_level,
     paper_formula_bytes,
 )
 from repro.core.counters import IOStats, OpCounters
 from repro.core.graph import Graph
-from repro.core.kclique import enumerate_k_cliques
+from repro.core.kclique import (
+    enumerate_k_cliques,  # noqa: F401
+    k_core_mask,
+)
 from repro.core.sublist import CliqueSubList
 from repro.engine.config import EnumerationConfig
 from repro.engine.level_store import LevelStore
@@ -129,28 +141,40 @@ def seed_level(
 
     Returns ``(k, sublists)`` — the starting level and its candidate
     sub-lists.  For ``k_min <= 2`` seeding starts from the edge set
-    (emitting isolated vertices first when ``k_min == 1``); for larger
-    ``k_min`` the k-clique enumerator provides the level directly.
+    (emitting isolated vertices first when ``k_min == 1``).
     ``emit_maximal_edges=False`` suppresses the size-2 emissions (for
     runs bounded to ``k_max < 2``).
+
+    For larger ``k_min`` the level algorithm itself seeds: level 2 from
+    the edges of the ``(k_min - 1)``-core (no smaller core vertex is in
+    a ``k_min``-clique), then the array step (:func:`~repro.core.
+    clique_enumerator.expand_level`) up to ``k_min``, emitting only
+    the last step's maximal ``k_min``-cliques, in canonical order.  The
+    seed levels stay arrays and become sub-lists once, at ``k_min``;
+    they are the sub-lists of the paper's k-clique enumerator
+    (:mod:`repro.core.kclique`) grouped by prefix, with identical CN
+    strings, because each level holds exactly the non-maximal
+    ``k``-cliques that share their prefix with another.  The counters
+    then count the level algorithm's operations on the seed levels.
     """
     if k_min <= 2:
         if k_min == 1:
-            for v in range(g.n):
-                if g.degree(v) == 0:
-                    counters.maximal_emitted += 1
-                    emit((v,))
+            isolated = np.flatnonzero(g.degrees() == 0).tolist()
+            counters.maximal_emitted += len(isolated)
+            for v in isolated:
+                emit((v,))
         return 2, build_initial_sublists(
             g, counters, emit, emit_maximal_edges=emit_maximal_edges
         )
-    # enumerate_k_cliques counts its maximal cliques in `counters`;
-    # here they only need to be routed to the sink.
-    kres = enumerate_k_cliques(g, k_min, counters)
-    for clique in kres.maximal:
-        emit(clique)
-    return k_min, build_sublists_from_k_cliques(
-        g, k_min, kres.non_maximal, counters
-    )
+    alive = k_core_mask(g, k_min)
+    u, v = g.edge_arrays()
+    core = alive[u] & alive[v]
+    level = edge_level(g.adj, u[core], v[core], counters)
+    for k in range(3, k_min + 1):
+        level = expand_level(
+            level, g.adj, counters, emit if k == k_min else None
+        )
+    return k_min, level.to_sublists()
 
 
 def _measure_store(

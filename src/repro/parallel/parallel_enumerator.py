@@ -13,7 +13,8 @@ Because only *timing* depends on the schedule (the algorithm's output is
 schedule-invariant), the simulation splits into two phases:
 
 1. :func:`record_trace` — run the real sequential algorithm once,
-   expanding each sub-list separately to measure its true work, the
+   measuring each sub-list's true work (the operations its expansion
+   counts, tallied per sub-list by the level step), the
    scheduler-visible estimate, and the parent/child ownership structure.
 2. :func:`simulate_run` — replay the trace on a
    :class:`~repro.parallel.machine.MachineSpec` at any processor count:
@@ -31,11 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import ParameterError
 from repro.core.clique_enumerator import (
+    LevelArrays,
     build_initial_sublists,
     build_sublists_from_k_cliques,
-    generate_next_level,
+    expand_level,
 )
 from repro.core.counters import OpCounters
 from repro.core.graph import Graph
@@ -164,37 +168,43 @@ def record_trace(
         )
     trace.seed_work = seed_counters.total_work()
 
-    ids = list(range(len(sublists)))
-    next_id = len(sublists)
-    parent_of: dict[int, int] = {}
+    # each level is expanded once; the step's per-sub-list tally gives
+    # every item the work it would have counted expanded on its own
+    n_words = g.adj.shape[1]
+    level = (
+        LevelArrays.from_sublists(sublists) if sublists
+        else LevelArrays.empty(k_min, n_words)
+    )
+    ids = np.arange(len(level))
+    parents = np.full(len(level), -1)
     k = k_min
-    while sublists and (k_max is None or k < k_max):
-        level_records: list[TraceItem] = []
-        new_sublists = []
-        new_ids: list[int] = []
-        for sl, sl_id in zip(sublists, ids):
-            c = OpCounters()
-            emitted_before = len(trace.cliques)
-            children = generate_next_level([sl], g, c, emit)
-            level_records.append(
-                TraceItem(
-                    item_id=sl_id,
-                    level=k,
-                    parent_id=parent_of.get(sl_id, -1),
-                    estimate=sl.work_estimate(),
-                    work=c.total_work(),
-                    n_tails=len(sl),
-                    maximal_emitted=len(trace.cliques) - emitted_before,
-                )
+    while len(level) and (k_max is None or k < k_max):
+        tally = np.zeros((len(level), 4), dtype=np.int64)
+        children = expand_level(level, g.adj, OpCounters(), emit, tally)
+        generated, groups, maximal, n_children = tally.T
+        t = np.diff(level.offsets)
+        pairs = t * (t - 1) // 2
+        work = OpCounters(
+            pair_checks=pairs,
+            cliques_generated=generated,
+            bit_and_ops=generated + groups,
+            bit_exist_checks=generated,
+        ).total_work()
+        estimate = pairs + t * max(1, n_words // 8)
+        trace.levels.append([
+            TraceItem(
+                item_id=item, level=k, parent_id=parent, estimate=est,
+                work=w, n_tails=n, maximal_emitted=mx,
             )
-            for ch in children:
-                parent_of[next_id] = sl_id
-                new_sublists.append(ch)
-                new_ids.append(next_id)
-                next_id += 1
-        trace.levels.append(level_records)
+            for item, parent, est, w, n, mx in zip(
+                ids.tolist(), parents.tolist(), estimate.tolist(),
+                work.tolist(), t.tolist(), maximal.tolist(),
+            )
+        ])
         trace.level_ks.append(k)
-        sublists, ids, k = new_sublists, new_ids, k + 1
+        parents = np.repeat(ids, n_children)
+        ids = ids[-1] + 1 + np.arange(len(children))
+        level, k = children, k + 1
     # Final-level sub-lists (when k_max stopped the run) do no recorded
     # work; they are intentionally absent from the trace.
     trace.total_maximal = len(trace.cliques)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph import Graph
-from repro.core.generators import complete_graph
+from repro.core.generators import complete_graph, erdos_renyi
 from repro.errors import GraphError
 
 
@@ -36,6 +36,28 @@ class TestConstruction:
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError):
             Graph.from_edges(3, [(1, 1)])
+
+    @pytest.mark.parametrize("bad, message", [
+        ((7, 50), "vertex 50 out of range [0, 50)"),
+        ((50, -1), "vertex 50 out of range [0, 50)"),
+        ((-3, 50), "vertex -3 out of range [0, 50)"),
+        ((7, 7), "self loop at vertex 7 is not allowed"),
+        ((70, 70), "vertex 70 out of range [0, 50)"),
+        ((10**30, 1), f"vertex {10**30} out of range [0, 50)"),
+    ])
+    def test_first_bad_pair_raises_the_add_edge_message(self, bad, message):
+        good = [(i % 50, (i * 7 + 1) % 50) for i in range(1000)]
+        good = [(u, v) for u, v in good if u != v]
+        later = [(3, 3), (99, 0)]  # never reached: the first bad one wins
+        with pytest.raises(GraphError) as exc:
+            Graph.from_edges(50, good + [bad] + later)
+        assert str(exc.value) == message
+
+    def test_numpy_pair_array(self):
+        pairs = np.array([[0, 1], [2, 1], [1, 0]])
+        g = Graph.from_edges(3, pairs)
+        assert g == Graph.from_edges(3, [(0, 1), (1, 2)])
+        assert g.m == 2
 
     def test_from_adjacency(self):
         a = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
@@ -128,6 +150,14 @@ class TestQueries:
     def test_edges_canonical_order(self):
         g = Graph.from_edges(4, [(2, 3), (0, 3), (0, 1)])
         assert list(g.edges()) == [(0, 1), (0, 3), (2, 3)]
+
+    def test_edge_arrays_across_words(self):
+        g = erdos_renyi(200, 0.05, seed=3)
+        u, v = g.edge_arrays()
+        assert list(zip(u.tolist(), v.tolist())) == [
+            (a, b) for a in range(g.n) for b in g.neighbors(a).tolist()
+            if b > a
+        ]
 
     def test_is_clique(self, k5):
         assert k5.is_clique([0, 1, 2])
@@ -235,6 +265,38 @@ def test_invariants_hold(t):
     g.validate()
     assert g.m == len({tuple(sorted(e)) for e in edges})
     assert int(g.degrees().sum()) == 2 * g.m
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_edges(), st.randoms(use_true_random=False))
+def test_from_edges_matches_an_add_edge_loop(t, rnd):
+    n, edges = t
+    # duplicates and reversed pairs of the drawn ones, shuffled in
+    extra = [rnd.choice(edges)[::rnd.choice((1, -1))] for _ in edges]
+    pairs = edges + extra
+    rnd.shuffle(pairs)
+    ref = Graph(n)
+    for u, v in pairs:
+        ref.add_edge(u, v)
+    g = Graph.from_edges(n, pairs)
+    g.validate()
+    assert g == ref
+    assert g.m == ref.m
+    assert g.degrees().tolist() == ref.degrees().tolist()
+    assert list(g.edges()) == sorted({tuple(sorted(e)) for e in pairs})
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    relabelled = g.relabel(perm)
+    relabelled.validate()
+    assert sorted(relabelled.edges()) == sorted(
+        tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()
+    )
+    dense = np.zeros((n, n), dtype=bool)
+    for u, v in pairs:
+        dense[u, v] = dense[v, u] = True
+    from_matrix = Graph.from_adjacency(dense)
+    from_matrix.validate()
+    assert from_matrix == g and from_matrix.m == g.m
 
 
 @settings(max_examples=30, deadline=None)

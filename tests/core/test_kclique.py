@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,45 @@ def brute_force_k_cliques(g: Graph, k: int):
     )
 
 
+def reference_k_core_mask(g: Graph, k: int) -> np.ndarray:
+    """The per-vertex fixed point the edge-array peel replaced."""
+    alive = np.ones(g.n, dtype=bool)
+    deg = g.degrees()
+    changed = True
+    while changed:
+        changed = False
+        for v in range(g.n):
+            if alive[v] and deg[v] < k - 1:
+                alive[v] = False
+                changed = True
+                for u in g.neighbors(v).tolist():
+                    if alive[u]:
+                        deg[u] -= 1
+    return alive
+
+
 class TestKCoreMask:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=30),
+        st.floats(min_value=0.0, max_value=0.6),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_matches_the_vertex_loop(self, n, p, seed, k):
+        g = erdos_renyi(n, p, seed=seed)
+        assert k_core_mask(g, k).tolist() == (
+            reference_k_core_mask(g, k).tolist()
+        )
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_small_k_and_empty_graph(self, k):
+        g = Graph.from_edges(5, [(0, 1), (1, 2)])
+        assert k_core_mask(g, k).tolist() == (
+            reference_k_core_mask(g, k).tolist()
+        )
+        assert k_core_mask(Graph(0), k).tolist() == []
+
     def test_all_survive_complete(self):
         assert k_core_mask(complete_graph(5), 5).all()
 

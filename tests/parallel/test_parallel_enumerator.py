@@ -4,15 +4,72 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.clique_enumerator import enumerate_maximal_cliques
+from repro.core.clique_enumerator import (
+    build_initial_sublists,
+    build_sublists_from_k_cliques,
+    enumerate_maximal_cliques,
+    generate_next_level,
+)
+from repro.core.counters import OpCounters
 from repro.core.generators import erdos_renyi, planted_partition
+from repro.core.kclique import enumerate_k_cliques
 from repro.errors import ParameterError
 from repro.parallel.machine import MachineSpec
 from repro.parallel.parallel_enumerator import (
+    EnumerationTrace,
+    TraceItem,
     record_trace,
     simulate_processor_sweep,
     simulate_run,
 )
+
+
+def reference_record_trace(g, k_min=2, k_max=None):
+    """The per-sub-list recording loop (one step call per sub-list) that
+    the one-expansion-per-level recording replaced."""
+    k_min = max(2, k_min)
+    trace = EnumerationTrace(
+        n_vertices=g.n, k_min=k_min, k_max=k_max, seed_work=0
+    )
+    emit = trace.cliques.append
+    seed_counters = OpCounters()
+    if k_min == 2:
+        sublists = build_initial_sublists(g, seed_counters, emit, True)
+    else:
+        kres = enumerate_k_cliques(g, k_min, seed_counters)
+        for clique in kres.maximal:
+            emit(clique)
+        sublists = build_sublists_from_k_cliques(
+            g, k_min, kres.non_maximal, seed_counters
+        )
+    trace.seed_work = seed_counters.total_work()
+    ids = list(range(len(sublists)))
+    next_id = len(sublists)
+    parent_of = {}
+    k = k_min
+    while sublists and (k_max is None or k < k_max):
+        records, new_sublists, new_ids = [], [], []
+        for sl, sl_id in zip(sublists, ids):
+            c = OpCounters()
+            before = len(trace.cliques)
+            children = generate_next_level([sl], g, c, emit)
+            records.append(TraceItem(
+                item_id=sl_id, level=k,
+                parent_id=parent_of.get(sl_id, -1),
+                estimate=sl.work_estimate(), work=c.total_work(),
+                n_tails=len(sl),
+                maximal_emitted=len(trace.cliques) - before,
+            ))
+            for ch in children:
+                parent_of[next_id] = sl_id
+                new_sublists.append(ch)
+                new_ids.append(next_id)
+                next_id += 1
+        trace.levels.append(records)
+        trace.level_ks.append(k)
+        sublists, ids, k = new_sublists, new_ids, k + 1
+    trace.total_maximal = len(trace.cliques)
+    return trace
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +91,19 @@ def spec():
 
 
 class TestRecordTrace:
+    @pytest.mark.parametrize("k_min, k_max", [
+        (2, None), (3, None), (4, 6), (6, None),
+    ])
+    def test_matches_one_step_call_per_sub_list(
+        self, workload, k_min, k_max
+    ):
+        got = record_trace(workload, k_min=k_min, k_max=k_max)
+        assert got == reference_record_trace(workload, k_min, k_max)
+
+    def test_empty_seed(self):
+        g = erdos_renyi(12, 0.0, seed=1)
+        assert record_trace(g, k_min=3) == reference_record_trace(g, 3)
+
     def test_output_matches_sequential(self, workload, trace):
         seq = enumerate_maximal_cliques(workload, k_min=3)
         assert sorted(trace.cliques) == sorted(seq.cliques)
