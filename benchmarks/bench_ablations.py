@@ -106,9 +106,9 @@ def _drive(g, step):
 
     counters = OpCounters()
     sink: list[tuple[int, ...]] = []
-    subs = build_initial_sublists(g, counters, sink.append, True)
-    while subs:
-        subs = step(subs, g, counters, sink.append)
+    level = build_initial_sublists(g, counters, sink.append, True)
+    while len(level):
+        level = step(level, g, counters, sink.append)
     return sink
 
 

@@ -24,13 +24,14 @@ Consequently maximal cliques are emitted in **non-decreasing order of
 size**, each exactly once, and memory holds only candidates — the two
 properties the paper contrasts against Kose et al. and Bron–Kerbosch.
 
-The step runs on one array form of a level (:class:`LevelArrays`:
-an ``(N, k-1)`` prefix matrix, flat tails with offsets, an
-``(N, n_words)`` CN row matrix), so its Python runs per pair batch:
-pairs come from segment arithmetic over the tail offsets, groups and
-children from ``flatnonzero`` over the batch.  The compressed-domain
-step (:mod:`repro.core.compressed_domain`) shares the pair builder and
-the group selector.
+The step runs on one array form of a level (:class:`~repro.core.
+sublist.LevelArrays`: an ``(N, k-1)`` prefix matrix, flat tails with
+offsets, an ``(N, n_words)`` CN row matrix) — the form the ``memory``
+and ``disk`` level stores take and yield — so its Python runs per
+pair batch: pairs come from segment arithmetic over the tail offsets,
+groups and children from ``flatnonzero`` over the batch.  The
+compressed-domain step (:mod:`repro.core.compressed_domain`) shares the
+pair builder and the group selector.
 
 Drivers
 -------
@@ -56,7 +57,7 @@ from repro.errors import ParameterError
 from repro.core import bitset as bs
 from repro.core.counters import IOStats, OpCounters
 from repro.core.graph import Graph
-from repro.core.sublist import CliqueSubList
+from repro.core.sublist import CliqueSubList, LevelArrays
 
 __all__ = [
     "LevelStats",
@@ -215,93 +216,6 @@ class EnumerationResult:
         return max(
             (ls.candidate_bytes for ls in self.level_stats), default=0
         )
-
-
-# ---------------------------------------------------------------------------
-# The array form of a level
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LevelArrays:
-    """One candidate level of the tail-list step, as arrays.
-
-    The array counterpart of a ``list[CliqueSubList]``: sub-list ``i``
-    has prefix ``prefixes[i]`` (a row of the ``(N, k-1)`` ``int64``
-    matrix), ascending tails ``tails[offsets[i]:offsets[i + 1]]`` (one
-    flat ``int64`` array) and prefix common-neighbor string ``cn[i]``
-    (a row of the ``(N, n_words)`` ``uint64`` matrix).  The step
-    (:func:`expand_level`) reads and writes this form, so its Python
-    runs once per pair batch, not once per sub-list or group.
-    """
-
-    prefixes: np.ndarray
-    tails: np.ndarray
-    offsets: np.ndarray
-    cn: np.ndarray
-
-    def __len__(self) -> int:
-        return self.prefixes.shape[0]
-
-    @classmethod
-    def empty(cls, k: int, n_words: int) -> "LevelArrays":
-        """The zero-sub-list level of ``k``-cliques."""
-        return cls(
-            prefixes=np.zeros((0, k - 1), dtype=np.int64),
-            tails=np.zeros(0, dtype=np.int64),
-            offsets=np.zeros(1, dtype=np.int64),
-            cn=np.zeros((0, n_words), dtype=np.uint64),
-        )
-
-    @classmethod
-    def from_sublists(cls, sublists: list[CliqueSubList]) -> "LevelArrays":
-        """Gather a non-empty list of one level's sub-lists."""
-        counts = [sl.tails.size for sl in sublists]
-        offsets = np.zeros(len(sublists) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return cls(
-            prefixes=np.array(
-                [sl.prefix for sl in sublists], dtype=np.int64
-            ).reshape(len(sublists), -1),
-            tails=np.concatenate([sl.tails for sl in sublists]),
-            offsets=offsets,
-            cn=np.array([sl.cn_words for sl in sublists]),
-        )
-
-    @classmethod
-    def concat(cls, levels: list["LevelArrays"]) -> "LevelArrays":
-        """Concatenate levels of the same ``k``, in order."""
-        if len(levels) == 1:
-            return levels[0]
-        counts = np.concatenate([np.diff(lv.offsets) for lv in levels])
-        offsets = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return cls(
-            prefixes=np.concatenate([lv.prefixes for lv in levels]),
-            tails=np.concatenate([lv.tails for lv in levels]),
-            offsets=offsets,
-            cn=np.concatenate([lv.cn for lv in levels]),
-        )
-
-    def rows(self, start: int, end: int) -> "LevelArrays":
-        """Sub-lists ``[start, end)`` as views, offsets rebased."""
-        o = self.offsets
-        return LevelArrays(
-            prefixes=self.prefixes[start:end],
-            tails=self.tails[o[start]:o[end]],
-            offsets=o[start:end + 1] - o[start],
-            cn=self.cn[start:end],
-        )
-
-    def to_sublists(self) -> list[CliqueSubList]:
-        """The level as sub-lists whose tails and CN strings are views
-        of these arrays."""
-        o = self.offsets.tolist()
-        return [
-            CliqueSubList(tuple(prefix), self.tails[a:b], cn)
-            for prefix, a, b, cn in zip(
-                self.prefixes.tolist(), o, o[1:], self.cn
-            )
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -528,53 +442,53 @@ def expand_level(
 
 
 def generate_next_level(
-    sublists: list[CliqueSubList],
+    level: LevelArrays,
     g: Graph,
     counters: OpCounters,
     emit: Callable[[tuple[int, ...]], None],
-) -> list[CliqueSubList]:
-    """One ``GenerateKCliques`` step: level k sub-lists -> level k+1.
+) -> LevelArrays:
+    """One ``GenerateKCliques`` step: level k -> level k+1.
 
-    Emits maximal (k+1)-cliques through ``emit`` and returns the candidate
-    (k+1)-clique sub-lists.  Pure with respect to its inputs: sub-lists are
-    never mutated, so the parallel driver can hand disjoint slices of
-    ``sublists`` to different workers and merge the outputs.
+    Emits maximal (k+1)-cliques through ``emit`` and returns the
+    candidate (k+1)-clique sub-lists.  Pure with respect to its inputs:
+    the level is never mutated, so the parallel driver can hand
+    disjoint row ranges (:meth:`~repro.core.sublist.LevelArrays.rows`)
+    to different workers and concatenate the outputs.
 
-    The step runs on the array form of the level (:class:`LevelArrays`,
-    :func:`expand_level`): the sub-lists are gathered into arrays on
-    entry and the children handed back as sub-lists viewing the child
-    arrays.  Pairs are batched across sub-lists — one adjacency gather
-    for every (i, j) tail pair of a batch, then the combined maximality
-    test ``CN(prefix) & N(v_i) & N(v_j)`` row-wise — chunked at
-    sub-list boundaries to :data:`PAIR_BATCH_BYTES` of test rows, so
-    temporary memory does not grow with the level.  The recorded
-    counters follow the *paper's* operation model (one AND to derive
-    each child common-neighbor string, one AND plus one BitOneExists per
-    generated clique, one adjacency check per scanned pair), so analyses
-    and the machine model stay faithful to Figure 3 even though the
-    word-level arithmetic is batched.
+    The level stays in array form in and out (:func:`expand_level`).
+    Pairs are batched across sub-lists — one adjacency gather for every
+    (i, j) tail pair of a batch, then the combined maximality test
+    ``CN(prefix) & N(v_i) & N(v_j)`` row-wise — chunked at sub-list
+    boundaries to :data:`PAIR_BATCH_BYTES` of test rows, so temporary
+    memory does not grow with the level.  The recorded counters follow
+    the *paper's* operation model (one AND to derive each child
+    common-neighbor string, one AND plus one BitOneExists per generated
+    clique, one adjacency check per scanned pair), so analyses and the
+    machine model stay faithful to Figure 3 even though the word-level
+    arithmetic is batched.
     """
-    if not sublists:
-        return []
-    level = LevelArrays.from_sublists(sublists)
-    return expand_level(level, g.adj, counters, emit).to_sublists()
+    return expand_level(level, g.adj, counters, emit)
 
 
 # ---------------------------------------------------------------------------
 # Seeding
 # ---------------------------------------------------------------------------
 
-def _edge_groups(
-    adj: np.ndarray, u: np.ndarray, v: np.ndarray, counters: OpCounters
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The seeding step over the edges ``u < v`` (canonical order).
+def edge_level(
+    adj: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    counters: OpCounters,
+    emit: Callable[[tuple[int, ...]], None] | None = None,
+) -> LevelArrays:
+    """Level 2 over the edges ``u < v`` (canonical order), as arrays.
 
     Tests every edge for a common neighbor (``(adj[u] & adj[v]).any``,
     in :data:`PAIR_BATCH_BYTES` chunks) and groups the non-maximal ones
-    by low endpoint.  Returns ``(nonmax, lows, tails, offsets)``: the
-    per-edge test, and the groups of at least two candidates — group
-    ``i`` has prefix ``(lows[i],)`` and tails
-    ``tails[offsets[i]:offsets[i + 1]]``.
+    by low endpoint: one sub-list per low endpoint with at least two
+    candidates, its CN string that endpoint's adjacency row.  Maximal
+    edges are emitted through ``emit`` in canonical order; ``emit=None``
+    emits nothing (the ``Init_K`` seed's first level).
     """
     m = int(u.size)
     counters.cliques_generated += m
@@ -586,29 +500,21 @@ def _edge_groups(
         tests = adj[u[a:a + chunk]]
         np.bitwise_and(tests, adj[v[a:a + chunk]], out=tests)
         nonmax[a:a + chunk] = tests.any(axis=1)
+    if emit is not None:
+        emit_cliques(
+            np.column_stack((u[~nonmax], v[~nonmax])), counters, emit
+        )
     cu, cv = u[nonmax], v[nonmax]
     if not cu.size:
-        return nonmax, cu, cv, np.zeros(1, dtype=np.int64)
+        return LevelArrays.empty(2, adj.shape[1])
     starts, group_of = pair_groups(cu)
     counts = np.diff(np.append(starts, cu.size))
     kept = counts > 1
     counters.sublists_created += int(kept.sum())
     offsets = np.zeros(int(kept.sum()) + 1, dtype=np.int64)
     np.cumsum(counts[kept], out=offsets[1:])
-    return nonmax, cu[starts[kept]], cv[kept[group_of]], offsets
-
-
-def edge_level(
-    adj: np.ndarray, u: np.ndarray, v: np.ndarray, counters: OpCounters
-) -> LevelArrays:
-    """Level 2 over the edges ``u < v``, as arrays, emitting nothing.
-
-    The ``Init_K`` seed's first level: the same sub-lists and counters
-    as :func:`build_initial_sublists` on those edges, with the CN
-    strings gathered into a matrix.
-    """
-    _, lows, tails, offsets = _edge_groups(adj, u, v, counters)
-    return LevelArrays(lows[:, None], tails, offsets, adj[lows])
+    lows = cu[starts[kept]]
+    return LevelArrays(lows[:, None], cv[kept[group_of]], offsets, adj[lows])
 
 
 def build_initial_sublists(
@@ -616,28 +522,21 @@ def build_initial_sublists(
     counters: OpCounters,
     emit: Callable[[tuple[int, ...]], None],
     emit_maximal_edges: bool,
-) -> list[CliqueSubList]:
+) -> LevelArrays:
     """Level-2 sub-lists from the edge set (one per low-endpoint vertex).
 
     An edge ``{v, u}`` (``v < u``) lives in the sub-list whose prefix is
     ``(v,)``.  Maximal edges — no common neighbor — are emitted (when
     ``emit_maximal_edges``) in canonical edge order and excluded from
     the candidates; sub-lists with fewer than two candidates are
-    dropped.  One pass over :meth:`~repro.core.graph.Graph.edge_arrays`;
-    each sub-list's CN string is a view of its adjacency row.
+    dropped.  One pass over :meth:`~repro.core.graph.Graph.edge_arrays`
+    (:func:`edge_level`); the CN rows are the low endpoints' adjacency
+    rows, gathered into one matrix.
     """
-    adj = g.adj
     u, v = g.edge_arrays()
-    nonmax, lows, tails, offsets = _edge_groups(adj, u, v, counters)
-    if emit_maximal_edges:
-        emit_cliques(
-            np.column_stack((u[~nonmax], v[~nonmax])), counters, emit
-        )
-    o = offsets.tolist()
-    return [
-        CliqueSubList((low,), tails[a:b], adj[low])
-        for low, a, b in zip(lows.tolist(), o, o[1:])
-    ]
+    return edge_level(
+        g.adj, u, v, counters, emit if emit_maximal_edges else None
+    )
 
 
 def build_sublists_from_k_cliques(
@@ -753,11 +652,11 @@ def enumerate_maximal_cliques(
 # ---------------------------------------------------------------------------
 
 def generate_next_level_bitscan(
-    sublists: list[CliqueSubList],
+    level: LevelArrays,
     g: Graph,
     counters: OpCounters,
     emit: Callable[[tuple[int, ...]], None],
-) -> list[CliqueSubList]:
+) -> LevelArrays:
     """The paper's alternative generation: scan the bit string directly.
 
     Section 2.3: "there is another way to generate (k+1)-cliques by
@@ -772,15 +671,18 @@ def generate_next_level_bitscan(
     :func:`generate_next_level`; the cost model charges the full
     ``n``-bit scan per clique (tracked in ``counters.extra`` under
     ``bits_scanned``), and the wall-clock difference is measurable on
-    sparse graphs where tail lists are far shorter than ``n``.
+    sparse graphs where tail lists are far shorter than ``n``.  The
+    level's rows are read in place and the children gathered into
+    arrays; the scan itself stays one ``n``-bit pass per tail.
     """
     adj = g.adj
     n = g.n
-    out: list[CliqueSubList] = []
-    for sl in sublists:
-        tails = sl.tails
-        cn = sl.cn_words
-        for v in tails.tolist()[:-1]:
+    prefixes: list[list[int]] = []
+    tails: list[np.ndarray] = []
+    cns: list[np.ndarray] = []
+    o = level.offsets.tolist()
+    for prefix, a, b, cn in zip(level.prefixes.tolist(), o, o[1:], level.cn):
+        for v in level.tails[a:b].tolist()[:-1]:
             counters.bit_and_ops += 1
             child_cn = cn & adj[v]
             # mask away bits <= v, then scan the entire bit string
@@ -801,12 +703,23 @@ def generate_next_level_bitscan(
             counters.bit_exist_checks += int(partners.size)
             tests = adj[partners] & child_cn[None, :]
             nonmax = tests.any(axis=1)
-            child_prefix = sl.prefix + (v,)
+            child_prefix = tuple(prefix) + (v,)
             for u in partners[~nonmax].tolist():
                 counters.maximal_emitted += 1
                 emit(child_prefix + (int(u),))
             cand = partners[nonmax]
             if cand.size > 1:
                 counters.sublists_created += 1
-                out.append(CliqueSubList(child_prefix, cand, child_cn))
-    return out
+                prefixes.append(prefix + [v])
+                tails.append(cand)
+                cns.append(child_cn)
+    if not prefixes:
+        return LevelArrays.empty(level.prefixes.shape[1] + 2, adj.shape[1])
+    offsets = np.zeros(len(tails) + 1, dtype=np.int64)
+    np.cumsum([t.size for t in tails], out=offsets[1:])
+    return LevelArrays(
+        prefixes=np.array(prefixes, dtype=np.int64),
+        tails=np.concatenate(tails),
+        offsets=offsets,
+        cn=np.stack(cns),
+    )

@@ -276,7 +276,7 @@ class WahBitmap:
         """Compress a raw ``uint64`` bit-string word array.
 
         ``words`` is the :class:`~repro.core.bitset.BitSet` layout used
-        by the enumeration hot loops (``CliqueSubList.cn_words``).  When
+        by the enumeration hot loops (a row of ``LevelArrays.cn``).  When
         ``n`` is omitted the full ``64 * len(words)``-bit universe is
         used, which round-trips exactly through :meth:`to_words` for any
         word array whose tail invariant holds.

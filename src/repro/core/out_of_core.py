@@ -13,7 +13,11 @@ with only one read-chunk at a time.  Every byte written/read is counted,
 so the ablation report and ``benchmarks/bench_engines.py`` can show the
 I/O volume that the in-core algorithm avoids.
 
-The enumeration logic is the unmodified
+Like every level store it takes and yields
+:class:`~repro.core.sublist.LevelArrays` chunks; the spill format — a
+record of ``chunk_size`` pickled :class:`~repro.core.sublist.
+CliqueSubList` objects — is converted to and from rows at the store's
+own boundary.  The enumeration logic is the unmodified
 :func:`~repro.core.clique_enumerator.generate_next_level`; only the
 storage layer changes — exactly the framing of the paper's argument.
 Any engine backend runs on it with ``level_store="disk"`` (e.g.
@@ -32,7 +36,7 @@ from pathlib import Path
 from repro.errors import LevelStoreError, ParameterError
 from repro.core.clique_enumerator import INDEX_BYTES, POINTER_BYTES
 from repro.core.counters import IOStats
-from repro.core.sublist import CliqueSubList
+from repro.core.sublist import CliqueSubList, LevelArrays
 
 __all__ = ["IOStats", "DiskLevelStore"]
 
@@ -40,9 +44,11 @@ __all__ = ["IOStats", "DiskLevelStore"]
 class DiskLevelStore:
     """Spill-and-stream storage for one level of candidate sub-lists.
 
-    Sub-lists are appended in chunks (pickled), then streamed back in
-    insertion order exactly once.  The store is single-pass by design —
-    the level-wise algorithm never revisits a consumed level.
+    Sub-lists are appended as :class:`~repro.core.sublist.LevelArrays`
+    chunks and spilled as records of ``chunk_size`` pickled sub-lists
+    (filled across appends), then streamed back in insertion order
+    exactly once, one record per chunk.  The store is single-pass by
+    design — the level-wise algorithm never revisits a consumed level.
 
     Implements the :class:`repro.engine.level_store.LevelStore` interface
     (including the ``n_sublists`` / ``n_candidates`` / ``candidate_bytes``
@@ -115,18 +121,21 @@ class DiskLevelStore:
 
     # -- writing ------------------------------------------------------------
 
-    def append(self, sl: CliqueSubList) -> None:
-        """Queue one sub-list; flushes a chunk when the buffer fills."""
+    def append(self, level: LevelArrays) -> None:
+        """Queue a chunk of sub-lists; writes every full record."""
         if self._streamed:
             raise LevelStoreError(
                 "append() after stream(): the level store is single-pass"
             )
-        self._write_buffer.append(sl)
-        self._count += 1
-        self._n_candidates += len(sl)
-        self._candidate_bytes += sl.nbytes(INDEX_BYTES, POINTER_BYTES)
-        if len(self._write_buffer) >= self.chunk_size:
-            self._flush()
+        self._count += len(level)
+        self._n_candidates += int(level.tails.size)
+        self._candidate_bytes += level.nbytes(INDEX_BYTES, POINTER_BYTES)
+        buffer = self._write_buffer
+        buffer.extend(level.to_sublists())
+        full = len(buffer) - len(buffer) % self.chunk_size
+        for start in range(0, full, self.chunk_size):
+            self._write(buffer[start:start + self.chunk_size])
+        del buffer[:full]
 
     def _ensure_open(self):
         if self._fh is None:
@@ -136,23 +145,19 @@ class DiskLevelStore:
             self._fh = self._path.open("wb")
         return self._fh
 
-    def _flush(self) -> None:
-        if not self._write_buffer:
-            return
-        payload = pickle.dumps(
-            self._write_buffer, protocol=pickle.HIGHEST_PROTOCOL
-        )
+    def _write(self, record: list[CliqueSubList]) -> None:
+        payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
         fh = self._ensure_open()
         fh.write(len(payload).to_bytes(8, "little"))
         fh.write(payload)
         self.stats.bytes_written += len(payload) + 8
         self.stats.write_ops += 1
-        self._write_buffer.clear()
 
     # -- reading --------------------------------------------------------------
 
-    def stream(self) -> Iterator[list[CliqueSubList]]:
-        """Yield the stored sub-lists chunk by chunk, then delete the file.
+    def stream(self) -> Iterator[LevelArrays]:
+        """Yield the stored sub-lists record by record, then delete the
+        file.
 
         Single-pass: a second ``stream()`` — or an ``append()`` once
         streaming began — raises :class:`~repro.errors.LevelStoreError`.
@@ -162,13 +167,15 @@ class DiskLevelStore:
                 "stream() called twice on a single-pass level store"
             )
         self._streamed = True
-        self._flush()
+        if self._write_buffer:
+            self._write(self._write_buffer)
+            self._write_buffer = []
         if self._fh is not None:
             self._fh.close()
             self._fh = None
         return self._read_chunks()
 
-    def _read_chunks(self) -> Iterator[list[CliqueSubList]]:
+    def _read_chunks(self) -> Iterator[LevelArrays]:
         if self._path is None:
             return
         with self._path.open("rb") as fh:
@@ -180,7 +187,7 @@ class DiskLevelStore:
                 payload = fh.read(size)
                 self.stats.bytes_read += size + 8
                 self.stats.read_ops += 1
-                yield pickle.loads(payload)
+                yield LevelArrays.from_sublists(pickle.loads(payload))
         self._path.unlink()
         self._path = None
 

@@ -17,6 +17,14 @@ A :class:`CliqueSubList` therefore stores
   ``prefix[-1]``; entry ``t`` represents the k-clique ``prefix + (t,)``,
 * ``cn_words`` — the common-neighbor bit string of *the prefix* (not of
   each member clique), so a member's common neighbors cost one AND.
+
+A level is held and stepped in chunk form, never as one object per
+sub-list: :class:`LevelArrays` (prefix matrix, flat tails with offsets,
+CN row matrix) in the ``memory`` and ``disk`` stores and the bitset
+step, :class:`CompressedLevelBatch` (the same with WAH-compressed CN
+strings) in the ``wah`` store.  :class:`CliqueSubList` remains the
+per-sub-list view the disk store pickles and the Figure 5–8 trace
+seeds from.
 """
 
 from __future__ import annotations
@@ -29,7 +37,12 @@ from repro.core.bitset import WORD_BITS
 from repro.core.compressed import WahBitmap
 from repro.core.wah_kernels import batch_decode_words, batch_encode_words
 
-__all__ = ["CliqueSubList", "CompressedSubList", "CompressedLevelBatch"]
+__all__ = [
+    "CliqueSubList",
+    "LevelArrays",
+    "CompressedSubList",
+    "CompressedLevelBatch",
+]
 
 
 @dataclass(frozen=True)
@@ -95,6 +108,107 @@ class CliqueSubList:
             f"tails={self.tails.tolist()[:8]}"
             f"{'...' if self.tails.size > 8 else ''}, k={self.k})"
         )
+
+
+@dataclass(frozen=True)
+class LevelArrays:
+    """A chunk of one candidate level, as arrays.
+
+    The array counterpart of a ``list[CliqueSubList]``: sub-list ``i``
+    has prefix ``prefixes[i]`` (a row of the ``(N, k-1)`` ``int64``
+    matrix), ascending tails ``tails[offsets[i]:offsets[i + 1]]`` (one
+    flat ``int64`` array) and prefix common-neighbor string ``cn[i]``
+    (a row of the ``(N, n_words)`` ``uint64`` matrix).  The ``memory``
+    and ``disk`` level stores take and yield this form, and the step
+    (:func:`~repro.core.clique_enumerator.expand_level`) reads and
+    writes it, so its Python runs once per pair batch, not once per
+    sub-list or group.
+    """
+
+    prefixes: np.ndarray
+    tails: np.ndarray
+    offsets: np.ndarray
+    cn: np.ndarray
+
+    def __len__(self) -> int:
+        return self.prefixes.shape[0]
+
+    @property
+    def n_tails(self) -> np.ndarray:
+        """``int64`` per-sub-list tail counts."""
+        return np.diff(self.offsets)
+
+    def nbytes(self, index_bytes: int = 8, pointer_bytes: int = 8) -> int:
+        """Sum of the per-sub-list :meth:`CliqueSubList.nbytes`: tails
+        and prefixes at ``index_bytes`` per index, the CN rows, and one
+        pointer per sub-list."""
+        return (
+            (self.tails.size + self.prefixes.size) * index_bytes
+            + self.cn.nbytes
+            + len(self) * pointer_bytes
+        )
+
+    @classmethod
+    def empty(cls, k: int, n_words: int) -> "LevelArrays":
+        """The zero-sub-list level of ``k``-cliques."""
+        return cls(
+            prefixes=np.zeros((0, k - 1), dtype=np.int64),
+            tails=np.zeros(0, dtype=np.int64),
+            offsets=np.zeros(1, dtype=np.int64),
+            cn=np.zeros((0, n_words), dtype=np.uint64),
+        )
+
+    @classmethod
+    def from_sublists(cls, sublists: list[CliqueSubList]) -> "LevelArrays":
+        """Gather a non-empty list of one level's sub-lists."""
+        counts = [sl.tails.size for sl in sublists]
+        offsets = np.zeros(len(sublists) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return cls(
+            prefixes=np.array(
+                [sl.prefix for sl in sublists], dtype=np.int64
+            ).reshape(len(sublists), -1),
+            tails=np.concatenate([sl.tails for sl in sublists]),
+            offsets=offsets,
+            cn=np.array([sl.cn_words for sl in sublists]),
+        )
+
+    @classmethod
+    def concat(cls, levels: list["LevelArrays"]) -> "LevelArrays":
+        """Concatenate chunks of the same ``k`` (at least one), in
+        order; a single chunk is returned as-is, uncopied."""
+        if len(levels) == 1:
+            return levels[0]
+        counts = np.concatenate([lv.n_tails for lv in levels])
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return cls(
+            prefixes=np.concatenate([lv.prefixes for lv in levels]),
+            tails=np.concatenate([lv.tails for lv in levels]),
+            offsets=offsets,
+            cn=np.concatenate([lv.cn for lv in levels]),
+        )
+
+    def rows(self, start: int, end: int) -> "LevelArrays":
+        """Sub-lists ``[start, end)`` as views, offsets rebased."""
+        o = self.offsets
+        return LevelArrays(
+            prefixes=self.prefixes[start:end],
+            tails=self.tails[o[start]:o[end]],
+            offsets=o[start:end + 1] - o[start],
+            cn=self.cn[start:end],
+        )
+
+    def to_sublists(self) -> list[CliqueSubList]:
+        """The level as sub-lists whose tails and CN strings are views
+        of these arrays."""
+        o = self.offsets.tolist()
+        return [
+            CliqueSubList(tuple(prefix), self.tails[a:b], cn)
+            for prefix, a, b, cn in zip(
+                self.prefixes.tolist(), o, o[1:], self.cn
+            )
+        ]
 
 
 @dataclass(frozen=True)
@@ -182,7 +296,9 @@ class CompressedLevelBatch:
     Attributes
     ----------
     prefixes:
-        The shared (k-1)-clique of each sub-list, in level order.
+        The shared (k-1)-clique of each sub-list, in level order.  A
+        batch holds one level, so every prefix has the same length
+        ``k - 1``; the accounting relies on it.
     universe:
         Bit universe of every CN stream (``64 * ceil(n / 64)``).
     tails / tail_offsets:
@@ -230,7 +346,8 @@ class CompressedLevelBatch:
         sub-list's ascending tails in order, ``tail_counts[i]`` the
         number of sub-list ``i``'s tails; ``cn_parts`` are SoA
         ``(words, offsets)`` batches whose streams, taken in order, are
-        the sub-lists' compressed CN strings.
+        the sub-lists' compressed CN strings.  ``prefixes`` are one
+        level's, all of one length.
         """
         if not prefixes:
             return cls.empty(universe)
@@ -249,29 +366,24 @@ class CompressedLevelBatch:
         )
 
     @classmethod
-    def from_sublists(
-        cls, sublists: list[CliqueSubList]
-    ) -> "CompressedLevelBatch":
-        """Batch-compress raw sub-lists (one vectorised CN encode).
+    def from_level(cls, level: LevelArrays) -> "CompressedLevelBatch":
+        """Batch-compress a :class:`LevelArrays` chunk (one vectorised
+        CN encode over its row matrix).
 
         Each CN stream is byte-identical to ``WahBitmap.from_words`` of
-        that sub-list's ``cn_words`` — the canonicalisation lives in
-        one shared kernel — so accounting and storage measurements are
-        independent of which path compressed a chunk.
+        that sub-list's CN row — the canonicalisation lives in one
+        shared kernel — so accounting and storage measurements are
+        independent of how a level was cut into chunks.
         """
-        if not sublists:
-            return cls.empty(0)
-        universe = WORD_BITS * int(sublists[0].cn_words.size)
+        universe = WORD_BITS * int(level.cn.shape[1])
+        if not len(level):
+            return cls.empty(universe)
         return cls.from_parts(
-            tuple(sl.prefix for sl in sublists),
+            tuple(map(tuple, level.prefixes.tolist())),
             universe,
-            [sl.tails for sl in sublists],
-            [sl.tails.size for sl in sublists],
-            [
-                batch_encode_words(
-                    np.stack([sl.cn_words for sl in sublists]), universe
-                )
-            ],
+            [level.tails],
+            level.n_tails,
+            [batch_encode_words(level.cn, universe)],
         )
 
     @classmethod
@@ -352,31 +464,32 @@ class CompressedLevelBatch:
             for i in range(len(self.prefixes))
         ]
 
-    def to_sublists(self) -> list[CliqueSubList]:
-        """Batch-decompress to the raw hot-loop representation, via one
-        vectorised CN decode; tails are views of :attr:`tails`."""
-        if not self.prefixes:
-            return []
-        mat = batch_decode_words(
-            self.cn_words, self.cn_offsets, self.n_groups, self.universe
+    def to_level(self) -> LevelArrays:
+        """Batch-decompress to a :class:`LevelArrays` chunk, via one
+        vectorised CN decode; tails and offsets are shared."""
+        return LevelArrays(
+            prefixes=np.array(self.prefixes, dtype=np.int64).reshape(
+                len(self), -1
+            ),
+            tails=self.tails,
+            offsets=self.tail_offsets,
+            cn=batch_decode_words(
+                self.cn_words, self.cn_offsets, self.n_groups,
+                self.universe,
+            ),
         )
-        to = self.tail_offsets
-        return [
-            CliqueSubList(
-                prefix=self.prefixes[i],
-                tails=self.tails[to[i]:to[i + 1]],
-                cn_words=mat[i],
-            )
-            for i in range(len(self.prefixes))
-        ]
 
     # -- accounting --------------------------------------------------------
 
+    def _prefix_indices(self) -> int:
+        """Prefix indices held: every prefix has one length."""
+        p = self.prefixes
+        return len(p) * len(p[0]) if p else 0
+
     def nbytes(self, index_bytes: int = 8, pointer_bytes: int = 8) -> int:
         """Sum of the per-entry :meth:`CompressedSubList.nbytes`."""
-        prefix_len = sum(len(p) for p in self.prefixes)
         return (
-            (self.tails.size + prefix_len) * index_bytes
+            (self.tails.size + self._prefix_indices()) * index_bytes
             + 4 * self.cn_words.size
             + pointer_bytes * len(self.prefixes)
         )
@@ -386,9 +499,8 @@ class CompressedLevelBatch:
     ) -> int:
         """Sum of the per-entry
         :meth:`CompressedSubList.uncompressed_nbytes`."""
-        prefix_len = sum(len(p) for p in self.prefixes)
         return (
-            (self.tails.size + prefix_len) * index_bytes
+            (self.tails.size + self._prefix_indices()) * index_bytes
             + (self.universe // 8 + pointer_bytes) * len(self.prefixes)
         )
 

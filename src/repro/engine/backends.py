@@ -87,7 +87,8 @@ def _resolve_step(g: Graph, store_name: str, model: str, bitset_step):
     """The generation step the level store fixes.
 
     Returns ``(step, stream_mode, expander)``.  The ``"memory"`` and
-    ``"disk"`` stores run ``bitset_step`` on raw sub-lists.  The
+    ``"disk"`` stores run ``bitset_step`` on raw-word
+    :class:`~repro.core.sublist.LevelArrays` chunks.  The
     ``"wah"`` store runs a :class:`~repro.core.compressed_domain.
     CompressedExpander` of the same counter ``model`` on whole
     compressed level batches; the expander also carries the kernel

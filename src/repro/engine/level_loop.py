@@ -50,7 +50,7 @@ from repro.core.kclique import (
     enumerate_k_cliques,  # noqa: F401
     k_core_mask,
 )
-from repro.core.sublist import CliqueSubList
+from repro.core.sublist import CompressedLevelBatch, LevelArrays
 from repro.engine.config import EnumerationConfig
 from repro.engine.level_store import LevelStore
 from repro.obs.runtime import get_observability
@@ -58,10 +58,13 @@ from repro.obs.trace import NULL_SPAN
 
 __all__ = ["make_emitter", "seed_level", "run_level_loop"]
 
+#: one level chunk in either form a store streams: arrays on the
+#: ``memory`` and ``disk`` stores, a compressed batch on ``wah``; a
+#: step returns its children in the form it was given
 GenerationStep = Callable[
-    [list[CliqueSubList], Graph, OpCounters,
+    [LevelArrays | CompressedLevelBatch, Graph, OpCounters,
      Callable[[tuple[int, ...]], None]],
-    list[CliqueSubList],
+    LevelArrays | CompressedLevelBatch,
 ]
 
 
@@ -136,11 +139,12 @@ def seed_level(
     counters: OpCounters,
     emit: Callable[[tuple[int, ...]], None],
     emit_maximal_edges: bool = True,
-) -> tuple[int, list[CliqueSubList]]:
+) -> tuple[int, LevelArrays]:
     """Seed the enumeration: the paper's ``Init_K``.
 
-    Returns ``(k, sublists)`` — the starting level and its candidate
-    sub-lists.  For ``k_min <= 2`` seeding starts from the edge set
+    Returns ``(k, level)`` — the starting level and its candidate
+    sub-lists, as one :class:`~repro.core.sublist.LevelArrays` chunk.
+    For ``k_min <= 2`` seeding starts from the edge set
     (emitting isolated vertices first when ``k_min == 1``).
     ``emit_maximal_edges=False`` suppresses the size-2 emissions (for
     runs bounded to ``k_max < 2``).
@@ -150,8 +154,7 @@ def seed_level(
     a ``k_min``-clique), then the array step (:func:`~repro.core.
     clique_enumerator.expand_level`) up to ``k_min``, emitting only
     the last step's maximal ``k_min``-cliques, in canonical order.  The
-    seed levels stay arrays and become sub-lists once, at ``k_min``;
-    they are the sub-lists of the paper's k-clique enumerator
+    seed levels are the sub-lists of the paper's k-clique enumerator
     (:mod:`repro.core.kclique`) grouped by prefix, with identical CN
     strings, because each level holds exactly the non-maximal
     ``k``-cliques that share their prefix with another.  The counters
@@ -174,7 +177,7 @@ def seed_level(
         level = expand_level(
             level, g.adj, counters, emit if k == k_min else None
         )
-    return k_min, level.to_sublists()
+    return k_min, level
 
 
 def _measure_store(
@@ -250,12 +253,14 @@ def run_level_loop(
     output guarantees — each maximal clique exactly once, non-decreasing
     size order, canonical order within a size, nothing above ``k_max``.
 
-    ``stream_mode`` selects how a level flows between the store and the
-    step:
+    The seed is appended as one :class:`~repro.core.sublist.LevelArrays`
+    chunk.  ``stream_mode`` selects how later levels flow between the
+    store and the step; either way each step's children are appended
+    whole, one chunk per streamed chunk:
 
-    * ``"raw"`` — ``store.stream()`` yields plain
-      :class:`~repro.core.sublist.CliqueSubList` chunks and the step
-      returns a list of them (the ``memory`` and ``disk`` stores);
+    * ``"raw"`` — ``store.stream()`` yields
+      :class:`~repro.core.sublist.LevelArrays` chunks and the step
+      returns one per chunk (the ``memory`` and ``disk`` stores);
     * ``"batches"`` — ``store.stream_batches()`` yields whole
       :class:`~repro.core.sublist.CompressedLevelBatch` objects and the
       step returns one per chunk, appended via ``append_batch`` (the
@@ -293,8 +298,7 @@ def run_level_loop(
 
     store = store_factory()
     try:
-        for sl in seed:
-            store.append(sl)
+        store.append(seed)
         del seed
         result.level_stats.append(
             _measure_store(k, store, counters.maximal_emitted, g.n)
@@ -333,8 +337,7 @@ def run_level_loop(
                         if stream_mode == "batches":
                             next_store.append_batch(children)
                         else:
-                            for child in children:
-                                next_store.append(child)
+                            next_store.append(children)
                 except BaseException:
                     next_store.close()
                     raise

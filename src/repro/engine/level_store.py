@@ -5,11 +5,15 @@ pattern: append the whole next level, then stream it back once for
 expansion.  :class:`LevelStore` captures that single-pass contract plus
 the accounting the level loop needs (``N[k]``, ``M[k]``, measured bytes
 — the paper's per-level statistics), so the storage substrate becomes a
-policy choice (:attr:`repro.engine.config.EnumerationConfig.level_store`):
+policy choice (:attr:`repro.engine.config.EnumerationConfig.level_store`).
+Every store takes and yields level chunks as
+:class:`~repro.core.sublist.LevelArrays` — the form the generation step
+computes in — so no per-sub-list object sits between store and step:
 
-* :class:`MemoryLevelStore` — candidates stay in RAM; streaming yields
-  the whole level as one chunk so the generation step keeps its full
-  cross-sub-list batching (the paper's in-core mode);
+* :class:`MemoryLevelStore` — candidates stay in RAM as the appended
+  arrays; streaming yields the whole level as one chunk so the
+  generation step keeps its full cross-sub-list batching (the paper's
+  in-core mode);
 * :class:`~repro.core.out_of_core.DiskLevelStore` — candidates spill to
   disk and stream back chunk by chunk with counted I/O (the retired
   out-of-core mode, kept measurable);
@@ -35,9 +39,9 @@ from repro.errors import LevelStoreError, ParameterError
 from repro.core.clique_enumerator import INDEX_BYTES, POINTER_BYTES
 from repro.core.out_of_core import DiskLevelStore
 from repro.core.sublist import (
-    CliqueSubList,
     CompressedLevelBatch,
     CompressedSubList,
+    LevelArrays,
 )
 
 __all__ = [
@@ -51,8 +55,10 @@ __all__ = [
 class LevelStore(ABC):
     """Single-pass storage for one level of candidate sub-lists.
 
-    Contract: ``append`` the complete level, then ``stream`` it back
-    exactly once (in insertion order, as chunks), then ``close``.  The
+    Contract: ``append`` the complete level as one or more
+    :class:`~repro.core.sublist.LevelArrays` chunks, then ``stream`` it
+    back exactly once (in insertion order, as chunks), then ``close``.
+    An empty chunk stores nothing.  The
     contract is enforced — a second ``stream()`` or a late ``append()``
     raises :class:`~repro.errors.LevelStoreError`.  The accounting
     properties must reflect everything appended so far; the level loop
@@ -61,8 +67,8 @@ class LevelStore(ABC):
     """
 
     @abstractmethod
-    def append(self, sl: CliqueSubList) -> None:
-        """Add one sub-list to the level."""
+    def append(self, level: LevelArrays) -> None:
+        """Add a chunk of sub-lists to the level."""
 
     @abstractmethod
     def __len__(self) -> int:
@@ -84,7 +90,7 @@ class LevelStore(ABC):
         """Measured candidate storage of this level, in bytes."""
 
     @abstractmethod
-    def stream(self) -> Iterator[list[CliqueSubList]]:
+    def stream(self) -> Iterator[LevelArrays]:
         """Yield the sub-lists back in insertion order, chunk by chunk."""
 
     @abstractmethod
@@ -99,36 +105,43 @@ class LevelStore(ABC):
 
 
 class MemoryLevelStore(LevelStore):
-    """In-memory level store: a list with the paper's accounting.
+    """In-memory level store: the appended arrays, with the paper's
+    accounting read off them (:meth:`~repro.core.sublist.LevelArrays.
+    nbytes`).
 
     ``stream`` yields the entire level as a single chunk, so the
     generation step sees every sub-list at once and batches pairs
-    across sub-lists under its byte budget (``PAIR_BATCH_BYTES``).
+    across sub-lists under its byte budget (``PAIR_BATCH_BYTES``).  A
+    level appended as one chunk — every engine run's — streams back
+    that chunk, uncopied.
     """
 
     def __init__(self) -> None:
-        self._sublists: list[CliqueSubList] = []
+        self._chunks: list[LevelArrays] = []
+        self._n_sublists = 0
         self._n_candidates = 0
         self._candidate_bytes = 0
         self._streamed = False
 
-    def append(self, sl: CliqueSubList) -> None:
-        """Add one sub-list to the level."""
+    def append(self, level: LevelArrays) -> None:
+        """Add a chunk of sub-lists to the level."""
         if self._streamed:
             raise LevelStoreError(
                 "append() after stream(): the level store is single-pass"
             )
-        self._sublists.append(sl)
-        self._n_candidates += len(sl)
-        self._candidate_bytes += sl.nbytes(INDEX_BYTES, POINTER_BYTES)
+        if len(level):
+            self._chunks.append(level)
+            self._n_sublists += len(level)
+            self._n_candidates += int(level.tails.size)
+            self._candidate_bytes += level.nbytes(INDEX_BYTES, POINTER_BYTES)
 
     def __len__(self) -> int:
-        return len(self._sublists)
+        return self._n_sublists
 
     @property
     def n_sublists(self) -> int:
         """The paper's ``N[k]`` for this level."""
-        return len(self._sublists)
+        return self._n_sublists
 
     @property
     def n_candidates(self) -> int:
@@ -140,7 +153,7 @@ class MemoryLevelStore(LevelStore):
         """Measured candidate storage of this level, in bytes."""
         return self._candidate_bytes
 
-    def stream(self) -> Iterator[list[CliqueSubList]]:
+    def stream(self) -> Iterator[LevelArrays]:
         """Yield the whole level as one chunk (full batching preserved)."""
         if self._streamed:
             raise LevelStoreError(
@@ -149,13 +162,13 @@ class MemoryLevelStore(LevelStore):
         self._streamed = True
         return self._stream()
 
-    def _stream(self) -> Iterator[list[CliqueSubList]]:
-        if self._sublists:
-            yield self._sublists
+    def _stream(self) -> Iterator[LevelArrays]:
+        if self._chunks:
+            yield LevelArrays.concat(self._chunks)
 
     def close(self) -> None:
-        """Drop the level (lists are garbage-collected)."""
-        self._sublists = []
+        """Drop the level (the arrays are garbage-collected)."""
+        self._chunks = []
 
 
 class CompressedLevelStore(LevelStore):
@@ -172,9 +185,10 @@ class CompressedLevelStore(LevelStore):
     in a universe of thousands, where WAH shrinks them by an order of
     magnitude.
 
-    Raw :meth:`append` calls (the seed level) are buffered and
-    batch-encoded ``chunk_size`` at a time through
-    :meth:`~repro.core.sublist.CompressedLevelBatch.from_sublists`;
+    :meth:`append` (the seed level, as a
+    :class:`~repro.core.sublist.LevelArrays` chunk) batch-encodes the
+    chunk ``chunk_size`` rows at a time through
+    :meth:`~repro.core.sublist.CompressedLevelBatch.from_level`;
     :meth:`append_batch` stores a whole batch as-is, which is how the
     compressed-domain step (:class:`~repro.core.compressed_domain.
     CompressedExpander`, the step every backend runs on this store)
@@ -189,8 +203,9 @@ class CompressedLevelStore(LevelStore):
     * :meth:`stream_batches` yields the stored batches coalesced into
       one, never decompressing — the stream the level loop runs;
     * :meth:`stream` decompresses one stored part at a time (a
-      ``chunk_size`` run of raw appends, or one appended batch), so
-      only that part's full-width bit strings are live;
+      ``chunk_size`` run of appended rows, or one appended batch) into
+      a :class:`~repro.core.sublist.LevelArrays` chunk, so only that
+      part's full-width bit strings are live;
     * :meth:`stream_entries` yields per-entry
       :class:`~repro.core.sublist.CompressedSubList` views over the
       stored arrays, without decompressing the CN strings.
@@ -203,8 +218,8 @@ class CompressedLevelStore(LevelStore):
     Parameters
     ----------
     chunk_size:
-        Raw appends encoded per stored part.  Larger parts keep more of
-        a decompressing consumer's cross-sub-list batching; smaller
+        Appended rows encoded per stored part.  Larger parts keep more
+        of a decompressing consumer's cross-sub-list batching; smaller
         parts bound its transient decompressed working set.
     """
 
@@ -214,7 +229,6 @@ class CompressedLevelStore(LevelStore):
                 f"chunk_size must be >= 1, got {chunk_size}"
             )
         self.chunk_size = chunk_size
-        self._pending: list[CliqueSubList] = []
         #: the stored batches, in insertion order
         self._parts: list[CompressedLevelBatch] = []
         self._n_sublists = 0
@@ -222,31 +236,24 @@ class CompressedLevelStore(LevelStore):
         self._candidate_bytes = 0
         self._uncompressed_bytes = 0
         self._streamed = False
-        #: raw sub-list bytes materialised by the decompressing stream().
+        #: raw-word bytes materialised by the decompressing stream().
         self.decompressed_bytes = 0
         #: raw-equivalent bytes streamed without decompressing — the
         #: "decompressed bytes avoided".
         self.bypassed_bytes = 0
 
-    def append(self, sl: CliqueSubList) -> None:
-        """Buffer one raw sub-list for batch compression."""
+    def append(self, level: LevelArrays) -> None:
+        """Encode a chunk of raw-word sub-lists, ``chunk_size`` rows
+        per stored part."""
         if self._streamed:
             raise LevelStoreError(
                 "append() after stream(): the level store is single-pass"
             )
-        self._pending.append(sl)
-        if len(self._pending) >= self.chunk_size:
-            self._flush_pending()
-
-    def _flush_pending(self) -> None:
-        """Store the buffered raw appends as one batch part.
-
-        Called before any other part is stored and before any read, so
-        the parts keep the level's insertion order.
-        """
-        if self._pending:
-            pending, self._pending = self._pending, []
-            self._store_batch(CompressedLevelBatch.from_sublists(pending))
+        for start in range(0, len(level), self.chunk_size):
+            end = min(start + self.chunk_size, len(level))
+            self._store_batch(
+                CompressedLevelBatch.from_level(level.rows(start, end))
+            )
 
     def _store_batch(self, batch: CompressedLevelBatch) -> None:
         # batch.nbytes()/uncompressed_nbytes() equal the per-entry sums
@@ -272,34 +279,30 @@ class CompressedLevelStore(LevelStore):
                 "append() after stream(): the level store is single-pass"
             )
         if len(batch):
-            self._flush_pending()
             self._store_batch(batch)
 
     def __len__(self) -> int:
-        return self._n_sublists + len(self._pending)
+        return self._n_sublists
 
     @property
     def n_sublists(self) -> int:
         """The paper's ``N[k]`` for this level."""
-        return self._n_sublists + len(self._pending)
+        return self._n_sublists
 
     @property
     def n_candidates(self) -> int:
         """The paper's ``M[k]`` for this level."""
-        self._flush_pending()
         return self._n_candidates
 
     @property
     def candidate_bytes(self) -> int:
         """Measured *compressed* candidate storage, in bytes."""
-        self._flush_pending()
         return self._candidate_bytes
 
     @property
     def uncompressed_bytes(self) -> int:
         """What :class:`MemoryLevelStore` would have charged for this
         level — the baseline for :meth:`compression_ratio`."""
-        self._flush_pending()
         return self._uncompressed_bytes
 
     def compression_ratio(self) -> float:
@@ -310,11 +313,10 @@ class CompressedLevelStore(LevelStore):
 
     def _begin_stream(self) -> list[CompressedLevelBatch]:
         """Start the single streaming pass; the stored parts."""
-        self._flush_pending()
         self._streamed = True
         return self._parts
 
-    def stream(self) -> Iterator[list[CliqueSubList]]:
+    def stream(self) -> Iterator[LevelArrays]:
         """Decompress and yield one stored part at a time."""
         if self._streamed:
             raise LevelStoreError(
@@ -324,12 +326,12 @@ class CompressedLevelStore(LevelStore):
 
     def _stream(
         self, parts: list[CompressedLevelBatch]
-    ) -> Iterator[list[CliqueSubList]]:
+    ) -> Iterator[LevelArrays]:
         for part in parts:
             self.decompressed_bytes += part.uncompressed_nbytes(
                 INDEX_BYTES, POINTER_BYTES
             )
-            yield part.to_sublists()
+            yield part.to_level()
 
     def stream_batches(self) -> Iterator[CompressedLevelBatch]:
         """Yield the whole level as one :class:`CompressedLevelBatch`.
@@ -381,7 +383,6 @@ class CompressedLevelStore(LevelStore):
     def close(self) -> None:
         """Drop the compressed level."""
         self._parts = []
-        self._pending = []
 
 
 # The disk substrate implements the same interface structurally; register

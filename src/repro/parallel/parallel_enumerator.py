@@ -155,8 +155,9 @@ def record_trace(
     emit = trace.cliques.append
 
     seed_counters = OpCounters()
+    n_words = g.adj.shape[1]
     if k_min == 2:
-        sublists = build_initial_sublists(
+        level = build_initial_sublists(
             g, seed_counters, emit, emit_maximal_edges=True
         )
     else:
@@ -166,15 +167,14 @@ def record_trace(
         sublists = build_sublists_from_k_cliques(
             g, k_min, kres.non_maximal, seed_counters
         )
+        level = (
+            LevelArrays.from_sublists(sublists) if sublists
+            else LevelArrays.empty(k_min, n_words)
+        )
     trace.seed_work = seed_counters.total_work()
 
     # each level is expanded once; the step's per-sub-list tally gives
     # every item the work it would have counted expanded on its own
-    n_words = g.adj.shape[1]
-    level = (
-        LevelArrays.from_sublists(sublists) if sublists
-        else LevelArrays.empty(k_min, n_words)
-    )
     ids = np.arange(len(level))
     parents = np.full(len(level), -1)
     k = k_min

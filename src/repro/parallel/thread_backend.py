@@ -6,13 +6,14 @@ against the **shared** adjacency bitmap and sub-list arrays — no
 pickling, no per-level scatter/gather of candidate data.
 
 The work unit is the pair batch the sequential step already cuts: a
-store chunk (a ``list[CliqueSubList]``, or a whole
-:class:`~repro.core.sublist.CompressedLevelBatch` on the ``wah`` store)
-is split into contiguous sub-list ranges by the ``PAIR_BATCH_BYTES``
-rule of :func:`~repro.core.clique_enumerator.pair_batches`, and a
-worker expands a range with the unchanged sequential step on a list
-slice or a zero-copy row slice of the batch.  A chunk that is one
-range runs on the calling thread, without the pool.
+store chunk (a :class:`~repro.core.sublist.LevelArrays` chunk, or a
+whole :class:`~repro.core.sublist.CompressedLevelBatch` on the ``wah``
+store) is split into contiguous sub-list ranges by the
+``PAIR_BATCH_BYTES`` rule of
+:func:`~repro.core.clique_enumerator.pair_batches`, and a worker
+expands a range with the unchanged sequential step on a zero-copy row
+slice of the chunk (``rows(start, end)``).  A chunk that is one range
+runs on the calling thread, without the pool.
 
 Scheduling is two-phase, mirroring the paper's Section 2.3 scheduler:
 
@@ -26,8 +27,8 @@ Scheduling is two-phase, mirroring the paper's Section 2.3 scheduler:
   estimate errors that static sharding cannot absorb are fixed while
   the level runs instead of one level later.
 
-Determinism: every range is expanded exactly once with its own clique
-and child lists, per-worker :class:`~repro.core.counters.OpCounters`
+Determinism: every range is expanded exactly once into its own clique
+list and child chunk, per-worker :class:`~repro.core.counters.OpCounters`
 merge through :meth:`~repro.core.counters.OpCounters.merge`, and the
 ranges' cliques and children are concatenated in range order at the
 level barrier — the sequential order by construction, since the ranges
@@ -50,7 +51,7 @@ from repro.errors import ParameterError
 from repro.core.clique_enumerator import generate_next_level, pair_batches
 from repro.core.counters import OpCounters
 from repro.core.graph import Graph
-from repro.core.sublist import CliqueSubList, CompressedLevelBatch
+from repro.core.sublist import CompressedLevelBatch, LevelArrays
 from repro.obs.runtime import get_observability
 from repro.parallel.load_balancer import StealingWorkQueue
 
@@ -73,8 +74,9 @@ DEFAULT_STEAL_GRANULARITY = 4
 #: and the partial delivery before a budget trip — bounded.
 EMIT_BATCH = 1024
 
-#: one store chunk, in either form a level store streams
-Chunk = list[CliqueSubList] | CompressedLevelBatch
+#: one store chunk, in either form a level store streams; both are cut
+#: with ``rows(start, end)`` and joined with ``concat``
+Chunk = LevelArrays | CompressedLevelBatch
 
 
 def level_ranges(
@@ -87,15 +89,9 @@ def level_ranges(
     rows of ``n_words`` words, and per range the sum of
     :meth:`~repro.core.sublist.CliqueSubList.work_estimate` over its
     sub-lists.  Both read tail counts only, so a compressed batch and
-    the raw sub-lists it holds partition identically.
+    the raw-word chunk it encodes partition identically.
     """
-    if isinstance(chunk, CompressedLevelBatch):
-        t = chunk.n_tails
-    else:
-        t = np.fromiter(
-            (sl.tails.size for sl in chunk), dtype=np.int64,
-            count=len(chunk),
-        )
+    t = chunk.n_tails
     ranges = pair_batches(t, n_words)
     work = np.zeros(t.size + 1, dtype=np.int64)
     np.cumsum(t * (t - 1) // 2 + t * max(1, n_words // 8), out=work[1:])
@@ -207,24 +203,20 @@ class ThreadedExpander:
 
         The chunk is cut into ranges (:func:`level_ranges`); one range
         runs on the calling thread.  Otherwise workers expand
-        LPT-seeded or stolen ranges into per-range clique and child
-        lists with *local* counters; at the barrier the counters merge
-        (``OpCounters.merge``), and the ranges' cliques are emitted and
-        their children returned in range order — the exact sequence the
-        sequential step produces, in the chunk's own form.  ``emit``
-        runs only on the calling thread, after the barrier, so a
-        raising sink (budget trip, cancellation, broken ``jsonl``
-        target) propagates without a worker deadlock: workers never
-        block on anything but finished work.
+        LPT-seeded or stolen ranges into per-range clique lists and
+        child chunks with *local* counters; at the barrier the counters
+        merge (``OpCounters.merge``), and the ranges' cliques are
+        emitted and their children concatenated in range order — the
+        exact sequence the sequential step produces, in the chunk's own
+        form.  ``emit`` runs only on the calling thread, after the
+        barrier, so a raising sink (budget trip, cancellation, broken
+        ``jsonl`` target) propagates without a worker deadlock: workers
+        never block on anything but finished work.
         """
         ranges, estimates = level_ranges(chunk, g.adj.shape[1])
         if self.n_workers == 1 or len(ranges) < 2:
             return self._step(chunk, g, counters, emit)
-        batch = isinstance(chunk, CompressedLevelBatch)
-        parts = [
-            chunk.rows(start, end) if batch else chunk[start:end]
-            for start, end in ranges
-        ]
+        parts = [chunk.rows(start, end) for start, end in ranges]
         queue = StealingWorkQueue.from_partition(
             list(range(len(parts))),
             estimates,
@@ -278,11 +270,7 @@ class ThreadedExpander:
         self._emit_cliques(
             [clique for cliques, _ in results for clique in cliques], emit
         )
-        if batch:
-            return CompressedLevelBatch.concat(
-                [children for _, children in results]
-            )
-        return [child for _, children in results for child in children]
+        return type(chunk).concat([children for _, children in results])
 
     def _emit_cliques(
         self,

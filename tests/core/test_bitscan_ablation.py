@@ -19,11 +19,11 @@ def _run_full(g, step):
     """Drive a full enumeration with the given generation step."""
     counters = OpCounters()
     cliques: list[tuple[int, ...]] = []
-    sublists = build_initial_sublists(
+    level = build_initial_sublists(
         g, counters, cliques.append, emit_maximal_edges=True
     )
-    while sublists:
-        sublists = step(sublists, g, counters, cliques.append)
+    while len(level):
+        level = step(level, g, counters, cliques.append)
     return sorted(cliques), counters
 
 

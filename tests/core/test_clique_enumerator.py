@@ -26,7 +26,7 @@ from repro.core.generators import (
 from repro.core.graph import Graph
 from repro.core.kclique import enumerate_k_cliques
 from repro.core.memory_model import check_paper_recurrences
-from repro.core.sublist import CliqueSubList
+from repro.core.sublist import CliqueSubList, LevelArrays
 from repro.engine.level_loop import seed_level
 from repro.errors import BudgetExceeded, ParameterError
 from tests.conftest import nx_maximal_cliques
@@ -401,7 +401,7 @@ class TestArraySeeding:
         e_ref, e_new = [], []
         ref = reference_initial_sublists(g, c_ref, e_ref.append, emit_edges)
         new = build_initial_sublists(g, c_new, e_new.append, emit_edges)
-        assert _key(new) == _key(ref)
+        assert _key(new.to_sublists()) == _key(ref)
         assert e_new == e_ref
         assert c_new.snapshot() == c_ref.snapshot()
 
@@ -415,7 +415,7 @@ class TestArraySeeding:
         c_new, emitted = OpCounters(), []
         k, new = seed_level(g, k_min, c_new, emitted.append)
         assert k == k_min
-        assert _key(new) == _key(ref)
+        assert _key(new.to_sublists()) == _key(ref)
         assert emitted == kres.maximal
         assert c_new.maximal_emitted == c_ref.maximal_emitted
 
@@ -439,13 +439,13 @@ class TestArraySeeding:
         for k_min in (4, 5):
             self._assert_init_k_matches(g, k_min)
         _, seed = seed_level(g, 5, OpCounters(), [].append)
-        assert seed == []
+        assert len(seed) == 0
 
     def test_empty_core(self):
         # a path has no 3-core: nothing to seed at k_min = 4
         counters, emitted = OpCounters(), []
         k, seed = seed_level(path_graph(9), 4, counters, emitted.append)
-        assert (k, seed, emitted) == (4, [], [])
+        assert (k, len(seed), emitted) == (4, 0, [])
         assert counters.snapshot() == OpCounters().snapshot()
         self._assert_init_k_matches(path_graph(9), 4)
 
@@ -457,7 +457,9 @@ class TestArrayStep:
         graph dense enough that groups keep, drop and emit."""
         g, _ = planted_clique(70, 14, 0.25, seed=11)
         level = build_initial_sublists(g, OpCounters(), [].append, False)
-        level = generate_next_level(level, g, OpCounters(), [].append)
+        level = generate_next_level(
+            level, g, OpCounters(), [].append
+        ).to_sublists()
         many = [sl for sl in level if sl.tails.size > 4]
         two = [sl for sl in level if sl.tails.size == 2]
         assert many and two
@@ -489,9 +491,11 @@ class TestArrayStep:
         c_ref, c_new = OpCounters(), OpCounters()
         e_ref, e_new = [], []
         ref = reference_step(level, g, c_ref, e_ref.append)
-        new = generate_next_level(level, g, c_new, e_new.append)
+        new = generate_next_level(
+            LevelArrays.from_sublists(level), g, c_new, e_new.append
+        )
         assert ref and e_ref
-        assert _key(new) == _key(ref)
+        assert _key(new.to_sublists()) == _key(ref)
         assert e_new == e_ref
         assert c_new.snapshot() == c_ref.snapshot()
 
@@ -505,9 +509,11 @@ class TestArrayStep:
         c_ref, c_new = OpCounters(), OpCounters()
         e_ref, e_new = [], []
         ref = reference_step(level, g, c_ref, e_ref.append)
-        batch = CompressedLevelBatch.from_sublists(level)
+        batch = CompressedLevelBatch.from_level(
+            LevelArrays.from_sublists(level)
+        )
         new = CompressedExpander(g).step(batch, g, c_new, e_new.append)
-        assert _key(new.to_sublists()) == _key(ref)
+        assert _key(new.to_level().to_sublists()) == _key(ref)
         assert e_new == e_ref
         assert c_new.snapshot() == c_ref.snapshot()
 

@@ -8,19 +8,22 @@ import pytest
 from repro.core.clique_enumerator import enumerate_maximal_cliques
 from repro.core.generators import erdos_renyi, planted_clique
 from repro.core.out_of_core import DiskLevelStore, IOStats
-from repro.core.sublist import CliqueSubList
+from repro.core.sublist import CliqueSubList, LevelArrays
 from repro.engine import EnumerationConfig, run_enumeration
 from repro.errors import ParameterError
 
 
 def _sl(prefix, tails, n=32):
+    """A one-sub-list level chunk whose CN string is its tails."""
     from repro.core import bitset as bs
 
-    return CliqueSubList(
-        prefix=tuple(prefix),
-        tails=np.asarray(tails, dtype=np.int64),
-        cn_words=bs.indices_to_words(tails, n),
-    )
+    return LevelArrays.from_sublists([
+        CliqueSubList(
+            prefix=tuple(prefix),
+            tails=np.asarray(tails, dtype=np.int64),
+            cn_words=bs.indices_to_words(tails, n),
+        )
+    ])
 
 
 def _ooc(g, on_clique=None, **kw):
@@ -37,10 +40,14 @@ class TestDiskLevelStore:
             for sl in items:
                 store.append(sl)
             assert len(store) == 3
-            back = [sl for chunk in store.stream() for sl in chunk]
+            back = [
+                sl for chunk in store.stream() for sl in chunk.to_sublists()
+            ]
         assert [sl.prefix for sl in back] == [(0,), (1,), (2,)]
         assert all(
-            np.array_equal(a.tails, b.tails) for a, b in zip(items, back)
+            np.array_equal(a.tails, b.tails)
+            and np.array_equal(a.cn, [b.cn_words])
+            for a, b in zip(items, back)
         )
 
     def test_empty_store_streams_nothing(self, tmp_path):

@@ -159,8 +159,7 @@ class TestDomainTelemetry:
 
         _, seed = seed_level(graph, 2, OpCounters(), lambda c: None)
         store = CompressedLevelStore(chunk_size=4)
-        for sl in seed:
-            store.append(sl)
+        store.append(seed)
         assert sum(len(chunk) for chunk in store.stream()) == len(seed)
         assert store.decompressed_bytes > 0
         assert store.bypassed_bytes == 0
@@ -187,8 +186,7 @@ class TestCompressedStream:
         from repro.engine.level_loop import seed_level
 
         _, seed = seed_level(g, 2, OpCounters(), lambda c: None)
-        for sl in seed:
-            store.append(sl)
+        store.append(seed)
         return store
 
     def test_stream_entries_yields_compressed(self):
@@ -229,7 +227,7 @@ class TestCompressedStream:
         from repro.engine.level_loop import seed_level
 
         _, seed = seed_level(g, 2, OpCounters(), lambda c: None)
-        native_store.append_batch(CompressedLevelBatch.from_sublists(seed))
+        native_store.append_batch(CompressedLevelBatch.from_level(seed))
         assert native_store.candidate_bytes == raw_store.candidate_bytes
         assert native_store.n_candidates == raw_store.n_candidates
         assert (
@@ -252,7 +250,7 @@ class TestCompressedExpander:
 
         g = erdos_renyi(80, 0.2, seed=2)
         _, seed = seed_level(g, 2, OpCounters(), lambda c: None)
-        batch = CompressedLevelBatch.from_sublists(seed)
+        batch = CompressedLevelBatch.from_level(seed)
         n_words = g.adj.shape[1]
         default = clique_enumerator.PAIR_BATCH_BYTES
         counts = {}
@@ -268,7 +266,10 @@ class TestCompressedExpander:
             ]
             assert ranges[-1][1] == len(seed)
             assert estimates == [
-                sum(sl.work_estimate() for sl in seed[start:end])
+                sum(
+                    sl.work_estimate()
+                    for sl in seed.to_sublists()[start:end]
+                )
                 for start, end in ranges
             ]
             counts[budget] = len(ranges)
@@ -294,7 +295,7 @@ class TestCompressedExpander:
         )
         expander = CompressedExpander(g, model="pairs")
         wah_children = expander.step(
-            CompressedLevelBatch.from_sublists(seed),
+            CompressedLevelBatch.from_level(seed),
             g,
             wah_counters,
             wah_cliques.append,
@@ -302,9 +303,9 @@ class TestCompressedExpander:
         assert isinstance(wah_children, CompressedLevelBatch)
         assert wah_cliques == ref_cliques
         assert wah_counters.snapshot() == ref_counters.snapshot()
-        ours_all = wah_children.to_sublists()
+        ours_all = wah_children.to_level().to_sublists()
         assert len(ours_all) == len(ref_children)
-        for ours, theirs in zip(ours_all, ref_children):
+        for ours, theirs in zip(ours_all, ref_children.to_sublists()):
             assert ours.prefix == theirs.prefix
             assert ours.tails.tolist() == theirs.tails.tolist()
             assert (ours.cn_words == theirs.cn_words).all()

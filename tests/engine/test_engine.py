@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import bitset as bs
 from repro.core.generators import complete_graph, erdos_renyi
-from repro.core.sublist import CliqueSubList
+from repro.core.sublist import CliqueSubList, LevelArrays
 from repro.engine import (
     DiskLevelStore,
     EnumerationConfig,
@@ -27,11 +27,21 @@ from repro.errors import BudgetExceeded, ConfigError, ParameterError
 
 
 def _sl(prefix, tails, n=32):
-    return CliqueSubList(
-        prefix=tuple(prefix),
-        tails=np.asarray(tails, dtype=np.int64),
-        cn_words=bs.indices_to_words(tails, n),
-    )
+    """A one-sub-list level chunk whose CN string is its tails."""
+    return LevelArrays.from_sublists([
+        CliqueSubList(
+            prefix=tuple(prefix),
+            tails=np.asarray(tails, dtype=np.int64),
+            cn_words=bs.indices_to_words(tails, n),
+        )
+    ])
+
+
+def _key(level):
+    return [
+        (sl.prefix, sl.tails.tolist(), sl.cn_words.tobytes())
+        for sl in level.to_sublists()
+    ]
 
 
 #: a non-default value of every EnumerationConfig field
@@ -238,7 +248,7 @@ class TestLevelStores:
             store.append(sl)
         chunks = list(store.stream())
         assert len(chunks) == 1
-        assert chunks[0] == items
+        assert _key(chunks[0]) == [k for sl in items for k in _key(sl)]
 
     def test_empty_memory_store_streams_nothing(self):
         assert list(MemoryLevelStore().stream()) == []
@@ -322,8 +332,8 @@ class TestFacade:
         following = DiskLevelStore(tmp_path, chunk_size=4)
         streamed = []
         for chunk in current.stream():
-            streamed.extend(sl.prefix for sl in chunk)
-            for sl in chunk:
+            streamed.extend(sl.prefix for sl in chunk.to_sublists())
+            for sl in chunk.to_sublists():
                 following.append(_sl(sl.prefix + (0,), [31]))
         assert streamed == [(i,) for i in range(10)]
         assert len(list(following.stream())) == 3

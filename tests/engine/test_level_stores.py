@@ -6,12 +6,25 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import bitset as bs
+from repro.core import clique_enumerator
+from repro.core.clique_enumerator import (
+    INDEX_BYTES,
+    POINTER_BYTES,
+    expand_level,
+)
 from repro.core.compressed import WahBitmap
 from repro.core.counters import OpCounters
 from repro.core.generators import erdos_renyi, overlapping_cliques
-from repro.core.sublist import CliqueSubList, CompressedSubList
+from repro.core.sublist import (
+    CliqueSubList,
+    CompressedLevelBatch,
+    CompressedSubList,
+    LevelArrays,
+)
 from repro.engine import (
     LEVEL_STORES,
     CompressedLevelStore,
@@ -25,6 +38,7 @@ from repro.engine import (
 from repro.engine.level_loop import seed_level
 from repro.errors import LevelStoreError, ParameterError
 from repro.service.cache import ResultCache
+from tests.engine.test_property_harness import FAMILIES
 
 ENGINE = EnumerationEngine()
 
@@ -33,11 +47,23 @@ STORE_BACKENDS = ("incore", "bitscan", "threads")
 
 
 def _sl(prefix, tails, n=256):
-    return CliqueSubList(
-        prefix=tuple(prefix),
-        tails=np.asarray(tails, dtype=np.int64),
-        cn_words=bs.indices_to_words(tails, n),
-    )
+    """A one-sub-list level chunk whose CN string is its tails."""
+    return LevelArrays.from_sublists([
+        CliqueSubList(
+            prefix=tuple(prefix),
+            tails=np.asarray(tails, dtype=np.int64),
+            cn_words=bs.indices_to_words(tails, n),
+        )
+    ])
+
+
+def _key(chunks):
+    """Every streamed sub-list as (prefix, tails, CN bytes)."""
+    return [
+        (sl.prefix, sl.tails.tolist(), sl.cn_words.tobytes())
+        for chunk in chunks
+        for sl in chunk.to_sublists()
+    ]
 
 
 def _stores(tmp_path):
@@ -88,6 +114,105 @@ class TestSinglePassContract:
         store.close()
 
 
+class TestArrayChunks:
+    """Every store takes and yields level chunks as ``LevelArrays``."""
+
+    @pytest.mark.parametrize("name", LEVEL_STORES)
+    def test_two_chunks_stream_in_insertion_order(self, name, tmp_path):
+        store = _stores(tmp_path)[name]
+        first = LevelArrays.concat([_sl([0], [1, 2]), _sl([1], [2, 5])])
+        second = LevelArrays.concat([_sl([2], [3, 4, 6]), _sl([3], [7, 9])])
+        store.append(first)
+        store.append(second)
+        assert (store.n_sublists, store.n_candidates) == (4, 9)
+        chunks = list(store.stream())
+        assert all(isinstance(c, LevelArrays) for c in chunks)
+        assert _key(chunks) == _key([first, second])
+        store.close()
+
+    @pytest.mark.parametrize("name", LEVEL_STORES)
+    def test_empty_chunk_stores_nothing(self, name, tmp_path):
+        store = _stores(tmp_path)[name]
+        store.append(LevelArrays.empty(3, 4))
+        assert len(store) == 0
+        assert store.n_sublists == 0
+        assert store.n_candidates == 0
+        assert store.candidate_bytes == 0
+        assert list(store.stream()) == []
+        store.close()
+
+    def test_one_chunk_streams_back_uncopied(self):
+        store = MemoryLevelStore()
+        level = LevelArrays.concat([_sl([0], [1, 2]), _sl([1], [2, 3])])
+        store.append(level)
+        (chunk,) = store.stream()
+        assert chunk is level
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(["memory", "disk"]),
+        st.sampled_from(sorted(FAMILIES)),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=4, max_value=36),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_accounting_is_the_sum_over_sub_lists(
+        self, name, family, seed, n, k_min
+    ):
+        """``N[k]``, ``M[k]`` and the byte charge read off the arrays
+        equal the per-sub-list sums they replace, level by level."""
+        g = FAMILIES[family](seed, n)
+        counters = OpCounters()
+        _, level = seed_level(g, k_min, counters, lambda c: None)
+        while True:
+            subs = level.to_sublists()
+            store = (
+                MemoryLevelStore() if name == "memory" else DiskLevelStore()
+            )
+            with store:
+                store.append(level)
+                assert store.n_sublists == len(subs)
+                assert store.n_candidates == sum(len(sl) for sl in subs)
+                assert store.candidate_bytes == sum(
+                    sl.nbytes(INDEX_BYTES, POINTER_BYTES) for sl in subs
+                )
+            if not len(level):
+                break
+            level = expand_level(level, g.adj, counters, lambda c: None)
+
+
+class TestNoSubListObjects:
+    """``incore`` and ``threads`` on the ``memory`` store never build a
+    ``CliqueSubList``: the level stays arrays from seed to step to
+    store."""
+
+    @pytest.mark.parametrize("k_min", [1, 3])
+    @pytest.mark.parametrize("backend", ["incore", "threads"])
+    def test_no_sub_list_is_built(self, backend, k_min, monkeypatch):
+        # overlapping modules over a dense background: several levels,
+        # each emitting cliques from many sub-lists, so a range merged
+        # out of order changes the clique sequence
+        g, _ = overlapping_cliques(80, [9, 8, 7], 3, p=0.1, seed=4)
+        ref = run_enumeration(g, EnumerationConfig(k_min=k_min))
+
+        def trap(self, *args, **kwargs):
+            raise AssertionError("a CliqueSubList was built")
+
+        monkeypatch.setattr(CliqueSubList, "__init__", trap)
+        # every sub-list its own range, so `threads` starts its pool
+        monkeypatch.setattr(clique_enumerator, "PAIR_BATCH_BYTES", 0)
+        jobs = {"jobs": 2} if backend == "threads" else {}
+        res = run_enumeration(
+            g, EnumerationConfig(backend=backend, k_min=k_min, **jobs)
+        )
+        assert res.cliques == ref.cliques
+        assert res.level_stats == ref.level_stats
+        assert res.counters.snapshot() == ref.counters.snapshot()
+        assert res.completed == ref.completed
+        if backend == "threads":
+            assert res.load_balance is not None
+
+
 class TestCompressedLevelStore:
     def test_is_level_store(self):
         assert isinstance(CompressedLevelStore(), LevelStore)
@@ -109,17 +234,15 @@ class TestCompressedLevelStore:
         items = [_sl([0], [1, 2]), _sl([1], [2, 3, 4]), _sl([2], [5, 9])]
         for sl in items:
             store.append(sl)
-        streamed = [sl for chunk in store.stream() for sl in chunk]
+        streamed = _key(store.stream())
         assert len(streamed) == len(items)
-        for got, want in zip(streamed, items):
-            assert got.prefix == want.prefix
-            assert np.array_equal(got.tails, want.tails)
-            assert np.array_equal(got.cn_words, want.cn_words)
+        assert streamed == _key(items)
 
     def test_stream_chunks_bound_decompression(self):
         store = CompressedLevelStore(chunk_size=2)
-        for i in range(5):
-            store.append(_sl([i], [i + 1, i + 2]))
+        store.append(
+            LevelArrays.concat([_sl([i], [i + 1, i + 2]) for i in range(5)])
+        )
         chunks = [len(c) for c in store.stream()]
         assert chunks == [2, 2, 1]
 
@@ -136,24 +259,20 @@ class TestCompressedLevelStore:
     def test_mixed_appends_stream_in_insertion_order(self, stream):
         """Raw appends wait in a buffer for batch encoding; batches
         stored meanwhile must not overtake them."""
-        from repro.core.sublist import CompressedLevelBatch
-
         store = CompressedLevelStore()
         store.append(_sl([0], [1, 2]))
         store.append(_sl([1], [2, 3]))
-        store.append_batch(
-            CompressedLevelBatch.from_sublists([_sl([2], [3, 4])])
-        )
+        store.append_batch(CompressedLevelBatch.from_level(_sl([2], [3, 4])))
         store.append(_sl([3], [4, 5]))
-        store.append_batch(
-            CompressedLevelBatch.from_sublists([_sl([4], [5, 6])])
-        )
+        store.append_batch(CompressedLevelBatch.from_level(_sl([4], [5, 6])))
         store.append(_sl([5], [6, 7]))
         prefixes = [
             prefix
             for chunk in getattr(store, stream)()
             for prefix in (
-                chunk.prefixes
+                map(tuple, chunk.prefixes.tolist())
+                if isinstance(chunk, LevelArrays)
+                else chunk.prefixes
                 if isinstance(chunk, CompressedLevelBatch)
                 else [sl.prefix for sl in chunk]
             )
@@ -181,12 +300,12 @@ class TestCompressedLevelStore:
         )
         _, seed = seed_level(g, 2, OpCounters(), lambda c: None)
         mem, wah = MemoryLevelStore(), CompressedLevelStore(chunk_size=7)
-        for sl in seed:
-            mem.append(sl)
-            wah.append(sl)
-        raw_cn = sum(sl.cn_words.nbytes for sl in seed)
+        mem.append(seed)
+        wah.append(seed)
+        raw_cn = sum(sl.cn_words.nbytes for sl in seed.to_sublists())
         wah_cn = sum(
-            WahBitmap.from_words(sl.cn_words).nbytes() for sl in seed
+            WahBitmap.from_words(sl.cn_words).nbytes()
+            for sl in seed.to_sublists()
         )
         assert len(seed) > 7
         assert wah.candidate_bytes == (

@@ -13,6 +13,7 @@ from repro.core.clique_enumerator import (
 from repro.core.counters import OpCounters
 from repro.core.generators import erdos_renyi, planted_partition
 from repro.core.kclique import enumerate_k_cliques
+from repro.core.sublist import LevelArrays
 from repro.errors import ParameterError
 from repro.parallel.machine import MachineSpec
 from repro.parallel.parallel_enumerator import (
@@ -34,7 +35,9 @@ def reference_record_trace(g, k_min=2, k_max=None):
     emit = trace.cliques.append
     seed_counters = OpCounters()
     if k_min == 2:
-        sublists = build_initial_sublists(g, seed_counters, emit, True)
+        sublists = build_initial_sublists(
+            g, seed_counters, emit, True
+        ).to_sublists()
     else:
         kres = enumerate_k_cliques(g, k_min, seed_counters)
         for clique in kres.maximal:
@@ -52,7 +55,9 @@ def reference_record_trace(g, k_min=2, k_max=None):
         for sl, sl_id in zip(sublists, ids):
             c = OpCounters()
             before = len(trace.cliques)
-            children = generate_next_level([sl], g, c, emit)
+            children = generate_next_level(
+                LevelArrays.from_sublists([sl]), g, c, emit
+            ).to_sublists()
             records.append(TraceItem(
                 item_id=sl_id, level=k,
                 parent_id=parent_of.get(sl_id, -1),

@@ -33,7 +33,7 @@ from repro.core.generators import (
     star_graph,
 )
 from repro.core.graph import Graph
-from repro.core.sublist import CompressedSubList
+from repro.core.sublist import CompressedSubList, LevelArrays
 from repro.engine import EnumerationConfig, EnumerationEngine
 from repro.parallel import thread_backend as tb
 from repro.parallel.thread_backend import (
@@ -98,7 +98,11 @@ class TestExpanderSurface:
         with ThreadedExpander(4) as expander:
             assert expander._pool is None
             counters = OpCounters()
-            assert expander.step([], Graph(3), counters, lambda c: None) == []
+            empty = LevelArrays.empty(2, Graph(3).adj.shape[1])
+            children = expander.step(
+                empty, Graph(3), counters, lambda c: None
+            )
+            assert len(children) == 0
             # nothing to parallelise: still no pool
             assert expander._pool is None
 
@@ -197,9 +201,9 @@ class TestConcurrencyStress:
                 super().__init__(n_workers, steal_granularity, **kw)
                 self.stolen_ranges = 7
 
-            def step(self, sublists, g, counters, emit):
+            def step(self, level, g, counters, emit):
                 # expand inline: no queue, so the tally stays put
-                return generate_next_level(sublists, g, counters, emit)
+                return generate_next_level(level, g, counters, emit)
 
         monkeypatch.setattr(tb, "ThreadedExpander", FakeExpander)
         g = planted_partition(
