@@ -113,7 +113,6 @@ def bench_engine_incore_wah(benchmark, myogenic):
         mem.peak_candidate_bytes() / max(1, res.peak_candidate_bytes()), 2
     )
     for key in (
-        "decompressed_bytes",
         "decompressed_bytes_avoided",
         "kernel_word_ops",
         "kernel_ands",

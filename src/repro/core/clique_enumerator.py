@@ -157,9 +157,9 @@ class EnumerationResult:
     domain_stats:
         Compressed-domain telemetry of a ``wah``-store run, empty on
         the ``memory`` and ``disk`` stores:
-        ``decompressed_bytes`` (sub-list bytes materialised in raw form
-        while streaming levels), ``decompressed_bytes_avoided`` (raw
-        bytes that stayed compressed end to end), ``kernel_word_ops`` /
+        ``decompressed_bytes_avoided`` (raw-equivalent bytes of every
+        level streamed, all of which stayed compressed end to end),
+        ``kernel_word_ops`` /
         ``kernel_ands`` (compressed words touched / kernel calls), and
         ``adj_rows_compressed``.  Deliberately *not* part of
         ``counters``: the operation counters follow the paper's

@@ -37,18 +37,20 @@ backend keeps its documented counter model:
 ``"bitscan"``
     The rejected Section 2.3 bit-scan variant, used by ``bitscan``
     (including its ``bits_scanned`` cost accounting), with the partner
-    scan run as one vectorised ``batch_indices_above`` per parent
-    chunk.
+    scan run as one vectorised ``batch_indices_above`` per batch of
+    parents.
 
-Both models lift whole level chunks into the structure-of-arrays word
-layout of :mod:`repro.core.wah_kernels`: batched adjacency probes, one
-vectorised ``batch_and`` per parent group, and one ``batch_and_any``
-sweep per chunk of generated cliques.  The counter model charges
-algorithmic operations, not loop iterations, so bulk charging a batch
-equals charging its pairs one by one.  Every batch kernel produces the
-byte-identical words of the scalar :class:`~repro.core.compressed.
-WahBitmap` kernels, which stay as the oracle
-``tests/core/test_wah_kernel_arrays.py`` replays them against.
+Both models run on the structure-of-arrays word layout of
+:mod:`repro.core.wah_kernels`: batched adjacency probes, one vectorised
+``batch_and`` per parent group, and one ``batch_and_any`` sweep per
+batch of generated cliques.  They share one children assembly with the
+bitset step's helpers (``pair_groups``, ``select_children``,
+``emit_cliques``), with no per-sub-list or per-parent loop.  The
+counter model charges algorithmic operations, not loop iterations, so
+bulk charging a batch equals charging its pairs one by one.  Every
+batch kernel produces the byte-identical words of the scalar
+:class:`~repro.core.compressed.WahBitmap` kernels, which stay as the
+oracle ``tests/core/test_wah_kernel_arrays.py`` replays them against.
 
 Thread safety: one expander serves one run, but its :meth:`step` may be
 called concurrently by the ``threads`` backend's workers — the WAH
@@ -71,7 +73,6 @@ from repro.core.clique_enumerator import (
     pair_batches,
     pair_groups,
     select_children,
-    weight_batches,
 )
 from repro.core.compressed import WahScratch
 from repro.core.counters import OpCounters
@@ -113,10 +114,10 @@ class CompressedExpander:
         generate_next_level_bitscan`).
 
     :meth:`step` takes a whole :class:`~repro.core.sublist.
-    CompressedLevelBatch`, as ``CompressedLevelStore.stream_batches``
-    yields it (or a row slice of one, under ``threads``), and returns
-    the children as one batch, so a level never materialises
-    per-entry objects.
+    CompressedLevelBatch`, as ``CompressedLevelStore.stream`` yields it
+    (or a row slice of one, under ``threads``), and returns the
+    children as one batch, so a level never materialises per-entry
+    objects.
     """
 
     def __init__(self, g: Graph, model: str = "pairs"):
@@ -237,28 +238,6 @@ class CompressedExpander:
 
     # -- the structure-of-arrays step ----------------------------------------
 
-    def _load(self, batch: CompressedLevelBatch):
-        """Normalise one level batch into SoA form for the batch kernels.
-
-        Returns ``(prefixes, tails, tail_offsets, cn_words,
-        cn_offsets)``: the batch's own flat arrays, minus the sub-lists
-        with fewer than two tails — neither step model can derive
-        anything from them.
-        """
-        prefixes = batch.prefixes
-        tails, offsets = batch.tails, batch.tail_offsets
-        cw, co = batch.cn_words, batch.cn_offsets
-        n_tails = batch.n_tails
-        live = n_tails >= 2
-        if not live.all():
-            keep = np.flatnonzero(live)
-            cw, co = take_streams(cw, co, keep)
-            prefixes = tuple(prefixes[i] for i in keep.tolist())
-            tails = tails[np.repeat(live, n_tails)]
-            offsets = np.zeros(keep.size + 1, dtype=np.int64)
-            np.cumsum(n_tails[keep], out=offsets[1:])
-        return prefixes, tails, offsets, cw, co
-
     def _step_pairs(self, batch, counters, emit):
         """The tail-list model: counters match ``generate_next_level``.
 
@@ -270,42 +249,22 @@ class CompressedExpander:
         cliques, and children are byte-identical to the raw-word step's
         at any batch size.
         """
-        prefixes, tails, offsets, cn_w, cn_o = self._load(batch)
-        pm = np.array(prefixes, dtype=np.int64)
         scratch = self._scratch()
-        parts = [
-            self._pairs_batch(
-                start, end, pm, tails, offsets, cn_w, cn_o,
-                counters, emit, scratch,
-            )
+        return self._join(batch, [
+            self._pairs_batch(start, end, batch, counters, emit, scratch)
             for start, end in pair_batches(
-                np.diff(offsets), self._adj.shape[1]
+                batch.n_tails, self._adj.shape[1]
             )
-        ]
-        parts = [part for part in parts if part is not None]
-        if not parts:
-            return CompressedLevelBatch.empty(self._universe)
-        child_pm, child_tails, counts, cn_parts = zip(*parts)
-        return CompressedLevelBatch.from_parts(
-            tuple(map(tuple, np.concatenate(child_pm).tolist())),
-            self._universe,
-            child_tails,
-            np.concatenate(counts),
-            cn_parts,
-        )
+        ])
 
-    def _pairs_batch(
-        self, lo, hi, prefixes, tails, offsets, cn_w, cn_o,
-        counters, emit, scratch,
-    ):
+    def _pairs_batch(self, lo, hi, batch, counters, emit, scratch):
         """Expand sub-lists ``[lo, hi)`` as one vectorised pair batch.
 
-        Returns the children as ``(prefixes, tails, tail counts, CN
-        streams)``, or None when the batch retains none.
+        Returns the children as a batch, or None when it retains none.
         """
         ng = self._n_groups
         first, pvi, pvj, psid = generated_cliques(
-            self._adj, tails, offsets[lo:hi + 1], counters
+            self._adj, batch.tails, batch.tail_offsets[lo:hi + 1], counters
         )
         if not first.size:
             return None
@@ -317,7 +276,7 @@ class CompressedExpander:
         counters.bit_and_ops += n_groups_here
         gvi, gsid = pvi[starts], psid[starts]
         rw, ro, slot = self._rows_for(np.concatenate((gvi, pvj)))
-        aw, ao = take_streams(cn_w, cn_o, gsid)
+        aw, ao = take_streams(batch.cn_words, batch.cn_offsets, gsid)
         bw, bo = take_streams(rw, ro, slot[gvi])
         chw, cho = batch_and(aw, ao, bw, bo, ng)
         scratch.and_ops += n_groups_here
@@ -328,69 +287,44 @@ class CompressedExpander:
         nonmax = batch_and_any(taw, tao, tbw, tbo, ng)
         scratch.and_ops += n_pairs
         scratch.word_ops += int(tao[-1] + tbo[-1])
-        kids, keep, counts = select_children(nonmax, starts, group_of)
-        maximal = np.flatnonzero(~nonmax)
-        emit_cliques(
-            np.column_stack(
-                (prefixes[psid[maximal]], pvi[maximal], pvj[maximal])
-            ),
-            counters,
-            emit,
-        )
-        if not kids.size:
-            return None
-        counters.sublists_created += int(kids.size)
-        return (
-            np.column_stack((prefixes[gsid[kids]], gvi[kids])),
-            pvj[keep],
-            counts,
-            take_streams(chw, cho, kids),
+        return self._children(
+            batch, psid, pvi, pvj, nonmax, starts, group_of, (chw, cho),
+            None, counters, emit,
         )
 
     def _step_bitscan(self, batch, counters, emit):
         """The bit-scan model: counters match
         ``generate_next_level_bitscan`` — including the documented
         full-``n`` ``bits_scanned`` cost accounting — while the partner
-        scan runs as one ``batch_indices_above`` per parent chunk.
-        """
-        prefixes, flat, offs, cn_w, cn_o = self._load(batch)
-        o = offs.tolist()
-        tails = [flat[a:b] for a, b in zip(o, o[1:])]
-        scratch = self._scratch()
-        out_prefixes: list[tuple[int, ...]] = []
-        out_cands: list[np.ndarray] = []
-        parts: list[tuple[np.ndarray, np.ndarray]] = []
-        cap = max(64, _BITSCAN_BITS_BUDGET // max(self._universe, 64))
-        n_parents = [t.size - 1 for t in tails]
-        for start, end in weight_batches(n_parents, cap):
-            self._bitscan_batch(
-                start, end, prefixes, tails, cn_w, cn_o,
-                counters, emit, scratch, out_prefixes, out_cands, parts,
-            )
-        return CompressedLevelBatch.from_parts(
-            tuple(out_prefixes),
-            self._universe,
-            out_cands,
-            [c.size for c in out_cands],
-            parts,
-        )
+        scan runs as one ``batch_indices_above`` per batch of parents.
 
-    def _bitscan_batch(
-        self, lo, hi, prefixes, tails, cn_w, cn_o,
-        counters, emit, scratch, out_prefixes, out_cands, parts,
-    ):
-        """Expand sub-lists ``[lo, hi)`` as one vectorised parent batch."""
-        ng, universe = self._n_groups, self._universe
-        psid = np.concatenate(
-            [
-                np.full(tails[s].size - 1, s, dtype=np.int64)
-                for s in range(lo, hi)
-            ]
+        Every tail but a sub-list's last is a parent; parents are cut
+        into batches of at most ``_BITSCAN_BITS_BUDGET`` scanned bits.
+        """
+        n_tails = batch.n_tails
+        is_parent = np.ones(batch.tails.size, dtype=bool)
+        is_parent[batch.tail_offsets[1:][n_tails > 0] - 1] = False
+        pvi = batch.tails[is_parent]
+        psid = np.repeat(
+            np.arange(len(batch), dtype=np.int64), np.maximum(n_tails - 1, 0)
         )
-        pvi = np.concatenate([tails[s][:-1] for s in range(lo, hi)])
+        cap = max(64, _BITSCAN_BITS_BUDGET // max(self._universe, 64))
+        scratch = self._scratch()
+        return self._join(batch, [
+            self._bitscan_batch(
+                batch, psid[a:a + cap], pvi[a:a + cap],
+                counters, emit, scratch,
+            )
+            for a in range(0, pvi.size, cap)
+        ])
+
+    def _bitscan_batch(self, batch, psid, pvi, counters, emit, scratch):
+        """Expand one batch of parents ``(sub-list psid, tail pvi)``.
+
+        Returns the children as a batch, or None when it retains none.
+        """
+        ng, universe = self._n_groups, self._universe
         n_parents = int(pvi.size)
-        if not n_parents:
-            return
         # one child-CN AND and one full-n scan charged per parent,
         # whatever representation runs it — the documented cost model
         counters.bit_and_ops += n_parents
@@ -398,7 +332,7 @@ class CompressedExpander:
             counters.extra.get("bits_scanned", 0) + self._g.n * n_parents
         )
         rw, ro, slot = self._rows_for(pvi)
-        aw, ao = take_streams(cn_w, cn_o, psid)
+        aw, ao = take_streams(batch.cn_words, batch.cn_offsets, psid)
         bw, bo = take_streams(rw, ro, slot[pvi])
         chw, cho = batch_and(aw, ao, bw, bo, ng)
         scratch.and_ops += n_parents
@@ -406,7 +340,7 @@ class CompressedExpander:
         flat_p, p_off = batch_indices_above(chw, cho, ng, universe, pvi)
         n_partners = int(flat_p.size)
         if not n_partners:
-            return
+            return None
         counters.cliques_generated += n_partners
         counters.bit_and_ops += n_partners
         counters.bit_exist_checks += n_partners
@@ -419,30 +353,65 @@ class CompressedExpander:
         nonmax = batch_and_any(taw, tao, tbw, tbo, ng)
         scratch.and_ops += n_partners
         scratch.word_ops += int(tao[-1] + tbo[-1])
-        flat_l, nonmax_l = flat_p.tolist(), nonmax.tolist()
-        p_off_l = p_off.tolist()
-        kept: list[int] = []
-        for p in range(n_parents):
-            s, e = p_off_l[p], p_off_l[p + 1]
-            if s == e:
-                continue
-            sub_nm = nonmax[s:e]
-            nm = int(sub_nm.sum())
-            size = e - s
-            if nm == size and nm <= 1:
-                continue
-            child_prefix = prefixes[int(psid[p])] + (int(pvi[p]),)
-            if nm < size:
-                for idx in range(s, e):
-                    if not nonmax_l[idx]:
-                        counters.maximal_emitted += 1
-                        emit(child_prefix + (flat_l[idx],))
-            if nm > 1:
-                counters.sublists_created += 1
-                kept.append(p)
-                out_prefixes.append(child_prefix)
-                out_cands.append(flat_p[s:e][sub_nm])
-        if kept:
-            parts.append(
-                take_streams(chw, cho, np.asarray(kept, dtype=np.int64))
+        # a parent's partners form one group, as a (sub-list, v_i)
+        # pair group does in the tail-list model
+        starts, group_of = pair_groups(parent_of)
+        return self._children(
+            batch, psid[parent_of], pvi[parent_of], flat_p, nonmax,
+            starts, group_of, (chw, cho), parent_of[starts],
+            counters, emit,
+        )
+
+    def _children(
+        self, batch, sid, vi, vj, nonmax, starts, group_of, streams,
+        stream_of, counters, emit,
+    ):
+        """Emit and select the cliques of one batch: both models' one
+        children assembly.
+
+        Generated clique ``c`` is ``prefix[sid[c]] + (vi[c], vj[c])``,
+        maximal where ``nonmax[c]`` is false; the cliques from
+        ``starts[g]`` on form group ``g`` (``group_of[c]``), whose child
+        CN is stream ``stream_of[g]`` of the SoA batch ``streams``
+        (stream ``g`` when ``stream_of`` is None).  The maximal cliques
+        are emitted in order, and every group with at least two
+        non-maximal cliques becomes a child sub-list.  Returns the
+        children as a batch, or None when there are none.
+        """
+        maximal = np.flatnonzero(~nonmax)
+        emit_cliques(
+            np.column_stack(
+                (batch.prefixes[sid[maximal]], vi[maximal], vj[maximal])
+            ),
+            counters,
+            emit,
+        )
+        kids, keep, counts = select_children(nonmax, starts, group_of)
+        if not kids.size:
+            return None
+        counters.sublists_created += int(kids.size)
+        parent = starts[kids]
+        tail_offsets = np.zeros(kids.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=tail_offsets[1:])
+        cn_words, cn_offsets = take_streams(
+            *streams, kids if stream_of is None else stream_of[kids]
+        )
+        return CompressedLevelBatch(
+            prefixes=np.column_stack(
+                (batch.prefixes[sid[parent]], vi[parent])
+            ),
+            universe=self._universe,
+            tails=vj[keep],
+            tail_offsets=tail_offsets,
+            cn_words=cn_words,
+            cn_offsets=cn_offsets,
+        )
+
+    def _join(self, batch, parts):
+        """The children of ``batch``'s pair or parent batches, in order."""
+        parts = [part for part in parts if part is not None]
+        if not parts:
+            return CompressedLevelBatch.empty(
+                batch.prefixes.shape[1] + 2, self._universe
             )
+        return CompressedLevelBatch.concat(parts)

@@ -13,11 +13,12 @@ with only one read-chunk at a time.  Every byte written/read is counted,
 so the ablation report and ``benchmarks/bench_engines.py`` can show the
 I/O volume that the in-core algorithm avoids.
 
-Like every level store it takes and yields
-:class:`~repro.core.sublist.LevelArrays` chunks; the spill format — a
-record of ``chunk_size`` pickled :class:`~repro.core.sublist.
-CliqueSubList` objects — is converted to and from rows at the store's
-own boundary.  The enumeration logic is the unmodified
+It takes and yields :class:`~repro.core.sublist.LevelArrays` chunks,
+the form the raw-word step computes in, and spills them as raw
+contiguous blocks: each record is ``chunk_size`` rows' arrays behind a
+fixed ``int64`` header, read back with ``np.frombuffer`` — no object
+per sub-list and no unpickling of files in a directory a client may
+have chosen.  The enumeration logic is the unmodified
 :func:`~repro.core.clique_enumerator.generate_next_level`; only the
 storage layer changes — exactly the framing of the paper's argument.
 Any engine backend runs on it with ``level_store="disk"`` (e.g.
@@ -28,27 +29,38 @@ loop itself lives in :mod:`repro.engine.level_loop`.
 from __future__ import annotations
 
 import itertools
-import pickle
+import os
 import tempfile
 from collections.abc import Iterator
 from pathlib import Path
 
+import numpy as np
+
 from repro.errors import LevelStoreError, ParameterError
 from repro.core.clique_enumerator import INDEX_BYTES, POINTER_BYTES
 from repro.core.counters import IOStats
-from repro.core.sublist import CliqueSubList, LevelArrays
+from repro.core.sublist import LevelArrays
 
 __all__ = ["IOStats", "DiskLevelStore"]
+
+#: ``int64`` fields of a record header: rows, prefix width (``k - 1``),
+#: tail count and CN words per row
+_HEADER_FIELDS = 4
 
 
 class DiskLevelStore:
     """Spill-and-stream storage for one level of candidate sub-lists.
 
     Sub-lists are appended as :class:`~repro.core.sublist.LevelArrays`
-    chunks and spilled as records of ``chunk_size`` pickled sub-lists
-    (filled across appends), then streamed back in insertion order
-    exactly once, one record per chunk.  The store is single-pass by
-    design — the level-wise algorithm never revisits a consumed level.
+    chunks and spilled as records of ``chunk_size`` rows (filled across
+    appends), then streamed back in insertion order exactly once, one
+    record per chunk.  A record is an 8-byte little-endian length, then
+    the ``int64`` header (rows, ``k - 1``, tail count, CN words per
+    row) and the raw prefix, offset, tail and CN arrays.  A record that
+    runs past the end of the file, or whose header disagrees with its
+    length, raises :class:`~repro.errors.LevelStoreError`.  The store
+    is single-pass by design — the level-wise algorithm never revisits
+    a consumed level.
 
     Implements the :class:`repro.engine.level_store.LevelStore` interface
     (including the ``n_sublists`` / ``n_candidates`` / ``candidate_bytes``
@@ -61,7 +73,7 @@ class DiskLevelStore:
         Each store gets a unique spill filename, so consecutive levels
         can safely share one directory (the writer of level k+1 must
         not truncate the file level k is still streaming from).
-    chunk_size: sub-lists per pickle record (amortises the per-record
+    chunk_size: sub-lists per record (amortises the per-record
         overhead that killed the original out-of-core implementation).
     stats: shared I/O counter, updated on every operation.
     """
@@ -90,7 +102,8 @@ class DiskLevelStore:
         self.chunk_size = chunk_size
         self.stats = stats if stats is not None else IOStats()
         self._path: Path | None = None
-        self._write_buffer: list[CliqueSubList] = []
+        #: rows of a record not yet full, carried across appends
+        self._pending: LevelArrays | None = None
         self._fh = None
         self._count = 0
         self._n_candidates = 0
@@ -127,15 +140,27 @@ class DiskLevelStore:
             raise LevelStoreError(
                 "append() after stream(): the level store is single-pass"
             )
+        if not len(level):
+            return
         self._count += len(level)
         self._n_candidates += int(level.tails.size)
         self._candidate_bytes += level.nbytes(INDEX_BYTES, POINTER_BYTES)
-        buffer = self._write_buffer
-        buffer.extend(level.to_sublists())
-        full = len(buffer) - len(buffer) % self.chunk_size
-        for start in range(0, full, self.chunk_size):
-            self._write(buffer[start:start + self.chunk_size])
-        del buffer[:full]
+        size = self.chunk_size
+        if self._pending is not None:
+            # top up the carried record; only its few rows are copied
+            head = min(len(level), size - len(self._pending))
+            record = LevelArrays.concat([self._pending, level.rows(0, head)])
+            level = level.rows(head, len(level))
+            self._pending = None
+            if len(record) < size:
+                self._pending = record
+                return
+            self._write(record)
+        full = len(level) - len(level) % size
+        for start in range(0, full, size):
+            self._write(level.rows(start, start + size))
+        if full < len(level):
+            self._pending = level.rows(full, len(level))
 
     def _ensure_open(self):
         if self._fh is None:
@@ -145,12 +170,24 @@ class DiskLevelStore:
             self._fh = self._path.open("wb")
         return self._fh
 
-    def _write(self, record: list[CliqueSubList]) -> None:
-        payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+    def _write(self, record: LevelArrays) -> None:
+        arrays = [
+            np.array(
+                [len(record), record.prefixes.shape[1], record.tails.size,
+                 record.cn.shape[1]],
+                dtype=np.int64,
+            ),
+            np.ascontiguousarray(record.prefixes, dtype=np.int64),
+            np.ascontiguousarray(record.offsets, dtype=np.int64),
+            np.ascontiguousarray(record.tails, dtype=np.int64),
+            np.ascontiguousarray(record.cn, dtype=np.uint64),
+        ]
+        size = sum(a.nbytes for a in arrays)
         fh = self._ensure_open()
-        fh.write(len(payload).to_bytes(8, "little"))
-        fh.write(payload)
-        self.stats.bytes_written += len(payload) + 8
+        fh.write(size.to_bytes(8, "little"))
+        for a in arrays:
+            fh.write(a.data)
+        self.stats.bytes_written += size + 8
         self.stats.write_ops += 1
 
     # -- reading --------------------------------------------------------------
@@ -167,9 +204,9 @@ class DiskLevelStore:
                 "stream() called twice on a single-pass level store"
             )
         self._streamed = True
-        if self._write_buffer:
-            self._write(self._write_buffer)
-            self._write_buffer = []
+        if self._pending is not None:
+            self._write(self._pending)
+            self._pending = None
         if self._fh is not None:
             self._fh.close()
             self._fh = None
@@ -179,17 +216,50 @@ class DiskLevelStore:
         if self._path is None:
             return
         with self._path.open("rb") as fh:
-            while True:
+            end = os.fstat(fh.fileno()).st_size
+            while fh.tell() < end:
                 header = fh.read(8)
-                if not header:
-                    break
                 size = int.from_bytes(header, "little")
+                if len(header) < 8 or size > end - fh.tell():
+                    raise LevelStoreError(
+                        f"spill record at byte {fh.tell() - len(header)} "
+                        f"of {self._path} runs past the end of the file"
+                    )
                 payload = fh.read(size)
                 self.stats.bytes_read += size + 8
                 self.stats.read_ops += 1
-                yield LevelArrays.from_sublists(pickle.loads(payload))
+                yield self._decode(payload)
         self._path.unlink()
         self._path = None
+
+    def _decode(self, payload: bytes) -> LevelArrays:
+        """One record's arrays, as read-only views of ``payload``."""
+        words = np.frombuffer(
+            payload, dtype=np.int64, count=len(payload) // 8
+        )
+        if words.size < _HEADER_FIELDS:
+            raise LevelStoreError(
+                f"spill record of {len(payload)} bytes in {self._path} "
+                "is shorter than its header"
+            )
+        rows, width, n_tails, n_words = words[:_HEADER_FIELDS].tolist()
+        bounds = list(itertools.accumulate(
+            [_HEADER_FIELDS, rows * width, rows + 1, n_tails, rows * n_words]
+        ))
+        if min(rows, width, n_tails, n_words) < 0 or (
+            8 * bounds[-1] != len(payload)
+        ):
+            raise LevelStoreError(
+                f"spill record header {[rows, width, n_tails, n_words]} "
+                f"in {self._path} disagrees with its {len(payload)} bytes"
+            )
+        prefixes, offsets, tails, cn = np.split(words, bounds)[1:5]
+        return LevelArrays(
+            prefixes=prefixes.reshape(rows, width),
+            tails=tails,
+            offsets=offsets,
+            cn=cn.view(np.uint64).reshape(rows, n_words),
+        )
 
     def close(self) -> None:
         """Release backing storage: spill file and temp dir removed."""

@@ -22,9 +22,9 @@ A level is held and stepped in chunk form, never as one object per
 sub-list: :class:`LevelArrays` (prefix matrix, flat tails with offsets,
 CN row matrix) in the ``memory`` and ``disk`` stores and the bitset
 step, :class:`CompressedLevelBatch` (the same with WAH-compressed CN
-strings) in the ``wah`` store.  :class:`CliqueSubList` remains the
-per-sub-list view the disk store pickles and the Figure 5–8 trace
-seeds from.
+strings) in the ``wah`` store; :data:`LevelChunk` is either.
+:class:`CliqueSubList` remains the per-sub-list view the Figure 5–8
+trace seeds from.
 """
 
 from __future__ import annotations
@@ -34,14 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.bitset import WORD_BITS
-from repro.core.compressed import WahBitmap
 from repro.core.wah_kernels import batch_decode_words, batch_encode_words
 
 __all__ = [
     "CliqueSubList",
     "LevelArrays",
-    "CompressedSubList",
     "CompressedLevelBatch",
+    "LevelChunk",
 ]
 
 
@@ -212,93 +211,26 @@ class LevelArrays:
 
 
 @dataclass(frozen=True)
-class CompressedSubList:
-    """A :class:`CliqueSubList` whose common-neighbor string is WAH words.
-
-    The paper closes by observing that the sparsity of the bitmap memory
-    index "can potentially provide high compression rate"; the bitmap
-    index is the common-neighbor string, so that is the one array held
-    compressed.  Tails stay the ascending ``int64`` index array the
-    generation step reads.  Levels are stored and expanded as
-    :class:`CompressedLevelBatch` objects; this per-entry form is what
-    :meth:`CompressedLevelBatch.to_entries` (the store's
-    ``stream_entries`` view) yields.
-
-    Attributes
-    ----------
-    prefix:
-        The shared (k-1)-clique, ascending vertex indices.
-    tails:
-        ``int64`` array of k-th vertices, ascending, as in
-        :class:`CliqueSubList`.
-    cn:
-        Compressed common-neighbor string of ``prefix``.
-    """
-
-    prefix: tuple[int, ...]
-    tails: np.ndarray
-    cn: WahBitmap
-
-    def __len__(self) -> int:
-        return int(self.tails.size)
-
-    def nbytes(self, index_bytes: int = 8, pointer_bytes: int = 8) -> int:
-        """Measured storage, comparable to :meth:`CliqueSubList.nbytes`
-        (prefix + tails + the compressed CN payload + the list
-        pointer)."""
-        return (
-            (self.tails.size + len(self.prefix)) * index_bytes
-            + self.cn.nbytes()
-            + pointer_bytes
-        )
-
-    def uncompressed_nbytes(
-        self, index_bytes: int = 8, pointer_bytes: int = 8
-    ) -> int:
-        """What :meth:`CliqueSubList.nbytes` would charge for this
-        sub-list, computed without decompressing anything.
-
-        The common-neighbor string would be ``cn.n / 8`` bytes of raw
-        ``uint64`` words (the universe is always a whole number of
-        64-bit words).  This is the per-entry baseline the compressed
-        paths report as *decompressed bytes avoided*.
-        """
-        return (
-            (self.tails.size + len(self.prefix)) * index_bytes
-            + self.cn.n // 8
-            + pointer_bytes
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"CompressedSubList(prefix={self.prefix}, "
-            f"n_tails={len(self)}, words={self.cn.compressed_words()})"
-        )
-
-
-@dataclass(frozen=True)
 class CompressedLevelBatch:
     """A whole level chunk of compressed sub-lists, structure-of-arrays.
 
-    The batch counterpart of a ``list[CompressedSubList]``: instead of
-    one Python object (and a :class:`~repro.core.compressed.WahBitmap`
-    wrapper) per sub-list, the level chunk holds **one flat ``uint32``
-    word array** of every CN stream concatenated and **one flat
-    ``int64`` tails array**, each with an ``int64`` offset array — the
-    layout the :mod:`repro.core.wah_kernels` batch kernels consume
-    directly.  All CN streams share one bit universe (the graph's
-    64-bit-padded vertex span), so the batch AND / decode / encode
-    kernels can treat the whole chunk as run-boundary arithmetic on one
-    array.  Tails are not compressed: on the genome graph their WAH
-    words are no smaller than 8-byte indices, and the generation step
-    reads indices.
+    :class:`LevelArrays` with the CN row matrix replaced by WAH words:
+    the chunk holds the ``(N, k-1)`` ``int64`` prefix matrix, **one
+    flat ``int64`` tails array** and **one flat ``uint32`` word array**
+    of every CN stream concatenated, each with an ``int64`` offset
+    array — the layout the :mod:`repro.core.wah_kernels` batch kernels
+    consume directly.  All CN streams share one bit universe (the
+    graph's 64-bit-padded vertex span), so the batch AND / decode /
+    encode kernels can treat the whole chunk as run-boundary arithmetic
+    on one array.  Tails are not compressed: on the genome graph their
+    WAH words are no smaller than 8-byte indices, and the generation
+    step reads indices.
 
     Attributes
     ----------
     prefixes:
-        The shared (k-1)-clique of each sub-list, in level order.  A
-        batch holds one level, so every prefix has the same length
-        ``k - 1``; the accounting relies on it.
+        The ``(N, k-1)`` ``int64`` matrix of each sub-list's shared
+        (k-1)-clique, in level order.
     universe:
         Bit universe of every CN stream (``64 * ceil(n / 64)``).
     tails / tail_offsets:
@@ -309,7 +241,7 @@ class CompressedLevelBatch:
         ``i`` is ``cn_words[cn_offsets[i]:cn_offsets[i + 1]]``.
     """
 
-    prefixes: tuple[tuple[int, ...], ...]
+    prefixes: np.ndarray
     universe: int
     tails: np.ndarray
     tail_offsets: np.ndarray
@@ -317,7 +249,7 @@ class CompressedLevelBatch:
     cn_offsets: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.prefixes)
+        return self.prefixes.shape[0]
 
     @property
     def n_tails(self) -> np.ndarray:
@@ -332,43 +264,9 @@ class CompressedLevelBatch:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_parts(
-        cls,
-        prefixes: tuple[tuple[int, ...], ...],
-        universe: int,
-        tails: list[np.ndarray],
-        tail_counts,
-        cn_parts: list[tuple[np.ndarray, np.ndarray]],
-    ) -> "CompressedLevelBatch":
-        """Assemble a batch from tail and CN fragments.
-
-        ``tails`` are ``int64`` fragments whose concatenation is every
-        sub-list's ascending tails in order, ``tail_counts[i]`` the
-        number of sub-list ``i``'s tails; ``cn_parts`` are SoA
-        ``(words, offsets)`` batches whose streams, taken in order, are
-        the sub-lists' compressed CN strings.  ``prefixes`` are one
-        level's, all of one length.
-        """
-        if not prefixes:
-            return cls.empty(universe)
-        tail_offsets = np.zeros(len(prefixes) + 1, dtype=np.int64)
-        np.cumsum(tail_counts, out=tail_offsets[1:])
-        cn_words, cn_offsets = _cat(
-            [w for w, _ in cn_parts], [o for _, o in cn_parts]
-        )
-        return cls(
-            prefixes=prefixes,
-            universe=universe,
-            tails=np.concatenate(tails),
-            tail_offsets=tail_offsets,
-            cn_words=cn_words,
-            cn_offsets=cn_offsets,
-        )
-
-    @classmethod
     def from_level(cls, level: LevelArrays) -> "CompressedLevelBatch":
         """Batch-compress a :class:`LevelArrays` chunk (one vectorised
-        CN encode over its row matrix).
+        CN encode over its row matrix); prefixes and tails are shared.
 
         Each CN stream is byte-identical to ``WahBitmap.from_words`` of
         that sub-list's CN row — the canonicalisation lives in one
@@ -376,21 +274,22 @@ class CompressedLevelBatch:
         independent of how a level was cut into chunks.
         """
         universe = WORD_BITS * int(level.cn.shape[1])
-        if not len(level):
-            return cls.empty(universe)
-        return cls.from_parts(
-            tuple(map(tuple, level.prefixes.tolist())),
-            universe,
-            [level.tails],
-            level.n_tails,
-            [batch_encode_words(level.cn, universe)],
+        cn_words, cn_offsets = batch_encode_words(level.cn, universe)
+        return cls(
+            prefixes=level.prefixes,
+            universe=universe,
+            tails=level.tails,
+            tail_offsets=level.offsets,
+            cn_words=cn_words,
+            cn_offsets=cn_offsets,
         )
 
     @classmethod
     def concat(
         cls, batches: "list[CompressedLevelBatch]"
     ) -> "CompressedLevelBatch":
-        """Concatenate batches over the same universe, in order.
+        """Concatenate batches of the same ``k`` and universe (at least
+        one), in order; a single batch is returned as-is, uncopied.
 
         Pure array concatenation — streams are copied verbatim, never
         re-encoded — so the result is byte-for-byte the batch that would
@@ -398,8 +297,6 @@ class CompressedLevelBatch:
         """
         if len(batches) == 1:
             return batches[0]
-        if not batches:
-            return cls.empty(0)
         tails, tail_offsets = _cat(
             [b.tails for b in batches], [b.tail_offsets for b in batches]
         )
@@ -407,9 +304,7 @@ class CompressedLevelBatch:
             [b.cn_words for b in batches], [b.cn_offsets for b in batches]
         )
         return cls(
-            prefixes=tuple(
-                p for b in batches for p in b.prefixes
-            ),
+            prefixes=np.concatenate([b.prefixes for b in batches]),
             universe=batches[0].universe,
             tails=tails,
             tail_offsets=tail_offsets,
@@ -418,10 +313,10 @@ class CompressedLevelBatch:
         )
 
     @classmethod
-    def empty(cls, universe: int) -> "CompressedLevelBatch":
-        """The zero-entry batch over ``universe`` bits."""
+    def empty(cls, k: int, universe: int) -> "CompressedLevelBatch":
+        """The zero-entry batch of ``k``-cliques over ``universe`` bits."""
         return cls(
-            prefixes=(),
+            prefixes=np.zeros((0, k - 1), dtype=np.int64),
             universe=universe,
             tails=np.zeros(0, dtype=np.int64),
             tail_offsets=np.zeros(1, dtype=np.int64),
@@ -432,8 +327,8 @@ class CompressedLevelBatch:
     def rows(self, start: int, end: int) -> "CompressedLevelBatch":
         """Sub-lists ``[start, end)`` as a batch of their own.
 
-        The tails and word arrays are views into this batch, never
-        copies; only the ``end - start + 1`` offsets are rebased.
+        The prefix, tails and word arrays are views into this batch,
+        never copies; only the ``end - start + 1`` offsets are rebased.
         """
         to, co = self.tail_offsets, self.cn_offsets
         return CompressedLevelBatch(
@@ -445,32 +340,11 @@ class CompressedLevelBatch:
             cn_offsets=co[start:end + 1] - co[start],
         )
 
-    # -- conversions -------------------------------------------------------
-
-    def to_entries(self) -> list[CompressedSubList]:
-        """Per-entry view: ``CompressedSubList`` objects sharing the
-        flat arrays (zero copies — tails are views and the bitmap
-        wrappers are read-only views into the batch)."""
-        universe = self.universe
-        to, co = self.tail_offsets, self.cn_offsets
-        cw = self.cn_words
-        cw.setflags(write=False)
-        return [
-            CompressedSubList(
-                prefix=self.prefixes[i],
-                tails=self.tails[to[i]:to[i + 1]],
-                cn=WahBitmap._trusted(universe, cw[co[i]:co[i + 1]]),
-            )
-            for i in range(len(self.prefixes))
-        ]
-
     def to_level(self) -> LevelArrays:
         """Batch-decompress to a :class:`LevelArrays` chunk, via one
-        vectorised CN decode; tails and offsets are shared."""
+        vectorised CN decode; prefixes, tails and offsets are shared."""
         return LevelArrays(
-            prefixes=np.array(self.prefixes, dtype=np.int64).reshape(
-                len(self), -1
-            ),
+            prefixes=self.prefixes,
             tails=self.tails,
             offsets=self.tail_offsets,
             cn=batch_decode_words(
@@ -481,35 +355,40 @@ class CompressedLevelBatch:
 
     # -- accounting --------------------------------------------------------
 
-    def _prefix_indices(self) -> int:
-        """Prefix indices held: every prefix has one length."""
-        p = self.prefixes
-        return len(p) * len(p[0]) if p else 0
-
     def nbytes(self, index_bytes: int = 8, pointer_bytes: int = 8) -> int:
-        """Sum of the per-entry :meth:`CompressedSubList.nbytes`."""
+        """:meth:`LevelArrays.nbytes` with each CN row charged as its
+        WAH words (4 bytes each)."""
         return (
-            (self.tails.size + self._prefix_indices()) * index_bytes
+            (self.tails.size + self.prefixes.size) * index_bytes
             + 4 * self.cn_words.size
-            + pointer_bytes * len(self.prefixes)
+            + pointer_bytes * len(self)
         )
 
     def uncompressed_nbytes(
         self, index_bytes: int = 8, pointer_bytes: int = 8
     ) -> int:
-        """Sum of the per-entry
-        :meth:`CompressedSubList.uncompressed_nbytes`."""
+        """What :meth:`LevelArrays.nbytes` charges for the decompressed
+        chunk, computed without decompressing anything: each CN row is
+        ``universe / 8`` bytes of raw ``uint64`` words (the universe is
+        always a whole number of 64-bit words).  This is the baseline
+        the ``wah`` store reports as *decompressed bytes avoided*."""
         return (
-            (self.tails.size + self._prefix_indices()) * index_bytes
-            + (self.universe // 8 + pointer_bytes) * len(self.prefixes)
+            (self.tails.size + self.prefixes.size) * index_bytes
+            + (self.universe // 8 + pointer_bytes) * len(self)
         )
 
     def __repr__(self) -> str:
         return (
-            f"CompressedLevelBatch(entries={len(self.prefixes)}, "
+            f"CompressedLevelBatch(entries={len(self)}, "
             f"universe={self.universe}, tails={self.tails.size}, "
             f"words={self.cn_words.size})"
         )
+
+
+#: one level chunk, in the form its store holds and its step computes
+#: in: arrays on the ``memory`` and ``disk`` stores, a compressed batch
+#: on ``wah``; both are cut with ``rows`` and joined with ``concat``
+LevelChunk = LevelArrays | CompressedLevelBatch
 
 
 def _cat(

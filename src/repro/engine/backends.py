@@ -86,18 +86,18 @@ def _store_policy(config: EnumerationConfig):
 def _resolve_step(g: Graph, store_name: str, model: str, bitset_step):
     """The generation step the level store fixes.
 
-    Returns ``(step, stream_mode, expander)``.  The ``"memory"`` and
-    ``"disk"`` stores run ``bitset_step`` on raw-word
-    :class:`~repro.core.sublist.LevelArrays` chunks.  The
-    ``"wah"`` store runs a :class:`~repro.core.compressed_domain.
+    Returns ``(step, expander)``.  The ``"memory"`` and ``"disk"``
+    stores run ``bitset_step`` on raw-word
+    :class:`~repro.core.sublist.LevelArrays` chunks.  The ``"wah"``
+    store runs a :class:`~repro.core.compressed_domain.
     CompressedExpander` of the same counter ``model`` on whole
     compressed level batches; the expander also carries the kernel
     telemetry for ``result.domain_stats``.
     """
     if store_name != "wah":
-        return bitset_step, "raw", None
+        return bitset_step, None
     expander = CompressedExpander(g, model=model)
-    return expander.step, "batches", expander
+    return expander.step, expander
 
 
 def _run_sequential(
@@ -110,7 +110,7 @@ def _run_sequential(
 ) -> EnumerationResult:
     """One sequential level-loop run on the configured store."""
     store_factory, io = _store_policy(config)
-    step, stream_mode, expander = _resolve_step(
+    step, expander = _resolve_step(
         g, config.level_store, model, bitset_step
     )
     result = run_level_loop(
@@ -121,7 +121,6 @@ def _run_sequential(
         store_factory=store_factory,
         backend=backend,
         io=io,
-        stream_mode=stream_mode,
     )
     if expander is not None:
         result.domain_stats.update(expander.stats())
@@ -176,7 +175,7 @@ def run_threads(
     (:class:`~repro.parallel.thread_backend.ThreadedExpander`).  A
     chunk that is one range runs on the calling thread.  Everything
     else — seeding, budgets, per-level statistics, all three level
-    stores and their stream modes — is the same
+    stores — is the same
     :func:`~repro.engine.level_loop.run_level_loop` the sequential
     backends run, so output, statistics, and operation counters are
     byte-identical to ``incore``.
@@ -197,7 +196,7 @@ def run_threads(
     )
 
     store_factory, io = _store_policy(config)
-    step, stream_mode, wah_expander = _resolve_step(
+    step, wah_expander = _resolve_step(
         g, config.level_store, "pairs", generate_next_level
     )
     expander = ThreadedExpander(
@@ -214,7 +213,6 @@ def run_threads(
             store_factory=store_factory,
             backend="threads",
             io=io,
-            stream_mode=stream_mode,
         )
     result.n_workers = expander.n_workers
     result.transfers = expander.stolen_ranges

@@ -20,6 +20,11 @@ A backend supplies exactly two policies:
   bit-scan ablation variant, or their compressed-domain counterpart on
   the ``wah`` store).
 
+The store fixes the step, and both deal in one chunk form
+(:data:`~repro.core.sublist.LevelChunk`), so every level runs the same
+path: each streamed chunk goes straight into the step and its children
+straight into the next store.
+
 Everything else — budgets, stats, ordering guarantees — is shared, so a
 new substrate cannot drift from the algorithm.
 """
@@ -50,7 +55,7 @@ from repro.core.kclique import (
     enumerate_k_cliques,  # noqa: F401
     k_core_mask,
 )
-from repro.core.sublist import CompressedLevelBatch, LevelArrays
+from repro.core.sublist import LevelArrays, LevelChunk
 from repro.engine.config import EnumerationConfig
 from repro.engine.level_store import LevelStore
 from repro.obs.runtime import get_observability
@@ -58,13 +63,11 @@ from repro.obs.trace import NULL_SPAN
 
 __all__ = ["make_emitter", "seed_level", "run_level_loop"]
 
-#: one level chunk in either form a store streams: arrays on the
-#: ``memory`` and ``disk`` stores, a compressed batch on ``wah``; a
-#: step returns its children in the form it was given
+#: one step over a level chunk in the form its store streams; it
+#: returns the children in that same form
 GenerationStep = Callable[
-    [LevelArrays | CompressedLevelBatch, Graph, OpCounters,
-     Callable[[tuple[int, ...]], None]],
-    LevelArrays | CompressedLevelBatch,
+    [LevelChunk, Graph, OpCounters, Callable[[tuple[int, ...]], None]],
+    LevelChunk,
 ]
 
 
@@ -197,28 +200,24 @@ def _measure_store(
 
 
 def _fold_store_stats(store: LevelStore, stats: dict) -> None:
-    """Accumulate a retired store's codec traffic into ``domain_stats``.
+    """Accumulate a retired store's bypassed bytes into ``domain_stats``.
 
-    Only the compressed store carries the counters; other substrates
-    contribute nothing (their levels were never compressed, so nothing
-    was decompressed or avoided).
+    Only the compressed store carries the counter; other substrates
+    contribute nothing (their levels were never compressed, so no
+    decompression was avoided).
     """
-    decompressed = getattr(store, "decompressed_bytes", None)
-    if decompressed is None:
-        return
-    stats["decompressed_bytes"] = (
-        stats.get("decompressed_bytes", 0) + decompressed
-    )
-    stats["decompressed_bytes_avoided"] = (
-        stats.get("decompressed_bytes_avoided", 0) + store.bypassed_bytes
-    )
+    bypassed = getattr(store, "bypassed_bytes", None)
+    if bypassed is not None:
+        stats["decompressed_bytes_avoided"] = (
+            stats.get("decompressed_bytes_avoided", 0) + bypassed
+        )
 
 
 def _trace_store_retired(trace, store: LevelStore, k: int) -> None:
     """Emit the ``store`` event for a level store about to retire.
 
     Captured *before* ``close()`` so the store's accounting is still
-    live; the compressed store additionally reports its codec traffic.
+    live; the compressed store additionally reports its bypassed bytes.
     """
     fields = {
         "k": k,
@@ -226,10 +225,9 @@ def _trace_store_retired(trace, store: LevelStore, k: int) -> None:
         "candidates": store.n_candidates,
         "candidate_bytes": store.candidate_bytes,
     }
-    decompressed = getattr(store, "decompressed_bytes", None)
-    if decompressed is not None:
-        fields["decompressed_bytes"] = decompressed
-        fields["bypassed_bytes"] = store.bypassed_bytes
+    bypassed = getattr(store, "bypassed_bytes", None)
+    if bypassed is not None:
+        fields["bypassed_bytes"] = bypassed
     trace.event("store", **fields)
 
 
@@ -242,7 +240,6 @@ def run_level_loop(
     store_factory: Callable[[], LevelStore],
     backend: str,
     io: IOStats | None = None,
-    stream_mode: str = "raw",
 ) -> EnumerationResult:
     """Run the complete level-wise enumeration on one storage substrate.
 
@@ -254,17 +251,9 @@ def run_level_loop(
     size order, canonical order within a size, nothing above ``k_max``.
 
     The seed is appended as one :class:`~repro.core.sublist.LevelArrays`
-    chunk.  ``stream_mode`` selects how later levels flow between the
-    store and the step; either way each step's children are appended
-    whole, one chunk per streamed chunk:
-
-    * ``"raw"`` — ``store.stream()`` yields
-      :class:`~repro.core.sublist.LevelArrays` chunks and the step
-      returns one per chunk (the ``memory`` and ``disk`` stores);
-    * ``"batches"`` — ``store.stream_batches()`` yields whole
-      :class:`~repro.core.sublist.CompressedLevelBatch` objects and the
-      step returns one per chunk, appended via ``append_batch`` (the
-      ``wah`` store, whose level never exists in raw word form).
+    chunk.  Each later level runs one path: ``store.stream()`` yields
+    chunks in the form ``step`` computes in, and each chunk's children
+    are appended whole to the next store, one chunk per streamed chunk.
     """
     k_min = config.k_min  # k_max >= k_min is the config's own invariant
     counters = OpCounters()
@@ -321,23 +310,15 @@ def run_level_loop(
             span = (
                 trace.span(
                     "level", k=level, backend=backend,
-                    stream=stream_mode, parents=store.n_sublists,
+                    store=config.level_store, parents=store.n_sublists,
                 )
                 if trace is not None else NULL_SPAN
             )
             with span:
                 next_store = store_factory()
                 try:
-                    if stream_mode == "batches":
-                        stream = store.stream_batches()
-                    else:
-                        stream = store.stream()
-                    for chunk in stream:
-                        children = step(chunk, g, counters, emit)
-                        if stream_mode == "batches":
-                            next_store.append_batch(children)
-                        else:
-                            next_store.append(children)
+                    for chunk in store.stream():
+                        next_store.append(step(chunk, g, counters, emit))
                 except BaseException:
                     next_store.close()
                     raise

@@ -6,18 +6,21 @@ expansion.  :class:`LevelStore` captures that single-pass contract plus
 the accounting the level loop needs (``N[k]``, ``M[k]``, measured bytes
 — the paper's per-level statistics), so the storage substrate becomes a
 policy choice (:attr:`repro.engine.config.EnumerationConfig.level_store`).
-Every store takes and yields level chunks as
-:class:`~repro.core.sublist.LevelArrays` — the form the generation step
-computes in — so no per-sub-list object sits between store and step:
+Each store takes and yields exactly the level chunk form
+(:data:`~repro.core.sublist.LevelChunk`) its generation step computes
+in, so no per-sub-list object — and no conversion — sits between store
+and step:
 
-* :class:`MemoryLevelStore` — candidates stay in RAM as the appended
-  arrays; streaming yields the whole level as one chunk so the
-  generation step keeps its full cross-sub-list batching (the paper's
-  in-core mode);
-* :class:`~repro.core.out_of_core.DiskLevelStore` — candidates spill to
-  disk and stream back chunk by chunk with counted I/O (the retired
-  out-of-core mode, kept measurable);
-* :class:`CompressedLevelStore` — common-neighbor strings held
+* :class:`MemoryLevelStore` — :class:`~repro.core.sublist.LevelArrays`
+  chunks held in RAM as appended; streaming yields the whole level as
+  one chunk so the generation step keeps its full cross-sub-list
+  batching (the paper's in-core mode);
+* :class:`~repro.core.out_of_core.DiskLevelStore` —
+  :class:`~repro.core.sublist.LevelArrays` rows spilled to disk as raw
+  array records and streamed back record by record with counted I/O
+  (the retired out-of-core mode, kept measurable);
+* :class:`CompressedLevelStore` — :class:`~repro.core.sublist.
+  CompressedLevelBatch` chunks, common-neighbor strings held
   WAH-compressed (:mod:`repro.core.compressed`), realising the paper's
   closing remark that the sparse bitmap index "can potentially provide
   high compression rate"; the level streams back still compressed, and
@@ -35,14 +38,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Iterator
 
-from repro.errors import LevelStoreError, ParameterError
+from repro.errors import LevelStoreError
 from repro.core.clique_enumerator import INDEX_BYTES, POINTER_BYTES
 from repro.core.out_of_core import DiskLevelStore
-from repro.core.sublist import (
-    CompressedLevelBatch,
-    CompressedSubList,
-    LevelArrays,
-)
+from repro.core.sublist import CompressedLevelBatch, LevelArrays, LevelChunk
 
 __all__ = [
     "LevelStore",
@@ -56,9 +55,9 @@ class LevelStore(ABC):
     """Single-pass storage for one level of candidate sub-lists.
 
     Contract: ``append`` the complete level as one or more
-    :class:`~repro.core.sublist.LevelArrays` chunks, then ``stream`` it
-    back exactly once (in insertion order, as chunks), then ``close``.
-    An empty chunk stores nothing.  The
+    :data:`~repro.core.sublist.LevelChunk` chunks of the store's form,
+    then ``stream`` it back exactly once (in insertion order, as chunks
+    of that form), then ``close``.  An empty chunk stores nothing.  The
     contract is enforced — a second ``stream()`` or a late ``append()``
     raises :class:`~repro.errors.LevelStoreError`.  The accounting
     properties must reflect everything appended so far; the level loop
@@ -67,7 +66,7 @@ class LevelStore(ABC):
     """
 
     @abstractmethod
-    def append(self, level: LevelArrays) -> None:
+    def append(self, level: LevelChunk) -> None:
         """Add a chunk of sub-lists to the level."""
 
     @abstractmethod
@@ -90,7 +89,7 @@ class LevelStore(ABC):
         """Measured candidate storage of this level, in bytes."""
 
     @abstractmethod
-    def stream(self) -> Iterator[LevelArrays]:
+    def stream(self) -> Iterator[LevelChunk]:
         """Yield the sub-lists back in insertion order, chunk by chunk."""
 
     @abstractmethod
@@ -171,6 +170,13 @@ class MemoryLevelStore(LevelStore):
         self._chunks = []
 
 
+#: rows of an appended :class:`~repro.core.sublist.LevelArrays` chunk
+#: (the seed level) encoded per stored part: ``batch_encode_words``
+#: unpacks each row to about 10 bytes per bit, so encoding a wide seed
+#: whole would scale the transient with the level's width
+ENCODE_ROWS = 256
+
+
 class CompressedLevelStore(LevelStore):
     """WAH-compressed in-memory level store — the paper's "work underway".
 
@@ -185,50 +191,20 @@ class CompressedLevelStore(LevelStore):
     in a universe of thousands, where WAH shrinks them by an order of
     magnitude.
 
-    :meth:`append` (the seed level, as a
-    :class:`~repro.core.sublist.LevelArrays` chunk) batch-encodes the
-    chunk ``chunk_size`` rows at a time through
-    :meth:`~repro.core.sublist.CompressedLevelBatch.from_level`;
-    :meth:`append_batch` stores a whole batch as-is, which is how the
-    compressed-domain step (:class:`~repro.core.compressed_domain.
-    CompressedExpander`, the step every backend runs on this store)
-    hands back its children.  The WAH encoding is canonical, so stored
-    words — and therefore every accounting property — are
-    byte-identical to encoding each sub-list on its own.
-
-    Three streams read the level back, each in insertion order and
-    under one single-pass contract (one streaming pass total, whichever
-    method starts it):
-
-    * :meth:`stream_batches` yields the stored batches coalesced into
-      one, never decompressing — the stream the level loop runs;
-    * :meth:`stream` decompresses one stored part at a time (a
-      ``chunk_size`` run of appended rows, or one appended batch) into
-      a :class:`~repro.core.sublist.LevelArrays` chunk, so only that
-      part's full-width bit strings are live;
-    * :meth:`stream_entries` yields per-entry
-      :class:`~repro.core.sublist.CompressedSubList` views over the
-      stored arrays, without decompressing the CN strings.
-
-    The two counters :attr:`decompressed_bytes` /
-    :attr:`bypassed_bytes` record which path each streamed byte took,
-    feeding the run's ``domain_stats["decompressed_bytes"]`` /
-    ``["decompressed_bytes_avoided"]`` telemetry.
-
-    Parameters
-    ----------
-    chunk_size:
-        Appended rows encoded per stored part.  Larger parts keep more
-        of a decompressing consumer's cross-sub-list batching; smaller
-        parts bound its transient decompressed working set.
+    :meth:`append` stores a batch as-is — how the compressed-domain
+    step (:class:`~repro.core.compressed_domain.CompressedExpander`,
+    the step every backend runs on this store) hands back its children
+    — and batch-encodes a :class:`~repro.core.sublist.LevelArrays`
+    chunk (the seed level) :data:`ENCODE_ROWS` rows per stored part.
+    The WAH encoding is canonical, so stored words — and therefore
+    every accounting property — are byte-identical however the level
+    was cut.  :meth:`stream` yields the stored parts coalesced into one
+    batch, never decompressed, and adds its raw-equivalent bytes to
+    :attr:`bypassed_bytes` — the run's
+    ``domain_stats["decompressed_bytes_avoided"]``.
     """
 
-    def __init__(self, chunk_size: int = 256):
-        if chunk_size < 1:
-            raise ParameterError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
-        self.chunk_size = chunk_size
+    def __init__(self) -> None:
         #: the stored batches, in insertion order
         self._parts: list[CompressedLevelBatch] = []
         self._n_sublists = 0
@@ -236,50 +212,37 @@ class CompressedLevelStore(LevelStore):
         self._candidate_bytes = 0
         self._uncompressed_bytes = 0
         self._streamed = False
-        #: raw-word bytes materialised by the decompressing stream().
-        self.decompressed_bytes = 0
         #: raw-equivalent bytes streamed without decompressing — the
         #: "decompressed bytes avoided".
         self.bypassed_bytes = 0
 
-    def append(self, level: LevelArrays) -> None:
-        """Encode a chunk of raw-word sub-lists, ``chunk_size`` rows
-        per stored part."""
+    def append(self, level: LevelChunk) -> None:
+        """Store a compressed batch, or encode a raw-word chunk
+        :data:`ENCODE_ROWS` rows per stored part."""
         if self._streamed:
             raise LevelStoreError(
                 "append() after stream(): the level store is single-pass"
             )
-        for start in range(0, len(level), self.chunk_size):
-            end = min(start + self.chunk_size, len(level))
-            self._store_batch(
-                CompressedLevelBatch.from_level(level.rows(start, end))
-            )
-
-    def _store_batch(self, batch: CompressedLevelBatch) -> None:
-        # batch.nbytes()/uncompressed_nbytes() equal the per-entry sums
-        # exactly (same formulas over the same canonical words), so the
-        # bulk charge is byte-identical to entry-at-a-time accounting.
-        self._parts.append(batch)
-        self._n_sublists += len(batch)
-        self._n_candidates += int(batch.n_tails.sum())
-        self._candidate_bytes += batch.nbytes(INDEX_BYTES, POINTER_BYTES)
-        self._uncompressed_bytes += batch.uncompressed_nbytes(
-            INDEX_BYTES, POINTER_BYTES
-        )
-
-    def append_batch(self, batch: CompressedLevelBatch) -> None:
-        """Store a whole compressed level batch.
-
-        The batch is held as-is — one part, no per-entry objects — and
-        accounted in bulk; :meth:`stream_batches` later yields it back
-        untouched, so the level loop never materialises an entry.
-        """
-        if self._streamed:
-            raise LevelStoreError(
-                "append() after stream(): the level store is single-pass"
-            )
-        if len(batch):
-            self._store_batch(batch)
+        if isinstance(level, CompressedLevelBatch):
+            parts = [level]
+        else:
+            parts = [
+                CompressedLevelBatch.from_level(
+                    level.rows(start, min(start + ENCODE_ROWS, len(level)))
+                )
+                for start in range(0, len(level), ENCODE_ROWS)
+            ]
+        for part in parts:
+            if len(part):
+                self._parts.append(part)
+                self._n_sublists += len(part)
+                self._n_candidates += int(part.tails.size)
+                self._candidate_bytes += part.nbytes(
+                    INDEX_BYTES, POINTER_BYTES
+                )
+                self._uncompressed_bytes += part.uncompressed_nbytes(
+                    INDEX_BYTES, POINTER_BYTES
+                )
 
     def __len__(self) -> int:
         return self._n_sublists
@@ -311,43 +274,21 @@ class CompressedLevelStore(LevelStore):
             return 1.0
         return self._uncompressed_bytes / self._candidate_bytes
 
-    def _begin_stream(self) -> list[CompressedLevelBatch]:
-        """Start the single streaming pass; the stored parts."""
-        self._streamed = True
-        return self._parts
-
-    def stream(self) -> Iterator[LevelArrays]:
-        """Decompress and yield one stored part at a time."""
-        if self._streamed:
-            raise LevelStoreError(
-                "stream() called twice on a single-pass level store"
-            )
-        return self._stream(self._begin_stream())
-
-    def _stream(
-        self, parts: list[CompressedLevelBatch]
-    ) -> Iterator[LevelArrays]:
-        for part in parts:
-            self.decompressed_bytes += part.uncompressed_nbytes(
-                INDEX_BYTES, POINTER_BYTES
-            )
-            yield part.to_level()
-
-    def stream_batches(self) -> Iterator[CompressedLevelBatch]:
+    def stream(self) -> Iterator[CompressedLevelBatch]:
         """Yield the whole level as one :class:`CompressedLevelBatch`.
 
-        The stored parts are coalesced: the consumer's per-call fixed
-        cost dominates the array concat, and nothing decompresses
-        either way, so there is no working-set concern.  The words never
-        leave compressed form.
+        The stored parts are coalesced: the step's per-call fixed cost
+        dominates the array concat, and nothing decompresses either
+        way, so there is no working-set concern.
         """
         if self._streamed:
             raise LevelStoreError(
                 "stream() called twice on a single-pass level store"
             )
-        return self._stream_batches(self._begin_stream())
+        self._streamed = True
+        return self._stream(self._parts)
 
-    def _stream_batches(
+    def _stream(
         self, parts: list[CompressedLevelBatch]
     ) -> Iterator[CompressedLevelBatch]:
         if parts:
@@ -357,28 +298,11 @@ class CompressedLevelStore(LevelStore):
             )
             yield merged
 
-    def stream_entries(self) -> Iterator[list[CompressedSubList]]:
-        """Yield per-entry views of the stored parts, never
-        decompressing.
-
-        Each chunk is one stored part as :class:`CompressedSubList`
-        objects sharing its word arrays
-        (:meth:`~repro.core.sublist.CompressedLevelBatch.to_entries`).
-        """
-        if self._streamed:
-            raise LevelStoreError(
-                "stream() called twice on a single-pass level store"
-            )
-        return self._stream_entries(self._begin_stream())
-
-    def _stream_entries(
-        self, parts: list[CompressedLevelBatch]
-    ) -> Iterator[list[CompressedSubList]]:
-        for part in parts:
-            self.bypassed_bytes += part.uncompressed_nbytes(
-                INDEX_BYTES, POINTER_BYTES
-            )
-            yield part.to_entries()
+    # nothing calls these; perfbench's layer spans wrap them by name
+    # (perfbench/spans.py TARGETS)
+    append_batch = append
+    stream_batches = stream
+    stream_entries = stream
 
     def close(self) -> None:
         """Drop the compressed level."""

@@ -54,7 +54,6 @@ METRIC_NAMES = (
     "repro_peak_paper_formula_bytes",
     "repro_kernel_word_ops_total",
     "repro_kernel_ands_total",
-    "repro_decompressed_bytes_total",
     "repro_decompressed_bytes_avoided_total",
     "repro_adj_rows_compressed_total",
     "repro_domain_stats_total",
@@ -99,7 +98,6 @@ _COUNTER_FIELDS = (
 _DOMAIN_FIELDS = {
     "kernel_word_ops": "repro_kernel_word_ops_total",
     "kernel_ands": "repro_kernel_ands_total",
-    "decompressed_bytes": "repro_decompressed_bytes_total",
     "decompressed_bytes_avoided": "repro_decompressed_bytes_avoided_total",
     "adj_rows_compressed": "repro_adj_rows_compressed_total",
 }
@@ -107,7 +105,6 @@ _DOMAIN_FIELDS = {
 _DOMAIN_HELP = {
     "kernel_word_ops": "Compressed WAH words touched by the AND kernels.",
     "kernel_ands": "Compressed-domain AND kernel invocations.",
-    "decompressed_bytes": "Sub-list bytes materialised in raw form.",
     "decompressed_bytes_avoided":
         "Raw bytes that stayed WAH-compressed end to end.",
     "adj_rows_compressed": "Adjacency rows encoded into the WAH cache.",

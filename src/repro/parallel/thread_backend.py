@@ -51,7 +51,7 @@ from repro.errors import ParameterError
 from repro.core.clique_enumerator import generate_next_level, pair_batches
 from repro.core.counters import OpCounters
 from repro.core.graph import Graph
-from repro.core.sublist import CompressedLevelBatch, LevelArrays
+from repro.core.sublist import LevelChunk
 from repro.obs.runtime import get_observability
 from repro.parallel.load_balancer import StealingWorkQueue
 
@@ -74,13 +74,9 @@ DEFAULT_STEAL_GRANULARITY = 4
 #: and the partial delivery before a budget trip — bounded.
 EMIT_BATCH = 1024
 
-#: one store chunk, in either form a level store streams; both are cut
-#: with ``rows(start, end)`` and joined with ``concat``
-Chunk = LevelArrays | CompressedLevelBatch
-
 
 def level_ranges(
-    chunk: Chunk, n_words: int
+    chunk: LevelChunk, n_words: int
 ) -> tuple[list[tuple[int, int]], list[int]]:
     """The work units of one store chunk: ranges and their estimates.
 
@@ -194,11 +190,11 @@ class ThreadedExpander:
 
     def step(
         self,
-        chunk: Chunk,
+        chunk: LevelChunk,
         g: Graph,
         counters: OpCounters,
         emit: Callable[[tuple[int, ...]], None],
-    ) -> Chunk:
+    ) -> LevelChunk:
         """One store chunk of generation, fanned across the pool.
 
         The chunk is cut into ranges (:func:`level_ranges`); one range
@@ -298,7 +294,7 @@ class ThreadedExpander:
         self,
         worker: int,
         queue: StealingWorkQueue,
-        parts: list[Chunk],
+        parts: list[LevelChunk],
         g: Graph,
         results: list,
         stop: threading.Event,

@@ -10,7 +10,7 @@ from repro.core.generators import erdos_renyi, planted_clique
 from repro.core.out_of_core import DiskLevelStore, IOStats
 from repro.core.sublist import CliqueSubList, LevelArrays
 from repro.engine import EnumerationConfig, run_enumeration
-from repro.errors import ParameterError
+from repro.errors import LevelStoreError, ParameterError
 
 
 def _sl(prefix, tails, n=32):
@@ -73,6 +73,16 @@ class TestDiskLevelStore:
             chunks = list(store.stream())
         assert [len(c) for c in chunks] == [4, 4, 2]
         assert stats.write_ops == 3
+        # appends of several rows fill records across append boundaries
+        level = [_sl([i], [i + 1, i + 2 + i % 3]) for i in range(11)]
+        with DiskLevelStore(tmp_path, chunk_size=4) as store:
+            for a, b in ((0, 1), (1, 6), (6, 8), (8, 11)):
+                store.append(LevelArrays.concat(level[a:b]))
+            chunks = list(store.stream())
+        assert [len(c) for c in chunks] == [4, 4, 3]
+        whole, back = LevelArrays.concat(level), LevelArrays.concat(chunks)
+        for field in ("prefixes", "tails", "offsets", "cn"):
+            assert np.array_equal(getattr(back, field), getattr(whole, field))
 
     def test_invalid_chunk_size(self):
         with pytest.raises(ParameterError):
@@ -82,6 +92,33 @@ class TestDiskLevelStore:
         with DiskLevelStore() as store:
             store.append(_sl([0], [1, 2]))
             assert len(list(store.stream())) == 1
+
+    def _spilled(self, tmp_path):
+        """A store whose records are on disk, and its unread stream."""
+        store = DiskLevelStore(tmp_path, chunk_size=1)
+        for i in range(3):
+            store.append(_sl([i], [i + 1, i + 2]))
+        chunks = store.stream()  # flushes and closes the spill file
+        (path,) = tmp_path.glob("*.spill")
+        return store, chunks, path
+
+    def test_truncated_spill_raises(self, tmp_path):
+        store, chunks, path = self._spilled(tmp_path)
+        with path.open("r+b") as fh:
+            fh.truncate(path.stat().st_size - 5)
+        with pytest.raises(LevelStoreError, match="past the end"):
+            list(chunks)
+        store.close()
+        assert list(tmp_path.glob("*.spill")) == []
+
+    def test_header_disagreeing_with_length_raises(self, tmp_path):
+        store, chunks, path = self._spilled(tmp_path)
+        with path.open("r+b") as fh:
+            fh.seek(8)  # the first record's row count
+            fh.write((2).to_bytes(8, "little"))
+        with pytest.raises(LevelStoreError, match="disagrees"):
+            list(chunks)
+        store.close()
 
 
 class TestOocDriver:
@@ -124,6 +161,23 @@ class TestOocDriver:
     def test_invalid_range(self):
         with pytest.raises(ParameterError):
             _ooc(erdos_renyi(5, 0.5, seed=0), k_min=4, k_max=3)
+
+    def test_spilled_bytes_follow_the_level_alone(self):
+        """Every backend spills the same records, so the same bytes:
+        the levels here span several records, and a record mixes rows
+        from different appended chunks."""
+        g = erdos_renyi(120, 0.2, seed=1)
+        runs = {
+            backend: run_enumeration(g, EnumerationConfig(
+                backend=backend, level_store="disk", k_min=1, **jobs
+            ))
+            for backend, jobs in (
+                ("incore", {}), ("bitscan", {}), ("threads", {"jobs": 2}),
+            )
+        }
+        assert max(s.n_sublists for s in runs["incore"].level_stats) > 256
+        assert runs["bitscan"].io == runs["incore"].io
+        assert runs["threads"].io == runs["incore"].io
 
     def test_explicit_directory(self, tmp_path):
         g = erdos_renyi(20, 0.35, seed=5)

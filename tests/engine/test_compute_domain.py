@@ -31,13 +31,14 @@ from repro.core.generators import (
     planted_clique,
 )
 from repro.core.graph import Graph
-from repro.core.sublist import CompressedLevelBatch, CompressedSubList
+from repro.core.sublist import CompressedLevelBatch
 from repro.engine import (
     EnumerationConfig,
     EnumerationEngine,
     get_backend,
     resolve_for_backend,
 )
+from repro.engine import level_store
 from repro.engine.level_store import CompressedLevelStore
 
 ENGINE = EnumerationEngine()
@@ -150,20 +151,6 @@ class TestDomainTelemetry:
         assert stats["kernel_ands"] > 0
         assert stats["adj_rows_compressed"] > 0
 
-    def test_at_rest_path_reports_codec_traffic(self, graph):
-        """The wah store's decompressing ``stream`` — the at-rest path,
-        which no step runs but the store contract keeps — counts the
-        raw bytes it materialises and bypasses none."""
-        from repro.core.counters import OpCounters
-        from repro.engine.level_loop import seed_level
-
-        _, seed = seed_level(graph, 2, OpCounters(), lambda c: None)
-        store = CompressedLevelStore(chunk_size=4)
-        store.append(seed)
-        assert sum(len(chunk) for chunk in store.stream()) == len(seed)
-        assert store.decompressed_bytes > 0
-        assert store.bypassed_bytes == 0
-
     def test_bitset_on_raw_stores_reports_nothing(self, graph):
         for store in ("memory", "disk"):
             res = ENGINE.run(graph, EnumerationConfig(
@@ -180,54 +167,32 @@ class TestDomainTelemetry:
 class TestCompressedStream:
     """The zero-round-trip store surface the wah store's step rides on."""
 
-    def _store_with(self, g, k=3):
-        store = CompressedLevelStore(chunk_size=2)
+    def _store_with(self, g):
         from repro.core.counters import OpCounters
         from repro.engine.level_loop import seed_level
 
+        store = CompressedLevelStore()
         _, seed = seed_level(g, 2, OpCounters(), lambda c: None)
         store.append(seed)
         return store
 
-    def test_stream_entries_yields_compressed(self):
-        g, _ = planted_clique(40, 6, 0.1, seed=3)
-        store = self._store_with(g)
-        chunks = list(store.stream_entries())
-        assert chunks
-        assert all(
-            isinstance(e, CompressedSubList)
-            for chunk in chunks
-            for e in chunk
-        )
-        assert store.bypassed_bytes > 0
-        assert store.decompressed_bytes == 0
-
-    def test_stream_entries_shares_single_pass_contract(self):
-        from repro.errors import LevelStoreError
-
-        g, _ = planted_clique(40, 6, 0.1, seed=3)
-        store = self._store_with(g)
-        list(store.stream_entries())
-        with pytest.raises(LevelStoreError, match="single-pass"):
-            store.stream()
-        store2 = self._store_with(g)
-        list(store2.stream())
-        with pytest.raises(LevelStoreError, match="single-pass"):
-            store2.stream_entries()
-
-    def test_native_compressed_append_identical_accounting(self):
+    def test_native_compressed_append_identical_accounting(
+        self, monkeypatch
+    ):
         """Appending a compressed batch (what the compressed step
-        produces) charges the same bytes as compressing the equivalent
-        raw sub-lists (what seeding appends) — so per-level stats do
-        not depend on which path filled the store."""
+        produces) charges the same bytes as encoding the equivalent
+        raw chunk in several parts (what seeding appends) — so
+        per-level stats do not depend on which path filled the store."""
+        monkeypatch.setattr(level_store, "ENCODE_ROWS", 2)
         g, _ = planted_clique(40, 6, 0.1, seed=3)
         raw_store = self._store_with(g)
-        native_store = CompressedLevelStore(chunk_size=2)
+        native_store = CompressedLevelStore()
         from repro.core.counters import OpCounters
         from repro.engine.level_loop import seed_level
 
         _, seed = seed_level(g, 2, OpCounters(), lambda c: None)
-        native_store.append_batch(CompressedLevelBatch.from_level(seed))
+        assert len(seed) > 2
+        native_store.append(CompressedLevelBatch.from_level(seed))
         assert native_store.candidate_bytes == raw_store.candidate_bytes
         assert native_store.n_candidates == raw_store.n_candidates
         assert (

@@ -22,7 +22,6 @@ from repro.core.generators import erdos_renyi, overlapping_cliques
 from repro.core.sublist import (
     CliqueSubList,
     CompressedLevelBatch,
-    CompressedSubList,
     LevelArrays,
 )
 from repro.engine import (
@@ -33,6 +32,7 @@ from repro.engine import (
     EnumerationEngine,
     LevelStore,
     MemoryLevelStore,
+    level_store,
     run_enumeration,
 )
 from repro.engine.level_loop import seed_level
@@ -58,11 +58,16 @@ def _sl(prefix, tails, n=256):
 
 
 def _key(chunks):
-    """Every streamed sub-list as (prefix, tails, CN bytes)."""
+    """Every streamed sub-list as (prefix, tails, CN bytes); a
+    compressed batch is compared decompressed."""
     return [
         (sl.prefix, sl.tails.tolist(), sl.cn_words.tobytes())
         for chunk in chunks
-        for sl in chunk.to_sublists()
+        for sl in (
+            chunk.to_level()
+            if isinstance(chunk, CompressedLevelBatch)
+            else chunk
+        ).to_sublists()
     ]
 
 
@@ -115,7 +120,10 @@ class TestSinglePassContract:
 
 
 class TestArrayChunks:
-    """Every store takes and yields level chunks as ``LevelArrays``."""
+    """Every store takes ``LevelArrays`` chunks (the seed) and yields
+    the chunk form its step computes in: ``LevelArrays`` on the
+    ``memory`` and ``disk`` stores, ``CompressedLevelBatch`` on
+    ``wah``."""
 
     @pytest.mark.parametrize("name", LEVEL_STORES)
     def test_two_chunks_stream_in_insertion_order(self, name, tmp_path):
@@ -126,7 +134,8 @@ class TestArrayChunks:
         store.append(second)
         assert (store.n_sublists, store.n_candidates) == (4, 9)
         chunks = list(store.stream())
-        assert all(isinstance(c, LevelArrays) for c in chunks)
+        form = CompressedLevelBatch if name == "wah" else LevelArrays
+        assert all(isinstance(c, form) for c in chunks)
         assert _key(chunks) == _key([first, second])
         store.close()
 
@@ -182,35 +191,47 @@ class TestArrayChunks:
 
 
 class TestNoSubListObjects:
-    """``incore`` and ``threads`` on the ``memory`` store never build a
-    ``CliqueSubList``: the level stays arrays from seed to step to
-    store."""
+    """No backend on any store builds a ``CliqueSubList`` or a
+    ``WahBitmap``: every level stays in its store's chunk form from
+    seed to step to store."""
 
     @pytest.mark.parametrize("k_min", [1, 3])
-    @pytest.mark.parametrize("backend", ["incore", "threads"])
+    @pytest.mark.parametrize("backend", STORE_BACKENDS)
     def test_no_sub_list_is_built(self, backend, k_min, monkeypatch):
         # overlapping modules over a dense background: several levels,
         # each emitting cliques from many sub-lists, so a range merged
         # out of order changes the clique sequence
         g, _ = overlapping_cliques(80, [9, 8, 7], 3, p=0.1, seed=4)
-        ref = run_enumeration(g, EnumerationConfig(k_min=k_min))
+        jobs = {"jobs": 2} if backend == "threads" else {}
+        configs = {
+            store: EnumerationConfig(
+                backend=backend, k_min=k_min, level_store=store, **jobs
+            )
+            for store in LEVEL_STORES
+        }
+        refs = {
+            store: run_enumeration(g, config)
+            for store, config in configs.items()
+        }
 
-        def trap(self, *args, **kwargs):
-            raise AssertionError("a CliqueSubList was built")
+        def trap(*args, **kwargs):
+            raise AssertionError("a per-sub-list object was built")
 
         monkeypatch.setattr(CliqueSubList, "__init__", trap)
+        monkeypatch.setattr(WahBitmap, "__init__", trap)
+        monkeypatch.setattr(WahBitmap, "_trusted", trap)
         # every sub-list its own range, so `threads` starts its pool
         monkeypatch.setattr(clique_enumerator, "PAIR_BATCH_BYTES", 0)
-        jobs = {"jobs": 2} if backend == "threads" else {}
-        res = run_enumeration(
-            g, EnumerationConfig(backend=backend, k_min=k_min, **jobs)
-        )
-        assert res.cliques == ref.cliques
-        assert res.level_stats == ref.level_stats
-        assert res.counters.snapshot() == ref.counters.snapshot()
-        assert res.completed == ref.completed
-        if backend == "threads":
-            assert res.load_balance is not None
+        for store, config in configs.items():
+            ref, res = refs[store], run_enumeration(g, config)
+            assert res.cliques == ref.cliques, store
+            assert res.level_stats == ref.level_stats, store
+            assert res.counters.snapshot() == ref.counters.snapshot(), store
+            assert res.completed == ref.completed, store
+            assert res.domain_stats == ref.domain_stats, store
+            assert res.io == ref.io, store
+            if backend == "threads":
+                assert res.load_balance is not None, store
 
 
 class TestCompressedLevelStore:
@@ -238,60 +259,24 @@ class TestCompressedLevelStore:
         assert len(streamed) == len(items)
         assert streamed == _key(items)
 
-    def test_stream_chunks_bound_decompression(self):
-        store = CompressedLevelStore(chunk_size=2)
-        store.append(
-            LevelArrays.concat([_sl([i], [i + 1, i + 2]) for i in range(5)])
-        )
-        chunks = [len(c) for c in store.stream()]
-        assert chunks == [2, 2, 1]
-
     def test_empty_store_streams_nothing(self):
         assert list(CompressedLevelStore().stream()) == []
 
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ParameterError):
-            CompressedLevelStore(chunk_size=0)
-
-    @pytest.mark.parametrize(
-        "stream", ["stream", "stream_entries", "stream_batches"]
-    )
-    def test_mixed_appends_stream_in_insertion_order(self, stream):
-        """Raw appends wait in a buffer for batch encoding; batches
-        stored meanwhile must not overtake them."""
+    def test_mixed_appends_stream_in_insertion_order(self):
+        """Raw chunks are encoded as they are appended; batches stored
+        between them must not overtake them."""
         store = CompressedLevelStore()
         store.append(_sl([0], [1, 2]))
         store.append(_sl([1], [2, 3]))
-        store.append_batch(CompressedLevelBatch.from_level(_sl([2], [3, 4])))
+        store.append(CompressedLevelBatch.from_level(_sl([2], [3, 4])))
         store.append(_sl([3], [4, 5]))
-        store.append_batch(CompressedLevelBatch.from_level(_sl([4], [5, 6])))
+        store.append(CompressedLevelBatch.from_level(_sl([4], [5, 6])))
         store.append(_sl([5], [6, 7]))
-        prefixes = [
-            prefix
-            for chunk in getattr(store, stream)()
-            for prefix in (
-                map(tuple, chunk.prefixes.tolist())
-                if isinstance(chunk, LevelArrays)
-                else chunk.prefixes
-                if isinstance(chunk, CompressedLevelBatch)
-                else [sl.prefix for sl in chunk]
-            )
-        ]
-        assert prefixes == [(i,) for i in range(6)]
+        (chunk,) = store.stream()
+        assert isinstance(chunk, CompressedLevelBatch)
+        assert chunk.prefixes.tolist() == [[i] for i in range(6)]
 
-    def test_entries_are_compressed_sublists(self):
-        store = CompressedLevelStore()
-        store.append(_sl([0], [1, 2]))
-        ((entry,),) = store.stream_entries()
-        assert isinstance(entry, CompressedSubList)
-        assert len(entry) == 2
-        # the CN string stays compressed; tails are the index array
-        assert entry.cn.count() == 2
-        assert entry.tails.dtype == np.int64
-        assert entry.tails.tolist() == [1, 2]
-        assert list(entry.cn.iter_indices()) == [1, 2]
-
-    def test_stores_differ_only_in_the_cn_term(self):
+    def test_stores_differ_only_in_the_cn_term(self, monkeypatch):
         """The wah store charges exactly what the memory store does,
         with each raw CN string replaced by its WAH words: tails,
         prefixes and pointers are held once, as indices."""
@@ -299,7 +284,8 @@ class TestCompressedLevelStore:
             300, [9, 8, 7], overlap=3, p=0.02, seed=4
         )
         _, seed = seed_level(g, 2, OpCounters(), lambda c: None)
-        mem, wah = MemoryLevelStore(), CompressedLevelStore(chunk_size=7)
+        monkeypatch.setattr(level_store, "ENCODE_ROWS", 7)
+        mem, wah = MemoryLevelStore(), CompressedLevelStore()
         mem.append(seed)
         wah.append(seed)
         raw_cn = sum(sl.cn_words.nbytes for sl in seed.to_sublists())

@@ -183,11 +183,11 @@ class TestThreadsJobRecords:
         assert [r["fields"]["k"] for r in levels] == [3, 4]
         for record in levels:
             assert set(record["fields"]) == {
-                "k", "backend", "stream", "parents",
+                "k", "backend", "store", "parents",
                 "sublists", "candidates", "emitted", "candidate_bytes",
             }
             assert record["fields"]["backend"] == "threads"
-            assert record["fields"]["stream"] == "raw"
+            assert record["fields"]["store"] == "memory"
         assert steals
         for record in steals:
             assert record["kind"] == "event"

@@ -33,7 +33,7 @@ from repro.core.generators import (
     star_graph,
 )
 from repro.core.graph import Graph
-from repro.core.sublist import CompressedSubList, LevelArrays
+from repro.core.sublist import LevelArrays
 from repro.engine import EnumerationConfig, EnumerationEngine
 from repro.parallel import thread_backend as tb
 from repro.parallel.thread_backend import (
@@ -323,26 +323,6 @@ class TestRanges:
             assert res.cliques == ref.cliques, store
             assert res.load_balance is None
             assert res.transfers == 0
-
-    def test_threads_on_wah_builds_no_compressed_sublist(
-        self, monkeypatch
-    ):
-        """Workers read row slices of the level batch; no level is ever
-        split into per-entry objects."""
-        def trap(self, *args, **kwargs):
-            raise AssertionError("CompressedSubList built")
-
-        monkeypatch.setattr(CompressedSubList, "__init__", trap)
-        g = planted_partition(
-            60, [9, 8, 7], p_in=0.9, p_out=0.04, seed=11
-        )[0]
-        ref = _run(g, backend="incore", k_min=1, level_store="wah")
-        res = _run(g, jobs=4, k_min=1, level_store="wah")
-        assert res.load_balance is not None
-        assert res.cliques == ref.cliques
-        assert res.level_stats == ref.level_stats
-        assert res.counters.snapshot() == ref.counters.snapshot()
-        assert res.domain_stats == ref.domain_stats
 
 
 class TestEmissionBatching:
