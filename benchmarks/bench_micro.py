@@ -80,28 +80,31 @@ def bench_common_neighbors_chain(benchmark):
 
 @pytest.fixture(scope="module")
 def wah_batch():
-    """512 paired WAH streams over the paper's 12,422-bit universe."""
-    n = 12422
+    """512 paired WAH streams drawn from the paper's 12,422 probe sets,
+    over the 64-bit-padded 12,480-bit universe of the genome graph's
+    CN strings; the second stream of each pair also as a raw ``uint64``
+    row, the form the step's adjacency operand takes."""
+    n, universe = 12422, 12480
     rng = random.Random(7)
-    ng = (n + wk.GROUP_BITS - 1) // wk.GROUP_BITS
+    ng = (universe + wk.GROUP_BITS - 1) // wk.GROUP_BITS
 
     def stream():
         # clustered sparse indices: realistic fill/literal alternation
         density = rng.choice([0.002, 0.01, 0.05])
         return WahBitmap.from_indices(
-            n, [i for i in range(n) if rng.random() < density]
+            universe, [i for i in range(n) if rng.random() < density]
         ).wah_words()
 
     a = [stream() for _ in range(512)]
     b = [stream() for _ in range(512)]
     aw, ao = wk.concat_streams(a)
-    bw, bo = wk.concat_streams(b)
-    return a, b, aw, ao, bw, bo, ng
+    rows = np.stack([WahBitmap(universe, w).to_words() for w in b])
+    return a, b, aw, ao, rows, ng
 
 
 def bench_wah_and_scalar(benchmark, wah_batch):
     """512 compressed ANDs through the per-word Python kernel."""
-    a, b, _, _, _, _, ng = wah_batch
+    a, b, _, _, _, ng = wah_batch
     scratch = WahScratch()
 
     def run():
@@ -112,14 +115,16 @@ def bench_wah_and_scalar(benchmark, wah_batch):
 
 
 def bench_wah_and_batch(benchmark, wah_batch):
-    """The same 512 ANDs through one batched numpy kernel call."""
-    _, _, aw, ao, bw, bo, ng = wah_batch
-    benchmark(wk.batch_and, aw, ao, bw, bo, ng)
+    """The same 512 ANDs through one batched kernel call, each
+    compressed stream against its pair's raw row."""
+    _, _, aw, ao, rows, _ = wah_batch
+    ids = np.arange(rows.shape[0], dtype=np.int64)
+    benchmark(wk.batch_and_rows, aw, ao, rows, ids, ids)
 
 
 def bench_wah_count_scalar(benchmark, wah_batch):
     """512 compressed popcounts, per-word Python kernel."""
-    a, b, _, _, _, _, ng = wah_batch
+    a, b, _, _, _, ng = wah_batch
     scratch = WahScratch()
 
     def run():
@@ -129,18 +134,11 @@ def bench_wah_count_scalar(benchmark, wah_batch):
     benchmark(run)
 
 
-def bench_wah_count_batch(benchmark, wah_batch):
-    """The same 512 popcounts through one batched kernel call."""
-    _, _, aw, ao, bw, bo, ng = wah_batch
-    benchmark(wk.batch_and_count, aw, ao, bw, bo, ng)
-
-
 def bench_wah_encode_batch(benchmark, wah_batch):
     """Batch raw-word→WAH encode of 512 CN strings over the genome
     graph's 64-bit-padded 12,480-bit universe."""
-    a = wah_batch[0]
-    mat = np.stack([WahBitmap(12422, w).to_words() for w in a])
-    benchmark(wk.batch_encode_words, mat, 12480)
+    rows = wah_batch[4]
+    benchmark(wk.batch_encode_words, rows, 12480)
 
 
 def bench_spearman_1242_genes(benchmark):

@@ -159,9 +159,9 @@ class EnumerationResult:
         the ``memory`` and ``disk`` stores:
         ``decompressed_bytes_avoided`` (raw-equivalent bytes of every
         level streamed, all of which stayed compressed end to end),
-        ``kernel_word_ops`` /
-        ``kernel_ands`` (compressed words touched / kernel calls), and
-        ``adj_rows_compressed``.  Deliberately *not* part of
+        ``kernel_word_ops`` (CN words the AND kernels read and wrote,
+        plus the adjacency groups they probed) and ``kernel_ands``
+        (one per AND or BitOneExists pair).  Deliberately *not* part of
         ``counters``: the operation counters follow the paper's
         representation-independent model and stay byte-identical across
         level stores.

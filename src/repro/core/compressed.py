@@ -563,9 +563,13 @@ class WahScratch:
     traffic the compressed-domain benchmarks report:
 
     ``word_ops``
-        Compressed 32-bit words consumed plus produced across all calls.
+        Compressed 32-bit words consumed plus produced across all calls
+        (the batch row kernels of :mod:`repro.core.wah_kernels` count
+        the CN words they read and write plus the adjacency groups
+        they probe).
     ``and_ops``
-        Kernel invocations (one per compressed-domain AND / test).
+        Kernel invocations (one per compressed-domain AND / test; one
+        per pair for the batch kernels).
 
     Examples
     --------

@@ -3,15 +3,16 @@
 The paper closes Section 2.3 by observing that the sparsity of its
 bitmap memory index "can potentially provide high compression rate and
 allow for bitwise operations to be performed on the compressed data."
-PR 3's :class:`~repro.engine.level_store.CompressedLevelStore` delivered
-the first half — candidates rest WAH-compressed — but still decompressed
-every chunk back to raw ``uint64`` words for expansion, paying the codec
-twice and materialising the full working set anyway.  This module
-delivers the second half: a generation step whose common-neighbor
-derivations and ``BitOneExists`` maximality tests run *directly on the
-WAH words* via the batched :mod:`repro.core.wah_kernels`, emitting new
-CN strings as WAH words without a ``BitSet`` round trip; tails stay
-``int64`` index arrays throughout.
+:class:`~repro.engine.level_store.CompressedLevelStore` delivers the
+first half: candidates rest WAH-compressed.  This module delivers the
+second half: a generation step whose common-neighbor derivations and
+``BitOneExists`` maximality tests run *directly on the WAH words* via
+the batched :mod:`repro.core.wah_kernels`, emitting new CN strings as
+WAH words without a ``BitSet`` round trip; tails stay ``int64`` index
+arrays throughout.  The other operand of every AND is a vertex's
+adjacency row, which the step reads raw from ``Graph.adj``: the
+kernels probe it only at the CN string's nonzero groups, so it is
+never encoded, cached or copied.
 
 :class:`CompressedExpander` matches the engine's
 :data:`~repro.engine.level_loop.GenerationStep` signature, so it plugs
@@ -41,21 +42,24 @@ backend keeps its documented counter model:
     parents.
 
 Both models run on the structure-of-arrays word layout of
-:mod:`repro.core.wah_kernels`: batched adjacency probes, one vectorised
-``batch_and`` per parent group, and one ``batch_and_any`` sweep per
-batch of generated cliques.  They share one children assembly with the
-bitset step's helpers (``pair_groups``, ``select_children``,
-``emit_cliques``), with no per-sub-list or per-parent loop.  The
-counter model charges algorithmic operations, not loop iterations, so
-bulk charging a batch equals charging its pairs one by one.  Every
+:mod:`repro.core.wah_kernels`: one ``batch_and_rows`` per pair batch
+for the child CN strings, and one ``batch_and_rows_any`` for the
+maximality tests of its generated cliques, which reads each child CN's
+nonzero groups once and gathers them per clique by index.  They share
+one children assembly with the bitset step's helpers (``pair_groups``,
+``select_children``, ``emit_cliques``), with no per-sub-list or
+per-parent loop.  The counter model charges algorithmic operations,
+not loop iterations, so bulk charging a batch equals charging its
+pairs one by one.  Every
 batch kernel produces the byte-identical words of the scalar
 :class:`~repro.core.compressed.WahBitmap` kernels, which stay as the
 oracle ``tests/core/test_wah_kernel_arrays.py`` replays them against.
 
 Thread safety: one expander serves one run, but its :meth:`step` may be
-called concurrently by the ``threads`` backend's workers — the WAH
-adjacency-row caches are shared under a lock, and each worker thread
-gets its own :class:`~repro.core.compressed.WahScratch`.
+called concurrently by the ``threads`` backend's workers.  The step
+shares only read-only state (the graph's adjacency); each worker
+thread gets its own :class:`~repro.core.compressed.WahScratch` for the
+kernel tallies, registered under a lock.
 """
 
 from __future__ import annotations
@@ -80,9 +84,8 @@ from repro.core.graph import Graph
 from repro.obs.runtime import get_observability
 from repro.core.sublist import CompressedLevelBatch
 from repro.core.wah_kernels import (
-    batch_and,
-    batch_and_any,
-    batch_encode_words,
+    batch_and_rows,
+    batch_and_rows_any,
     batch_indices_above,
     take_streams,
 )
@@ -103,9 +106,7 @@ class CompressedExpander:
     Parameters
     ----------
     g:
-        The input graph; its adjacency rows are WAH-compressed lazily,
-        one row per vertex the expansion actually touches, and cached
-        for the whole run.
+        The input graph; the kernels read its raw adjacency rows.
     model:
         Which bitset step's structure (and counter model) to mirror:
         ``"pairs"`` (:func:`~repro.core.clique_enumerator.
@@ -132,17 +133,6 @@ class CompressedExpander:
         #: bit universe of every CN string of this graph — the full
         #: 64-bit word span, matching CompressedLevelBatch.
         self._universe = WORD_BITS * int(g.adj.shape[1]) if g.n else 0
-        self._n_groups = (self._universe + 30) // 31
-        #: adjacency-row cache: an SoA ``(words, offsets, slot)``
-        #: triple where ``slot[v]`` is row ``v``'s stream id (-1 while
-        #: uncached).  Replaced atomically as a whole tuple, so
-        #: lock-free readers always see a consistent snapshot.
-        self._row_cache: tuple[np.ndarray, np.ndarray, np.ndarray] = (
-            np.empty(0, dtype=np.uint32),
-            np.zeros(1, dtype=np.int64),
-            np.full(g.n, -1, dtype=np.int64),
-        )
-        self._rows_compressed = 0
         self._scratches: list[WahScratch] = []
         self._local = threading.local()
         self._lock = threading.Lock()
@@ -152,37 +142,6 @@ class CompressedExpander:
         self._tracer = tracer if tracer.enabled else None
 
     # -- shared state --------------------------------------------------------
-
-    def _rows_for(
-        self, verts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """An SoA snapshot of the adjacency-row cache covering ``verts``.
-
-        Returns ``(words, offsets, slot)``; rows not yet cached are
-        batch-encoded under the lock first.  Snapshots are append-only,
-        so a slot id stays valid in every later snapshot.
-        """
-        words, offsets, slot = self._row_cache
-        verts = np.unique(verts)
-        missing = verts[slot[verts] < 0]
-        if missing.size:
-            with self._lock:
-                words, offsets, slot = self._row_cache
-                missing = missing[slot[missing] < 0]
-                if missing.size:
-                    new_w, new_o = batch_encode_words(
-                        self._adj[missing], self._universe
-                    )
-                    base = offsets.size - 1
-                    offsets = np.concatenate(
-                        (offsets, new_o[1:] + offsets[-1])
-                    )
-                    words = np.concatenate((words, new_w))
-                    slot = slot.copy()
-                    slot[missing] = base + np.arange(missing.size)
-                    self._row_cache = (words, offsets, slot)
-                    self._rows_compressed += int(missing.size)
-        return words, offsets, slot
 
     def _scratch(self) -> WahScratch:
         """This thread's kernel workspace (created on first use)."""
@@ -206,7 +165,6 @@ class CompressedExpander:
                     s.word_ops for s in self._scratches
                 ),
                 "kernel_ands": sum(s.and_ops for s in self._scratches),
-                "adj_rows_compressed": self._rows_compressed,
             }
 
     # -- the generation step -------------------------------------------------
@@ -262,34 +220,26 @@ class CompressedExpander:
 
         Returns the children as a batch, or None when it retains none.
         """
-        ng = self._n_groups
         first, pvi, pvj, psid = generated_cliques(
             self._adj, batch.tails, batch.tail_offsets[lo:hi + 1], counters
         )
         if not first.size:
             return None
-        psid += lo
-        n_pairs = int(first.size)
         # parent groups: one child-CN derivation per distinct (sl, vi)
         starts, group_of = pair_groups(first)
-        n_groups_here = int(starts.size)
-        counters.bit_and_ops += n_groups_here
-        gvi, gsid = pvi[starts], psid[starts]
-        rw, ro, slot = self._rows_for(np.concatenate((gvi, pvj)))
-        aw, ao = take_streams(batch.cn_words, batch.cn_offsets, gsid)
-        bw, bo = take_streams(rw, ro, slot[gvi])
-        chw, cho = batch_and(aw, ao, bw, bo, ng)
-        scratch.and_ops += n_groups_here
-        scratch.word_ops += int(ao[-1] + bo[-1] + cho[-1])
+        counters.bit_and_ops += int(starts.size)
+        part = batch.rows(lo, hi)
+        chw, cho = batch_and_rows(
+            part.cn_words, part.cn_offsets, self._adj, pvi[starts],
+            psid[starts], scratch,
+        )
         # BitOneExists(child_cn & adj[vj]) for every generated clique
-        taw, tao = take_streams(chw, cho, group_of)
-        tbw, tbo = take_streams(rw, ro, slot[pvj])
-        nonmax = batch_and_any(taw, tao, tbw, tbo, ng)
-        scratch.and_ops += n_pairs
-        scratch.word_ops += int(tao[-1] + tbo[-1])
+        nonmax = batch_and_rows_any(
+            chw, cho, self._adj, pvj, group_of, scratch
+        )
         return self._children(
-            batch, psid, pvi, pvj, nonmax, starts, group_of, (chw, cho),
-            None, counters, emit,
+            batch, psid + lo, pvi, pvj, nonmax, starts, group_of,
+            (chw, cho), None, counters, emit,
         )
 
     def _step_bitscan(self, batch, counters, emit):
@@ -323,7 +273,6 @@ class CompressedExpander:
 
         Returns the children as a batch, or None when it retains none.
         """
-        ng, universe = self._n_groups, self._universe
         n_parents = int(pvi.size)
         # one child-CN AND and one full-n scan charged per parent,
         # whatever representation runs it — the documented cost model
@@ -331,13 +280,15 @@ class CompressedExpander:
         counters.extra["bits_scanned"] = (
             counters.extra.get("bits_scanned", 0) + self._g.n * n_parents
         )
-        rw, ro, slot = self._rows_for(pvi)
-        aw, ao = take_streams(batch.cn_words, batch.cn_offsets, psid)
-        bw, bo = take_streams(rw, ro, slot[pvi])
-        chw, cho = batch_and(aw, ao, bw, bo, ng)
-        scratch.and_ops += n_parents
-        scratch.word_ops += int(ao[-1] + bo[-1] + cho[-1])
-        flat_p, p_off = batch_indices_above(chw, cho, ng, universe, pvi)
+        lo = int(psid[0])
+        part = batch.rows(lo, int(psid[-1]) + 1)
+        chw, cho = batch_and_rows(
+            part.cn_words, part.cn_offsets, self._adj, pvi, psid - lo,
+            scratch,
+        )
+        flat_p, p_off = batch_indices_above(
+            chw, cho, part.n_groups, self._universe, pvi
+        )
         n_partners = int(flat_p.size)
         if not n_partners:
             return None
@@ -347,12 +298,9 @@ class CompressedExpander:
         parent_of = np.repeat(
             np.arange(n_parents, dtype=np.int64), np.diff(p_off)
         )
-        rw, ro, slot = self._rows_for(flat_p)
-        taw, tao = take_streams(chw, cho, parent_of)
-        tbw, tbo = take_streams(rw, ro, slot[flat_p])
-        nonmax = batch_and_any(taw, tao, tbw, tbo, ng)
-        scratch.and_ops += n_partners
-        scratch.word_ops += int(tao[-1] + tbo[-1])
+        nonmax = batch_and_rows_any(
+            chw, cho, self._adj, flat_p, parent_of, scratch
+        )
         # a parent's partners form one group, as a (sub-list, v_i)
         # pair group does in the tail-list model
         starts, group_of = pair_groups(parent_of)

@@ -3,10 +3,8 @@
 :mod:`repro.core.compressed` gives two layers: the validated
 :class:`~repro.core.compressed.WahBitmap` wrapper and per-call Python
 word-array kernels (:func:`~repro.core.compressed.wah_and_into` and
-friends).  Both touch every compressed word from the interpreter, which
-is why the committed speed baseline showed the compressed-domain paths
-at a multiple of ``incore``.  This module is the third layer: the same
-operations expressed as numpy array programs over **many bitmaps at
+friends).  Both touch every compressed word from the interpreter.  This
+module is the third layer: numpy array programs over **many bitmaps at
 once**, in a structure-of-arrays (SoA) layout:
 
 ``words``
@@ -17,26 +15,28 @@ once**, in a structure-of-arrays (SoA) layout:
     ``words[offsets[i]:offsets[i + 1]]``.
 
 All streams in one batch share the same group count ``n_groups`` (the
-universe is fixed per graph), which buys the central trick: the global
-group position of every word — its stream index times ``n_groups`` plus
-its start inside the stream — is simply the running sum of run lengths
-across the flat array.  Fill runs therefore become *run-boundary index
-arithmetic* (cumsum / searchsorted / reduceat) instead of per-word
-branching, and literal-dense stretches reduce to one aligned
-``np.bitwise_and``.
+universe is fixed per graph), so the global group position of every
+word (its stream index times ``n_groups`` plus its start inside the
+stream) is simply the running sum of run lengths across the flat array.
+Fill runs therefore become run-boundary index arithmetic (cumsum /
+reduceat) instead of per-word branching.
+
+The generation step's two operations pair a compressed common-neighbor
+(CN) stream with a *raw* adjacency row, the ``uint64`` row of
+``Graph.adj`` the step already holds: :func:`batch_and_rows` derives
+the child CN string and :func:`batch_and_rows_any` is the
+``BitOneExists`` maximality test.  Both read only the stream's nonzero
+groups: group ``G`` of a row is bits ``[31G, 31G + 31)``, at most two
+``uint64`` loads, so zero fills cost nothing and one-fills are split
+into unit groups.  The adjacency operand is never encoded or copied.
 
 Equivalence contract: every kernel here produces byte-identical
-canonical words (and identical predicates / counts) to the Python
-kernels in :mod:`repro.core.compressed` for the same operands — the
-property ``tests/core/test_wah_kernel_arrays.py`` drives at random.
-These batch kernels are the only compressed path the engine runs; the
-Python kernels stay as their oracle.
-
-The kernels are pure functions of ndarray inputs and release the GIL
-inside every numpy op.  That has not made the ``threads`` backend
-scale the compressed domain: on the genome graph at ``jobs=2`` its
-measured parallelism is 1.34, at wall-time parity with ``incore``
-(ROADMAP.md records the runs).
+canonical words (and identical predicates) to the Python kernels in
+:mod:`repro.core.compressed` for the same operands, the adjacency row
+taken as ``WahBitmap.from_words(row)``.
+``tests/core/test_wah_kernel_arrays.py`` drives that property at
+random.  These batch kernels are the only compressed path the engine
+runs; the Python kernels stay as their oracle.
 """
 
 from __future__ import annotations
@@ -45,14 +45,13 @@ import numpy as np
 
 from repro.errors import BitSetError
 from repro.core.bitset import WORD_BITS
-from repro.core.compressed import GROUP_BITS
+from repro.core.compressed import GROUP_BITS, WahScratch
 
 __all__ = [
     "concat_streams",
     "take_streams",
-    "batch_and",
-    "batch_and_any",
-    "batch_and_count",
+    "batch_and_rows",
+    "batch_and_rows_any",
     "batch_decode_groups",
     "batch_decode_words",
     "batch_indices_above",
@@ -99,6 +98,22 @@ def concat_streams(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return words, offsets
 
 
+def _take_index(
+    offsets: np.ndarray, ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat source positions of streams ``ids`` (with repeats), and the
+    gathered batch's offsets: the index half of :func:`take_streams`."""
+    ids = np.asarray(ids, dtype=np.int64)
+    start = offsets[ids]
+    lens = offsets[ids + 1] - start
+    out_offsets = np.zeros(ids.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=out_offsets[1:])
+    # element q of output stream i is source start[i] + q
+    src = np.arange(int(out_offsets[-1]), dtype=np.int64)
+    src += np.repeat(start - out_offsets[:-1], lens)
+    return src, out_offsets
+
+
 def take_streams(
     words: np.ndarray, offsets: np.ndarray, ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -106,22 +121,12 @@ def take_streams(
 
     The variable-length gather: stream ``ids[i]`` of the source becomes
     stream ``i`` of the result, so expander stages can assemble operand
-    batches (one CN stream per child, one adjacency row per generated
-    clique) without a Python-level loop.
+    batches (one CN stream per child) without a Python-level loop.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    lens = offsets[ids + 1] - offsets[ids]
-    out_offsets = np.zeros(ids.size + 1, dtype=np.int64)
-    np.cumsum(lens, out=out_offsets[1:])
-    total = int(out_offsets[-1])
-    if total == 0:
+    src, out_offsets = _take_index(offsets, ids)
+    if not src.size:
         return _EMPTY_U32, out_offsets
-    # flat source index: per-element offset base plus position in run
-    base = np.repeat(offsets[ids], lens)
-    pos = np.arange(total, dtype=np.int64) - np.repeat(
-        out_offsets[:-1], lens
-    )
-    return words[base + pos], out_offsets
+    return words[src], out_offsets
 
 
 def _expand(
@@ -189,137 +194,174 @@ def _encode_runs(
     return out_words.astype(np.uint32, copy=False), out_offsets
 
 
-def _merged_segments(
-    a_words: np.ndarray,
-    a_offsets: np.ndarray,
-    b_words: np.ndarray,
-    b_offsets: np.ndarray,
-    n_groups: int,
-):
-    """Segment both operand batches on their merged run boundaries.
+# ---------------------------------------------------------------------------
+# Compressed x raw: a CN stream against a raw adjacency row
+# ---------------------------------------------------------------------------
 
-    Returns ``(seg_pair, seg_len, va, vb)``: for every maximal group
-    range on which *both* operands are value-uniform, the owning pair,
-    its length in groups, and the two operand group values.  This is
-    the run-boundary arithmetic replacing the per-word merge loop: the
-    boundary set is the sorted union of both operands' word starts, and
-    each operand's value on a segment is found by binary search over
-    its (globally sorted) start keys.
+
+def _row_groups(n_words: int) -> int:
+    """WAH groups spanning a raw row of ``n_words`` ``uint64`` words."""
+    return (WORD_BITS * n_words + GROUP_BITS - 1) // GROUP_BITS
+
+
+def _nonzero_groups(
+    words: np.ndarray, offsets: np.ndarray, n_groups: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every stream's nonzero groups, in stream and group order.
+
+    Returns ``(vals, groups, nz_offsets)``: stream ``i``'s nonzero
+    groups are ``vals[nz_offsets[i]:nz_offsets[i + 1]]`` at local group
+    indices ``groups[...]``.  A literal is one group; a one-fill of
+    ``L`` groups becomes ``L`` all-ones unit groups; zero fills vanish.
     """
-    n_pairs = a_offsets.size - 1
-    va_w, _, ka = _expand(a_words, a_offsets)
-    vb_w, _, kb = _expand(b_words, b_offsets)
-    # sorted unique boundary union (np.union1d is an order of magnitude
-    # slower than a raw sort + dedupe at these sizes)
-    sk = np.sort(np.concatenate((ka, kb)))
-    keep = np.empty(sk.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(sk[1:], sk[:-1], out=keep[1:])
-    bkeys = sk[keep]
-    va = va_w[np.searchsorted(ka, bkeys, side="right") - 1]
-    vb = vb_w[np.searchsorted(kb, bkeys, side="right") - 1]
-    total = n_pairs * n_groups
-    seg_len = np.diff(bkeys, append=total)
-    seg_pair = bkeys // n_groups
-    return seg_pair, seg_len, va, vb
+    vals, lengths, gstart = _expand(words, offsets)
+    nz = np.flatnonzero(vals)
+    reps = lengths[nz]
+    # unit u of nonzero word w sits at gstart[w] + (u - first unit of w)
+    first = np.cumsum(reps) - reps
+    pos = np.arange(int(reps.sum()), dtype=np.int64)
+    pos += np.repeat(gstart[nz] - first, reps)
+    stream = pos // n_groups
+    nz_offsets = np.zeros(offsets.size, dtype=np.int64)
+    np.cumsum(
+        np.bincount(stream, minlength=offsets.size - 1),
+        out=nz_offsets[1:],
+    )
+    return np.repeat(vals[nz], reps), pos - stream * n_groups, nz_offsets
 
 
-def batch_and(
-    a_words: np.ndarray,
-    a_offsets: np.ndarray,
-    b_words: np.ndarray,
-    b_offsets: np.ndarray,
-    n_groups: int,
+def _probe(
+    adj: np.ndarray, rows: np.ndarray, groups: np.ndarray
+) -> np.ndarray:
+    """Group ``groups[i]`` of raw row ``adj[rows[i]]``, as ``uint32``.
+
+    Group ``G`` is bits ``[31G, 31G + 31)``: the word holding bit
+    ``31G``, shifted down, ORed with the next word shifted up when the
+    group starts past bit 33.  A group with no next word in its row
+    shifts that (clipped) load by 63, so only its bit 0 survives, at
+    bit 63, which the 31-bit mask drops: it reads as zero.
+    """
+    n_words = adj.shape[1]
+    bit = np.arange(_row_groups(n_words), dtype=np.int64) * GROUP_BITS
+    word, low = bit >> 6, bit & 63
+    high = np.where((low > 33) & (word + 1 < n_words), 64 - low, 63)
+    at = rows * n_words + word[groups]
+    flat = adj.reshape(-1)
+    val = flat[at] >> low.astype(np.uint64)[groups]
+    val |= flat.take(at + 1, mode="clip") << high.astype(np.uint64)[groups]
+    return (val & np.uint64(_LITERAL_MASK)).astype(np.uint32)
+
+
+def _and_units(
+    words: np.ndarray,
+    offsets: np.ndarray,
+    adj: np.ndarray,
+    rows: np.ndarray,
+    ids: np.ndarray,
+    scratch: WahScratch | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stream ``ids[i]``'s nonzero groups ANDed with ``adj[rows[i]]``.
+
+    Returns ``(pair, groups, vals, unit_offsets)``: pair ``i`` owns
+    units ``[unit_offsets[i], unit_offsets[i + 1])``, each a local group
+    index and its AND (possibly zero).  Each stream's nonzero groups are
+    found once, however many pairs reference it, and gathered per pair
+    by index.  Tallies one AND per pair, and the CN words each pair
+    reads plus the adjacency groups it probes, into ``scratch``.
+    """
+    n_groups = _row_groups(adj.shape[1])
+    _check_groups(n_groups)
+    vals, groups, nz_offsets = _nonzero_groups(words, offsets, n_groups)
+    src, unit_offsets = _take_index(nz_offsets, ids)
+    pair = np.repeat(
+        np.arange(ids.size, dtype=np.int64), np.diff(unit_offsets)
+    )
+    groups = groups[src]
+    vals = vals[src] & _probe(adj, rows[pair], groups)
+    if scratch is not None:
+        scratch.and_ops += int(ids.size)
+        scratch.word_ops += int(
+            (offsets[ids + 1] - offsets[ids]).sum() + src.size
+        )
+    return pair, groups, vals, unit_offsets
+
+
+def batch_and_rows(
+    words: np.ndarray,
+    offsets: np.ndarray,
+    adj: np.ndarray,
+    rows: np.ndarray,
+    ids: np.ndarray,
+    scratch: WahScratch | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``a[i] & b[i]`` for every stream pair, canonical SoA output.
+    """``stream[ids[i]] & adj[rows[i]]`` for every pair, canonical SoA.
 
-    The batch counterpart of :func:`repro.core.compressed.wah_and_into`:
-    operand ``i`` of each batch is ANDed with operand ``i`` of the
-    other, and the results come back as one canonical SoA batch —
-    byte-identical, stream for stream, to the Python kernel's output.
+    ``words``/``offsets`` is a batch of WAH streams over the universe of
+    ``adj``'s rows (``64 * adj.shape[1]`` bits) and ``adj`` a raw
+    ``uint64`` bit matrix.  Only the streams' nonzero groups are probed
+    in the rows; zero runs between them pass through as zero fills, and
+    :func:`_encode_runs` writes the result, so every output stream is
+    byte-identical to :func:`~repro.core.compressed.wah_and_into` of
+    the stream and ``WahBitmap.from_words(adj[rows[i]])``.
     """
-    n_pairs = a_offsets.size - 1
+    ids = np.asarray(ids, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    n_pairs = int(ids.size)
+    n_groups = _row_groups(adj.shape[1])
     if n_pairs == 0 or n_groups == 0:
         return _EMPTY_U32, np.zeros(n_pairs + 1, dtype=np.int64)
-    _check_groups(n_groups)
-    seg_pair, seg_len, va, vb = _merged_segments(
-        a_words, a_offsets, b_words, b_offsets, n_groups
+    pair, groups, vals, unit_offsets = _and_units(
+        words, offsets, adj, rows, ids, scratch
     )
-    return _encode_runs(seg_pair, seg_len, va & vb, n_pairs)
+    # each pair's runs: a zero gap before every unit, a zero tail after
+    # its last; slot 2u + pair[u] is unit u's gap, the next its group
+    n_units = int(groups.size)
+    count = np.diff(unit_offsets)
+    has = count > 0
+    prev_end = np.zeros(n_units, dtype=np.int64)
+    prev_end[1:] = groups[:-1] + 1
+    prev_end[unit_offsets[:-1][has]] = 0
+    tail = np.full(n_pairs, n_groups, dtype=np.int64)
+    tail[has] -= groups[unit_offsets[1:][has] - 1] + 1
+    seg_len = np.ones(2 * n_units + n_pairs, dtype=np.int64)
+    seg_val = np.zeros(seg_len.size, dtype=np.uint32)
+    gap = 2 * np.arange(n_units, dtype=np.int64) + pair
+    seg_len[gap] = groups - prev_end
+    seg_val[gap + 1] = vals
+    seg_len[2 * unit_offsets[1:] + np.arange(n_pairs)] = tail
+    seg_pair = np.repeat(np.arange(n_pairs, dtype=np.int64), 2 * count + 1)
+    keep = seg_len > 0
+    out_words, out_offsets = _encode_runs(
+        seg_pair[keep], seg_len[keep], seg_val[keep], n_pairs
+    )
+    if scratch is not None:
+        scratch.word_ops += int(out_words.size)
+    return out_words, out_offsets
 
 
-def batch_and_any(
-    a_words: np.ndarray,
-    a_offsets: np.ndarray,
-    b_words: np.ndarray,
-    b_offsets: np.ndarray,
-    n_groups: int,
+def batch_and_rows_any(
+    words: np.ndarray,
+    offsets: np.ndarray,
+    adj: np.ndarray,
+    rows: np.ndarray,
+    ids: np.ndarray,
+    scratch: WahScratch | None = None,
 ) -> np.ndarray:
-    """``BitOneExists(a[i] & b[i])`` for every pair, as a bool array.
+    """``BitOneExists(stream[ids[i]] & adj[rows[i]])`` for every pair.
 
-    The batch maximality test.  No merged-boundary sort is needed: a
-    pair intersects iff some *nonzero* word of ``a`` overlaps nonzero
-    content of ``b`` — a literal probes ``b``'s covering word directly,
-    a one-fill asks whether ``b`` has any nonzero group inside the
-    fill's span, answered by a prefix sum of ``b``'s nonzero run
-    lengths.  Two binary searches per nonzero ``a`` word, no per-word
-    Python.
+    The batch maximality test over the operands of
+    :func:`batch_and_rows`: a pair intersects iff one of its stream's
+    nonzero groups meets the row.  Matches
+    :func:`~repro.core.compressed.wah_and_any` pair for pair.
     """
-    n_pairs = a_offsets.size - 1
-    out = np.zeros(n_pairs, dtype=bool)
-    if n_pairs == 0 or n_groups == 0:
+    ids = np.asarray(ids, dtype=np.int64)
+    out = np.zeros(ids.size, dtype=bool)
+    if ids.size == 0 or _row_groups(adj.shape[1]) == 0:
         return out
-    _check_groups(n_groups)
-    va, la, ka = _expand(a_words, a_offsets)
-    vb, lb, kb = _expand(b_words, b_offsets)
-    probe = np.flatnonzero(va != 0)
-    if probe.size == 0:
-        return out
-    nz_b = vb != 0
-    nz_cum = np.zeros(kb.size + 1, dtype=np.int64)
-    np.cumsum(np.where(nz_b, lb, 0), out=nz_cum[1:])
-
-    def nonzero_before(x: np.ndarray) -> np.ndarray:
-        """Nonzero ``b`` groups in ``[0, x)``, global positions."""
-        j = np.searchsorted(kb, x, side="right") - 1
-        partial = np.where(
-            nz_b[j], np.minimum(x - kb[j], lb[j]), 0
-        )
-        return nz_cum[j] + partial
-
-    s = ka[probe]
-    is_fill = la[probe] > 1
-    lit_probe = ~is_fill  # literals and length-1 fills: exact value test
-    hit = np.zeros(probe.size, dtype=bool)
-    j = np.searchsorted(kb, s, side="right") - 1
-    hit[lit_probe] = (va[probe][lit_probe] & vb[j][lit_probe]) != 0
-    if is_fill.any():
-        e = s[is_fill] + la[probe][is_fill]
-        hit[is_fill] = nonzero_before(e) > nonzero_before(s[is_fill])
-    out[(s[hit] // n_groups)] = True
-    return out
-
-
-def batch_and_count(
-    a_words: np.ndarray,
-    a_offsets: np.ndarray,
-    b_words: np.ndarray,
-    b_offsets: np.ndarray,
-    n_groups: int,
-) -> np.ndarray:
-    """``popcount(a[i] & b[i])`` for every pair, as an int64 array."""
-    n_pairs = a_offsets.size - 1
-    out = np.zeros(n_pairs, dtype=np.int64)
-    if n_pairs == 0 or n_groups == 0:
-        return out
-    _check_groups(n_groups)
-    seg_pair, seg_len, va, vb = _merged_segments(
-        a_words, a_offsets, b_words, b_offsets, n_groups
+    pair, _, vals, _ = _and_units(
+        words, offsets, adj, np.asarray(rows, dtype=np.int64), ids, scratch
     )
-    # uniform: a literal segment has length 1, a fill segment's AND is
-    # uniform over its span, so popcount * length covers both
-    weights = np.bitwise_count(va & vb).astype(np.int64) * seg_len
-    np.add.at(out, seg_pair, weights)
+    out[pair[vals != 0]] = True
     return out
 
 

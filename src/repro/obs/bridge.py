@@ -55,7 +55,6 @@ METRIC_NAMES = (
     "repro_kernel_word_ops_total",
     "repro_kernel_ands_total",
     "repro_decompressed_bytes_avoided_total",
-    "repro_adj_rows_compressed_total",
     "repro_domain_stats_total",
     "repro_transfers_total",
     "repro_io_read_bytes_total",
@@ -99,15 +98,15 @@ _DOMAIN_FIELDS = {
     "kernel_word_ops": "repro_kernel_word_ops_total",
     "kernel_ands": "repro_kernel_ands_total",
     "decompressed_bytes_avoided": "repro_decompressed_bytes_avoided_total",
-    "adj_rows_compressed": "repro_adj_rows_compressed_total",
 }
 
 _DOMAIN_HELP = {
-    "kernel_word_ops": "Compressed WAH words touched by the AND kernels.",
+    "kernel_word_ops":
+        "CN words the AND kernels read and wrote, plus adjacency groups "
+        "probed.",
     "kernel_ands": "Compressed-domain AND kernel invocations.",
     "decompressed_bytes_avoided":
         "Raw bytes that stayed WAH-compressed end to end.",
-    "adj_rows_compressed": "Adjacency rows encoded into the WAH cache.",
 }
 
 

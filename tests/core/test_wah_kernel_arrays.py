@@ -6,11 +6,12 @@ generation step runs them in place of the scalar kernels, which stay
 as the oracle for *byte-identical* words.  This suite pins that
 contract: every batch kernel is replayed stream by stream through
 :class:`~repro.core.compressed.WahBitmap` (the canonical encoder) and
-the results compared exactly — words, offsets, counts, and decoded
+the results compared exactly — words, offsets, predicates, and decoded
 indices — across the boundary shapes the step actually produces:
 fill/literal alternation, all-ones fills, universes that are not a
 multiple of the 31-bit group, empty streams inside a batch, and empty
-batches.
+batches.  The AND kernels pair a stream with a raw ``uint64`` row; the
+oracle takes that row as ``WahBitmap.from_words(row)``.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ from repro.errors import BitSetError
 from repro.core.compressed import (
     GROUP_BITS,
     WahBitmap,
+    WahScratch,
     wah_and_any,
-    wah_and_count,
     wah_and_into,
 )
 from repro.core.wah_kernels import (
-    batch_and,
-    batch_and_any,
-    batch_and_count,
+    _probe,
+    batch_and_rows,
+    batch_and_rows_any,
     batch_decode_words,
     batch_encode_words,
     batch_indices_above,
@@ -41,6 +42,11 @@ from repro.core.wah_kernels import (
 
 #: empty, sub-group, exact group/word multiples, n % 31 != 0 tails.
 UNIVERSES = [0, 1, 30, 31, 32, 62, 63, 64, 93, 100, 128, 500, 2000]
+
+#: raw-row universes: whole 64-bit words, none a multiple of 31, so
+#: every last group runs past the final word (12,480 is the genome
+#: graph's 64-bit-padded span)
+ROW_UNIVERSES = [64, 128, 192, 640, 12_480]
 
 #: densities spanning all-zero fills, sparse, dense, and all-ones fills.
 DENSITIES = [0.0, 0.01, 0.2, 0.5, 0.95, 1.0]
@@ -64,6 +70,65 @@ def _random_batch(rng, n, n_streams):
     ]
     words, offsets = concat_streams([m.wah_words() for m in maps])
     return maps, words, offsets
+
+
+def _words_matrix(sets, n):
+    """Raw ``uint64`` rows over ``n`` bits (a multiple of 64)."""
+    mat = np.zeros((len(sets), n // 64), dtype=np.uint64)
+    for r, s in enumerate(sets):
+        for i in s:
+            mat[r, i // 64] |= np.uint64(1 << (i % 64))
+    return mat
+
+
+def _with_runs(rng, n, density):
+    """Random indices plus, half the time, a contiguous run of ones
+    long enough to encode as a one-fill mid-stream."""
+    idx = set(_random_indices(rng, n, density))
+    if rng.random() < 0.5:
+        a = rng.randrange(n)
+        idx.update(range(a, min(n, a + rng.randrange(31, 200))))
+    return sorted(idx)
+
+
+def _row_case(rng, n, n_streams, n_rows, n_pairs):
+    """CN streams, raw rows and the (stream, row) pair lists."""
+    maps = [
+        WahBitmap.from_indices(
+            n, _with_runs(rng, n, rng.choice(DENSITIES))
+        )
+        for _ in range(n_streams)
+    ]
+    words, offsets = concat_streams([m.wah_words() for m in maps])
+    adj = _words_matrix(
+        [_with_runs(rng, n, rng.choice(DENSITIES)) for _ in range(n_rows)],
+        n,
+    )
+    ids = np.array(
+        [rng.randrange(n_streams) for _ in range(n_pairs)], dtype=np.int64
+    )
+    rows = np.array(
+        [rng.randrange(n_rows) for _ in range(n_pairs)], dtype=np.int64
+    )
+    return maps, words, offsets, adj, ids, rows
+
+
+def _assert_matches_oracle(maps, words, offsets, adj, ids, rows):
+    """Both row kernels, pair by pair, against the scalar kernels."""
+    ng = _n_groups(WahBitmap.from_words(adj[0]).n)
+    got_w, got_o = batch_and_rows(words, offsets, adj, rows, ids)
+    got_any = batch_and_rows_any(words, offsets, adj, rows, ids)
+    assert got_o.tolist()[0] == 0 and got_o.size == ids.size + 1
+    assert got_any.shape == ids.shape
+    for i, (s, r) in enumerate(zip(ids.tolist(), rows.tolist())):
+        a_w = maps[s].wah_words().tolist()
+        b_w = WahBitmap.from_words(adj[r]).wah_words().tolist()
+        np.testing.assert_array_equal(
+            got_w[got_o[i]:got_o[i + 1]],
+            np.array(wah_and_into(a_w, b_w, ng), dtype=np.uint32),
+            err_msg=f"pair {i} (stream {s}, row {r})",
+        )
+        assert got_any[i] == wah_and_any(a_w, b_w, ng)
 
 
 class TestStreamPlumbing:
@@ -104,52 +169,112 @@ class TestStreamPlumbing:
 
 
 class TestAndKernels:
-    """batch AND / any / count against per-stream oracle replay."""
+    """Row AND / AND-any against per-pair oracle replay."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_stream_oracle(self, seed):
         rng = random.Random(100 + seed)
         for _ in range(25):
-            n = rng.choice(UNIVERSES)
-            n_streams = rng.randrange(1, 10)
-            a_maps, aw, ao = _random_batch(rng, n, n_streams)
-            b_maps, bw, bo = _random_batch(rng, n, n_streams)
-            ng = _n_groups(n)
+            n = rng.choice(ROW_UNIVERSES[:-1])
+            _assert_matches_oracle(*_row_case(
+                rng, n, rng.randrange(1, 8), rng.randrange(1, 6),
+                rng.randrange(0, 12),
+            ))
 
-            got_w, got_o = batch_and(aw, ao, bw, bo, ng)
-            got_any = batch_and_any(aw, ao, bw, bo, ng)
-            got_cnt = batch_and_count(aw, ao, bw, bo, ng)
+    def test_genome_universe(self):
+        # sparse streams over the genome graph's 12,480-bit span
+        rng = random.Random(12_480)
+        n = 12_480
+        maps = [
+            WahBitmap.from_indices(n, _random_indices(rng, n, d))
+            for d in (0.0, 0.001, 0.01, 0.05)
+        ]
+        words, offsets = concat_streams([m.wah_words() for m in maps])
+        adj = _words_matrix(
+            [_random_indices(rng, n, d) for d in (0.001, 0.01, 0.3)], n
+        )
+        ids, rows = np.meshgrid(np.arange(4), np.arange(3))
+        _assert_matches_oracle(
+            maps, words, offsets, adj, ids.ravel(), rows.ravel()
+        )
 
-            for i, (a, b) in enumerate(zip(a_maps, b_maps)):
-                a_w = a.wah_words().tolist()
-                b_w = b.wah_words().tolist()
-                np.testing.assert_array_equal(
-                    got_w[got_o[i]:got_o[i + 1]],
-                    np.array(
-                        wah_and_into(a_w, b_w, ng), dtype=np.uint32
-                    ),
-                    err_msg=f"stream {i} of n={n}",
-                )
-                assert got_any[i] == wah_and_any(a_w, b_w, ng)
-                assert got_cnt[i] == wah_and_count(a_w, b_w, ng)
+    def test_last_group_past_final_word(self):
+        # at 64 bits group 2 is bits 62..92: two in the word, 29 past it
+        n = 64
+        cn = WahBitmap.from_indices(n, [0, 33, 62, 63])
+        adj = _words_matrix([[62, 63], [63], [0, 33], []], n)
+        words, offsets = concat_streams([cn.wah_words()])
+        rows = np.arange(4, dtype=np.int64)
+        ids = np.zeros(4, dtype=np.int64)
+        _assert_matches_oracle([cn], words, offsets, adj, ids, rows)
+        got_w, got_o = batch_and_rows(words, offsets, adj, rows, ids)
+        out = WahBitmap(n, got_w[got_o[0]:got_o[1]].tolist())
+        assert list(out.iter_indices()) == [62, 63]
+
+    def test_probe_reads_zero_past_the_last_word(self):
+        # the part of a last group past the row reads as zero, not as
+        # the next row's first word (no valid CN string can show this:
+        # its bits past the universe are zero too)
+        adj = _words_matrix([[62, 63], list(range(64))], 64)
+        got = _probe(adj, np.array([0, 1, 0]), np.array([2, 2, 1]))
+        assert got.tolist() == [0b11, 0b11, 0]
 
     def test_all_ones_fills(self):
-        # multi-word one-fills AND one-fills stay canonical fills
-        for n in (93, 124, 500):
+        # all-ones streams AND all-ones rows stay canonical one-fills
+        # (up to the last group, which runs past the final word)
+        for n in ROW_UNIVERSES:
             full = WahBitmap.from_indices(n, list(range(n)))
-            w, o = concat_streams([full.wah_words()] * 3)
-            rw, ro = batch_and(w, o, w, o, _n_groups(n))
+            words, offsets = concat_streams([full.wah_words()] * 3)
+            adj = _words_matrix([list(range(n))] * 2, n)
+            ids = np.array([0, 1, 2], dtype=np.int64)
+            rows = np.array([1, 0, 1], dtype=np.int64)
+            rw, ro = batch_and_rows(words, offsets, adj, rows, ids)
             for i in range(3):
                 np.testing.assert_array_equal(
                     rw[ro[i]:ro[i + 1]], full.wah_words()
                 )
+            assert batch_and_rows_any(words, offsets, adj, rows, ids).all()
+            _assert_matches_oracle(
+                [full] * 3, words, offsets, adj, ids, rows
+            )
 
     def test_empty_pairs(self):
+        adj = _words_matrix([[1, 5]], 64)
+        none = np.zeros(0, dtype=np.int64)
+        # an empty batch, and pairs over an empty stream list
         w, o = concat_streams([])
-        rw, ro = batch_and(w, o, w, o, 4)
+        rw, ro = batch_and_rows(w, o, adj, none, none)
         assert rw.size == 0 and ro.tolist() == [0]
-        assert batch_and_any(w, o, w, o, 4).size == 0
-        assert batch_and_count(w, o, w, o, 4).size == 0
+        assert batch_and_rows_any(w, o, adj, none, none).size == 0
+        # zero-length pair lists over a non-empty batch
+        w, o = concat_streams([WahBitmap.from_indices(64, [5]).wah_words()])
+        rw, ro = batch_and_rows(w, o, adj, none, none)
+        assert rw.size == 0 and ro.tolist() == [0]
+        assert batch_and_rows_any(w, o, adj, none, none).size == 0
+        # a zero-row universe has no groups
+        empty_adj = np.zeros((1, 0), dtype=np.uint64)
+        zero = np.zeros(1, dtype=np.int64)
+        rw, ro = batch_and_rows(w, o, empty_adj, zero, zero)
+        assert rw.size == 0 and ro.tolist() == [0, 0]
+        assert not batch_and_rows_any(w, o, empty_adj, zero, zero).any()
+
+    def test_scratch_tally(self):
+        """One AND per pair; CN words read, groups probed and (AND
+        only) words written."""
+        n = 128
+        cn = WahBitmap.from_indices(n, [3, 40, 41, 100])  # 3 literals
+        words, offsets = concat_streams([cn.wah_words()])
+        adj = _words_matrix([[3], [41, 100]], n)
+        ids = np.zeros(2, dtype=np.int64)
+        rows = np.arange(2, dtype=np.int64)
+        scratch = WahScratch()
+        rw, _ = batch_and_rows(words, offsets, adj, rows, ids, scratch)
+        n_words = len(cn.wah_words())
+        assert scratch.and_ops == 2
+        assert scratch.word_ops == 2 * n_words + 2 * 3 + rw.size
+        scratch.reset_stats()
+        batch_and_rows_any(words, offsets, adj, rows, ids, scratch)
+        assert (scratch.and_ops, scratch.word_ops) == (2, 2 * n_words + 6)
 
 
 class TestCodec:
@@ -162,10 +287,7 @@ class TestCodec:
         sets = [
             _random_indices(rng, n, d) for d in DENSITIES for _ in (0, 1)
         ]
-        mat = np.zeros((len(sets), n // 64), dtype=np.uint64)
-        for r, s in enumerate(sets):
-            for i in s:
-                mat[r, i // 64] |= np.uint64(1 << (i % 64))
+        mat = _words_matrix(sets, n)
         words, offsets = batch_encode_words(mat, n)
         for i, s in enumerate(sets):
             np.testing.assert_array_equal(
