@@ -122,6 +122,22 @@ def bench_wah_and_batch(benchmark, wah_batch):
     benchmark(wk.batch_and_rows, aw, ao, rows, ids, ids)
 
 
+def bench_wah_and_any_fused(benchmark, wah_batch):
+    """The same 512 ANDs through the pairs step's own path: the AND's
+    units, their encode, and each child's BitOneExists against the
+    next pair's row, fed those units instead of the encoded words."""
+    _, _, aw, ao, rows, ng = wah_batch
+    ids = np.arange(rows.shape[0], dtype=np.int64)
+    probe = np.roll(ids, -1)
+
+    def run():
+        units = wk.batch_and_units(aw, ao, rows, ids, ids)
+        _, offsets = wk.batch_encode_units(units, ng)
+        return wk.batch_units_any(units, offsets, rows, probe, ids)
+
+    benchmark(run)
+
+
 def bench_wah_count_scalar(benchmark, wah_batch):
     """512 compressed popcounts, per-word Python kernel."""
     a, b, _, _, _, ng = wah_batch

@@ -223,15 +223,15 @@ class EnumerationResult:
 # ---------------------------------------------------------------------------
 
 #: byte budget of one pair batch, shared by the bitset and WAH steps.
-#: A batch takes at most ``PAIR_BATCH_BYTES // (8 * n_words)`` pairs,
-#: so every array it holds per pair — the bitset step's
-#: ``adj[v_i] & adj[v_j] & CN`` test rows, the WAH step's operand
-#: streams — is bounded by the budget, however wide the level is.
+#: Each charges a pair what it holds per pair, so every array a batch
+#: builds is bounded by the budget however wide the level is: the bitset
+#: step a ``8 * n_words``-byte test row (:func:`pair_batches`), the WAH
+#: step an index entry per CN group it gathers (:func:`gathered_batches`).
 PAIR_BATCH_BYTES = 1 << 20
 
 
 def pair_batch_limit(n_words: int) -> int:
-    """Pairs per step batch for adjacency rows of ``n_words`` words.
+    """Pairs per bitset-step batch for adjacency rows of ``n_words`` words.
 
     Batches split only at sub-list boundaries, so a sub-list with more
     pairs than this is a batch of its own.
@@ -245,11 +245,22 @@ def pair_batches(tail_counts, n_words: int) -> list[tuple[int, int]]:
     ``tail_counts[i]`` is sub-list ``i``'s tail count.  Each range
     holds at most :func:`pair_batch_limit` pairs, except that a range
     always takes at least one sub-list, so a sub-list over the limit
-    is a range of its own.  Both generation steps cut their pair
-    batches with this rule, and the ``threads`` backend its work units.
+    is a range of its own.  The bitset step cuts its pair batches by
+    this rule, and the ``threads`` backend its work units on any store.
     """
     t = np.asarray(tail_counts, dtype=np.int64)
     return weight_batches(t * (t - 1) // 2, pair_batch_limit(n_words))
+
+
+def gathered_batches(tail_counts, gathered) -> list[tuple[int, int]]:
+    """The WAH step's cut, by :func:`pair_batches`' rule: sub-list ``i``
+    weighs ``INDEX_BYTES * pairs * (1 + gathered[i])`` bytes, one index
+    entry per tail pair and per nonzero CN group a pair gathers."""
+    t = np.asarray(tail_counts, dtype=np.int64)
+    return weight_batches(
+        INDEX_BYTES * (t * (t - 1) // 2) * (1 + np.asarray(gathered)),
+        PAIR_BATCH_BYTES,
+    )
 
 
 def weight_batches(weights, limit: int) -> list[tuple[int, int]]:

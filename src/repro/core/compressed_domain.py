@@ -42,18 +42,19 @@ backend keeps its documented counter model:
     parents.
 
 Both models run on the structure-of-arrays word layout of
-:mod:`repro.core.wah_kernels`: one ``batch_and_rows`` per pair batch
-for the child CN strings, and one ``batch_and_rows_any`` for the
-maximality tests of its generated cliques, which reads each child CN's
-nonzero groups once and gathers them per clique by index.  They share
-one children assembly with the bitset step's helpers (``pair_groups``,
-``select_children``, ``emit_cliques``), with no per-sub-list or
-per-parent loop.  The counter model charges algorithmic operations,
-not loop iterations, so bulk charging a batch equals charging its
-pairs one by one.  Every
-batch kernel produces the byte-identical words of the scalar
-:class:`~repro.core.compressed.WahBitmap` kernels, which stay as the
-oracle ``tests/core/test_wah_kernel_arrays.py`` replays them against.
+:mod:`repro.core.wah_kernels` and share one children assembly with the
+bitset step's helpers (``pair_groups``, ``select_children``,
+``emit_cliques``), with no per-sub-list or per-parent loop.  A
+``"pairs"`` batch decodes each CN string once, as a parent: the child
+CN strings' nonzero units (``batch_and_units``) are written as words
+(``batch_encode_units``) and, gathered per generated clique, feed its
+maximality test (``batch_units_any``); ``"bitscan"`` scans the child
+words for partners, so it runs the composed ``batch_and_rows`` and
+``batch_and_rows_any``.  The counter model charges algorithmic
+operations, not loop iterations, so bulk charging a batch equals
+charging its pairs one by one.  Every batch kernel produces the
+byte-identical words of its scalar oracle, the :class:`~repro.core.
+compressed.WahBitmap` kernels (``tests/core/test_wah_kernel_arrays.py``).
 
 Thread safety: one expander serves one run, but its :meth:`step` may be
 called concurrently by the ``threads`` backend's workers.  The step
@@ -73,8 +74,8 @@ from repro.errors import ParameterError
 from repro.core.bitset import WORD_BITS
 from repro.core.clique_enumerator import (
     emit_cliques,
+    gathered_batches,
     generated_cliques,
-    pair_batches,
     pair_groups,
     select_children,
 )
@@ -86,7 +87,11 @@ from repro.core.sublist import CompressedLevelBatch
 from repro.core.wah_kernels import (
     batch_and_rows,
     batch_and_rows_any,
+    batch_and_units,
+    batch_encode_units,
     batch_indices_above,
+    batch_units_any,
+    nonzero_group_counts,
     take_streams,
 )
 
@@ -199,26 +204,26 @@ class CompressedExpander:
     def _step_pairs(self, batch, counters, emit):
         """The tail-list model: counters match ``generate_next_level``.
 
-        Cuts pair batches at sub-list boundaries by the same byte budget
-        and rule as the bitset step (:func:`~repro.core.
-        clique_enumerator.pair_batches`), so the transients stay flat
-        however wide the level is, and builds and groups each batch's
-        pairs with the bitset step's own helpers.  Counters, emitted
-        cliques, and children are byte-identical to the raw-word step's
-        at any batch size.
+        Cuts pair batches at sub-list boundaries by the CN groups they
+        gather (:func:`~repro.core.clique_enumerator.gathered_batches`),
+        so the transients stay flat however wide the level is, and
+        builds and groups each batch's pairs with the bitset step's own
+        helpers.  Counters, emitted cliques, and children are
+        byte-identical to the raw-word step's at any batch size.
         """
         scratch = self._scratch()
+        gathered = nonzero_group_counts(batch.cn_words, batch.cn_offsets)
         return self._join(batch, [
             self._pairs_batch(start, end, batch, counters, emit, scratch)
-            for start, end in pair_batches(
-                batch.n_tails, self._adj.shape[1]
-            )
+            for start, end in gathered_batches(batch.n_tails, gathered)
         ])
 
     def _pairs_batch(self, lo, hi, batch, counters, emit, scratch):
         """Expand sub-lists ``[lo, hi)`` as one vectorised pair batch.
 
-        Returns the children as a batch, or None when it retains none.
+        The AND's units are the child CN strings and feed the
+        maximality tests.  Returns the children as a batch, or None
+        when it retains none.
         """
         first, pvi, pvj, psid = generated_cliques(
             self._adj, batch.tails, batch.tail_offsets[lo:hi + 1], counters
@@ -229,17 +234,18 @@ class CompressedExpander:
         starts, group_of = pair_groups(first)
         counters.bit_and_ops += int(starts.size)
         part = batch.rows(lo, hi)
-        chw, cho = batch_and_rows(
+        units = batch_and_units(
             part.cn_words, part.cn_offsets, self._adj, pvi[starts],
             psid[starts], scratch,
         )
+        streams = batch_encode_units(units, part.n_groups, scratch)
         # BitOneExists(child_cn & adj[vj]) for every generated clique
-        nonmax = batch_and_rows_any(
-            chw, cho, self._adj, pvj, group_of, scratch
+        nonmax = batch_units_any(
+            units, streams[1], self._adj, pvj, group_of, scratch
         )
         return self._children(
             batch, psid + lo, pvi, pvj, nonmax, starts, group_of,
-            (chw, cho), None, counters, emit,
+            streams, None, counters, emit,
         )
 
     def _step_bitscan(self, batch, counters, emit):

@@ -26,9 +26,11 @@ The generation step's two operations pair a compressed common-neighbor
 ``Graph.adj`` the step already holds: :func:`batch_and_rows` derives
 the child CN string and :func:`batch_and_rows_any` is the
 ``BitOneExists`` maximality test.  Both read only the stream's nonzero
-groups: group ``G`` of a row is bits ``[31G, 31G + 31)``, at most two
-``uint64`` loads, so zero fills cost nothing and one-fills are split
-into unit groups.  The adjacency operand is never encoded or copied.
+groups, its *units*: group ``G`` of a row is bits ``[31G, 31G + 31)``,
+at most two ``uint64`` loads, so zero fills cost nothing and one-fills
+are split into unit groups.  The adjacency operand is never encoded or
+copied.  Both compose halves the step calls itself, so it tests its
+child CN strings' units without decoding the words it encoded.
 
 Equivalence contract: every kernel here produces byte-identical
 canonical words (and identical predicates) to the Python kernels in
@@ -52,6 +54,10 @@ __all__ = [
     "take_streams",
     "batch_and_rows",
     "batch_and_rows_any",
+    "batch_and_units",
+    "batch_encode_units",
+    "batch_units_any",
+    "nonzero_group_counts",
     "batch_decode_groups",
     "batch_decode_words",
     "batch_indices_above",
@@ -204,30 +210,47 @@ def _row_groups(n_words: int) -> int:
     return (WORD_BITS * n_words + GROUP_BITS - 1) // GROUP_BITS
 
 
+def _cum_at(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Running total of ``x`` at each offset: segment ``i`` of ``x``
+    sums to ``out[i + 1] - out[i]``, an empty segment to zero."""
+    cum = np.zeros(x.size + 1, dtype=np.int64)
+    np.cumsum(x, out=cum[1:])
+    return cum[offsets]
+
+
+def nonzero_group_counts(
+    words: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """Each stream's nonzero-group count, read off its words: a literal
+    counts 1, a one-fill its length, a zero fill 0 — the number of
+    units :func:`_nonzero_groups` gives it, none built."""
+    vals, lengths, _ = _expand(words, offsets)
+    return np.diff(_cum_at(np.where(vals != 0, lengths, 0), offsets))
+
+
+#: *units* ``(vals, groups, offsets)``: stream ``i``'s nonzero groups
+#: are ``vals[offsets[i]:offsets[i + 1]]``, at local groups ``groups``.
+Units = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 def _nonzero_groups(
     words: np.ndarray, offsets: np.ndarray, n_groups: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every stream's nonzero groups, in stream and group order.
+) -> Units:
+    """Every stream's nonzero groups, as units.
 
-    Returns ``(vals, groups, nz_offsets)``: stream ``i``'s nonzero
-    groups are ``vals[nz_offsets[i]:nz_offsets[i + 1]]`` at local group
-    indices ``groups[...]``.  A literal is one group; a one-fill of
-    ``L`` groups becomes ``L`` all-ones unit groups; zero fills vanish.
+    A literal is one unit; a one-fill of ``L`` groups becomes ``L``
+    all-ones units; zero fills vanish.
     """
+    _check_groups(n_groups)
     vals, lengths, gstart = _expand(words, offsets)
-    nz = np.flatnonzero(vals)
-    reps = lengths[nz]
+    count = np.where(vals != 0, lengths, 0)
+    nz = np.flatnonzero(count)
+    reps = count[nz]
     # unit u of nonzero word w sits at gstart[w] + (u - first unit of w)
     first = np.cumsum(reps) - reps
     pos = np.arange(int(reps.sum()), dtype=np.int64)
     pos += np.repeat(gstart[nz] - first, reps)
-    stream = pos // n_groups
-    nz_offsets = np.zeros(offsets.size, dtype=np.int64)
-    np.cumsum(
-        np.bincount(stream, minlength=offsets.size - 1),
-        out=nz_offsets[1:],
-    )
-    return np.repeat(vals[nz], reps), pos - stream * n_groups, nz_offsets
+    return np.repeat(vals[nz], reps), pos % n_groups, _cum_at(count, offsets)
 
 
 def _probe(
@@ -253,25 +276,16 @@ def _probe(
 
 
 def _and_units(
-    words: np.ndarray,
-    offsets: np.ndarray,
-    adj: np.ndarray,
-    rows: np.ndarray,
-    ids: np.ndarray,
-    scratch: WahScratch | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stream ``ids[i]``'s nonzero groups ANDed with ``adj[rows[i]]``.
+    units: Units, offsets: np.ndarray, adj: np.ndarray,
+    rows: np.ndarray, ids: np.ndarray, scratch: WahScratch | None,
+) -> Units:
+    """Stream ``ids[i]``'s units, gathered by index, ANDed with
+    ``adj[rows[i]]``: every pair's units, values possibly zero.
 
-    Returns ``(pair, groups, vals, unit_offsets)``: pair ``i`` owns
-    units ``[unit_offsets[i], unit_offsets[i + 1])``, each a local group
-    index and its AND (possibly zero).  Each stream's nonzero groups are
-    found once, however many pairs reference it, and gathered per pair
-    by index.  Tallies one AND per pair, and the CN words each pair
-    reads plus the adjacency groups it probes, into ``scratch``.
+    Tallies one AND per pair, the CN words it reads (by the streams'
+    word ``offsets``) and the adjacency groups it probes.
     """
-    n_groups = _row_groups(adj.shape[1])
-    _check_groups(n_groups)
-    vals, groups, nz_offsets = _nonzero_groups(words, offsets, n_groups)
+    vals, groups, nz_offsets = units
     src, unit_offsets = _take_index(nz_offsets, ids)
     pair = np.repeat(
         np.arange(ids.size, dtype=np.int64), np.diff(unit_offsets)
@@ -283,40 +297,38 @@ def _and_units(
         scratch.word_ops += int(
             (offsets[ids + 1] - offsets[ids]).sum() + src.size
         )
-    return pair, groups, vals, unit_offsets
+    return vals, groups, unit_offsets
 
 
-def batch_and_rows(
-    words: np.ndarray,
-    offsets: np.ndarray,
-    adj: np.ndarray,
-    rows: np.ndarray,
-    ids: np.ndarray,
-    scratch: WahScratch | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``stream[ids[i]] & adj[rows[i]]`` for every pair, canonical SoA.
-
-    ``words``/``offsets`` is a batch of WAH streams over the universe of
-    ``adj``'s rows (``64 * adj.shape[1]`` bits) and ``adj`` a raw
-    ``uint64`` bit matrix.  Only the streams' nonzero groups are probed
-    in the rows; zero runs between them pass through as zero fills, and
-    :func:`_encode_runs` writes the result, so every output stream is
-    byte-identical to :func:`~repro.core.compressed.wah_and_into` of
-    the stream and ``WahBitmap.from_words(adj[rows[i]])``.
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    rows = np.asarray(rows, dtype=np.int64)
-    n_pairs = int(ids.size)
-    n_groups = _row_groups(adj.shape[1])
-    if n_pairs == 0 or n_groups == 0:
-        return _EMPTY_U32, np.zeros(n_pairs + 1, dtype=np.int64)
-    pair, groups, vals, unit_offsets = _and_units(
-        words, offsets, adj, rows, ids, scratch
+def batch_and_units(
+    words: np.ndarray, offsets: np.ndarray, adj: np.ndarray,
+    rows: np.ndarray, ids: np.ndarray, scratch: WahScratch | None = None,
+) -> Units:
+    """The units half of :func:`batch_and_rows`: the nonzero groups of
+    every ``stream[ids[i]] & adj[rows[i]]``, exactly the units
+    :func:`_nonzero_groups` decodes from the encoded result.  Each
+    stream is decoded once, however many pairs reference it."""
+    units = _nonzero_groups(words, offsets, _row_groups(adj.shape[1]))
+    vals, groups, unit_offsets = _and_units(
+        units, offsets, adj, rows, ids, scratch
     )
-    # each pair's runs: a zero gap before every unit, a zero tail after
+    nz = vals != 0
+    return vals[nz], groups[nz], _cum_at(nz, unit_offsets)
+
+
+def batch_encode_units(
+    units: Units, n_groups: int, scratch: WahScratch | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The encode half of :func:`batch_and_rows`: every stream of units
+    as canonical WAH words over ``n_groups`` groups, written by
+    :func:`_encode_runs`; ``scratch`` tallies the words written."""
+    vals, groups, unit_offsets = units
+    n_pairs = unit_offsets.size - 1
+    # each stream's runs: a zero gap before every unit, a zero tail after
     # its last; slot 2u + pair[u] is unit u's gap, the next its group
     n_units = int(groups.size)
     count = np.diff(unit_offsets)
+    pair = np.repeat(np.arange(n_pairs, dtype=np.int64), count)
     has = count > 0
     prev_end = np.zeros(n_units, dtype=np.int64)
     prev_end[1:] = groups[:-1] + 1
@@ -339,30 +351,59 @@ def batch_and_rows(
     return out_words, out_offsets
 
 
+def batch_units_any(
+    units: Units, offsets: np.ndarray, adj: np.ndarray,
+    rows: np.ndarray, ids: np.ndarray, scratch: WahScratch | None = None,
+) -> np.ndarray:
+    """``BitOneExists(stream[ids[i]] & adj[rows[i]])`` for every pair,
+    from the streams' nonzero units and word ``offsets``: the step
+    feeds its AND's units here rather than re-decode the child CN
+    strings it just encoded."""
+    vals, _, pair_offsets = _and_units(
+        units, offsets, adj, rows, ids, scratch
+    )
+    return np.diff(_cum_at(vals != 0, pair_offsets)) > 0
+
+
+def batch_and_rows(
+    words: np.ndarray, offsets: np.ndarray, adj: np.ndarray,
+    rows: np.ndarray, ids: np.ndarray, scratch: WahScratch | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``stream[ids[i]] & adj[rows[i]]`` for every pair, canonical SoA.
+
+    ``words``/``offsets`` is a batch of WAH streams over the universe of
+    ``adj``'s rows (``64 * adj.shape[1]`` bits) and ``adj`` a raw
+    ``uint64`` bit matrix.  Only the streams' nonzero groups are probed
+    in the rows (:func:`batch_and_units`); zero runs between them pass
+    through as zero fills (:func:`batch_encode_units`), so every output
+    stream is byte-identical to :func:`~repro.core.compressed.
+    wah_and_into` of the stream and ``WahBitmap.from_words(adj[rows[i]])``.
+    """
+    n_groups = _row_groups(adj.shape[1])
+    if len(ids) == 0 or n_groups == 0:
+        return _EMPTY_U32, np.zeros(len(ids) + 1, dtype=np.int64)
+    return batch_encode_units(
+        batch_and_units(words, offsets, adj, rows, ids, scratch),
+        n_groups, scratch,
+    )
+
+
 def batch_and_rows_any(
-    words: np.ndarray,
-    offsets: np.ndarray,
-    adj: np.ndarray,
-    rows: np.ndarray,
-    ids: np.ndarray,
-    scratch: WahScratch | None = None,
+    words: np.ndarray, offsets: np.ndarray, adj: np.ndarray,
+    rows: np.ndarray, ids: np.ndarray, scratch: WahScratch | None = None,
 ) -> np.ndarray:
     """``BitOneExists(stream[ids[i]] & adj[rows[i]])`` for every pair.
 
     The batch maximality test over the operands of
     :func:`batch_and_rows`: a pair intersects iff one of its stream's
-    nonzero groups meets the row.  Matches
+    nonzero groups meets the row (:func:`batch_units_any`).  Matches
     :func:`~repro.core.compressed.wah_and_any` pair for pair.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    out = np.zeros(ids.size, dtype=bool)
-    if ids.size == 0 or _row_groups(adj.shape[1]) == 0:
-        return out
-    pair, _, vals, _ = _and_units(
-        words, offsets, adj, np.asarray(rows, dtype=np.int64), ids, scratch
-    )
-    out[pair[vals != 0]] = True
-    return out
+    n_groups = _row_groups(adj.shape[1])
+    if len(ids) == 0 or n_groups == 0:
+        return np.zeros(len(ids), dtype=bool)
+    units = _nonzero_groups(words, offsets, n_groups)
+    return batch_units_any(units, offsets, adj, rows, ids, scratch)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,17 @@ run: worker *threads* expand disjoint ranges of one candidate level
 against the **shared** adjacency bitmap and sub-list arrays — no
 pickling, no per-level scatter/gather of candidate data.
 
-The work unit is the pair batch the sequential step already cuts: a
-store chunk (a :class:`~repro.core.sublist.LevelArrays` chunk, or a
-whole :class:`~repro.core.sublist.CompressedLevelBatch` on the ``wah``
-store) is split into contiguous sub-list ranges by the
-``PAIR_BATCH_BYTES`` rule of
+The work unit is a sub-list range: a store chunk (a
+:class:`~repro.core.sublist.LevelArrays` chunk, or a whole
+:class:`~repro.core.sublist.CompressedLevelBatch` on the ``wah`` store)
+is split into contiguous ranges by the bitset step's pair-batch rule,
 :func:`~repro.core.clique_enumerator.pair_batches`, and a worker
 expands a range with the unchanged sequential step on a zero-copy row
-slice of the chunk (``rows(start, end)``).  A chunk that is one range
-runs on the calling thread, without the pool.
+slice of the chunk (``rows(start, end)``).  On the raw-word stores a
+range is one pair batch of the step; the ``wah`` step cuts by the CN
+groups a batch gathers, so there a range is usually one WAH batch, and
+the step may split a range of dense CN strings further.  A chunk that
+is one range runs on the calling thread, without the pool.
 
 Scheduling is two-phase, mirroring the paper's Section 2.3 scheduler:
 

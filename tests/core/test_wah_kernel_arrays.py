@@ -11,7 +11,9 @@ indices — across the boundary shapes the step actually produces:
 fill/literal alternation, all-ones fills, universes that are not a
 multiple of the 31-bit group, empty streams inside a batch, and empty
 batches.  The AND kernels pair a stream with a raw ``uint64`` row; the
-oracle takes that row as ``WahBitmap.from_words(row)``.
+oracle takes that row as ``WahBitmap.from_words(row)``.  The step's own
+path through them (the AND's units, their encode, and ``BitOneExists``
+fed those units) is held to the composed kernels on the same cases.
 """
 
 from __future__ import annotations
@@ -30,12 +32,16 @@ from repro.core.compressed import (
     wah_and_into,
 )
 from repro.core.wah_kernels import (
+    _nonzero_groups,
     _probe,
     batch_and_rows,
     batch_and_rows_any,
+    batch_and_units,
     batch_decode_words,
+    batch_encode_units,
     batch_encode_words,
     batch_indices_above,
+    batch_units_any,
     concat_streams,
     take_streams,
 )
@@ -113,8 +119,38 @@ def _row_case(rng, n, n_streams, n_rows, n_pairs):
     return maps, words, offsets, adj, ids, rows
 
 
+def _assert_fused_path(words, offsets, adj, ids, rows):
+    """The step's path against the composed kernels: the AND's units
+    encode to ``batch_and_rows``' words and are exactly the units
+    ``_nonzero_groups`` decodes from them; ``BitOneExists`` fed those
+    units matches ``batch_and_rows_any`` on the encoded words for every
+    child against every row; and both paths tally the same."""
+    ng = _n_groups(64 * adj.shape[1])
+    fused, composed = WahScratch(), WahScratch()
+    units = batch_and_units(words, offsets, adj, rows, ids, fused)
+    cw, co = batch_encode_units(units, ng, fused)
+    ref_w, ref_o = batch_and_rows(words, offsets, adj, rows, ids, composed)
+    np.testing.assert_array_equal(cw, ref_w)
+    np.testing.assert_array_equal(co, ref_o)
+    for got, want in zip(units, _nonzero_groups(cw, co, ng)):
+        np.testing.assert_array_equal(got, want)
+    kid, row = (
+        a.ravel()
+        for a in np.meshgrid(np.arange(ids.size), np.arange(adj.shape[0]))
+    )
+    np.testing.assert_array_equal(
+        batch_units_any(units, co, adj, row, kid, fused),
+        batch_and_rows_any(cw, co, adj, row, kid, composed),
+    )
+    assert (fused.and_ops, fused.word_ops) == (
+        composed.and_ops, composed.word_ops
+    )
+
+
 def _assert_matches_oracle(maps, words, offsets, adj, ids, rows):
-    """Both row kernels, pair by pair, against the scalar kernels."""
+    """Both row kernels, pair by pair, against the scalar kernels, and
+    the step's fused path against both."""
+    _assert_fused_path(words, offsets, adj, ids, rows)
     ng = _n_groups(WahBitmap.from_words(adj[0]).n)
     got_w, got_o = batch_and_rows(words, offsets, adj, rows, ids)
     got_any = batch_and_rows_any(words, offsets, adj, rows, ids)
@@ -182,30 +218,36 @@ class TestAndKernels:
             ))
 
     def test_genome_universe(self):
-        # sparse streams over the genome graph's 12,480-bit span
+        # sparse streams over the genome graph's 12,480-bit span, one
+        # with a one-fill run, against sparse, dense and all-ones rows
         rng = random.Random(12_480)
         n = 12_480
         maps = [
             WahBitmap.from_indices(n, _random_indices(rng, n, d))
             for d in (0.0, 0.001, 0.01, 0.05)
-        ]
+        ] + [WahBitmap.from_indices(n, sorted(
+            set(range(600, 900)) | set(_random_indices(rng, n, 0.01))
+        ))]
         words, offsets = concat_streams([m.wah_words() for m in maps])
         adj = _words_matrix(
-            [_random_indices(rng, n, d) for d in (0.001, 0.01, 0.3)], n
+            [_random_indices(rng, n, d) for d in (0.001, 0.01, 0.3)]
+            + [list(range(n))],
+            n,
         )
-        ids, rows = np.meshgrid(np.arange(4), np.arange(3))
+        ids, rows = np.meshgrid(np.arange(5), np.arange(4))
         _assert_matches_oracle(
             maps, words, offsets, adj, ids.ravel(), rows.ravel()
         )
 
     def test_last_group_past_final_word(self):
         # at 64 bits group 2 is bits 62..92: two in the word, 29 past it
+        # (the last rows meet the stream only at a group's bit 0)
         n = 64
         cn = WahBitmap.from_indices(n, [0, 33, 62, 63])
-        adj = _words_matrix([[62, 63], [63], [0, 33], []], n)
+        adj = _words_matrix([[62, 63], [63], [0, 33], [], [0], [62]], n)
         words, offsets = concat_streams([cn.wah_words()])
-        rows = np.arange(4, dtype=np.int64)
-        ids = np.zeros(4, dtype=np.int64)
+        rows = np.arange(6, dtype=np.int64)
+        ids = np.zeros(6, dtype=np.int64)
         _assert_matches_oracle([cn], words, offsets, adj, ids, rows)
         got_w, got_o = batch_and_rows(words, offsets, adj, rows, ids)
         out = WahBitmap(n, got_w[got_o[0]:got_o[1]].tolist())
@@ -246,11 +288,13 @@ class TestAndKernels:
         rw, ro = batch_and_rows(w, o, adj, none, none)
         assert rw.size == 0 and ro.tolist() == [0]
         assert batch_and_rows_any(w, o, adj, none, none).size == 0
+        _assert_fused_path(w, o, adj, none, none)
         # zero-length pair lists over a non-empty batch
         w, o = concat_streams([WahBitmap.from_indices(64, [5]).wah_words()])
         rw, ro = batch_and_rows(w, o, adj, none, none)
         assert rw.size == 0 and ro.tolist() == [0]
         assert batch_and_rows_any(w, o, adj, none, none).size == 0
+        _assert_fused_path(w, o, adj, none, none)
         # a zero-row universe has no groups
         empty_adj = np.zeros((1, 0), dtype=np.uint64)
         zero = np.zeros(1, dtype=np.int64)

@@ -169,12 +169,23 @@ class TestDomainTelemetry:
     def graph(self):
         return _graph()
 
-    def test_wah_domain_on_wah_store_never_decompresses(self, graph):
+    def test_wah_domain_on_wah_store_never_decompresses(
+        self, graph, monkeypatch
+    ):
+        """Both ways to decompress a level are booby-trapped for the
+        run: a wah-store job never decodes a CN string to raw words."""
+        from repro.core import sublist, wah_kernels
+
+        def trap(*args, **kwargs):
+            raise AssertionError("a level was decompressed")
+
+        monkeypatch.setattr(CompressedLevelBatch, "to_level", trap)
+        monkeypatch.setattr(sublist, "batch_decode_words", trap)
+        monkeypatch.setattr(wah_kernels, "batch_decode_words", trap)
         res = ENGINE.run(graph, EnumerationConfig(
             backend="incore", level_store="wah"
         ))
         stats = res.domain_stats
-        assert stats.get("decompressed_bytes", 0) == 0
         assert stats["decompressed_bytes_avoided"] > 0
         assert stats["kernel_word_ops"] > 0
         assert stats["kernel_ands"] > 0
@@ -305,10 +316,11 @@ class TestCompressedExpander:
 
 
 class TestPairBatches:
-    """Both steps cut pair batches at sub-list boundaries by one byte
-    budget, ``clique_enumerator.PAIR_BATCH_BYTES``.  Where they cut is
-    invisible in the output, and the budget, not the level width,
-    bounds the step's transients."""
+    """Both steps cut pair batches at sub-list boundaries against one
+    byte budget, ``clique_enumerator.PAIR_BATCH_BYTES``: the bitset
+    step by its test rows' width, the WAH step by the CN groups a batch
+    gathers.  Where they cut is invisible in the output, and the
+    budget, not the level width, bounds the step's transients."""
 
     @pytest.mark.parametrize(
         "store, step", [("memory", "bitset"), ("wah", "wah")]
@@ -330,6 +342,90 @@ class TestPairBatches:
         assert split.counters.snapshot() == whole.counters.snapshot()
         # kernel_word_ops, kernel_ands, decompressed/bypassed bytes
         assert split.domain_stats == whole.domain_stats
+
+    def test_wah_batches_weigh_at_most_the_budget(self, monkeypatch):
+        """Every pair batch the WAH step runs weighs at most the budget
+        (8 bytes per tail pair and per nonzero CN group the pair
+        gathers, counted here from the decoded groups) unless it is a
+        single sub-list, and is cut no shorter than that allows."""
+        from repro.core.wah_kernels import batch_decode_groups
+
+        budget = 4096
+        cuts = []
+        real = CompressedExpander._pairs_batch
+
+        def spy(self, lo, hi, batch, *rest):
+            groups = batch_decode_groups(
+                batch.cn_words, batch.cn_offsets, batch.n_groups
+            )
+            t = batch.n_tails
+            weight = 8 * (t * (t - 1) // 2) * (
+                1 + (groups != 0).sum(axis=1)
+            )
+            cuts.append((hi - lo, int(weight[lo:hi].sum()),
+                         int(weight[hi]) if hi < len(batch) else None))
+            return real(self, lo, hi, batch, *rest)
+
+        monkeypatch.setattr(CompressedExpander, "_pairs_batch", spy)
+        monkeypatch.setattr(clique_enumerator, "PAIR_BATCH_BYTES", budget)
+        g, _ = planted_clique(300, 12, 0.05, seed=0)
+        ENGINE.run(g, EnumerationConfig(backend="incore", level_store="wah"))
+        assert len(cuts) > 10
+        assert any(size > 1 for size, _, _ in cuts)
+        for size, weight, following in cuts:
+            assert weight <= budget or size == 1
+            if following is not None:
+                assert weight + following > budget
+
+    def test_sparse_wide_level_cuts_into_fewer_batches(self):
+        """Sparse CN strings in a wide universe gather a few groups per
+        pair, not a row of ``n_words`` words: the WAH cut runs the
+        level in fewer batches than the bitset step's cut would."""
+        from repro.core.counters import OpCounters
+        from repro.core.wah_kernels import nonzero_group_counts
+        from repro.engine.level_loop import seed_level
+
+        g = _disjoint_k7s(400, 12_000)
+        _, seed = seed_level(g, 2, OpCounters(), lambda c: None)
+        batch = CompressedLevelBatch.from_level(seed)
+        gathered = nonzero_group_counts(batch.cn_words, batch.cn_offsets)
+        assert gathered.max() <= 6
+        wah = clique_enumerator.gathered_batches(batch.n_tails, gathered)
+        bitset = clique_enumerator.pair_batches(
+            batch.n_tails, g.adj.shape[1]
+        )
+        assert len(bitset) > 10
+        assert len(wah) < len(bitset)
+
+    def test_nonzero_group_counts_include_one_fills(self):
+        """The cut's per-stream count is the number of units the step
+        gathers: a literal 1, a one-fill its length, a zero fill 0."""
+        from repro.core.counters import OpCounters
+        from repro.core.wah_kernels import (
+            _nonzero_groups,
+            batch_decode_groups,
+            nonzero_group_counts,
+        )
+        from repro.engine.level_loop import seed_level
+
+        # a 70-clique on vertices 0..69 gives CN streams whose groups
+        # 0 and 1 are all ones: one-fills two groups long
+        background = erdos_renyi(140, 0.04, seed=3)
+        g = Graph.from_edges(140, sorted(
+            set(itertools.combinations(range(70), 2))
+            | set(background.edges())
+        ))
+        _, seed = seed_level(g, 2, OpCounters(), lambda c: None)
+        batch = CompressedLevelBatch.from_level(seed)
+        words, offsets = batch.cn_words, batch.cn_offsets
+        one_fill = (words >> np.uint32(30)) == 3
+        assert (words[one_fill] & np.uint32((1 << 30) - 1) > 1).any()
+        counts = nonzero_group_counts(words, offsets)
+        _, _, nz_offsets = _nonzero_groups(words, offsets, batch.n_groups)
+        np.testing.assert_array_equal(counts, np.diff(nz_offsets))
+        np.testing.assert_array_equal(counts, (batch_decode_groups(
+            words, offsets, batch.n_groups
+        ) != 0).sum(axis=1))
 
     def test_working_set_does_not_grow_with_level_width(self):
         """Four times the level width (disjoint K7s seeded at k = 3 in
