@@ -57,7 +57,12 @@ from repro.errors import ParameterError
 from repro.core import bitset as bs
 from repro.core.counters import IOStats, OpCounters
 from repro.core.graph import Graph
-from repro.core.sublist import CliqueSubList, LevelArrays
+from repro.core.sublist import (
+    INDEX_BYTES,
+    POINTER_BYTES,
+    CliqueSubList,
+    LevelArrays,
+)
 
 __all__ = [
     "LevelStats",
@@ -72,11 +77,6 @@ __all__ = [
     "build_sublists_from_k_cliques",
     "enumerate_maximal_cliques",
 ]
-
-#: bytes per stored vertex index (the paper's ``c``); we store int64.
-INDEX_BYTES = 8
-#: bytes per sub-list pointer in the paper's space formula.
-POINTER_BYTES = 8
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,15 @@ with only one read-chunk at a time.  Every byte written/read is counted,
 so the ablation report and ``benchmarks/bench_engines.py`` can show the
 I/O volume that the in-core algorithm avoids.
 
-It takes and yields :class:`~repro.core.sublist.LevelArrays` chunks,
-the form the raw-word step computes in, and spills them as raw
-contiguous blocks: each record is ``chunk_size`` rows' arrays behind a
-fixed ``int64`` header, read back with ``np.frombuffer`` — no object
-per sub-list and no unpickling of files in a directory a client may
-have chosen.  The enumeration logic is the unmodified
+It subclasses :class:`~repro.core.sublist.LevelStore`, which owns the
+single-pass contract and the ``N[k]``/``M[k]`` accounting; this module
+supplies only the spill.  It takes and yields
+:class:`~repro.core.sublist.LevelArrays` chunks, the form the raw-word
+step computes in, and spills them as raw contiguous blocks: each
+record is :data:`RECORD_ROWS` rows' arrays behind a fixed ``int64``
+header, read back with ``np.frombuffer`` — no object per sub-list and
+no unpickling of files in a directory a client may have chosen.  The
+enumeration logic is the unmodified
 :func:`~repro.core.clique_enumerator.generate_next_level`; only the
 storage layer changes — exactly the framing of the paper's argument.
 Any engine backend runs on it with ``level_store="disk"`` (e.g.
@@ -36,36 +39,36 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import LevelStoreError, ParameterError
-from repro.core.clique_enumerator import INDEX_BYTES, POINTER_BYTES
+from repro.errors import LevelStoreError
 from repro.core.counters import IOStats
-from repro.core.sublist import LevelArrays
+from repro.core.sublist import LevelArrays, LevelStore
 
 __all__ = ["IOStats", "DiskLevelStore"]
+
+#: sub-lists per spill record (filled across appends): amortises the
+#: per-record overhead that killed the original out-of-core
+#: implementation
+RECORD_ROWS = 256
 
 #: ``int64`` fields of a record header: rows, prefix width (``k - 1``),
 #: tail count and CN words per row
 _HEADER_FIELDS = 4
 
 
-class DiskLevelStore:
+class DiskLevelStore(LevelStore):
     """Spill-and-stream storage for one level of candidate sub-lists.
 
     Sub-lists are appended as :class:`~repro.core.sublist.LevelArrays`
-    chunks and spilled as records of ``chunk_size`` rows (filled across
-    appends), then streamed back in insertion order exactly once, one
-    record per chunk.  A record is an 8-byte little-endian length, then
-    the ``int64`` header (rows, ``k - 1``, tail count, CN words per
-    row) and the raw prefix, offset, tail and CN arrays.  A record that
-    runs past the end of the file, or whose header disagrees with its
-    length, raises :class:`~repro.errors.LevelStoreError`.  The store
-    is single-pass by design — the level-wise algorithm never revisits
-    a consumed level.
-
-    Implements the :class:`repro.engine.level_store.LevelStore` interface
-    (including the ``n_sublists`` / ``n_candidates`` / ``candidate_bytes``
-    accounting the unified level loop reads for per-level statistics and
-    memory budgets).
+    chunks and spilled as records of :data:`RECORD_ROWS` rows (filled
+    across appends), then streamed back in insertion order exactly
+    once, one record per chunk.  A record is an 8-byte little-endian
+    length, then the ``int64`` header (rows, ``k - 1``, tail count, CN
+    words per row) and the raw prefix, offset, tail and CN arrays.  A
+    record that runs past the end of the file, or whose header
+    disagrees with its length, raises
+    :class:`~repro.errors.LevelStoreError`.  Its ``candidate_bytes``
+    is the level as if held in memory, comparable across substrates;
+    the disk traffic is in :attr:`stats`.
 
     Parameters
     ----------
@@ -73,8 +76,6 @@ class DiskLevelStore:
         Each store gets a unique spill filename, so consecutive levels
         can safely share one directory (the writer of level k+1 must
         not truncate the file level k is still streaming from).
-    chunk_size: sub-lists per record (amortises the per-record
-        overhead that killed the original out-of-core implementation).
     stats: shared I/O counter, updated on every operation.
     """
 
@@ -83,14 +84,10 @@ class DiskLevelStore:
     def __init__(
         self,
         directory: str | Path | None = None,
-        chunk_size: int = 256,
+        *,
         stats: IOStats | None = None,
     ):
-        if chunk_size < 1:
-            raise ParameterError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
-        self._own_dir = directory is None
+        super().__init__()
         self._tmp = (
             tempfile.TemporaryDirectory(prefix="repro-ooc-")
             if directory is None
@@ -99,53 +96,17 @@ class DiskLevelStore:
         self.directory = Path(
             self._tmp.name if self._tmp else directory
         )
-        self.chunk_size = chunk_size
         self.stats = stats if stats is not None else IOStats()
         self._path: Path | None = None
         #: rows of a record not yet full, carried across appends
         self._pending: LevelArrays | None = None
         self._fh = None
-        self._count = 0
-        self._n_candidates = 0
-        self._candidate_bytes = 0
-        self._streamed = False
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def n_sublists(self) -> int:
-        """Number of stored sub-lists (the paper's ``N[k]``)."""
-        return self._count
-
-    @property
-    def n_candidates(self) -> int:
-        """Total candidate cliques stored (the paper's ``M[k]``)."""
-        return self._n_candidates
-
-    @property
-    def candidate_bytes(self) -> int:
-        """Measured bytes of the stored sub-lists (as if held in memory).
-
-        This is the *algorithmic* candidate footprint, comparable across
-        storage substrates; the actual disk traffic is in :attr:`stats`.
-        """
-        return self._candidate_bytes
 
     # -- writing ------------------------------------------------------------
 
-    def append(self, level: LevelArrays) -> None:
+    def _keep(self, level: LevelArrays) -> None:
         """Queue a chunk of sub-lists; writes every full record."""
-        if self._streamed:
-            raise LevelStoreError(
-                "append() after stream(): the level store is single-pass"
-            )
-        if not len(level):
-            return
-        self._count += len(level)
-        self._n_candidates += int(level.tails.size)
-        self._candidate_bytes += level.nbytes(INDEX_BYTES, POINTER_BYTES)
-        size = self.chunk_size
+        size = RECORD_ROWS
         if self._pending is not None:
             # top up the carried record; only its few rows are copied
             head = min(len(level), size - len(self._pending))
@@ -192,18 +153,10 @@ class DiskLevelStore:
 
     # -- reading --------------------------------------------------------------
 
-    def stream(self) -> Iterator[LevelArrays]:
-        """Yield the stored sub-lists record by record, then delete the
-        file.
-
-        Single-pass: a second ``stream()`` — or an ``append()`` once
-        streaming began — raises :class:`~repro.errors.LevelStoreError`.
-        """
-        if self._streamed:
-            raise LevelStoreError(
-                "stream() called twice on a single-pass level store"
-            )
-        self._streamed = True
+    def _stream(self) -> Iterator[LevelArrays]:
+        """Write the pending record and close the spill file now, when
+        ``stream()`` is called; the records are read back lazily and
+        the file is deleted after the last."""
         if self._pending is not None:
             self._write(self._pending)
             self._pending = None
@@ -261,8 +214,8 @@ class DiskLevelStore:
             cn=cn.view(np.uint64).reshape(rows, n_words),
         )
 
-    def close(self) -> None:
-        """Release backing storage: spill file and temp dir removed."""
+    def _release(self) -> None:
+        """Remove the spill file and the temp dir."""
         if self._fh is not None:
             self._fh.close()
             self._fh = None
@@ -272,9 +225,3 @@ class DiskLevelStore:
         if self._tmp is not None:
             self._tmp.cleanup()
             self._tmp = None
-
-    def __enter__(self) -> "DiskLevelStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

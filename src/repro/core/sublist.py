@@ -23,16 +23,20 @@ sub-list: :class:`LevelArrays` (prefix matrix, flat tails with offsets,
 CN row matrix) in the ``memory`` and ``disk`` stores and the bitset
 step, :class:`CompressedLevelBatch` (the same with WAH-compressed CN
 strings) in the ``wah`` store; :data:`LevelChunk` is either.
+:class:`LevelStore` is the base of those stores: the single-pass
+contract and the paper's per-level accounting, written once.
 :class:`CliqueSubList` remains the per-sub-list view the Figure 5–8
 trace seeds from.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import LevelStoreError
 from repro.core.bitset import WORD_BITS
 from repro.core.wah_kernels import batch_decode_words, batch_encode_words
 
@@ -41,7 +45,13 @@ __all__ = [
     "LevelArrays",
     "CompressedLevelBatch",
     "LevelChunk",
+    "LevelStore",
 ]
+
+#: bytes per stored vertex index (the paper's ``c``); we store int64.
+INDEX_BYTES = 8
+#: bytes per sub-list pointer in the paper's space formula.
+POINTER_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -389,6 +399,101 @@ class CompressedLevelBatch:
 #: in: arrays on the ``memory`` and ``disk`` stores, a compressed batch
 #: on ``wah``; both are cut with ``rows`` and joined with ``concat``
 LevelChunk = LevelArrays | CompressedLevelBatch
+
+
+class LevelStore:
+    """Single-pass storage for one level of candidate sub-lists.
+
+    The Clique Enumerator touches a level in one pattern only:
+    ``append`` the complete level as one or more :data:`LevelChunk`
+    chunks, ``stream`` it back exactly once, in insertion order, then
+    ``close``.  This base owns that contract — a second ``stream()``,
+    or an ``append()`` once streaming began, raises
+    :class:`~repro.errors.LevelStoreError` instead of replaying or
+    corrupting the level — and the paper's per-level accounting, which
+    the level loop reads for statistics and memory budgets without
+    materialising the level.  An empty chunk stores nothing.
+
+    A store decides only where the level lives, through four hooks:
+
+    * ``_to_parts(level)`` — the chunk in the store's own form, as
+      parts (the chunk itself unless overridden);
+    * ``_keep(part)`` — hold one non-empty part;
+    * ``_stream()`` — an iterator over the held parts as chunks, in
+      insertion order;
+    * ``_release()`` — free what the store holds; idempotent.
+    """
+
+    def __init__(self) -> None:
+        self._n_sublists = 0
+        self._n_candidates = 0
+        self._candidate_bytes = 0
+        self._streamed = False
+
+    def append(self, level: LevelChunk) -> None:
+        """Add a chunk of sub-lists to the level."""
+        if self._streamed:
+            raise LevelStoreError(
+                "append() after stream(): the level store is single-pass"
+            )
+        for part in self._to_parts(level):
+            if len(part):
+                self._n_sublists += len(part)
+                self._n_candidates += int(part.tails.size)
+                self._candidate_bytes += part.nbytes(
+                    INDEX_BYTES, POINTER_BYTES
+                )
+                self._keep(part)
+
+    def stream(self) -> Iterator[LevelChunk]:
+        """Yield the level back in insertion order, chunk by chunk."""
+        if self._streamed:
+            raise LevelStoreError(
+                "stream() called twice on a single-pass level store"
+            )
+        self._streamed = True
+        return self._stream()
+
+    def __len__(self) -> int:
+        return self._n_sublists
+
+    @property
+    def n_sublists(self) -> int:
+        """The paper's ``N[k]`` for this level."""
+        return self._n_sublists
+
+    @property
+    def n_candidates(self) -> int:
+        """The paper's ``M[k]`` for this level."""
+        return self._n_candidates
+
+    @property
+    def candidate_bytes(self) -> int:
+        """Measured candidate storage of this level: the bytes its
+        parts hold in memory (CN strings as WAH words on ``wah``)."""
+        return self._candidate_bytes
+
+    def close(self) -> None:
+        """Release the store's resources; idempotent."""
+        self._release()
+
+    def __enter__(self) -> "LevelStore":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _to_parts(self, level: LevelChunk) -> Iterable[LevelChunk]:
+        return (level,)
+
+    def _keep(self, part: LevelChunk) -> None:
+        raise NotImplementedError
+
+    def _stream(self) -> Iterator[LevelChunk]:
+        raise NotImplementedError
+
+    def _release(self) -> None:
+        raise NotImplementedError
 
 
 def _cat(

@@ -181,8 +181,9 @@ def run_threads(
     byte-identical to ``incore``.
 
     On the ``"wah"`` level store each worker runs the compressed-domain
-    step on a zero-copy row slice of the level batch, over the shared
-    WAH adjacency-row cache, so the level stays compressed end to end.
+    step on a zero-copy row slice of the level batch, reading the
+    graph's raw adjacency rows, so the level stays compressed end to
+    end.
 
     Cliques stream through ``on_clique`` at every level barrier:
     budgets trip at the same clique they would in-core, and a

@@ -2,14 +2,16 @@
 
 The Clique Enumerator touches its candidate sub-lists in exactly one
 pattern: append the whole next level, then stream it back once for
-expansion.  :class:`LevelStore` captures that single-pass contract plus
-the accounting the level loop needs (``N[k]``, ``M[k]``, measured bytes
-— the paper's per-level statistics), so the storage substrate becomes a
-policy choice (:attr:`repro.engine.config.EnumerationConfig.level_store`).
-Each store takes and yields exactly the level chunk form
+expansion.  :class:`~repro.core.sublist.LevelStore` writes that
+single-pass contract and the accounting the level loop needs
+(``N[k]``, ``M[k]``, measured bytes — the paper's per-level
+statistics) once, so the storage substrate is only a policy choice
+(:attr:`repro.engine.config.EnumerationConfig.level_store`): each
+store below subclasses it and supplies where the parts of a level
+live.  Each store takes and yields exactly the level chunk form
 (:data:`~repro.core.sublist.LevelChunk`) its generation step computes
-in, so no per-sub-list object — and no conversion — sits between store
-and step:
+in, so no per-sub-list object — and no conversion — sits between
+store and step:
 
 * :class:`MemoryLevelStore` — :class:`~repro.core.sublist.LevelArrays`
   chunks held in RAM as appended; streaming yields the whole level as
@@ -26,22 +28,22 @@ and step:
   high compression rate"; the level streams back still compressed, and
   the compressed-domain step expands it without decompressing.
 
-All are driven by the same loop in :mod:`repro.engine.level_loop`, and
-all enforce the single-pass contract: a second ``stream()`` — or an
-``append()`` once streaming began — raises
-:class:`~repro.errors.LevelStoreError` instead of silently replaying or
-corrupting the level.
+All are driven by the same loop in :mod:`repro.engine.level_loop`.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
-from repro.errors import LevelStoreError
-from repro.core.clique_enumerator import INDEX_BYTES, POINTER_BYTES
 from repro.core.out_of_core import DiskLevelStore
-from repro.core.sublist import CompressedLevelBatch, LevelArrays, LevelChunk
+from repro.core.sublist import (
+    INDEX_BYTES,
+    POINTER_BYTES,
+    CompressedLevelBatch,
+    LevelArrays,
+    LevelChunk,
+    LevelStore,
+)
 
 __all__ = [
     "LevelStore",
@@ -49,58 +51,6 @@ __all__ = [
     "DiskLevelStore",
     "CompressedLevelStore",
 ]
-
-
-class LevelStore(ABC):
-    """Single-pass storage for one level of candidate sub-lists.
-
-    Contract: ``append`` the complete level as one or more
-    :data:`~repro.core.sublist.LevelChunk` chunks of the store's form,
-    then ``stream`` it back exactly once (in insertion order, as chunks
-    of that form), then ``close``.  An empty chunk stores nothing.  The
-    contract is enforced — a second ``stream()`` or a late ``append()``
-    raises :class:`~repro.errors.LevelStoreError`.  The accounting
-    properties must reflect everything appended so far; the level loop
-    reads them for per-level statistics and memory budgets without
-    materialising the level.
-    """
-
-    @abstractmethod
-    def append(self, level: LevelChunk) -> None:
-        """Add a chunk of sub-lists to the level."""
-
-    @abstractmethod
-    def __len__(self) -> int:
-        """Number of stored sub-lists."""
-
-    @property
-    @abstractmethod
-    def n_sublists(self) -> int:
-        """The paper's ``N[k]`` for this level."""
-
-    @property
-    @abstractmethod
-    def n_candidates(self) -> int:
-        """The paper's ``M[k]`` for this level."""
-
-    @property
-    @abstractmethod
-    def candidate_bytes(self) -> int:
-        """Measured candidate storage of this level, in bytes."""
-
-    @abstractmethod
-    def stream(self) -> Iterator[LevelChunk]:
-        """Yield the sub-lists back in insertion order, chunk by chunk."""
-
-    @abstractmethod
-    def close(self) -> None:
-        """Release any backing resources; idempotent."""
-
-    def __enter__(self) -> "LevelStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class MemoryLevelStore(LevelStore):
@@ -116,58 +66,18 @@ class MemoryLevelStore(LevelStore):
     """
 
     def __init__(self) -> None:
-        self._chunks: list[LevelArrays] = []
-        self._n_sublists = 0
-        self._n_candidates = 0
-        self._candidate_bytes = 0
-        self._streamed = False
+        super().__init__()
+        self._parts: list[LevelArrays] = []
 
-    def append(self, level: LevelArrays) -> None:
-        """Add a chunk of sub-lists to the level."""
-        if self._streamed:
-            raise LevelStoreError(
-                "append() after stream(): the level store is single-pass"
-            )
-        if len(level):
-            self._chunks.append(level)
-            self._n_sublists += len(level)
-            self._n_candidates += int(level.tails.size)
-            self._candidate_bytes += level.nbytes(INDEX_BYTES, POINTER_BYTES)
-
-    def __len__(self) -> int:
-        return self._n_sublists
-
-    @property
-    def n_sublists(self) -> int:
-        """The paper's ``N[k]`` for this level."""
-        return self._n_sublists
-
-    @property
-    def n_candidates(self) -> int:
-        """The paper's ``M[k]`` for this level."""
-        return self._n_candidates
-
-    @property
-    def candidate_bytes(self) -> int:
-        """Measured candidate storage of this level, in bytes."""
-        return self._candidate_bytes
-
-    def stream(self) -> Iterator[LevelArrays]:
-        """Yield the whole level as one chunk (full batching preserved)."""
-        if self._streamed:
-            raise LevelStoreError(
-                "stream() called twice on a single-pass level store"
-            )
-        self._streamed = True
-        return self._stream()
+    def _keep(self, part: LevelArrays) -> None:
+        self._parts.append(part)
 
     def _stream(self) -> Iterator[LevelArrays]:
-        if self._chunks:
-            yield LevelArrays.concat(self._chunks)
+        if self._parts:
+            yield LevelArrays.concat(self._parts)
 
-    def close(self) -> None:
-        """Drop the level (the arrays are garbage-collected)."""
-        self._chunks = []
+    def _release(self) -> None:
+        self._parts = []
 
 
 #: rows of an appended :class:`~repro.core.sublist.LevelArrays` chunk
@@ -199,68 +109,20 @@ class CompressedLevelStore(LevelStore):
     The WAH encoding is canonical, so stored words — and therefore
     every accounting property — are byte-identical however the level
     was cut.  :meth:`stream` yields the stored parts coalesced into one
-    batch, never decompressed, and adds its raw-equivalent bytes to
+    batch, never decompressed (the step's per-call fixed cost dominates
+    the array concat), and adds its raw-equivalent bytes to
     :attr:`bypassed_bytes` — the run's
     ``domain_stats["decompressed_bytes_avoided"]``.
     """
 
     def __init__(self) -> None:
+        super().__init__()
         #: the stored batches, in insertion order
         self._parts: list[CompressedLevelBatch] = []
-        self._n_sublists = 0
-        self._n_candidates = 0
-        self._candidate_bytes = 0
         self._uncompressed_bytes = 0
-        self._streamed = False
         #: raw-equivalent bytes streamed without decompressing — the
         #: "decompressed bytes avoided".
         self.bypassed_bytes = 0
-
-    def append(self, level: LevelChunk) -> None:
-        """Store a compressed batch, or encode a raw-word chunk
-        :data:`ENCODE_ROWS` rows per stored part."""
-        if self._streamed:
-            raise LevelStoreError(
-                "append() after stream(): the level store is single-pass"
-            )
-        if isinstance(level, CompressedLevelBatch):
-            parts = [level]
-        else:
-            parts = [
-                CompressedLevelBatch.from_level(
-                    level.rows(start, min(start + ENCODE_ROWS, len(level)))
-                )
-                for start in range(0, len(level), ENCODE_ROWS)
-            ]
-        for part in parts:
-            if len(part):
-                self._parts.append(part)
-                self._n_sublists += len(part)
-                self._n_candidates += int(part.tails.size)
-                self._candidate_bytes += part.nbytes(
-                    INDEX_BYTES, POINTER_BYTES
-                )
-                self._uncompressed_bytes += part.uncompressed_nbytes(
-                    INDEX_BYTES, POINTER_BYTES
-                )
-
-    def __len__(self) -> int:
-        return self._n_sublists
-
-    @property
-    def n_sublists(self) -> int:
-        """The paper's ``N[k]`` for this level."""
-        return self._n_sublists
-
-    @property
-    def n_candidates(self) -> int:
-        """The paper's ``M[k]`` for this level."""
-        return self._n_candidates
-
-    @property
-    def candidate_bytes(self) -> int:
-        """Measured *compressed* candidate storage, in bytes."""
-        return self._candidate_bytes
 
     @property
     def uncompressed_bytes(self) -> int:
@@ -272,44 +134,34 @@ class CompressedLevelStore(LevelStore):
         """Uncompressed bytes over compressed bytes (>= 1 means win)."""
         if not self.candidate_bytes:
             return 1.0
-        return self._uncompressed_bytes / self._candidate_bytes
+        return self._uncompressed_bytes / self.candidate_bytes
 
-    def stream(self) -> Iterator[CompressedLevelBatch]:
-        """Yield the whole level as one :class:`CompressedLevelBatch`.
-
-        The stored parts are coalesced: the step's per-call fixed cost
-        dominates the array concat, and nothing decompresses either
-        way, so there is no working-set concern.
-        """
-        if self._streamed:
-            raise LevelStoreError(
-                "stream() called twice on a single-pass level store"
+    def _to_parts(self, level: LevelChunk) -> Iterable[CompressedLevelBatch]:
+        if isinstance(level, CompressedLevelBatch):
+            return (level,)
+        return (
+            CompressedLevelBatch.from_level(
+                level.rows(start, min(start + ENCODE_ROWS, len(level)))
             )
-        self._streamed = True
-        return self._stream(self._parts)
+            for start in range(0, len(level), ENCODE_ROWS)
+        )
 
-    def _stream(
-        self, parts: list[CompressedLevelBatch]
-    ) -> Iterator[CompressedLevelBatch]:
-        if parts:
-            merged = CompressedLevelBatch.concat(parts)
-            self.bypassed_bytes += merged.uncompressed_nbytes(
-                INDEX_BYTES, POINTER_BYTES
-            )
+    def _keep(self, part: CompressedLevelBatch) -> None:
+        self._parts.append(part)
+        self._uncompressed_bytes += part.uncompressed_nbytes(
+            INDEX_BYTES, POINTER_BYTES
+        )
+
+    def _stream(self) -> Iterator[CompressedLevelBatch]:
+        if self._parts:
+            merged = CompressedLevelBatch.concat(self._parts)
+            self.bypassed_bytes += self._uncompressed_bytes
             yield merged
+
+    def _release(self) -> None:
+        self._parts = []
 
     # nothing calls these; perfbench's layer spans wrap them by name
     # (perfbench/spans.py TARGETS)
-    append_batch = append
-    stream_batches = stream
-    stream_entries = stream
-
-    def close(self) -> None:
-        """Drop the compressed level."""
-        self._parts = []
-
-
-# The disk substrate implements the same interface structurally; register
-# it so isinstance(LevelStore) holds without making repro.core depend on
-# the engine package.
-LevelStore.register(DiskLevelStore)
+    append_batch = LevelStore.append
+    stream_batches = stream_entries = LevelStore.stream

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import out_of_core
 from repro.core.clique_enumerator import enumerate_maximal_cliques
 from repro.core.generators import erdos_renyi, planted_clique
 from repro.core.out_of_core import DiskLevelStore, IOStats
@@ -34,8 +35,9 @@ def _ooc(g, on_clique=None, **kw):
 
 
 class TestDiskLevelStore:
-    def test_roundtrip(self, tmp_path):
-        with DiskLevelStore(tmp_path, chunk_size=2) as store:
+    def test_roundtrip(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(out_of_core, "RECORD_ROWS", 2)
+        with DiskLevelStore(tmp_path) as store:
             items = [_sl([0], [1, 2]), _sl([1], [2, 3]), _sl([2], [3, 4])]
             for sl in items:
                 store.append(sl)
@@ -54,9 +56,10 @@ class TestDiskLevelStore:
         with DiskLevelStore(tmp_path) as store:
             assert list(store.stream()) == []
 
-    def test_io_stats_counted(self, tmp_path):
+    def test_io_stats_counted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(out_of_core, "RECORD_ROWS", 1)
         stats = IOStats()
-        with DiskLevelStore(tmp_path, chunk_size=1, stats=stats) as store:
+        with DiskLevelStore(tmp_path, stats=stats) as store:
             store.append(_sl([0], [1, 2]))
             list(store.stream())
         assert stats.write_ops == 1
@@ -65,9 +68,10 @@ class TestDiskLevelStore:
         assert stats.bytes_read == stats.bytes_written
         assert stats.total_bytes == 2 * stats.bytes_written
 
-    def test_chunking(self, tmp_path):
+    def test_chunking(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(out_of_core, "RECORD_ROWS", 4)
         stats = IOStats()
-        with DiskLevelStore(tmp_path, chunk_size=4, stats=stats) as store:
+        with DiskLevelStore(tmp_path, stats=stats) as store:
             for i in range(10):
                 store.append(_sl([i], [i + 1, i + 2]))
             chunks = list(store.stream())
@@ -75,7 +79,7 @@ class TestDiskLevelStore:
         assert stats.write_ops == 3
         # appends of several rows fill records across append boundaries
         level = [_sl([i], [i + 1, i + 2 + i % 3]) for i in range(11)]
-        with DiskLevelStore(tmp_path, chunk_size=4) as store:
+        with DiskLevelStore(tmp_path) as store:
             for a, b in ((0, 1), (1, 6), (6, 8), (8, 11)):
                 store.append(LevelArrays.concat(level[a:b]))
             chunks = list(store.stream())
@@ -84,26 +88,23 @@ class TestDiskLevelStore:
         for field in ("prefixes", "tails", "offsets", "cn"):
             assert np.array_equal(getattr(back, field), getattr(whole, field))
 
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ParameterError):
-            DiskLevelStore(chunk_size=0)
-
     def test_temp_dir_mode(self):
         with DiskLevelStore() as store:
             store.append(_sl([0], [1, 2]))
             assert len(list(store.stream())) == 1
 
-    def _spilled(self, tmp_path):
+    def _spilled(self, tmp_path, monkeypatch):
         """A store whose records are on disk, and its unread stream."""
-        store = DiskLevelStore(tmp_path, chunk_size=1)
+        monkeypatch.setattr(out_of_core, "RECORD_ROWS", 1)
+        store = DiskLevelStore(tmp_path)
         for i in range(3):
             store.append(_sl([i], [i + 1, i + 2]))
         chunks = store.stream()  # flushes and closes the spill file
         (path,) = tmp_path.glob("*.spill")
         return store, chunks, path
 
-    def test_truncated_spill_raises(self, tmp_path):
-        store, chunks, path = self._spilled(tmp_path)
+    def test_truncated_spill_raises(self, tmp_path, monkeypatch):
+        store, chunks, path = self._spilled(tmp_path, monkeypatch)
         with path.open("r+b") as fh:
             fh.truncate(path.stat().st_size - 5)
         with pytest.raises(LevelStoreError, match="past the end"):
@@ -111,8 +112,10 @@ class TestDiskLevelStore:
         store.close()
         assert list(tmp_path.glob("*.spill")) == []
 
-    def test_header_disagreeing_with_length_raises(self, tmp_path):
-        store, chunks, path = self._spilled(tmp_path)
+    def test_header_disagreeing_with_length_raises(
+        self, tmp_path, monkeypatch
+    ):
+        store, chunks, path = self._spilled(tmp_path, monkeypatch)
         with path.open("r+b") as fh:
             fh.seek(8)  # the first record's row count
             fh.write((2).to_bytes(8, "little"))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import bitset as bs
+from repro.core import out_of_core
 from repro.core.generators import complete_graph, erdos_renyi
 from repro.core.sublist import CliqueSubList, LevelArrays
 from repro.engine import (
@@ -322,14 +323,17 @@ class TestFacade:
         assert res.io.bytes_written > 0
         assert res.io.bytes_read > 0
 
-    def test_ooc_shared_directory_across_levels(self, tmp_path):
+    def test_ooc_shared_directory_across_levels(
+        self, tmp_path, monkeypatch
+    ):
         """Consecutive levels spill into one directory without the next
         level's writer truncating the file the current level streams."""
-        # small chunks, so the next level flushes while this one streams
-        current = DiskLevelStore(tmp_path, chunk_size=4)
+        # small records, so the next level flushes while this one streams
+        monkeypatch.setattr(out_of_core, "RECORD_ROWS", 4)
+        current = DiskLevelStore(tmp_path)
         for i in range(10):
             current.append(_sl([i], [i + 1, i + 2]))
-        following = DiskLevelStore(tmp_path, chunk_size=4)
+        following = DiskLevelStore(tmp_path)
         streamed = []
         for chunk in current.stream():
             streamed.extend(sl.prefix for sl in chunk.to_sublists())

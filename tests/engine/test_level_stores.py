@@ -118,6 +118,17 @@ class TestSinglePassContract:
         store.close()
         store.close()
 
+    def test_every_store_enters_through_the_guarded_base(self):
+        """A store supplies only the storage hooks: its public
+        ``append`` and ``stream`` are the base's guarded ones, so no
+        store can ship an entry point without the single-pass guard."""
+        for cls in (MemoryLevelStore, DiskLevelStore, CompressedLevelStore):
+            # directly: perfbench wraps append/stream once per store
+            # class, and a store inheriting another's would stack them
+            assert cls.__bases__ == (LevelStore,), cls
+            assert cls.append is LevelStore.append, cls
+            assert cls.stream is LevelStore.stream, cls
+
 
 class TestArrayChunks:
     """Every store takes ``LevelArrays`` chunks (the seed) and yields

@@ -385,80 +385,6 @@ class TestRL004StrictReads:
         assert lint_project(tmp_path, select=["RL004"]) == []
 
 
-# -- RL005: single-pass store contract ----------------------------------------
-
-GOOD_RL005 = dedent_tree({
-    "src/stores.py": """\
-        class LevelStoreError(RuntimeError):
-            pass
-
-        class LevelStore:
-            pass
-
-        class MemoryStore(LevelStore):
-            def append(self, entry):
-                if self._streamed:
-                    raise LevelStoreError("append after stream")
-                self._entries.append(entry)
-
-            def stream(self):
-                if self._streamed:
-                    raise LevelStoreError("double stream")
-                self._streamed = True
-                return iter(self._entries)
-
-            def _stream_raw(self):
-                return iter(self._entries)
-        """
-})
-
-
-class TestRL005:
-    def test_guarded_store_is_clean(self, tmp_path):
-        write_tree(tmp_path, GOOD_RL005)
-        assert lint_project(tmp_path, select=["RL005"]) == []
-
-    def test_unguarded_stream_fires(self, tmp_path):
-        files = dict(GOOD_RL005)
-        files["src/stores.py"] += (
-            "\nclass BadStore(LevelStore):\n"
-            "    def stream(self):\n"
-            "        return iter(())\n"
-        )
-        write_tree(tmp_path, files)
-        violations = lint_project(tmp_path, select=["RL005"])
-        assert codes(violations) == {"RL005"}
-        assert "BadStore.stream" in violations[0].message
-
-    def test_virtual_registration_resolved(self, tmp_path):
-        files = dict(GOOD_RL005)
-        files["src/disk.py"] = """\
-            from src.stores import LevelStore
-
-            class DiskStore:
-                def append(self, entry):
-                    return None
-
-            LevelStore.register(DiskStore)
-            """
-        write_tree(tmp_path, files)
-        violations = lint_project(tmp_path, select=["RL005"])
-        assert any("DiskStore.append" in v.message for v in violations)
-
-    def test_non_store_classes_ignored(self, tmp_path):
-        files = dict(GOOD_RL005)
-        files["src/other.py"] = """\
-            class Appender:
-                def append(self, x):
-                    return x
-
-                def stream(self):
-                    return iter(())
-            """
-        write_tree(tmp_path, files)
-        assert lint_project(tmp_path, select=["RL005"]) == []
-
-
 # -- suppressions -------------------------------------------------------------
 
 
@@ -585,7 +511,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RL002", "RL003", "RL004", "RL005"):
+        for code in ("RL002", "RL003", "RL004"):
             assert code in out
 
 
@@ -598,7 +524,6 @@ class TestLiveTree:
             "RL002",
             "RL003",
             "RL004",
-            "RL005",
         ]
 
     def test_repo_is_clean(self):

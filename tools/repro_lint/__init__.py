@@ -4,9 +4,9 @@ Some invariants span several files and no test exercises them all:
 metric names must stay in lockstep with the :mod:`repro.obs.bridge`
 authority and the ``docs/ARCHITECTURE.md`` table; the observability
 disabled path must stay allocation-free; shared mutable state must stay
-behind its lock; level stores must enforce the single-pass contract.
-``repro-lint`` checks all of that mechanically from the ASTs, so they
-are verified at review time instead of discovered in production.
+behind its lock.  ``repro-lint`` checks all of that mechanically from
+the ASTs, so they are verified at review time instead of discovered in
+production.
 
 Usage::
 

@@ -4,5 +4,4 @@ from tools.repro_lint.rules import (  # noqa: F401
     rl002_metric_names,
     rl003_obs_purity,
     rl004_lock_discipline,
-    rl005_store_contract,
 )
