@@ -19,12 +19,6 @@ from repro.bio.correlation import spearman_correlation
 from repro.bio.expression import ModuleSpec, synthetic_expression
 from repro.core import bitset as bs
 from repro.core import wah_kernels as wk
-from repro.core.compressed import (
-    WahBitmap,
-    WahScratch,
-    wah_and_count,
-    wah_and_into,
-)
 from repro.core.clique_enumerator import build_initial_sublists
 from repro.core.counters import OpCounters
 from repro.core.generators import erdos_renyi
@@ -32,6 +26,7 @@ from repro.core.graph import Graph
 from repro.core.graph_ops import at_least_k_of_n
 from repro.core.kclique import enumerate_k_cliques
 from repro.engine.level_loop import seed_level
+from tests.wah_oracle import WahBitmap, wah_and_into
 
 
 @pytest.fixture(scope="module")
@@ -103,9 +98,10 @@ def wah_batch():
 
 
 def bench_wah_and_scalar(benchmark, wah_batch):
-    """512 compressed ANDs through the per-word Python kernel."""
+    """512 compressed ANDs through the oracle's per-word Python
+    kernel."""
     a, b, _, _, _, ng = wah_batch
-    scratch = WahScratch()
+    scratch = wk.WahScratch()
 
     def run():
         for x, y in zip(a, b):
@@ -134,18 +130,6 @@ def bench_wah_and_any_fused(benchmark, wah_batch):
         units = wk.batch_and_units(aw, ao, rows, ids, ids)
         _, offsets = wk.batch_encode_units(units, ng)
         return wk.batch_units_any(units, offsets, rows, probe, ids)
-
-    benchmark(run)
-
-
-def bench_wah_count_scalar(benchmark, wah_batch):
-    """512 compressed popcounts, per-word Python kernel."""
-    a, b, _, _, _, ng = wah_batch
-    scratch = WahScratch()
-
-    def run():
-        for x, y in zip(a, b):
-            wah_and_count(x.tolist(), y.tolist(), ng, scratch)
 
     benchmark(run)
 

@@ -46,7 +46,6 @@ from repro.errors import (
 from repro.core import (
     BitSet,
     Graph,
-    WahBitmap,
     enumerate_k_cliques,
     enumerate_maximal_cliques,
     kose_enumerate,
@@ -73,7 +72,6 @@ __all__ = [
     "SolverError",
     "AlignmentError",
     "BitSet",
-    "WahBitmap",
     "Graph",
     "enumerate_maximal_cliques",
     "enumerate_k_cliques",

@@ -3,7 +3,6 @@
 Public surface re-exported here:
 
 * data representation — :class:`~repro.core.bitset.BitSet`,
-  :class:`~repro.core.compressed.WahBitmap`,
   :class:`~repro.core.graph.Graph`;
 * enumeration — :func:`~repro.core.clique_enumerator.
   enumerate_maximal_cliques` (the paper's algorithm),
@@ -15,7 +14,6 @@ Public surface re-exported here:
 """
 
 from repro.core.bitset import BitSet
-from repro.core.compressed import WahBitmap
 from repro.core.graph import Graph
 from repro.core.counters import OpCounters
 from repro.core.sublist import CliqueSubList
@@ -53,7 +51,6 @@ from repro.core.out_of_core import DiskLevelStore, IOStats
 
 __all__ = [
     "BitSet",
-    "WahBitmap",
     "Graph",
     "OpCounters",
     "CliqueSubList",

@@ -53,13 +53,13 @@ words for partners, so it runs the composed ``batch_and_rows`` and
 ``batch_and_rows_any``.  The counter model charges algorithmic
 operations, not loop iterations, so bulk charging a batch equals
 charging its pairs one by one.  Every batch kernel produces the
-byte-identical words of its scalar oracle, the :class:`~repro.core.
-compressed.WahBitmap` kernels (``tests/core/test_wah_kernel_arrays.py``).
+byte-identical words of its scalar oracle in ``tests/wah_oracle.py``
+(``tests/core/test_wah_kernel_arrays.py``).
 
 Thread safety: one expander serves one run, but its :meth:`step` may be
 called concurrently by the ``threads`` backend's workers.  The step
 shares only read-only state (the graph's adjacency); each worker
-thread gets its own :class:`~repro.core.compressed.WahScratch` for the
+thread gets its own :class:`~repro.core.wah_kernels.WahScratch` for the
 kernel tallies, registered under a lock.
 """
 
@@ -79,12 +79,12 @@ from repro.core.clique_enumerator import (
     pair_groups,
     select_children,
 )
-from repro.core.compressed import WahScratch
 from repro.core.counters import OpCounters
 from repro.core.graph import Graph
 from repro.obs.runtime import get_observability
 from repro.core.sublist import CompressedLevelBatch
 from repro.core.wah_kernels import (
+    WahScratch,
     batch_and_rows,
     batch_and_rows_any,
     batch_and_units,

@@ -66,31 +66,6 @@ class OpCounters:
         out.update(self.extra)
         return out
 
-    #: canonical integer fields a snapshot can be folded back into.
-    _FIELDS = (
-        "bit_and_ops",
-        "bit_exist_checks",
-        "pair_checks",
-        "cliques_generated",
-        "maximal_emitted",
-        "sublists_created",
-    )
-
-    def merge_snapshot(self, snap: dict) -> None:
-        """Fold a :meth:`snapshot` dict back into this counter set.
-
-        Canonical fields add into their attributes (so cross-process
-        reductions stay comparable with in-process counters); unknown
-        keys accumulate in ``extra``; ``levels`` takes the maximum.
-        """
-        for key, val in snap.items():
-            if key == "levels":
-                self.levels = max(self.levels, val)
-            elif key in self._FIELDS:
-                setattr(self, key, getattr(self, key) + val)
-            else:
-                self.extra[key] = self.extra.get(key, 0) + val
-
     def total_work(self) -> int:
         """Scalar work measure used by the machine model.
 

@@ -278,10 +278,10 @@ class CompressedLevelBatch:
         """Batch-compress a :class:`LevelArrays` chunk (one vectorised
         CN encode over its row matrix); prefixes and tails are shared.
 
-        Each CN stream is byte-identical to ``WahBitmap.from_words`` of
-        that sub-list's CN row — the canonicalisation lives in one
-        shared kernel — so accounting and storage measurements are
-        independent of how a level was cut into chunks.
+        Each CN stream is the canonical WAH encoding of that sub-list's
+        CN row — the canonicalisation lives in one shared kernel — so
+        accounting and storage measurements are independent of how a
+        level was cut into chunks.
         """
         universe = WORD_BITS * int(level.cn.shape[1])
         cn_words, cn_offsets = batch_encode_words(level.cn, universe)

@@ -1,11 +1,11 @@
 """Vectorised numpy kernels over batches of WAH word streams.
 
-:mod:`repro.core.compressed` gives two layers: the validated
-:class:`~repro.core.compressed.WahBitmap` wrapper and per-call Python
-word-array kernels (:func:`~repro.core.compressed.wah_and_into` and
-friends).  Both touch every compressed word from the interpreter.  This
-module is the third layer: numpy array programs over **many bitmaps at
-once**, in a structure-of-arrays (SoA) layout:
+Every WAH operation the package runs is here, on the word-aligned
+hybrid format of Wu, Otoo and Shoshani (31-bit groups held as literal
+or fill 32-bit words, always canonical, so equal bitmaps encode to
+equal words; ``docs/wah-format.md`` pins every bit).  The kernels are
+numpy array programs over **many bitmaps at once**, in a
+structure-of-arrays (SoA) layout:
 
 ``words``
     One flat ``uint32`` array holding the canonical WAH words of every
@@ -33,12 +33,11 @@ copied.  Both compose halves the step calls itself, so it tests its
 child CN strings' units without decoding the words it encoded.
 
 Equivalence contract: every kernel here produces byte-identical
-canonical words (and identical predicates) to the Python kernels in
-:mod:`repro.core.compressed` for the same operands, the adjacency row
-taken as ``WahBitmap.from_words(row)``.
+canonical words (and identical predicates) to the scalar kernels of the
+test-side oracle, ``tests/wah_oracle.py``, for the same operands, the
+adjacency row taken as its canonical encoding.
 ``tests/core/test_wah_kernel_arrays.py`` drives that property at
-random.  These batch kernels are the only compressed path the engine
-runs; the Python kernels stay as their oracle.
+random.
 """
 
 from __future__ import annotations
@@ -47,9 +46,10 @@ import numpy as np
 
 from repro.errors import BitSetError
 from repro.core.bitset import WORD_BITS
-from repro.core.compressed import GROUP_BITS, WahScratch
 
 __all__ = [
+    "GROUP_BITS",
+    "WahScratch",
     "concat_streams",
     "take_streams",
     "batch_and_rows",
@@ -64,6 +64,9 @@ __all__ = [
     "batch_encode_words",
 ]
 
+#: Number of payload bits per WAH group/literal.
+GROUP_BITS = 31
+
 _LITERAL_MASK = np.uint32((1 << GROUP_BITS) - 1)
 _FILL_FLAG = np.uint32(1 << 31)
 _FILL_BIT = np.uint32(1 << 30)
@@ -75,6 +78,25 @@ _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 #: 31 group-bit weights, shared by the encode/decode bit transposes.
 _GROUP_SHIFTS = np.arange(GROUP_BITS, dtype=np.uint32)
 _GROUP_WEIGHTS = (np.uint32(1) << _GROUP_SHIFTS).astype(np.uint32)
+
+
+class WahScratch:
+    """Tallies of the row kernels' compressed traffic; one per thread.
+
+    ``word_ops``
+        CN words read and written plus adjacency groups probed.
+    ``and_ops``
+        Kernel pairs: one per AND or ``BitOneExists`` test.
+
+    The compressed-domain step keeps one per worker thread and reports
+    their sums as its ``kernel_word_ops`` and ``kernel_ands``.
+    """
+
+    __slots__ = ("word_ops", "and_ops")
+
+    def __init__(self) -> None:
+        self.word_ops = 0
+        self.and_ops = 0
 
 
 def _check_groups(n_groups: int) -> None:
@@ -168,12 +190,12 @@ def _encode_runs(
 
     ``seg_*`` describe consecutive group runs in global order: the
     stream each belongs to, its length in groups, and its uniform group
-    value.  Emits exactly the words the Python ``_Builder`` would:
+    value.  Emits exactly the words the oracle's ``_Builder`` would:
     all-zero/all-one runs become fills (merged across adjacent segments
     of the same class within a stream, single groups included), mixed
     values become literals, literals never merge.  This one helper is
     shared by every encoding path — fresh encodes and AND outputs — so
-    batch results are byte-identical to the per-call encoder.
+    batch results are byte-identical to the oracle's encoder.
     """
     if seg_val.size == 0:
         return _EMPTY_U32, np.zeros(n_streams + 1, dtype=np.int64)
@@ -376,8 +398,8 @@ def batch_and_rows(
     ``uint64`` bit matrix.  Only the streams' nonzero groups are probed
     in the rows (:func:`batch_and_units`); zero runs between them pass
     through as zero fills (:func:`batch_encode_units`), so every output
-    stream is byte-identical to :func:`~repro.core.compressed.
-    wah_and_into` of the stream and ``WahBitmap.from_words(adj[rows[i]])``.
+    stream is byte-identical to the oracle's ``wah_and_into`` of the
+    stream and the canonical encoding of ``adj[rows[i]]``.
     """
     n_groups = _row_groups(adj.shape[1])
     if len(ids) == 0 or n_groups == 0:
@@ -397,7 +419,7 @@ def batch_and_rows_any(
     The batch maximality test over the operands of
     :func:`batch_and_rows`: a pair intersects iff one of its stream's
     nonzero groups meets the row (:func:`batch_units_any`).  Matches
-    :func:`~repro.core.compressed.wah_and_any` pair for pair.
+    the oracle's ``wah_and_any`` pair for pair.
     """
     n_groups = _row_groups(adj.shape[1])
     if len(ids) == 0 or n_groups == 0:
@@ -456,8 +478,8 @@ def batch_indices_above(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-stream set-bit indices strictly greater than ``lo[i]``.
 
-    The batch partner scan of the bit-scan generation model
-    (:func:`repro.core.compressed.wah_indices_above` per stream).
+    The batch partner scan of the bit-scan generation model (the
+    oracle's ``wah_indices_above`` per stream).
     """
     n = offsets.size - 1
     if n == 0 or n_groups == 0:
@@ -482,9 +504,9 @@ def batch_encode_words(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode raw ``uint64`` bit-string rows into a canonical SoA batch.
 
-    The batch counterpart of :meth:`WahBitmap.from_words` row by row:
-    ``mat`` is ``(N, n_bits / 64)`` with the tail invariant (bits at or
-    above ``n_bits`` zero).
+    Each row becomes its canonical encoding, word for word what the
+    oracle's encoder writes: ``mat`` is ``(N, n_bits / 64)`` with the
+    tail invariant (bits at or above ``n_bits`` zero).
     """
     mat = np.ascontiguousarray(mat, dtype=np.uint64)
     n = mat.shape[0]

@@ -23,7 +23,7 @@ store and step:
   (the retired out-of-core mode, kept measurable);
 * :class:`CompressedLevelStore` — :class:`~repro.core.sublist.
   CompressedLevelBatch` chunks, common-neighbor strings held
-  WAH-compressed (:mod:`repro.core.compressed`), realising the paper's
+  WAH-compressed (:mod:`repro.core.wah_kernels`), realising the paper's
   closing remark that the sparse bitmap index "can potentially provide
   high compression rate"; the level streams back still compressed, and
   the compressed-domain step expands it without decompressing.

@@ -1,4 +1,4 @@
-"""Unit and property tests for the WAH compressed bitmap."""
+"""Unit and property tests for the oracle's canonical WAH codec."""
 
 from __future__ import annotations
 
@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitset import BitSet, indices_to_words
-from repro.core.compressed import GROUP_BITS, WahBitmap
+from repro.core.wah_kernels import GROUP_BITS
 from repro.errors import BitSetError
+from wah_oracle import WahBitmap
 
 
 class TestRoundTrip:
     def test_empty(self):
         w = WahBitmap.zeros(100)
         assert w.to_bitset() == BitSet.zeros(100)
-        assert not w.any()
         assert w.count() == 0
 
     def test_zero_universe(self):
@@ -28,7 +28,6 @@ class TestRoundTrip:
         w = WahBitmap.from_indices(100, [42])
         assert sorted(w.to_bitset()) == [42]
         assert w.count() == 1
-        assert w.any()
 
     def test_full(self):
         full = BitSet.ones(100)
@@ -48,34 +47,33 @@ class TestCompression:
     def test_sparse_compresses(self):
         # one set bit in a large universe: long zero fills dominate
         w = WahBitmap.from_indices(31 * 1000, [5])
-        assert w.compressed_words() <= 4
-        assert w.compression_ratio() > 100
+        assert len(w.wah_words()) <= 4
 
     def test_dense_compresses(self):
         w = WahBitmap.from_bitset(BitSet.ones(31 * 1000))
-        assert w.compressed_words() <= 2
+        assert len(w.wah_words()) <= 2
+        # all-ones is a single one-fill word
+        n = GROUP_BITS * 8
+        ones = WahBitmap.from_indices(n, range(n))
+        assert ones.wah_words().tolist() == [(1 << 31) | (1 << 30) | 8]
 
     def test_alternating_does_not_blow_up(self):
         n = 31 * 40
         s = BitSet.from_indices(n, range(0, n, 2))
         w = WahBitmap.from_bitset(s)
         # incompressible pattern: at most one word per group
-        assert w.compressed_words() <= 40
+        assert len(w.wah_words()) <= 40
 
     def test_canonical_equal_bitmaps_equal_words(self):
         a = WahBitmap.from_indices(500, [3, 77, 400])
         b = WahBitmap.from_indices(500, [400, 3, 77])
         assert a == b
-        assert hash(a) == hash(b)
-
-    def test_ratio_of_empty_universe(self):
-        assert WahBitmap.zeros(0).compression_ratio() == 1.0
 
 
 class TestConstructionValidation:
     """Regression: a truncated or padded word stream used to surface
     only later as a confusing group-count error from count() (or as a
-    wrong __eq__/__hash__); now construction validates coverage."""
+    wrong __eq__); now construction validates coverage."""
 
     def test_truncated_stream_rejected(self):
         good = WahBitmap.from_indices(200, [1, 63, 150])
@@ -178,75 +176,6 @@ class TestIterIndices:
         assert w.count() == n
 
 
-class TestIntersectAny:
-    def test_basic(self):
-        a = WahBitmap.from_indices(2000, [5, 1999])
-        b = WahBitmap.from_indices(2000, [1999])
-        c = WahBitmap.from_indices(2000, [7])
-        assert a.intersect_any(b)
-        assert not a.intersect_any(c)
-        assert not WahBitmap.zeros(2000).intersect_any(a)
-
-    def test_matches_materialised_and(self):
-        rng = np.random.RandomState(77)
-        n = 31 * 60
-        for _ in range(50):
-            ia = rng.choice(n, size=rng.randint(0, 12), replace=False)
-            ib = rng.choice(n, size=rng.randint(0, 12), replace=False)
-            wa = WahBitmap.from_indices(n, ia)
-            wb = WahBitmap.from_indices(n, ib)
-            assert wa.intersect_any(wb) == (wa & wb).any()
-
-    def test_long_disjoint_fills(self):
-        n = 31 * 5000
-        a = WahBitmap.from_indices(n, [0])
-        b = WahBitmap.from_indices(n, [n - 1])
-        assert not a.intersect_any(b)
-        assert a.intersect_any(a)
-
-
-class TestCompressedOps:
-    def test_and(self):
-        a = WahBitmap.from_indices(200, [1, 50, 100, 150])
-        b = WahBitmap.from_indices(200, [50, 150, 199])
-        assert sorted((a & b).to_bitset()) == [50, 150]
-
-    def test_or(self):
-        a = WahBitmap.from_indices(200, [1])
-        b = WahBitmap.from_indices(200, [199])
-        assert sorted((a | b).to_bitset()) == [1, 199]
-
-    def test_xor(self):
-        a = WahBitmap.from_indices(200, [1, 2])
-        b = WahBitmap.from_indices(200, [2, 3])
-        assert sorted((a ^ b).to_bitset()) == [1, 3]
-
-    def test_andnot(self):
-        a = WahBitmap.from_indices(200, [1, 2])
-        b = WahBitmap.from_indices(200, [2])
-        assert sorted(a.andnot(b).to_bitset()) == [1]
-
-    def test_universe_mismatch(self):
-        with pytest.raises(BitSetError):
-            WahBitmap.zeros(10) & WahBitmap.zeros(11)
-
-    def test_type_mismatch(self):
-        with pytest.raises(TypeError):
-            WahBitmap.zeros(10) & BitSet.zeros(10)
-
-    def test_long_fill_bulk_path(self):
-        # both operands mid-fill for thousands of groups exercises the
-        # bulk-skip branch
-        n = 31 * 5000
-        a = WahBitmap.from_indices(n, [0, n - 1])
-        b = WahBitmap.from_indices(n, [0, 17])
-        assert sorted((a & b).to_bitset()) == [0]
-        assert sorted((a | b).to_bitset()) == [0, 17, n - 1]
-
-    def test_repr(self):
-        assert "count=2" in repr(WahBitmap.from_indices(64, [1, 2]))
-
-
 # ---------------------------------------------------------------------------
 # properties: WAH must be a faithful, canonical codec
 # ---------------------------------------------------------------------------
@@ -276,35 +205,9 @@ def test_count_matches_uncompressed(t):
     assert WahBitmap.from_bitset(s).count() == s.count()
 
 
-@settings(max_examples=30, deadline=None)
-@given(bitset_and_indices(), st.data())
-def test_compressed_ops_match_bitset_ops(t, data):
-    n, idx_a = t
-    idx_b = data.draw(
-        st.lists(st.integers(min_value=0, max_value=n - 1), unique=True)
-    )
-    sa, sb = BitSet.from_indices(n, idx_a), BitSet.from_indices(n, idx_b)
-    wa, wb = WahBitmap.from_bitset(sa), WahBitmap.from_bitset(sb)
-    assert (wa & wb).to_bitset() == (sa & sb)
-    assert (wa | wb).to_bitset() == (sa | sb)
-    assert (wa ^ wb).to_bitset() == (sa ^ sb)
-    assert wa.andnot(wb).to_bitset() == (sa - sb)
-
-
-@settings(max_examples=30, deadline=None)
-@given(bitset_and_indices())
-def test_compressed_ops_are_canonical(t):
-    """Results of compressed ops encode identically to a fresh encode."""
-    n, idx = t
-    s = BitSet.from_indices(n, idx)
-    w = WahBitmap.from_bitset(s)
-    rebuilt = w | WahBitmap.zeros(n)
-    assert rebuilt == w
-
-
 # ---------------------------------------------------------------------------
 # randomized equivalence suite: seeded sparse/dense bitmaps, every
-# compressed-domain op checked against the uncompressed BitSet truth
+# decode checked against the uncompressed BitSet truth
 # ---------------------------------------------------------------------------
 
 #: (universe size, fill density) grid — the sparse end mirrors the
@@ -329,26 +232,19 @@ def test_random_ops_match_bitset(n, density):
         sa = _random_bitset(rng, n, density)
         sb = _random_bitset(rng, n, density)
         wa, wb = WahBitmap.from_bitset(sa), WahBitmap.from_bitset(sb)
-        assert (wa & wb).to_bitset() == (sa & sb)
-        assert (wa | wb).to_bitset() == (sa | sb)
-        assert (wa ^ wb).to_bitset() == (sa ^ sb)
-        assert wa.andnot(wb).to_bitset() == (sa - sb)
+        assert wa.to_bitset() == sa and wb.to_bitset() == sb
         assert wa.count() == sa.count()
-        assert wa.any() == sa.any()
-        assert wa.intersect_any(wb) == (not sa.isdisjoint(sb))
         assert list(wa.iter_indices()) == sa.to_indices().tolist()
 
 
 @pytest.mark.parametrize("n,density", RANDOM_CASES)
 def test_random_decode_reencode_is_canonical(n, density):
-    """decode -> re-encode reproduces the exact word sequence, for the
-    direct encodings and for every compressed-op result."""
+    """decode -> re-encode reproduces the exact word sequence."""
     rng = np.random.RandomState(hash(("canon", n, density)) % (2**32))
     for _ in range(8):
         sa = _random_bitset(rng, n, density)
         sb = _random_bitset(rng, n, density)
-        wa, wb = WahBitmap.from_bitset(sa), WahBitmap.from_bitset(sb)
-        for w in (wa, wa & wb, wa | wb, wa ^ wb, wa.andnot(wb)):
+        for w in (WahBitmap.from_bitset(sa), WahBitmap.from_bitset(sb)):
             reencoded = WahBitmap.from_bitset(w.to_bitset())
             assert np.array_equal(reencoded._words, w._words)
-            assert reencoded == w and hash(reencoded) == hash(w)
+            assert reencoded == w

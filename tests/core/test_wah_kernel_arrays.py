@@ -1,11 +1,11 @@
-"""The SoA batch kernels against the per-stream WahBitmap oracle.
+"""The SoA batch kernels against the per-stream scalar oracle.
 
 :mod:`repro.core.wah_kernels` re-implements the WAH hot loop as numpy
 word-array operations over many streams at once; the compressed-domain
 generation step runs them in place of the scalar kernels, which stay
 as the oracle for *byte-identical* words.  This suite pins that
 contract: every batch kernel is replayed stream by stream through
-:class:`~repro.core.compressed.WahBitmap` (the canonical encoder) and
+the ``wah_oracle`` kernels and its canonical encoder ``WahBitmap``, and
 the results compared exactly — words, offsets, predicates, and decoded
 indices — across the boundary shapes the step actually produces:
 fill/literal alternation, all-ones fills, universes that are not a
@@ -24,14 +24,9 @@ import numpy as np
 import pytest
 
 from repro.errors import BitSetError
-from repro.core.compressed import (
-    GROUP_BITS,
-    WahBitmap,
-    WahScratch,
-    wah_and_any,
-    wah_and_into,
-)
 from repro.core.wah_kernels import (
+    GROUP_BITS,
+    WahScratch,
     _nonzero_groups,
     _probe,
     batch_and_rows,
@@ -45,6 +40,7 @@ from repro.core.wah_kernels import (
     concat_streams,
     take_streams,
 )
+from wah_oracle import WahBitmap, wah_and_any, wah_and_into
 
 #: empty, sub-group, exact group/word multiples, n % 31 != 0 tails.
 UNIVERSES = [0, 1, 30, 31, 32, 62, 63, 64, 93, 100, 128, 500, 2000]
@@ -316,7 +312,7 @@ class TestAndKernels:
         n_words = len(cn.wah_words())
         assert scratch.and_ops == 2
         assert scratch.word_ops == 2 * n_words + 2 * 3 + rw.size
-        scratch.reset_stats()
+        scratch = WahScratch()
         batch_and_rows_any(words, offsets, adj, rows, ids, scratch)
         assert (scratch.and_ops, scratch.word_ops) == (2, 2 * n_words + 6)
 

@@ -16,7 +16,6 @@ from repro.core.clique_enumerator import (
     POINTER_BYTES,
     expand_level,
 )
-from repro.core.compressed import WahBitmap
 from repro.core.counters import OpCounters
 from repro.core.generators import erdos_renyi, overlapping_cliques
 from repro.core.sublist import (
@@ -39,6 +38,7 @@ from repro.engine.level_loop import seed_level
 from repro.errors import LevelStoreError, ParameterError
 from repro.service.cache import ResultCache
 from tests.engine.test_property_harness import FAMILIES
+from wah_oracle import WahBitmap
 
 ENGINE = EnumerationEngine()
 
@@ -202,9 +202,8 @@ class TestArrayChunks:
 
 
 class TestNoSubListObjects:
-    """No backend on any store builds a ``CliqueSubList`` or a
-    ``WahBitmap``: every level stays in its store's chunk form from
-    seed to step to store."""
+    """No backend on any store builds a ``CliqueSubList``: every level
+    stays in its store's chunk form from seed to step to store."""
 
     @pytest.mark.parametrize("k_min", [1, 3])
     @pytest.mark.parametrize("backend", STORE_BACKENDS)
@@ -229,8 +228,6 @@ class TestNoSubListObjects:
             raise AssertionError("a per-sub-list object was built")
 
         monkeypatch.setattr(CliqueSubList, "__init__", trap)
-        monkeypatch.setattr(WahBitmap, "__init__", trap)
-        monkeypatch.setattr(WahBitmap, "_trusted", trap)
         # every sub-list its own range, so `threads` starts its pool
         monkeypatch.setattr(clique_enumerator, "PAIR_BATCH_BYTES", 0)
         for store, config in configs.items():

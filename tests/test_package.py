@@ -11,7 +11,6 @@ import repro
 
 PUBLIC_MODULES = [
     "repro.core.bitset",
-    "repro.core.compressed",
     "repro.core.graph",
     "repro.core.graph_io",
     "repro.core.graph_ops",

@@ -1,12 +1,12 @@
-"""Word-Aligned Hybrid (WAH) compressed bitmaps.
+"""The scalar WAH oracle: the canonical codec and per-pair kernels.
 
-The paper observes that its bitmap memory index is sparse and that "the
-sparcity of the bitmap memory index can potentially provide high compression
-rate and allow for bitwise operations to be performed on the compressed
-data.  The work in this direction is underway."  This module implements that
-direction: the classic WAH encoding of Wu, Otoo and Shoshani, in which a
-bitmap is split into 31-bit *groups* and encoded as a sequence of 32-bit
-words of two kinds:
+The package ships only the batched numpy kernels of
+:mod:`repro.core.wah_kernels`, which the compressed-domain generation
+step runs.  This module is what they are checked against: the classic
+Word-Aligned Hybrid encoding of Wu, Otoo and Shoshani, written one
+group and one word at a time so that each step can be read off the
+format.  A bitmap is split into 31-bit *groups* and encoded as a
+sequence of 32-bit words of two kinds:
 
 literal word
     Most-significant bit 0; the low 31 bits hold one group verbatim.
@@ -16,30 +16,30 @@ fill word
     bits hold the run length measured in groups.  A fill word of length
     ``L`` represents ``L`` consecutive all-zero or all-one groups.
 
-Logical AND/OR run directly on the compressed form without decompression,
-which is what makes the representation attractive for the paper's
-common-neighbor intersections on very sparse genome-scale graphs.
-
 The encoder always produces *canonical* output: adjacent fills of the same
 bit value are merged and a fill of length 1 is still a fill (one word), so
 equal bitmaps encode to equal word sequences.  The full word layout, the
 fill encoding, and the group-coverage invariant the constructor enforces
 are documented in ``docs/wah-format.md``.
 
-Two layers are provided, mirroring :mod:`repro.core.bitset`:
+Two layers, each the reference for one side of the batch kernels:
 
 :class:`WahBitmap`
-    A safe, validated wrapper with set algebra on the compressed form,
-    used by the level stores and the public API.
+    The canonical codec: a validated bitmap built from a
+    :class:`~repro.core.bitset.BitSet`, indices or raw ``uint64`` words,
+    decoded back to each of them.  The batch encoder must write its
+    words exactly.
 
 word-array kernels (:func:`wah_and_into`, :func:`wah_and_any`,
-:func:`wah_and_count`, :func:`wah_indices_above`)
-    Allocation-light primitives over raw WAH word lists, one bitmap
-    pair per call.  They are the scalar oracle the batched
-    :mod:`repro.core.wah_kernels` — which the compressed-domain
-    generation step runs — are replayed against.  A reusable
-    :class:`WahScratch` carries the output buffer and the word-op tally
-    between calls.
+:func:`wah_indices_above`)
+    The scalar oracle of the batch AND, ``BitOneExists`` and partner
+    scan: raw canonical word lists, one bitmap pair per call, tallied
+    on a :class:`~repro.core.wah_kernels.WahScratch` when one is given.
+    Their outputs are held to the encoder of the expected set, so the
+    chain runs batch kernels, then these, then the ``BitSet`` truth.
+
+Tests import this module as ``wah_oracle`` (pytest puts ``tests/`` on
+``sys.path``); from the repository root it is ``tests.wah_oracle``.
 """
 
 from __future__ import annotations
@@ -50,19 +50,14 @@ import numpy as np
 
 from repro.errors import BitSetError
 from repro.core.bitset import WORD_BITS, BitSet
+from repro.core.wah_kernels import GROUP_BITS, WahScratch
 
 __all__ = [
     "WahBitmap",
-    "GROUP_BITS",
-    "WahScratch",
     "wah_and_into",
     "wah_and_any",
-    "wah_and_count",
     "wah_indices_above",
 ]
-
-#: Number of payload bits per WAH group/literal.
-GROUP_BITS = 31
 
 _LITERAL_MASK = (1 << GROUP_BITS) - 1          # 0x7FFFFFFF
 _FILL_FLAG = 1 << 31
@@ -149,15 +144,15 @@ class _Builder:
 class WahBitmap:
     """A WAH-compressed bitmap over a fixed universe of ``n`` bits.
 
-    Construct via :meth:`from_bitset`, :meth:`from_indices`, or the boolean
-    operators on existing instances.  Instances are immutable.
+    Construct via :meth:`from_bitset`, :meth:`from_indices` or
+    :meth:`from_words`, or from raw words, which the constructor
+    validates.  Instances are immutable.
 
     Examples
     --------
     >>> a = WahBitmap.from_indices(100, [0, 50, 99])
-    >>> b = WahBitmap.from_indices(100, [50, 60])
-    >>> sorted((a & b).to_bitset())
-    [50]
+    >>> sorted(a.to_bitset())
+    [0, 50, 99]
     >>> a.count()
     3
     """
@@ -223,23 +218,6 @@ class WahBitmap:
             arr.setflags(write=False)
         self._words = arr
 
-    @classmethod
-    def _trusted(cls, n: int, words: np.ndarray) -> "WahBitmap":
-        """Wrap an already-canonical ``uint32`` word array, unvalidated.
-
-        Internal fast path for streams produced by this module's own
-        encoders and by the :mod:`~repro.core.wah_kernels` batch codecs,
-        whose outputs are canonical by construction.  The array is
-        frozen in place; callers hand over ownership.
-        """
-        bm = object.__new__(cls)
-        bm.n = n
-        bm._n_groups = (n + GROUP_BITS - 1) // GROUP_BITS
-        if words.flags.writeable:
-            words.setflags(write=False)
-        bm._words = words
-        return bm
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -249,8 +227,7 @@ class WahBitmap:
         n_groups = (n + GROUP_BITS - 1) // GROUP_BITS
         if n_groups == 0:
             return cls(n, [])
-        # Expand to single bits once, then pack 31 at a time.  This is an
-        # O(n) encode; fine because encoding happens off the hot path.
+        # Expand to single bits once, then pack 31 at a time.
         bits = np.unpackbits(bs.words.view(np.uint8), bitorder="little")[:n]
         padded = np.zeros(n_groups * GROUP_BITS, dtype=np.uint8)
         padded[:n] = bits
@@ -260,9 +237,7 @@ class WahBitmap:
         builder = _Builder()
         for v in vals.tolist():
             builder.add_group(int(v))
-        return cls._trusted(
-            n, np.asarray(builder.finish(), dtype=np.uint32)
-        )
+        return cls(n, builder.finish())
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "WahBitmap":
@@ -341,8 +316,7 @@ class WahBitmap:
         Zero fills advance the cursor in O(1) whatever their run
         length; only literal words and one-fills cost time, so
         iteration is proportional to the *compressed* size plus the
-        population count — the op the paper's "bitwise operations ...
-        on the compressed data" remark asks for.
+        population count.
         """
         base = 0
         for word in self._words.tolist():
@@ -362,104 +336,6 @@ class WahBitmap:
     def __iter__(self) -> Iterator[int]:
         return self.iter_indices()
 
-    # -- compressed-domain operations ---------------------------------------
-
-    def _check(self, other: "WahBitmap") -> None:
-        if not isinstance(other, WahBitmap):
-            raise TypeError(f"expected WahBitmap, got {type(other).__name__}")
-        if other.n != self.n:
-            raise BitSetError(f"universe mismatch: {self.n} vs {other.n}")
-
-    def _binary(self, other: "WahBitmap", op) -> "WahBitmap":
-        """Group-synchronous merge.
-
-        Runs of fills are consumed in bulk when both operands are mid-fill,
-        so the cost is proportional to the *compressed* sizes, not ``n``.
-        """
-        self._check(other)
-        ra = _GroupReader(self._words.tolist())
-        rb = _GroupReader(other._words.tolist())
-        builder = _Builder()
-        remaining = self._n_groups
-        while remaining:
-            ga = ra.next_group()
-            gb = rb.next_group()
-            # Bulk-skip: while both readers sit inside fills, the op result
-            # is constant; emit it for the overlapping run length.
-            bulk = min(ra.pending_fill, rb.pending_fill, remaining - 1)
-            g = op(ga, gb) & _LITERAL_MASK
-            builder.add_group(g)
-            if bulk > 0 and (ga in (0, _LITERAL_MASK)) and (
-                gb in (0, _LITERAL_MASK)
-            ):
-                for _ in range(bulk):
-                    builder.add_group(g)
-                ra.pending_fill -= bulk
-                rb.pending_fill -= bulk
-                remaining -= bulk
-            remaining -= 1
-        return WahBitmap._trusted(
-            self.n, np.asarray(builder.finish(), dtype=np.uint32)
-        )
-
-    def __and__(self, other: "WahBitmap") -> "WahBitmap":
-        return self._binary(other, lambda a, b: a & b)
-
-    def __or__(self, other: "WahBitmap") -> "WahBitmap":
-        return self._binary(other, lambda a, b: a | b)
-
-    def __xor__(self, other: "WahBitmap") -> "WahBitmap":
-        return self._binary(other, lambda a, b: a ^ b)
-
-    def andnot(self, other: "WahBitmap") -> "WahBitmap":
-        """Compressed-domain ``self & ~other``."""
-        return self._binary(other, lambda a, b: a & ~b)
-
-    def intersect_any(self, other: "WahBitmap") -> bool:
-        """``(self & other).any()`` without materialising the AND.
-
-        The paper's ``BitOneExists`` maximality test on compressed
-        operands: the merged scan stops at the first overlapping group
-        and bulk-skips aligned fill runs, so a hit costs only the
-        compressed prefix before the overlap.
-
-        Examples
-        --------
-        >>> a = WahBitmap.from_indices(10_000, [3, 9_000])
-        >>> a.intersect_any(WahBitmap.from_indices(10_000, [9_000]))
-        True
-        >>> a.intersect_any(WahBitmap.from_indices(10_000, [4, 8_999]))
-        False
-        """
-        self._check(other)
-        ra = _GroupReader(self._words.tolist())
-        rb = _GroupReader(other._words.tolist())
-        remaining = self._n_groups
-        while remaining:
-            ga = ra.next_group()
-            gb = rb.next_group()
-            if ga & gb:
-                return True
-            # both mid-fill with a zero AND: at least one side is a
-            # zero fill, so the AND stays zero for the whole overlap
-            bulk = min(ra.pending_fill, rb.pending_fill, remaining - 1)
-            if bulk > 0:
-                ra.pending_fill -= bulk
-                rb.pending_fill -= bulk
-                remaining -= bulk
-            remaining -= 1
-        return False
-
-    def any(self) -> bool:
-        """True when any bit is set, without decompression."""
-        for w in self._words.tolist():
-            if _is_fill(w):
-                if _fill_bit(w):
-                    return True
-            elif w:
-                return True
-        return False
-
     def count(self) -> int:
         """Population count, computed on the compressed form."""
         total = 0
@@ -473,7 +349,7 @@ class WahBitmap:
         # construction, so no tail correction is needed here
         return total
 
-    # -- storage metrics ----------------------------------------------------
+    # -- storage -------------------------------------------------------------
 
     def wah_words(self) -> np.ndarray:
         """The raw compressed WAH words, for the word-array kernels.
@@ -481,10 +357,9 @@ class WahBitmap:
         Returns the internal canonical word array — a *read-only*
         ``np.uint32`` ndarray, shared without copying (``.tolist()`` it
         for the pure-Python kernels' fastest indexing).  This is the
-        representation :func:`wah_and_into` / :func:`wah_and_any` /
-        :func:`wah_and_count` and the :mod:`~repro.core.wah_kernels`
-        batch kernels operate on, paired with the bitmap's group count
-        ``(n + 30) // 31``.
+        representation :func:`wah_and_into` / :func:`wah_and_any` and
+        the :mod:`~repro.core.wah_kernels` batch kernels operate on,
+        paired with the bitmap's group count ``(n + 30) // 31``.
 
         Examples
         --------
@@ -493,45 +368,15 @@ class WahBitmap:
         """
         return self._words
 
-    def compressed_words(self) -> int:
-        """Number of 32-bit words in the compressed encoding."""
-        return len(self._words)
-
     def nbytes(self) -> int:
         """Bytes of compressed payload."""
         return 4 * len(self._words)
-
-    def compression_ratio(self) -> float:
-        """Uncompressed bitmap bytes divided by compressed bytes.
-
-        Ratios above 1 mean the compression helps; very sparse or very
-        dense bitmaps compress best.  Returns ``inf`` for an empty stream
-        over a non-empty universe (cannot happen for canonical encodings)
-        and 1.0 for the empty universe.
-        """
-        raw = 4 * self._n_groups
-        if raw == 0:
-            return 1.0
-        if self._words.size == 0:
-            return float("inf")
-        return raw / self.nbytes()
-
-    # -- dunder -------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WahBitmap):
             return NotImplemented
         return self.n == other.n and np.array_equal(
             self._words, other._words
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._words.tobytes()))
-
-    def __repr__(self) -> str:
-        return (
-            f"WahBitmap(n={self.n}, words={len(self._words)}, "
-            f"count={self.count()})"
         )
 
 
@@ -550,50 +395,9 @@ class WahBitmap:
 # * outputs are canonical, so kernel results and encoder results for the
 #   same bit content are byte-identical word sequences;
 # * fill runs are consumed in bulk on both operands, so the cost is
-#   proportional to the *compressed* sizes, never to the universe.
-
-
-class WahScratch:
-    """Reusable workspace and op tally for the word-array kernels.
-
-    One scratch serves one thread of kernel calls: ``buf`` is the
-    reusable output buffer :func:`wah_and_into` writes into (cleared at
-    each call, so a result that must outlive the next call has to be
-    copied with ``list(...)``), and the counters record the kernel
-    traffic the compressed-domain benchmarks report:
-
-    ``word_ops``
-        Compressed 32-bit words consumed plus produced across all calls
-        (the batch row kernels of :mod:`repro.core.wah_kernels` count
-        the CN words they read and write plus the adjacency groups
-        they probe).
-    ``and_ops``
-        Kernel invocations (one per compressed-domain AND / test; one
-        per pair for the batch kernels).
-
-    Examples
-    --------
-    >>> scratch = WahScratch()
-    >>> a = WahBitmap.from_indices(62, [0, 40])
-    >>> b = WahBitmap.from_indices(62, [40, 41])
-    >>> out = wah_and_into(a.wah_words(), b.wah_words(), 2, scratch)
-    >>> (out is scratch.buf, scratch.and_ops)
-    (True, 1)
-    >>> sorted(WahBitmap(62, list(out)).iter_indices())
-    [40]
-    """
-
-    __slots__ = ("buf", "word_ops", "and_ops")
-
-    def __init__(self) -> None:
-        self.buf: list[int] = []
-        self.word_ops = 0
-        self.and_ops = 0
-
-    def reset_stats(self) -> None:
-        """Zero the tallies (the buffer is managed by the kernels)."""
-        self.word_ops = 0
-        self.and_ops = 0
+#   proportional to the *compressed* sizes, never to the universe;
+# * a scratch, when given, tallies the words read plus written
+#   (`word_ops`) and one call (`and_ops`).
 
 
 def _flush_run(out: list[int], bit: int, length: int) -> None:
@@ -613,11 +417,9 @@ def wah_and_into(
 ) -> list[int]:
     """AND two canonical WAH word streams without decompressing either.
 
-    Returns the canonical word list of ``a & b`` — written into
-    ``scratch.buf`` when a scratch is given (copy it before the next
-    kernel call if it must survive), a fresh list otherwise.  Aligned
-    fill runs are consumed in bulk, so the merge touches each compressed
-    word exactly once.
+    Returns the canonical word list of ``a & b``.  Aligned fill runs
+    are consumed in bulk, so the merge touches each compressed word
+    exactly once.
 
     Examples
     --------
@@ -627,22 +429,17 @@ def wah_and_into(
     >>> out = wah_and_into(a.wah_words(), b.wah_words(), n_groups)
     >>> sorted(WahBitmap(10_000, out).iter_indices())
     [5]
-    >>> out == (a & b).wah_words().tolist()   # canonical == encoder
+    >>> out == WahBitmap.from_indices(10_000, [5]).wah_words().tolist()
     True
     """
     if isinstance(a, np.ndarray):
         a = a.tolist()
     if isinstance(b, np.ndarray):
         b = b.tolist()
-    if scratch is None:
-        out: list[int] = []
-    else:
-        out = scratch.buf
-        out.clear()
+    out: list[int] = []
     ia = ib = 0
     a_pend = b_pend = 0
     a_val = b_val = 0
-    a_fill = b_fill = False
     run_bit = -1
     run_len = 0
     remaining = n_groups
@@ -653,22 +450,18 @@ def wah_and_into(
             if w & _FILL_FLAG:
                 a_pend = w & _FILL_LEN_MASK
                 a_val = _LITERAL_MASK if w & _FILL_BIT else 0
-                a_fill = True
             else:
                 a_pend = 1
                 a_val = w
-                a_fill = False
         if not b_pend:
             w = b[ib]
             ib += 1
             if w & _FILL_FLAG:
                 b_pend = w & _FILL_LEN_MASK
                 b_val = _LITERAL_MASK if w & _FILL_BIT else 0
-                b_fill = True
             else:
                 b_pend = 1
                 b_val = w
-                b_fill = False
         # overlap of the two current runs; >1 only when both sides are
         # mid-fill, in which case the AND is constant over the overlap
         take = a_pend if a_pend < b_pend else b_pend
@@ -768,66 +561,6 @@ def wah_and_any(
         scratch.word_ops += ia + ib
         scratch.and_ops += 1
     return hit
-
-
-def wah_and_count(
-    a: Sequence[int],
-    b: Sequence[int],
-    n_groups: int,
-    scratch: WahScratch | None = None,
-) -> int:
-    """Population count of ``a & b`` without materialising the AND.
-
-    Examples
-    --------
-    >>> a = WahBitmap.from_indices(200, range(0, 200, 2))
-    >>> b = WahBitmap.from_indices(200, range(0, 200, 3))
-    >>> wah_and_count(a.wah_words(), b.wah_words(), (200 + 30) // 31)
-    34
-    >>> len([i for i in range(200) if i % 6 == 0])
-    34
-    """
-    if isinstance(a, np.ndarray):
-        a = a.tolist()
-    if isinstance(b, np.ndarray):
-        b = b.tolist()
-    ia = ib = 0
-    a_pend = b_pend = 0
-    a_val = b_val = 0
-    remaining = n_groups
-    total = 0
-    while remaining:
-        if not a_pend:
-            w = a[ia]
-            ia += 1
-            if w & _FILL_FLAG:
-                a_pend = w & _FILL_LEN_MASK
-                a_val = _LITERAL_MASK if w & _FILL_BIT else 0
-            else:
-                a_pend = 1
-                a_val = w
-        if not b_pend:
-            w = b[ib]
-            ib += 1
-            if w & _FILL_FLAG:
-                b_pend = w & _FILL_LEN_MASK
-                b_val = _LITERAL_MASK if w & _FILL_BIT else 0
-            else:
-                b_pend = 1
-                b_val = w
-        take = a_pend if a_pend < b_pend else b_pend
-        g = a_val & b_val
-        if g == _LITERAL_MASK:
-            total += GROUP_BITS * take
-        elif g:
-            total += g.bit_count()
-        a_pend -= take
-        b_pend -= take
-        remaining -= take
-    if scratch is not None:
-        scratch.word_ops += ia + ib
-        scratch.and_ops += 1
-    return total
 
 
 def wah_indices_above(words: Sequence[int], lo: int) -> Iterator[int]:
