@@ -16,8 +16,10 @@ and asserts the properties the compressed paths must keep forever:
   :data:`MIN_PEAK_REDUCTION`;
 * **compressed-domain generation** — the WAH store streams every level
   to its step compressed: the raw-equivalent bytes it kept compressed
-  (``decompressed_bytes_avoided``) are positive and drift-compared, so
-  a level that stops reaching the step compressed moves them.
+  (``decompressed_bytes_avoided``, read off the run's level stats as
+  the paper-formula bytes of every level but the last) are positive
+  and drift-compared, so a change in which levels are streamed, or
+  in their shape, moves them.
 
 Enumeration is deterministic (seeded workload, canonical emission
 order), so ``--check`` compares the measured numbers against the

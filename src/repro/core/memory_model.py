@@ -256,8 +256,9 @@ def predict_profile(
     level is capped by the safe form of the M recurrence
     (``M[k+1] <= (M[k] - 2N[k])(n-k) <= M[k](n-k)``) intersected with
     the clique-count bound of :func:`_clique_count_bound`, which both
-    keeps the caps from exploding and terminates the run: the cap hits
-    zero no later than clique size ``~sqrt(2m)``.
+    keeps the caps from exploding and terminates the run — and the
+    chain up to a large ``k_min`` seed: the cap hits zero no later than
+    clique size ``~sqrt(2m)``.
 
     Every cap is a true upper bound on the real ``M[k]`` / ``N[k]``,
     so ``predicted_bytes`` bounds the raw candidate storage a
@@ -300,6 +301,8 @@ def predict_profile(
     if start == 2 and n_seed_sublists is not None:
         surv = max(0, m - 2 * n_seed_sublists)
     for k in range(3, start + 1):
+        if not cap_m:
+            break  # a zero cap stays zero: the profile is empty
         # chain up to a k_min > 2 seed: N unknown, so the safe M bound
         # degrades to M[k+1] <= M[k] * (n - k)
         cap_m = min(cap_m * max(0, n - (k - 1)), _clique_count_bound(n, m, k))

@@ -374,19 +374,6 @@ class CompressedLevelBatch:
             + pointer_bytes * len(self)
         )
 
-    def uncompressed_nbytes(
-        self, index_bytes: int = 8, pointer_bytes: int = 8
-    ) -> int:
-        """What :meth:`LevelArrays.nbytes` charges for the decompressed
-        chunk, computed without decompressing anything: each CN row is
-        ``universe / 8`` bytes of raw ``uint64`` words (the universe is
-        always a whole number of 64-bit words).  This is the baseline
-        the ``wah`` store reports as *decompressed bytes avoided*."""
-        return (
-            (self.tails.size + self.prefixes.size) * index_bytes
-            + (self.universe // 8 + pointer_bytes) * len(self)
-        )
-
     def __repr__(self) -> str:
         return (
             f"CompressedLevelBatch(entries={len(self)}, "

@@ -100,6 +100,20 @@ def _resolve_step(g: Graph, store_name: str, model: str, bitset_step):
     return expander.step, expander
 
 
+def _wah_stats(result: EnumerationResult, expander) -> None:
+    """Fill ``result.domain_stats`` after a run on the ``"wah"`` store.
+
+    Besides the expander's kernel telemetry, records the raw bytes the
+    store kept compressed: what the ``"memory"`` store would have held
+    (the paper-formula bytes) for every level the loop streamed — all
+    but the last, which is empty or, at ``k_max``, never streamed.
+    """
+    result.domain_stats["decompressed_bytes_avoided"] = sum(
+        stats.paper_formula_bytes for stats in result.level_stats[:-1]
+    )
+    result.domain_stats.update(expander.stats())
+
+
 def _run_sequential(
     g: Graph,
     config: EnumerationConfig,
@@ -123,7 +137,7 @@ def _run_sequential(
         io=io,
     )
     if expander is not None:
-        result.domain_stats.update(expander.stats())
+        _wah_stats(result, expander)
     return result
 
 
@@ -228,5 +242,5 @@ def run_threads(
             max_level_imbalance=expander.max_step_imbalance,
         ).to_dict()
     if wah_expander is not None:
-        result.domain_stats.update(wah_expander.stats())
+        _wah_stats(result, wah_expander)
     return result

@@ -25,6 +25,7 @@ __all__ = [
     "EnumerationConfig",
     "LEVEL_STORES",
     "LEVEL_STORE_AUTO",
+    "MAX_JOBS",
     "resolve_for_backend",
     "resolve_level_store",
 ]
@@ -45,11 +46,22 @@ LEVEL_STORES = ("memory", "disk", "wah")
 #: concrete substrates.
 LEVEL_STORE_AUTO = "auto"
 
+#: the most worker threads a config may ask for: the paper's SGI Altix
+#: has 256 processors.  Each fanned-out level deals its ranges over
+#: every worker slot and submits one pool task per worker, so a larger
+#: wire ``jobs`` would buy nothing but scheduling work and OS threads.
+MAX_JOBS = 256
+
 
 def _check_int(
-    name: str, value: Any, minimum: int, optional: bool = False
+    name: str,
+    value: Any,
+    minimum: int,
+    optional: bool = False,
+    maximum: int | None = None,
 ) -> int | None:
-    """``value`` as a plain ``int >= minimum`` (or ``None`` if optional).
+    """``value`` as a plain ``int`` in ``[minimum, maximum]`` (or
+    ``None`` if optional).
 
     Integral values pass, numpy integers normalised to ``int`` so the
     config stays JSON-safe; ``bool``, ``float`` and ``str`` are refused
@@ -62,6 +74,8 @@ def _check_int(
         raise ParameterError(f"{name} must be an int, got {value!r}")
     if value < minimum:
         raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ParameterError(f"{name} must be <= {maximum}, got {value}")
     return int(value)
 
 
@@ -94,7 +108,7 @@ class EnumerationConfig:
     jobs:
         Worker count for parallel backends — shared-memory threads
         for ``"threads"`` (``None`` lets the backend pick, e.g. the
-        CPU count).
+        CPU count), at most :data:`MAX_JOBS`.
         Sequential backends reject a non-``None`` value
         (:func:`resolve_for_backend`) rather than silently ignoring it.
     level_store:
@@ -129,13 +143,15 @@ class EnumerationConfig:
             raise ParameterError(
                 f"backend must be a non-empty string, got {self.backend!r}"
             )
-        for name, minimum, optional in (
-            ("k_min", 1, False),
-            ("max_cliques", 0, True),
-            ("max_candidate_bytes", 0, True),
-            ("jobs", 1, True),
+        for name, minimum, optional, maximum in (
+            ("k_min", 1, False, None),
+            ("max_cliques", 0, True, None),
+            ("max_candidate_bytes", 0, True, None),
+            ("jobs", 1, True, MAX_JOBS),
         ):
-            value = _check_int(name, getattr(self, name), minimum, optional)
+            value = _check_int(
+                name, getattr(self, name), minimum, optional, maximum
+            )
             object.__setattr__(self, name, value)
         k_max = _check_int("k_max", self.k_max, self.k_min, optional=True)
         object.__setattr__(self, "k_max", k_max)

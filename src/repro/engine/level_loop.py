@@ -162,6 +162,9 @@ def seed_level(
     strings, because each level holds exactly the non-maximal
     ``k``-cliques that share their prefix with another.  The counters
     then count the level algorithm's operations on the seed levels.
+    The climb stops at the first empty level, which it returns: no
+    step runs above the graph's largest clique, however large
+    ``k_min`` is.
     """
     if k_min <= 2:
         if k_min == 1:
@@ -177,6 +180,8 @@ def seed_level(
     core = alive[u] & alive[v]
     level = edge_level(g.adj, u[core], v[core], counters)
     for k in range(3, k_min + 1):
+        if not len(level):
+            break  # no (k-1)-level: every later level is empty too
         level = expand_level(
             level, g.adj, counters, emit if k == k_min else None
         )
@@ -199,36 +204,19 @@ def _measure_store(
     )
 
 
-def _fold_store_stats(store: LevelStore, stats: dict) -> None:
-    """Accumulate a retired store's bypassed bytes into ``domain_stats``.
-
-    Only the compressed store carries the counter; other substrates
-    contribute nothing (their levels were never compressed, so no
-    decompression was avoided).
-    """
-    bypassed = getattr(store, "bypassed_bytes", None)
-    if bypassed is not None:
-        stats["decompressed_bytes_avoided"] = (
-            stats.get("decompressed_bytes_avoided", 0) + bypassed
-        )
-
-
 def _trace_store_retired(trace, store: LevelStore, k: int) -> None:
     """Emit the ``store`` event for a level store about to retire.
 
     Captured *before* ``close()`` so the store's accounting is still
-    live; the compressed store additionally reports its bypassed bytes.
+    live.
     """
-    fields = {
-        "k": k,
-        "sublists": store.n_sublists,
-        "candidates": store.n_candidates,
-        "candidate_bytes": store.candidate_bytes,
-    }
-    bypassed = getattr(store, "bypassed_bytes", None)
-    if bypassed is not None:
-        fields["bypassed_bytes"] = bypassed
-    trace.event("store", **fields)
+    trace.event(
+        "store",
+        k=k,
+        sublists=store.n_sublists,
+        candidates=store.n_candidates,
+        candidate_bytes=store.candidate_bytes,
+    )
 
 
 def run_level_loop(
@@ -325,7 +313,6 @@ def run_level_loop(
                 if trace is not None:
                     _trace_store_retired(trace, store, k)
                 store.close()
-                _fold_store_stats(store, result.domain_stats)
                 store = next_store
                 k += 1
                 counters.levels = k
@@ -344,5 +331,4 @@ def run_level_loop(
         result.completed = not len(store)
     finally:
         store.close()
-        _fold_store_stats(store, result.domain_stats)
     return result

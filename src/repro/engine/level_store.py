@@ -37,8 +37,6 @@ from collections.abc import Iterable, Iterator
 
 from repro.core.out_of_core import DiskLevelStore
 from repro.core.sublist import (
-    INDEX_BYTES,
-    POINTER_BYTES,
     CompressedLevelBatch,
     LevelArrays,
     LevelChunk,
@@ -110,31 +108,13 @@ class CompressedLevelStore(LevelStore):
     every accounting property — are byte-identical however the level
     was cut.  :meth:`stream` yields the stored parts coalesced into one
     batch, never decompressed (the step's per-call fixed cost dominates
-    the array concat), and adds its raw-equivalent bytes to
-    :attr:`bypassed_bytes` — the run's
-    ``domain_stats["decompressed_bytes_avoided"]``.
+    the array concat).
     """
 
     def __init__(self) -> None:
         super().__init__()
         #: the stored batches, in insertion order
         self._parts: list[CompressedLevelBatch] = []
-        self._uncompressed_bytes = 0
-        #: raw-equivalent bytes streamed without decompressing — the
-        #: "decompressed bytes avoided".
-        self.bypassed_bytes = 0
-
-    @property
-    def uncompressed_bytes(self) -> int:
-        """What :class:`MemoryLevelStore` would have charged for this
-        level — the baseline for :meth:`compression_ratio`."""
-        return self._uncompressed_bytes
-
-    def compression_ratio(self) -> float:
-        """Uncompressed bytes over compressed bytes (>= 1 means win)."""
-        if not self.candidate_bytes:
-            return 1.0
-        return self._uncompressed_bytes / self.candidate_bytes
 
     def _to_parts(self, level: LevelChunk) -> Iterable[CompressedLevelBatch]:
         if isinstance(level, CompressedLevelBatch):
@@ -148,15 +128,10 @@ class CompressedLevelStore(LevelStore):
 
     def _keep(self, part: CompressedLevelBatch) -> None:
         self._parts.append(part)
-        self._uncompressed_bytes += part.uncompressed_nbytes(
-            INDEX_BYTES, POINTER_BYTES
-        )
 
     def _stream(self) -> Iterator[CompressedLevelBatch]:
         if self._parts:
-            merged = CompressedLevelBatch.concat(self._parts)
-            self.bypassed_bytes += self._uncompressed_bytes
-            yield merged
+            yield CompressedLevelBatch.concat(self._parts)
 
     def _release(self) -> None:
         self._parts = []

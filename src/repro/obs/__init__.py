@@ -15,7 +15,8 @@ substrate that emits them while a job runs:
   compressed expander, threaded expander, job scheduler) read
   ambiently; disabled by default, enabled by ``repro serve
   --metrics/--trace`` or :func:`configure`;
-* :mod:`~repro.obs.bridge` — the metric-name authority: folds finished
+* :mod:`~repro.obs.bridge` — declares every metric series once
+  (:data:`~repro.obs.bridge.METRICS`) and folds finished
   :class:`~repro.core.clique_enumerator.EnumerationResult`\\ s and live
   scheduler state into the registry;
 * :mod:`~repro.obs.http` — a stdlib ``GET /metrics`` scrape endpoint.

@@ -240,7 +240,9 @@ def test_random_ops_match_bitset(n, density):
 @pytest.mark.parametrize("n,density", RANDOM_CASES)
 def test_random_decode_reencode_is_canonical(n, density):
     """decode -> re-encode reproduces the exact word sequence."""
-    rng = np.random.RandomState(hash(("canon", n, density)) % (2**32))
+    # numbers only: a str in the key would hash per PYTHONHASHSEED; the
+    # trailing 1 keeps this stream apart from the sibling test's
+    rng = np.random.RandomState(hash((n, density, 1)) % (2**32))
     for _ in range(8):
         sa = _random_bitset(rng, n, density)
         sb = _random_bitset(rng, n, density)

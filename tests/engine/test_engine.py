@@ -24,6 +24,7 @@ from repro.engine import (
     run_enumeration,
     unregister_backend,
 )
+from repro.engine.config import MAX_JOBS
 from repro.errors import BudgetExceeded, ConfigError, ParameterError
 
 
@@ -77,6 +78,13 @@ class TestConfig:
     def test_invalid_jobs(self):
         with pytest.raises(ParameterError):
             EnumerationConfig(jobs=0)
+
+    def test_jobs_bounded(self):
+        # configs only: a run at the bound would start that many threads
+        cfg = EnumerationConfig(backend="threads", jobs=MAX_JOBS)
+        assert cfg.jobs == MAX_JOBS
+        with pytest.raises(ParameterError, match="jobs"):
+            EnumerationConfig(backend="threads", jobs=MAX_JOBS + 1)
 
     def test_invalid_backend_name(self):
         with pytest.raises(ParameterError):

@@ -253,10 +253,8 @@ class TestCompressedLevelStore:
             wah.append(sl)
         assert wah.n_sublists == mem.n_sublists == 2
         assert wah.n_candidates == mem.n_candidates == 5
-        assert wah.uncompressed_bytes == mem.candidate_bytes
         # the sparse 256-bit cn strings compress below the raw bytes
         assert wah.candidate_bytes < mem.candidate_bytes
-        assert wah.compression_ratio() > 1
 
     def test_stream_roundtrips_sublists(self):
         store = CompressedLevelStore()
@@ -305,7 +303,6 @@ class TestCompressedLevelStore:
         assert wah.candidate_bytes == (
             mem.candidate_bytes - raw_cn + wah_cn
         )
-        assert wah.uncompressed_bytes == mem.candidate_bytes
 
 
 class TestLevelStorePolicy:

@@ -17,6 +17,7 @@ from repro.core.generators import planted_clique
 from repro.errors import ParameterError, ServiceError
 from repro.engine.config import EnumerationConfig
 from repro.obs import Observability, set_observability
+from repro.obs.bridge import METRICS
 from repro.obs.http import MetricsExporter
 from repro.service.client import ServiceClient
 from repro.service.jobs import JobSpec
@@ -90,6 +91,15 @@ class TestRoundTrip:
         assert metric_value(
             text, "repro_jobs_finished_total", labels='{status="done"}'
         ) == 1
+        # no series outside the declared table: every family the scrape
+        # types is a METRICS row of that kind
+        types = [
+            line.split()[2:] for line in text.splitlines()
+            if line.startswith("# TYPE ")
+        ]
+        assert types
+        for name, kind in types:
+            assert name in METRICS and METRICS[name][0] == kind, name
 
     def test_two_jobs_accumulate(self, plane, graph):
         config = EnumerationConfig(k_min=3)

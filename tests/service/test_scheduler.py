@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import threading
 
 import pytest
@@ -195,6 +196,47 @@ class TestBudgetsAndFailure:
         ).wait(30)
         assert failed.status is JobStatus.FAILED
         assert path.read_text() == good
+
+    @pytest.mark.parametrize("excess", [3, 10**9])
+    def test_k_min_above_every_clique_stops_at_the_first_empty_level(
+        self, monkeypatch, excess
+    ):
+        """The seed climb and the admission prediction stop once a
+        level (or its cap) is empty instead of stepping once per size
+        up to ``k_min``.  Counted with spies, never timed: a spy called
+        past its bound raises, so a climb to 10**9 fails at once."""
+        from repro.core import memory_model
+        from repro.engine import level_loop
+
+        g = erdos_renyi(40, 0.5, seed=1)
+        omega = max(map(len, ENGINE.run(g, EnumerationConfig()).cliques))
+        bounds = {
+            "expand_level": omega,
+            # two bounds per size, and the caps are zero past size
+            # (1 + sqrt(1 + 8m)) / 2 <= sqrt(2m) + 1
+            "_clique_count_bound": 2 * (math.isqrt(2 * g.m) + 2),
+        }
+        calls = dict.fromkeys(bounds, 0)
+
+        def spy(owner, name):
+            fn = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                if calls[name] > bounds[name]:
+                    raise AssertionError(f"{name} called past its bound")
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        spy(level_loop, "expand_level")
+        spy(memory_model, "_clique_count_bound")
+        config = EnumerationConfig(k_min=omega + excess)
+        with JobScheduler(workers=1) as sched:
+            job = sched.submit(JobSpec(graph=g, config=config)).wait(30)
+        assert job.status is JobStatus.DONE, job.error
+        assert job.result.cliques == []
+        assert calls["_clique_count_bound"] > 0  # the spy saw the model
 
 
 class TestPriorityAndCancellation:

@@ -16,6 +16,7 @@ import pytest
 from repro.core import graph_io
 from repro.core.generators import barbell_graph, erdos_renyi
 from repro.engine import EnumerationConfig, EnumerationEngine
+from repro.engine.config import MAX_JOBS
 from repro.errors import ParameterError, ServiceError
 from repro.parallel import thread_backend
 from repro.service import (
@@ -54,6 +55,10 @@ MALFORMED_SUBMITS = [
     pytest.param(_submit(max_cliques="9"), "max_cliques", id="max_cliques"),
     pytest.param(
         _submit(backend="threads", jobs="2"), "jobs", id="jobs-str"
+    ),
+    pytest.param(
+        _submit(backend="threads", jobs=MAX_JOBS + 1), "jobs",
+        id="jobs-over-bound",
     ),
     pytest.param(_submit(spill_dir="/tmp"), "spill_dir", id="spill_dir"),
     pytest.param(_submit(use_cache="false"), "use_cache", id="use_cache"),

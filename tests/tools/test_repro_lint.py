@@ -40,99 +40,6 @@ def codes(violations) -> set[str]:
     return {v.rule for v in violations}
 
 
-# -- RL002: metric-name authority ---------------------------------------------
-
-GOOD_RL002 = dedent_tree({
-    "src/repro/obs/bridge.py": """\
-        METRIC_NAMES = ("repro_good_total", "repro_depth")
-
-        def fold(registry):
-            registry.counter("repro_good_total", "Good things.").inc()
-            registry.gauge("repro_depth", "Depth.").set(1)
-        """,
-    "docs/ARCHITECTURE.md": """\
-        # Architecture
-
-        | metric | type | meaning |
-        |--------|------|---------|
-        | `repro_good_total` | counter | good things |
-        | `repro_depth{k}` | gauge | depth, labelled |
-        """,
-})
-
-
-class TestRL002:
-    def test_manifest_docs_and_calls_agree(self, tmp_path):
-        write_tree(tmp_path, GOOD_RL002)
-        assert lint_project(tmp_path, select=["RL002"]) == []
-
-    def test_rogue_metric_literal_fires(self, tmp_path):
-        files = dict(GOOD_RL002)
-        files["src/app.py"] = """\
-            def fold(registry):
-                registry.counter("repro_rogue_total", "Rogue.").inc()
-            """
-        write_tree(tmp_path, files)
-        violations = lint_project(tmp_path, select=["RL002"])
-        assert [v.path for v in violations] == ["src/app.py"]
-        assert "repro_rogue_total" in violations[0].message
-
-    def test_undocumented_manifest_name_fires(self, tmp_path):
-        files = dict(GOOD_RL002)
-        files["docs/ARCHITECTURE.md"] = """\
-            | metric | type | meaning |
-            |--------|------|---------|
-            | `repro_good_total` | counter | good things |
-            """
-        write_tree(tmp_path, files)
-        violations = lint_project(tmp_path, select=["RL002"])
-        assert any("repro_depth" in v.message for v in violations)
-
-    def test_stale_docs_row_fires(self, tmp_path):
-        files = dict(GOOD_RL002)
-        files["docs/ARCHITECTURE.md"] += (
-            "| `repro_removed_total` | counter | gone |\n"
-        )
-        write_tree(tmp_path, files)
-        violations = lint_project(tmp_path, select=["RL002"])
-        assert any(
-            "repro_removed_total" in v.message
-            and v.path == "docs/ARCHITECTURE.md"
-            and v.line > 0
-            for v in violations
-        )
-
-    def test_missing_manifest_fires(self, tmp_path):
-        files = dict(GOOD_RL002)
-        files["src/repro/obs/bridge.py"] = """\
-            def fold(registry):
-                registry.counter("repro_good_total", "Good.").inc()
-            """
-        write_tree(tmp_path, files)
-        violations = lint_project(tmp_path, select=["RL002"])
-        assert any("METRIC_NAMES" in v.message for v in violations)
-
-    def test_prose_mentions_in_later_cells_ignored(self, tmp_path):
-        files = dict(GOOD_RL002)
-        files["docs/ARCHITECTURE.md"] += (
-            "| `repro_depth` | gauge | compare `repro_other_series` |\n"
-        )
-        write_tree(tmp_path, files)
-        assert lint_project(tmp_path, select=["RL002"]) == []
-
-    def test_live_bridge_fstring_names_stay_in_manifest(self):
-        # the fold loops render names dynamically; RL002 cannot see
-        # them statically, so pin the rendered set to the manifest here
-        from repro.obs import bridge
-
-        rendered = {
-            f"repro_{name}_total"
-            for name in bridge._COUNTER_FIELDS
-            if name != "maximal_emitted"
-        } | set(bridge._DOMAIN_FIELDS.values())
-        assert rendered <= set(bridge.METRIC_NAMES)
-
-
 # -- RL003: obs disabled-path purity ------------------------------------------
 
 
@@ -511,7 +418,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RL002", "RL003", "RL004"):
+        for code in ("RL003", "RL004"):
             assert code in out
 
 
@@ -520,11 +427,7 @@ class TestCli:
 
 class TestLiveTree:
     def test_rule_catalogue_is_complete(self):
-        assert [r.code for r in all_rules()] == [
-            "RL002",
-            "RL003",
-            "RL004",
-        ]
+        assert [r.code for r in all_rules()] == ["RL003", "RL004"]
 
     def test_repo_is_clean(self):
         violations = lint_project(REPO_ROOT)

@@ -1,16 +1,17 @@
 """repro-lint: AST-based enforcement of the repo's cross-cutting contracts.
 
 Some invariants span several files and no test exercises them all:
-metric names must stay in lockstep with the :mod:`repro.obs.bridge`
-authority and the ``docs/ARCHITECTURE.md`` table; the observability
-disabled path must stay allocation-free; shared mutable state must stay
-behind its lock.  ``repro-lint`` checks all of that mechanically from
-the ASTs, so they are verified at review time instead of discovered in
-production.
+the observability disabled path must stay allocation-free; shared
+mutable state must stay behind its lock.  ``repro-lint`` checks both
+mechanically from the ASTs, so they are verified at review time
+instead of discovered in production.  Plumbing a rule would only keep
+in step is written once instead: the config fields on their dataclass,
+the level-store contract on its base class, and the metric series in
+:data:`repro.obs.bridge.METRICS`.
 
 Usage::
 
-    python -m tools.repro_lint [--format json] [--select RL002,...]
+    python -m tools.repro_lint [--format json] [--select RL003,...]
     repro-lint            # console entry point (installed)
 
 Rules live in :mod:`tools.repro_lint.rules`; each registers itself with

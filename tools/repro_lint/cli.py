@@ -57,8 +57,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro-lint",
         description=(
             "AST-based enforcement of the repo's cross-cutting "
-            "contracts (metric-name authority, obs purity, lock "
-            "discipline, level-store single-pass)."
+            "contracts (obs purity, lock discipline)."
         ),
     )
     parser.add_argument(

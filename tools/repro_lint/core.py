@@ -258,39 +258,3 @@ def self_attr(node: ast.AST) -> str | None:
     ):
         return node.attr
     return None
-
-
-def const_str_tuple(node: ast.AST) -> tuple[str, ...] | None:
-    """The values of a tuple/list literal of string constants."""
-    if not isinstance(node, (ast.Tuple, ast.List)):
-        return None
-    values = []
-    for elt in node.elts:
-        if not (
-            isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-        ):
-            return None
-        values.append(elt.value)
-    return tuple(values)
-
-
-def module_constants(tree: ast.Module) -> dict[str, tuple[str, ...]]:
-    """Module-level ``NAME = ("a", "b", ...)`` string-tuple constants."""
-    out: dict[str, tuple[str, ...]] = {}
-    for stmt in tree.body:
-        targets: list[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-            value = stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets = [stmt.target]
-            value = stmt.value
-        else:
-            continue
-        const = const_str_tuple(value)
-        if const is None:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name):
-                out[target.id] = const
-    return out
