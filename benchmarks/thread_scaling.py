@@ -1,15 +1,25 @@
-"""Record the ``threads`` backend's worker-scaling curve.
+"""Record the ``threads`` backend's worker-scaling curves.
 
-Runs the committed regression workload (the same one the speed and WAH
-baselines gate) through the ``threads`` backend at a sweep of worker
-counts and prints median wall-clock, speedup over one worker, stolen
-sub-list ranges, and whether the worker pool ran, per point.  Every
-point must emit exactly the clique sequence and operation counters of
-the first (``jobs=1`` by default), or the script exits non-zero.  The
-timings are **recorded, not gated**: scaling depends on the physical
-core count of the host, which CI cannot pin, so the curve is evidence,
-not a pass/fail check — CI runs this on its multi-core runner and the
-latest curve is transcribed into ``ROADMAP.md``.
+Runs two workloads through the ``threads`` backend on the ``wah`` store
+at a sweep of worker counts and prints median wall-clock, speedup over
+the first point, stolen sub-list ranges, and whether the worker pool
+ran, per point:
+
+* ``regression`` — the committed workload the speed and WAH baselines
+  gate.  Every level of it is one range, so it runs on the calling
+  thread and never starts the pool;
+* ``fan-out`` — three larger planted cliques (20, 17 and 15 vertices)
+  on the same background, whose levels cut into several ranges each
+  (9 levels into 42 ranges at ``--jobs 2``), so the pool runs.
+
+Every point must emit exactly the clique sequence and operation
+counters of its curve's first point (``jobs=1`` by default), or the
+script exits non-zero, so the fan-out curve checks the pool path
+against the sequential step.  The timings are **recorded, not gated**:
+scaling depends on the physical core count of the host, which CI
+cannot pin, so the curves are evidence, not a pass/fail check — CI
+runs this on its multi-core runner and the latest curves are
+transcribed into ``ROADMAP.md``.
 
 Usage::
 
@@ -34,30 +44,33 @@ from repro.engine import EnumerationConfig, EnumerationEngine  # noqa: E402
 
 REPEATS = 3
 
+#: name -> workload; ``fan-out`` is the regression workload's
+#: background with cliques large enough that its levels fan out.
+CURVES = {
+    "regression": WORKLOAD,
+    "fan-out": {**WORKLOAD, "clique_sizes": [20, 17, 15]},
+}
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--jobs", type=int, nargs="+", default=[1, 2, 4, 8],
-        help="worker counts to sweep (default: 1 2 4 8)",
-    )
-    args = parser.parse_args(argv)
 
+def scaling_curve(
+    engine: EnumerationEngine, name: str, workload: dict, jobs_sweep
+) -> None:
+    """Print one workload's curve; exit non-zero on any divergence
+    from the first point's cliques or counters."""
     g, _ = overlapping_cliques(
-        WORKLOAD["n"],
-        WORKLOAD["clique_sizes"],
-        WORKLOAD["overlap"],
-        p=WORKLOAD["p"],
-        seed=WORKLOAD["seed"],
+        workload["n"],
+        workload["clique_sizes"],
+        workload["overlap"],
+        p=workload["p"],
+        seed=workload["seed"],
     )
-    engine = EnumerationEngine()
-    print(f"host cpu_count={os.cpu_count()}  workload n={WORKLOAD['n']}")
+    print(f"{name}: n={workload['n']} cliques {workload['clique_sizes']}")
     base = None
     reference = None
     reference_counters = None
-    for jobs in args.jobs:
+    for jobs in jobs_sweep:
         config = EnumerationConfig(
-            k_min=WORKLOAD["k_min"],
+            k_min=workload["k_min"],
             backend="threads",
             jobs=jobs,
             level_store="wah",
@@ -71,18 +84,35 @@ def main(argv: list[str] | None = None) -> int:
         if reference is None:
             reference, reference_counters = result.cliques, counters
         elif result.cliques != reference:
-            raise SystemExit(f"clique sequence diverged at jobs={jobs}")
+            raise SystemExit(
+                f"{name}: clique sequence diverged at jobs={jobs}"
+            )
         elif counters != reference_counters:
-            raise SystemExit(f"operation counters diverged at jobs={jobs}")
+            raise SystemExit(
+                f"{name}: operation counters diverged at jobs={jobs}"
+            )
         median = statistics.median(times)
         if base is None:
             base = median
         pool = "ran" if result.load_balance is not None else "not started"
         print(
-            f"jobs={jobs}: median {median:.4f}s  "
+            f"  jobs={jobs}: median {median:.4f}s  "
             f"speedup x{base / median:.2f}  "
             f"stolen ranges {result.transfers}  pool {pool}"
         )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--jobs", type=int, nargs="+", default=[1, 2, 4, 8],
+        help="worker counts to sweep (default: 1 2 4 8)",
+    )
+    args = parser.parse_args(argv)
+    engine = EnumerationEngine()
+    print(f"host cpu_count={os.cpu_count()}")
+    for name, workload in CURVES.items():
+        scaling_curve(engine, name, workload, args.jobs)
     return 0
 
 

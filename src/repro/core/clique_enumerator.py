@@ -246,20 +246,28 @@ def pair_batches(tail_counts, n_words: int) -> list[tuple[int, int]]:
     holds at most :func:`pair_batch_limit` pairs, except that a range
     always takes at least one sub-list, so a sub-list over the limit
     is a range of its own.  The bitset step cuts its pair batches by
-    this rule, and the ``threads`` backend its work units on any store.
+    this rule, and the ``threads`` backend its ranges of a raw-word
+    chunk.
     """
     t = np.asarray(tail_counts, dtype=np.int64)
     return weight_batches(t * (t - 1) // 2, pair_batch_limit(n_words))
 
 
-def gathered_batches(tail_counts, gathered) -> list[tuple[int, int]]:
+def gathered_batches(
+    tail_counts, gathered, n_workers: int = 1
+) -> list[tuple[int, int]]:
     """The WAH step's cut, by :func:`pair_batches`' rule: sub-list ``i``
     weighs ``INDEX_BYTES * pairs * (1 + gathered[i])`` bytes, one index
-    entry per tail pair and per nonzero CN group a pair gathers."""
+    entry per tail pair and per nonzero CN group a pair gathers.
+
+    The limit is ``PAIR_BATCH_BYTES // n_workers``: the ``threads``
+    backend cuts its ranges for ``n_workers`` concurrent batches, so
+    together they hold one batch's budget, and the step's own cut of
+    such a range is the range itself."""
     t = np.asarray(tail_counts, dtype=np.int64)
     return weight_batches(
         INDEX_BYTES * (t * (t - 1) // 2) * (1 + np.asarray(gathered)),
-        PAIR_BATCH_BYTES,
+        PAIR_BATCH_BYTES // n_workers,
     )
 
 

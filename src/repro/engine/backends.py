@@ -181,15 +181,16 @@ def run_threads(
     """The shared-memory threaded substrate on the unified loop.
 
     The generation *step* is the parallel policy: each store chunk is
-    cut into contiguous sub-list ranges by the step's own pair budget,
-    and the ranges are LPT-partitioned across a persistent pool of
-    ``config.jobs`` worker threads, which steal
+    cut into contiguous sub-list ranges, one pair batch of its step
+    each, and the ranges are LPT-partitioned across ``config.jobs``
+    workers — the calling thread and a persistent pool of
+    ``config.jobs - 1`` threads — which steal
     ``DEFAULT_STEAL_GRANULARITY`` ranges at a time from the heaviest
     partition when their own runs dry
     (:class:`~repro.parallel.thread_backend.ThreadedExpander`).  A
-    chunk that is one range runs on the calling thread.  Everything
-    else — seeding, budgets, per-level statistics, all three level
-    stores — is the same
+    chunk that is one range runs on the calling thread alone.
+    Everything else — seeding, budgets, per-level statistics, all three
+    level stores — is the same
     :func:`~repro.engine.level_loop.run_level_loop` the sequential
     backends run, so output, statistics, and operation counters are
     byte-identical to ``incore``.
@@ -197,7 +198,9 @@ def run_threads(
     On the ``"wah"`` level store each worker runs the compressed-domain
     step on a zero-copy row slice of the level batch, reading the
     graph's raw adjacency rows, so the level stays compressed end to
-    end.
+    end.  There a range is cut by the WAH step's gathered-group weight
+    at ``PAIR_BATCH_BYTES // config.jobs``, so the batches in flight
+    together hold one sequential batch's budget.
 
     Cliques stream through ``on_clique`` at every level barrier:
     budgets trip at the same clique they would in-core, and a

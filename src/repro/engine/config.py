@@ -48,8 +48,9 @@ LEVEL_STORE_AUTO = "auto"
 
 #: the most worker threads a config may ask for: the paper's SGI Altix
 #: has 256 processors.  Each fanned-out level deals its ranges over
-#: every worker slot and submits one pool task per worker, so a larger
-#: wire ``jobs`` would buy nothing but scheduling work and OS threads.
+#: every worker slot and submits one pool task per worker but the
+#: calling thread, so a larger wire ``jobs`` would buy nothing but
+#: scheduling work and OS threads.
 MAX_JOBS = 256
 
 

@@ -5,17 +5,20 @@ run: worker *threads* expand disjoint ranges of one candidate level
 against the **shared** adjacency bitmap and sub-list arrays — no
 pickling, no per-level scatter/gather of candidate data.
 
-The work unit is a sub-list range: a store chunk (a
-:class:`~repro.core.sublist.LevelArrays` chunk, or a whole
-:class:`~repro.core.sublist.CompressedLevelBatch` on the ``wah`` store)
-is split into contiguous ranges by the bitset step's pair-batch rule,
-:func:`~repro.core.clique_enumerator.pair_batches`, and a worker
-expands a range with the unchanged sequential step on a zero-copy row
-slice of the chunk (``rows(start, end)``).  On the raw-word stores a
-range is one pair batch of the step; the ``wah`` step cuts by the CN
-groups a batch gathers, so there a range is usually one WAH batch, and
-the step may split a range of dense CN strings further.  A chunk that
-is one range runs on the calling thread, without the pool.
+The work unit is a sub-list range: a store chunk is split into
+contiguous ranges by its own step's batch rule, and a worker expands a
+range with the unchanged sequential step on a zero-copy row slice of
+the chunk (``rows(start, end)``).  A raw-word
+:class:`~repro.core.sublist.LevelArrays` chunk is cut by the bitset
+step's rule, :func:`~repro.core.clique_enumerator.pair_batches`; a
+:class:`~repro.core.sublist.CompressedLevelBatch` on the ``wah`` store
+by the WAH step's rule,
+:func:`~repro.core.clique_enumerator.gathered_batches`, at a
+``n_workers``-th of the pair budget.  Either way a range is one pair
+batch of its step, and on the ``wah`` store the workers' in-flight
+batches together hold one sequential batch's budget.  The calling
+thread is worker 0, so the pool holds ``n_workers - 1`` threads, and
+a chunk that is one range runs on the calling thread without it.
 
 Scheduling is two-phase, mirroring the paper's Section 2.3 scheduler:
 
@@ -41,6 +44,7 @@ matter how the steals interleave.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
@@ -50,10 +54,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.core.clique_enumerator import generate_next_level, pair_batches
+from repro.core.clique_enumerator import (
+    gathered_batches,
+    generate_next_level,
+    pair_batches,
+)
 from repro.core.counters import OpCounters
 from repro.core.graph import Graph
-from repro.core.sublist import LevelChunk
+from repro.core.sublist import CompressedLevelBatch, LevelChunk
+from repro.core.wah_kernels import nonzero_group_counts
 from repro.obs.runtime import get_observability
 from repro.parallel.load_balancer import StealingWorkQueue
 
@@ -78,19 +87,26 @@ EMIT_BATCH = 1024
 
 
 def level_ranges(
-    chunk: LevelChunk, n_words: int
+    chunk: LevelChunk, n_words: int, n_workers: int
 ) -> tuple[list[tuple[int, int]], list[int]]:
     """The work units of one store chunk: ranges and their estimates.
 
-    Returns the contiguous ``[start, end)`` sub-list ranges of
-    :func:`~repro.core.clique_enumerator.pair_batches` for adjacency
-    rows of ``n_words`` words, and per range the sum of
+    Returns the contiguous ``[start, end)`` sub-list ranges of the
+    chunk's step batches, and per range the sum of
     :meth:`~repro.core.sublist.CliqueSubList.work_estimate` over its
-    sub-lists.  Both read tail counts only, so a compressed batch and
-    the raw-word chunk it encodes partition identically.
+    sub-lists (adjacency rows of ``n_words`` words).  A raw-word chunk
+    is cut by :func:`~repro.core.clique_enumerator.pair_batches` at the
+    full budget.  A compressed batch is cut by
+    :func:`~repro.core.clique_enumerator.gathered_batches` for
+    ``n_workers`` concurrent batches, so each range is one WAH step
+    batch and the ranges in flight together hold one batch's budget.
     """
     t = chunk.n_tails
-    ranges = pair_batches(t, n_words)
+    if isinstance(chunk, CompressedLevelBatch):
+        gathered = nonzero_group_counts(chunk.cn_words, chunk.cn_offsets)
+        ranges = gathered_batches(t, gathered, n_workers)
+    else:
+        ranges = pair_batches(t, n_words)
     work = np.zeros(t.size + 1, dtype=np.int64)
     np.cumsum(t * (t - 1) // 2 + t * max(1, n_words // 8), out=work[1:])
     return ranges, [int(work[end] - work[start]) for start, end in ranges]
@@ -111,6 +127,8 @@ class ThreadedExpander:
     One expander serves one enumeration run: the pool is created lazily
     on the first chunk of more than one range and reused for every
     later level (the paper's threads likewise persist across levels).
+    The thread that calls :meth:`step` is worker 0, so the pool holds
+    ``n_workers - 1`` threads.
     :meth:`step` matches the engine's
     :data:`~repro.engine.level_loop.GenerationStep` signature, so the
     ``"threads"`` backend is the unmodified shared level loop with this
@@ -120,7 +138,8 @@ class ThreadedExpander:
     Parameters
     ----------
     n_workers:
-        Worker-thread count (see :func:`resolve_worker_count`).
+        Worker count, the calling thread included (see
+        :func:`resolve_worker_count`).
     steal_granularity:
         Ranges per steal slice.
     step:
@@ -171,7 +190,7 @@ class ThreadedExpander:
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
-                max_workers=self.n_workers,
+                max_workers=self.n_workers - 1,
                 thread_name_prefix="enum-thread",
             )
         return self._pool
@@ -200,19 +219,24 @@ class ThreadedExpander:
         """One store chunk of generation, fanned across the pool.
 
         The chunk is cut into ranges (:func:`level_ranges`); one range
-        runs on the calling thread.  Otherwise workers expand
-        LPT-seeded or stolen ranges into per-range clique lists and
-        child chunks with *local* counters; at the barrier the counters
-        merge (``OpCounters.merge``), and the ranges' cliques are
-        emitted and their children concatenated in range order — the
-        exact sequence the sequential step produces, in the chunk's own
-        form.  ``emit`` runs only on the calling thread, after the
-        barrier, so a raising sink (budget trip, cancellation, broken
-        ``jsonl`` target) propagates without a worker deadlock: workers
-        never block on anything but finished work.
+        runs on the calling thread.  Otherwise the calling thread and
+        the pool's workers expand LPT-seeded or stolen ranges into
+        per-range clique lists and child chunks with *local* counters;
+        at the barrier the counters merge (``OpCounters.merge``), and
+        the ranges' cliques are emitted and their children concatenated
+        in range order — the exact sequence the sequential step
+        produces, in the chunk's own form.  ``emit`` runs only on the
+        calling thread, after the barrier, so a raising sink (budget
+        trip, cancellation, broken ``jsonl`` target) propagates without
+        a worker deadlock: workers never block on anything but finished
+        work.
         """
-        ranges, estimates = level_ranges(chunk, g.adj.shape[1])
-        if self.n_workers == 1 or len(ranges) < 2:
+        if self.n_workers == 1:
+            return self._step(chunk, g, counters, emit)
+        ranges, estimates = level_ranges(
+            chunk, g.adj.shape[1], self.n_workers
+        )
+        if len(ranges) < 2:
             return self._step(chunk, g, counters, emit)
         parts = [chunk.rows(start, end) for start, end in ranges]
         queue = StealingWorkQueue.from_partition(
@@ -226,16 +250,21 @@ class ThreadedExpander:
         #: expanded it
         results: list = [None] * len(parts)
         stop = threading.Event()
+        drain = functools.partial(
+            self._drain, queue=queue, parts=parts, g=g, results=results,
+            stop=stop,
+        )
         pool = self._ensure_pool()
-        futures = [
-            pool.submit(self._drain, w, queue, parts, g, results, stop)
-            for w in range(self.n_workers)
-        ]
+        futures = [pool.submit(drain, w) for w in range(1, self.n_workers)]
         outcomes = []
         error: BaseException | None = None
-        for future in futures:
+        # worker 0 drains on the calling thread, then the pool's
+        # outcomes are collected in worker order
+        for finish in [functools.partial(drain, 0)] + [
+            future.result for future in futures
+        ]:
             try:
-                outcomes.append(future.result())
+                outcomes.append(finish())
             except BaseException as exc:  # noqa: BLE001 — re-raised below
                 # workers poll `stop` between chunks and never block, so
                 # the remaining futures always finish; drain them before

@@ -262,10 +262,17 @@ class TestCompressedExpander:
             CompressedExpander(Graph(4), model="vectorised")
 
     def test_work_estimate_parity(self, monkeypatch):
-        """LPT partitioning sees identical ranges and weights whether
-        the threads backend is handed the raw level or its compressed
-        batch, and a range weighs what its sub-lists do."""
+        """Each chunk form is cut by its own step's batch rule, and a
+        range's LPT estimate is what its sub-lists' ``work_estimate``
+        sums to on either form.  A raw level is cut by ``pair_batches``
+        at the full budget whatever the worker count; a compressed batch
+        by the WAH step's gathered weight (8 bytes per tail pair and per
+        nonzero CN group the pair gathers, counted here from the decoded
+        groups) at ``PAIR_BATCH_BYTES // n_workers``: every range weighs
+        at most that unless it is a single sub-list, and is cut no
+        shorter than that allows."""
         from repro.core.counters import OpCounters
+        from repro.core.wah_kernels import batch_decode_groups
         from repro.engine.level_loop import seed_level
         from repro.parallel.thread_backend import level_ranges
 
@@ -273,30 +280,44 @@ class TestCompressedExpander:
         _, seed = seed_level(g, 2, OpCounters(), lambda c: None)
         batch = CompressedLevelBatch.from_level(seed)
         n_words = g.adj.shape[1]
+        work = [sl.work_estimate() for sl in seed.to_sublists()]
+        t = seed.n_tails
+        groups = batch_decode_groups(
+            batch.cn_words, batch.cn_offsets, batch.n_groups
+        )
+        weight = 8 * (t * (t - 1) // 2) * (1 + (groups != 0).sum(axis=1))
         default = clique_enumerator.PAIR_BATCH_BYTES
-        counts = {}
+        raw_counts, wah_counts = {}, {}
         for budget in (default, 4096, 0):
             monkeypatch.setattr(
                 clique_enumerator, "PAIR_BATCH_BYTES", budget
             )
-            ranges, estimates = level_ranges(seed, n_words)
-            assert level_ranges(batch, n_words) == (ranges, estimates)
-            # contiguous, covering, never splitting a sub-list
-            assert [start for start, _ in ranges] == [0] + [
-                end for _, end in ranges[:-1]
-            ]
-            assert ranges[-1][1] == len(seed)
-            assert estimates == [
-                sum(
-                    sl.work_estimate()
-                    for sl in seed.to_sublists()[start:end]
-                )
-                for start, end in ranges
-            ]
-            counts[budget] = len(ranges)
-        assert counts[default] == 1
-        assert 1 < counts[4096] < len(seed)
-        assert counts[0] == len(seed)
+            raw = clique_enumerator.pair_batches(t, n_words)
+            for n_workers in (1, 2, 3):
+                ranges, estimates = level_ranges(seed, n_words, n_workers)
+                assert ranges == raw
+                assert estimates == [sum(work[a:b]) for a, b in ranges]
+                ranges, estimates = level_ranges(batch, n_words, n_workers)
+                assert estimates == [sum(work[a:b]) for a, b in ranges]
+                # contiguous, covering, never splitting a sub-list
+                assert [a for a, _ in ranges] == [0] + [
+                    b for _, b in ranges[:-1]
+                ]
+                assert ranges[-1][1] == len(seed)
+                limit = budget // n_workers
+                for a, b in ranges:
+                    assert weight[a:b].sum() <= limit or b - a == 1
+                    if b < len(seed):
+                        assert weight[a:b + 1].sum() > limit
+                wah_counts[budget, n_workers] = len(ranges)
+            raw_counts[budget] = len(raw)
+        assert raw_counts[default] == 1
+        assert 1 < raw_counts[4096] < len(seed)
+        assert raw_counts[0] == len(seed)
+        # the default budget holds the level at any worker count; at
+        # 4096 bytes more workers cut more, multi-sub-list, ranges
+        assert {wah_counts[default, w] for w in (1, 2, 3)} == {1}
+        assert 1 < wah_counts[4096, 1] < wah_counts[4096, 3] < len(seed)
 
     def test_step_signature_matches_generation_step(self):
         """The expander is a drop-in GenerationStep: same call shape,

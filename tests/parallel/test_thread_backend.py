@@ -59,6 +59,57 @@ def _run(g, backend="threads", on_clique=None, **kw):
     )
 
 
+def _spy_steps(monkeypatch, store, check=None):
+    """Wrap the sequential step the ``threads`` backend runs on
+    ``store``; returns the log of its calls as ``(thread, fanned)``,
+    ``fanned`` when the call expands a range of a chunk cut into two or
+    more.  ``check(calls)`` runs after each call is logged and may
+    raise in its place."""
+    from repro.core.compressed_domain import CompressedExpander
+    from repro.engine import backends
+
+    calls: list = []
+    fanned = [False]
+    real_ranges = tb.level_ranges
+
+    def ranges_spy(*args):
+        ranges, estimates = real_ranges(*args)
+        fanned[0] = len(ranges) > 1
+        return ranges, estimates
+
+    owner, name = (
+        (CompressedExpander, "step") if store == "wah"
+        else (backends, "generate_next_level")
+    )
+    real_step = getattr(owner, name)
+
+    def step_spy(*args):
+        calls.append((threading.current_thread(), fanned[0]))
+        if check is not None:
+            check(calls)
+        # yield the GIL so the pool's threads take ranges too
+        time.sleep(0.001)
+        return real_step(*args)
+
+    monkeypatch.setattr(tb, "level_ranges", ranges_spy)
+    monkeypatch.setattr(owner, name, step_spy)
+    return calls
+
+
+def _live_pool_threads(timeout: float = 5.0) -> list[threading.Thread]:
+    """``enum-thread`` workers still alive once joined pools have had
+    ``timeout`` seconds to exit."""
+    deadline = time.monotonic() + timeout
+    while True:
+        alive = [
+            t for t in threading.enumerate()
+            if t.name.startswith("enum-thread")
+        ]
+        if not alive or time.monotonic() > deadline:
+            return alive
+        time.sleep(0.01)
+
+
 def _settled_thread_count(baseline: int, timeout: float = 5.0) -> int:
     """Active threads once transient pool threads have exited."""
     deadline = time.monotonic() + timeout
@@ -105,6 +156,24 @@ class TestExpanderSurface:
             assert len(children) == 0
             # nothing to parallelise: still no pool
             assert expander._pool is None
+
+    @pytest.mark.parametrize("store", ["memory", "wah"])
+    def test_calling_thread_is_worker_zero(self, monkeypatch, store):
+        """The calling thread expands ranges of the chunks it fans out,
+        and the pool adds at most ``jobs - 1`` threads to it."""
+        jobs = 3
+        caller = threading.current_thread()
+        calls = _spy_steps(monkeypatch, store)
+        g = planted_partition(
+            60, [9, 8, 7], p_in=0.9, p_out=0.04, seed=11
+        )[0]
+        res = _run(g, jobs=jobs, k_min=1, level_store=store)
+        assert res.load_balance is not None
+        assert (caller, True) in calls
+        pool = {thread for thread, _ in calls if thread is not caller}
+        assert len(pool) <= jobs - 1
+        assert all(t.name.startswith("enum-thread") for t in pool)
+        assert res.cliques == _run(g, backend="incore", k_min=1).cliques
 
     def test_expander_reusable_across_levels(self):
         g = planted_partition(
@@ -244,6 +313,38 @@ class TestConcurrencyStress:
         assert res.load_balance is not None
         assert res.cliques == _run(g, backend="incore", k_min=2).cliques
 
+    def test_calling_thread_step_exception_mid_level(self, monkeypatch):
+        """A step that raises on the calling thread while the pool
+        expands the same chunk's other ranges fails the run with its
+        exception; the pool is drained and joined before it leaves, and
+        the engine runs again."""
+
+        class Boom(RuntimeError):
+            pass
+
+        caller = threading.current_thread()
+        armed = True
+
+        def fail_once_the_pool_works(calls):
+            # past the caller's first range, once a pool thread has
+            # taken one too
+            mine = sum(1 for t, fanned in calls if t is caller and fanned)
+            pool = any(t is not caller and fanned for t, fanned in calls)
+            if armed and mine >= 2 and pool:
+                raise Boom("step failed on the calling thread")
+
+        _spy_steps(monkeypatch, "memory", fail_once_the_pool_works)
+        g = planted_partition(
+            60, [9, 8, 7], p_in=0.9, p_out=0.04, seed=4
+        )[0]
+        with pytest.raises(Boom):
+            _run(g, jobs=3, k_min=2)
+        assert _live_pool_threads() == []
+        armed = False
+        res = _run(g, jobs=3, k_min=2)
+        assert res.load_balance is not None
+        assert res.cliques == _run(g, backend="incore", k_min=2).cliques
+
     def test_cancellation_style_exception_mid_level(self):
         """A cancellation raised by the emit path aborts between levels
         without hanging the pool (the service's cooperative cancel)."""
@@ -323,6 +424,42 @@ class TestRanges:
             assert res.cliques == ref.cliques, store
             assert res.load_balance is None
             assert res.transfers == 0
+
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_wah_ranges_are_one_step_batch_each(self, monkeypatch, jobs):
+        """A ``wah`` chunk is cut for ``jobs`` concurrent WAH step
+        batches, so the step runs each range as exactly one batch, and
+        the run reports what ``incore`` does on the ``wah`` store."""
+        from repro.core.compressed_domain import CompressedExpander
+
+        monkeypatch.setattr(clique_enumerator, "PAIR_BATCH_BYTES", 4096)
+        g = erdos_renyi(80, 0.2, seed=2)
+        ref = _run(g, backend="incore", k_min=1, level_store="wah")
+        ranges, batches = [], []
+        real_ranges = tb.level_ranges
+        real_batch = CompressedExpander._pairs_batch
+
+        def ranges_spy(*args):
+            out = real_ranges(*args)
+            ranges.extend(out[0])
+            return out
+
+        def batch_spy(self, lo, hi, *rest):
+            batches.append(hi - lo)
+            return real_batch(self, lo, hi, *rest)
+
+        monkeypatch.setattr(tb, "level_ranges", ranges_spy)
+        monkeypatch.setattr(CompressedExpander, "_pairs_batch", batch_spy)
+        res = _run(g, jobs=jobs, k_min=1, level_store="wah")
+        assert res.load_balance is not None
+        sizes = sorted(end - start for start, end in ranges)
+        assert sizes[-1] > 1
+        assert sorted(batches) == sizes
+        assert res.cliques == ref.cliques
+        assert res.level_stats == ref.level_stats
+        assert res.counters.snapshot() == ref.counters.snapshot()
+        assert res.domain_stats == ref.domain_stats
 
 
 class TestEmissionBatching:
