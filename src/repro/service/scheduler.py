@@ -47,7 +47,11 @@ from repro.errors import BudgetExceeded, ParameterError, ReproError
 from repro.core.counters import OpCounters
 from repro.core.graph import Graph
 from repro.core.graph_io import graph_fingerprint, load as load_graph
-from repro.core.memory_model import predict_profile, seed_sublist_count
+from repro.core.memory_model import (
+    PredictedProfile,
+    predict_profile,
+    seed_sublist_count,
+)
 from repro.engine.api import EnumerationEngine
 from repro.engine.config import LEVEL_STORE_AUTO, resolve_level_store
 from repro.obs.bridge import fold_job, sample_service
@@ -66,6 +70,11 @@ class _Cancelled(Exception):
 #: queue sentinel that tells a worker to exit; sorts after every job
 #: entry so queued work drains before workers stop.
 _SHUTDOWN_PRIORITY = (1, 0)
+
+#: LRU bound on the admission-prediction memo (one entry per graph
+#: content and ``(k_min, k_max)`` window) — the default result-cache
+#: size, so a full cache's re-queries all find their prediction.
+PREDICTION_MEMO_SIZE = 128
 
 
 class JobScheduler:
@@ -101,7 +110,10 @@ class JobScheduler:
         serialises every predicted-nonzero job.  The budget also feeds
         ``level_store="auto"`` resolution (without one, the machine's
         currently available memory is used for that resolution
-        instead).
+        instead).  Either way every job gets a prediction; a path
+        graph's is memoized (LRU, :data:`PREDICTION_MEMO_SIZE` entries)
+        by its content fingerprint and the job's ``(k_min, k_max)``
+        window.
     obs:
         An explicit :class:`~repro.obs.runtime.Observability` plane to
         report into; unset, the process-wide ambient plane is resolved
@@ -162,6 +174,12 @@ class JobScheduler:
         self._graphs: OrderedDict[
             tuple[str, int], tuple[Graph, str]
         ] = OrderedDict()
+        # (fingerprint, k_min, k_max) -> PredictedProfile: the model's
+        # output depends on nothing else, so re-queries of one graph
+        # content reuse it.  Entries are shared: read, never mutate.
+        self._profiles: OrderedDict[
+            tuple[str, int, int | None], PredictedProfile
+        ] = OrderedDict()
         # re-entrant: the terminal hook releases admission budget (and
         # cancel() reaches it while already holding the lock)
         self._lock = threading.RLock()
@@ -194,6 +212,10 @@ class JobScheduler:
         ``level_store="auto"`` spec is resolved to the concrete
         substrate the prediction says fits.  Both ride on the job
         record — :meth:`Job.to_dict` reports predicted vs measured.
+        A path graph's profile is memoized by its content fingerprint
+        and the ``(k_min, k_max)`` window, so a re-query of the same
+        content and window (a cache hit, say) does not re-run the
+        model.
         """
         # predict outside the lock: a path-referenced graph loads (and
         # memoizes) here, which must not stall concurrent submitters
@@ -240,25 +262,20 @@ class JobScheduler:
     def _predict_spec(self, spec: JobSpec):
         """``(predicted peak bytes | None, resolved config)`` for a spec.
 
-        Runs the memory-model forward recurrences on the spec's graph
-        and resolves a ``level_store="auto"`` against the scheduler's
-        budget (falling back to the machine's available memory when no
-        budget is configured).  A graph that fails to load predicts
-        ``None`` — the job is admitted uncharged and fails at dispatch
-        with the real load error, exactly as it did before admission
-        control existed.
+        Takes the memory-model profile of the spec's graph (see
+        :meth:`_profile`) and resolves a ``level_store="auto"`` against
+        the scheduler's budget (falling back to the machine's available
+        memory when no budget is configured).  A graph that fails to
+        load predicts ``None`` — the job is admitted uncharged and
+        fails at dispatch with the real load error, exactly as it did
+        before admission control existed.
         """
         config = spec.config
         try:
-            g, _ = self._resolve_graph(spec.graph)
+            g, fingerprint = self._resolve_graph(spec.graph)
         except (ReproError, OSError):
             return None, config
-        seeds = (
-            seed_sublist_count(g) if config.k_min <= 2 else None
-        )
-        predicted = predict_profile(
-            g.n, g.m, config.k_min, seeds, k_max=config.k_max
-        )
+        predicted = self._profile(g, fingerprint, config.k_min, config.k_max)
         if config.level_store == LEVEL_STORE_AUTO:
             store = resolve_level_store(
                 config,
@@ -268,6 +285,38 @@ class JobScheduler:
             )
             config = replace(config, level_store=store)
         return predicted.peak_bytes(config.level_store), config
+
+    def _profile(
+        self,
+        g: Graph,
+        fingerprint: str | None,
+        k_min: int,
+        k_max: int | None,
+    ) -> PredictedProfile:
+        """The memory-model profile of ``g`` in one size window.
+
+        Memoized (LRU, :data:`PREDICTION_MEMO_SIZE` entries) by
+        ``(fingerprint, k_min, k_max)`` — the forward run, and the
+        exact seed count of a ``k_min <= 2`` window, depend on nothing
+        else.  Only a path graph comes with a fingerprint (from the
+        graph memo); an in-memory graph is mutable and unhashed at
+        submit, so it is predicted afresh.
+        """
+        key = (fingerprint, k_min, k_max)
+        if fingerprint is not None:
+            with self._lock:
+                profile = self._profiles.get(key)
+                if profile is not None:
+                    self._profiles.move_to_end(key)
+                    return profile
+        seeds = seed_sublist_count(g) if k_min <= 2 else None
+        profile = predict_profile(g.n, g.m, k_min, seeds, k_max=k_max)
+        if fingerprint is not None:
+            with self._lock:
+                self._profiles[key] = profile
+                while len(self._profiles) > PREDICTION_MEMO_SIZE:
+                    self._profiles.popitem(last=False)
+        return profile
 
     def _admit_locked(self, key: tuple, job: Job) -> bool:
         """Claim-time admission check; caller holds ``_lock``.

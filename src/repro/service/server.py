@@ -323,8 +323,19 @@ class EnumerationServer:
     def _op_wait(self, request: dict) -> dict:
         job = self.scheduler.get(str(request.get("job_id")))
         timeout = request.get("timeout")
+        # JSON's NaN and Infinity tokens decode to floats, which a
+        # bare range check refuses too (NaN compares false)
+        if timeout is not None and (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not 0 <= timeout <= threading.TIMEOUT_MAX
+        ):
+            raise ParameterError(
+                "timeout must be null or a number of seconds in "
+                f"[0, {threading.TIMEOUT_MAX:g}], got {timeout!r}"
+            )
         try:
-            job.wait(None if timeout is None else float(timeout))
+            job.wait(timeout)
         except TimeoutError as exc:
             return {"ok": False, "error": str(exc), "timeout": True}
         return {"ok": True, "job": job.to_dict()}

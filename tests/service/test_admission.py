@@ -8,16 +8,19 @@ singleton still runs alone (serialisation, never deadlock) — plus the
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
 import pytest
 
+from repro.core import graph_io
 from repro.core.generators import complete_graph, erdos_renyi
 from repro.core.memory_model import predict_profile, seed_sublist_count
 from repro.engine import LEVEL_STORES, EnumerationConfig, EnumerationEngine
 from repro.errors import ParameterError
 from repro.service import JobScheduler, JobSpec, JobStatus
+from repro.service import scheduler as scheduler_module
 
 ENGINE = EnumerationEngine()
 
@@ -282,3 +285,212 @@ class TestAutoStore:
         assert sorted(second.result.cliques) == sorted(
             first.result.cliques
         )
+
+
+class _Spy:
+    """Counts calls to a module-level name the scheduler looks up."""
+
+    def __init__(self, monkeypatch, owner, name):
+        self.calls = 0
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
+def _write_graphs(tmp_path, graphs) -> list[str]:
+    """Each graph written to its own JSON file; returns the paths."""
+    paths = []
+    for i, g in enumerate(graphs):
+        paths.append(str(tmp_path / f"g{i}.json"))
+        graph_io.write_json(g, paths[-1])
+    return paths
+
+
+class TestPredictionMemo:
+    """A path graph's admission prediction runs once per (graph
+    content, k_min, k_max) window, whatever the number of submits — and
+    every job is charged exactly what a fresh prediction would charge.
+    An in-memory graph is mutable, so it predicts afresh."""
+
+    @pytest.fixture
+    def predicts(self, monkeypatch):
+        return _Spy(monkeypatch, scheduler_module, "predict_profile")
+
+    def test_sweep_requeries_predict_once_per_graph(
+        self, tmp_path, predicts
+    ):
+        graphs = [_graph(seed) for seed in range(3)]
+        paths = _write_graphs(tmp_path, graphs)
+        requeries = 3
+        config = EnumerationConfig(k_min=3)
+        with JobScheduler(
+            workers=1, memory_budget_bytes=10**12
+        ) as sched:
+            jobs = [
+                sched.submit(JobSpec(graph=path, config=config)).wait(30)
+                for _ in range(requeries + 1)
+                for path in paths
+            ]
+            stats = sched.stats()["cache"]
+        assert predicts.calls == len(graphs)
+        assert all(job.status is JobStatus.DONE for job in jobs)
+        for job, g in zip(jobs, graphs * (requeries + 1)):
+            assert job.predicted_peak_bytes == _predicted_cost(g, config)
+        # the memo leaves the result cache's tallies alone: one miss
+        # per graph, one hit per re-query
+        assert stats["misses"] == len(graphs)
+        assert stats["hits"] == len(graphs) * requeries
+        assert [job.cache_hit for job in jobs] == (
+            [False] * len(graphs) + [True] * len(graphs) * requeries
+        )
+
+    def test_rewritten_file_predicts_again_only_on_new_content(
+        self, tmp_path, predicts
+    ):
+        path = tmp_path / "g.json"
+        first, second = _graph(1), _graph(2)
+
+        def write(g, tick):
+            # a distinct mtime per write, whatever the clock resolution
+            graph_io.write_json(g, path)
+            os.utime(path, ns=(tick * 10**9, tick * 10**9))
+
+        with JobScheduler(workers=1, cache=None) as sched:
+            def charge():
+                job = sched.submit(JobSpec(graph=str(path))).wait(30)
+                assert job.status is JobStatus.DONE
+                return job.predicted_peak_bytes
+
+            write(first, 1)
+            assert charge() == _predicted_cost(first)
+            write(first, 2)  # identical content: same fingerprint
+            assert charge() == _predicted_cost(first)
+            assert predicts.calls == 1
+            write(second, 3)
+            assert charge() == _predicted_cost(second)
+            assert predicts.calls == 2
+
+    def test_each_window_gets_its_own_entry(self, tmp_path, predicts):
+        g = _graph()
+        (path,) = _write_graphs(tmp_path, [g])
+        windows = [
+            EnumerationConfig(k_min=1),
+            EnumerationConfig(k_min=3),
+            EnumerationConfig(k_min=3, k_max=4),
+            EnumerationConfig(k_min=3, k_max=5),
+        ]
+        with JobScheduler(workers=1) as sched:
+            for _ in range(2):
+                for config in windows:
+                    job = sched.submit(
+                        JobSpec(graph=path, config=config)
+                    ).wait(30)
+                    assert job.predicted_peak_bytes == _predicted_cost(
+                        g, config
+                    )
+            assert len(sched._profiles) == len(windows)
+        assert predicts.calls == len(windows)
+
+    def test_seed_count_runs_once_per_graph_content(
+        self, tmp_path, monkeypatch
+    ):
+        seeds = _Spy(monkeypatch, scheduler_module, "seed_sublist_count")
+        # three files, two contents
+        paths = _write_graphs(tmp_path, [_graph(1), _graph(1), _graph(2)])
+        with JobScheduler(workers=1) as sched:
+            for path in paths * 2:
+                sched.submit(JobSpec(graph=path)).wait(30)
+        assert seeds.calls == 2
+
+    def test_memo_stays_at_its_bound_and_correct(
+        self, tmp_path, monkeypatch, predicts
+    ):
+        monkeypatch.setattr(scheduler_module, "PREDICTION_MEMO_SIZE", 3)
+        g = _graph()
+        (path,) = _write_graphs(tmp_path, [g])
+        windows = [EnumerationConfig(k_min=3, k_max=k) for k in range(3, 9)]
+        with JobScheduler(workers=1) as sched:
+            for config in windows + windows[:1]:
+                job = sched.submit(
+                    JobSpec(graph=path, config=config)
+                ).wait(30)
+                assert job.predicted_peak_bytes == _predicted_cost(
+                    g, config
+                )
+                assert len(sched._profiles) <= 3
+            assert len(sched._profiles) == 3
+        # the first window was evicted, so its re-query predicts again
+        assert predicts.calls == len(windows) + 1
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_in_memory_graph_predicts_every_submit(
+        self, monkeypatch, predicts, use_cache
+    ):
+        hashes = _Spy(monkeypatch, scheduler_module, "graph_fingerprint")
+        g = _graph()
+        repeats = 3
+        with JobScheduler(workers=1) as sched:
+            jobs = [
+                sched.submit(JobSpec(graph=g, use_cache=use_cache)).wait(30)
+                for _ in range(repeats)
+            ]
+            assert len(sched._profiles) == 0
+            stats = sched.stats()["cache"]
+        assert predicts.calls == repeats
+        assert {job.predicted_peak_bytes for job in jobs} == {
+            _predicted_cost(g)
+        }
+        # hashed at dispatch, once per cacheable job
+        assert hashes.calls == (repeats if use_cache else 0)
+        hits = [job.cache_hit for job in jobs]
+        if use_cache:
+            assert hits == [False] + [True] * (repeats - 1)
+            assert (stats["hits"], stats["misses"]) == (repeats - 1, 1)
+        else:
+            assert not any(hits)
+
+    def test_graph_mutated_while_queued_caches_what_ran(self):
+        """An in-memory graph changed between submit and dispatch is
+        cached under the content that ran, so a later submit of its
+        original content never replays the changed graph's cliques."""
+        g = _graph()
+        original = graph_io.graph_fingerprint(g)
+        expected = sorted(ENGINE.run(_graph()).cliques)
+        started, release = threading.Event(), threading.Event()
+        with JobScheduler(workers=1) as sched:
+            run = sched.engine.run
+
+            def gated(graph, config=None, on_clique=None):
+                if not release.is_set():
+                    started.set()
+                    release.wait(30)
+                return run(graph, config, on_clique)
+
+            sched.engine.run = gated
+            # the worker holds a blocker, so g's job stays queued
+            blocker = sched.submit(JobSpec(graph=complete_graph(4)))
+            assert started.wait(30)
+            job = sched.submit(JobSpec(graph=g))
+            assert job.status is JobStatus.PENDING
+            u, v = next(
+                (u, v)
+                for u in range(g.n)
+                for v in range(u + 1, g.n)
+                if not g.has_edge(u, v)
+            )
+            g.add_edge(u, v)
+            assert graph_io.graph_fingerprint(g) != original
+            release.set()
+            assert blocker.wait(30).status is JobStatus.DONE
+            assert job.wait(30).status is JobStatus.DONE
+            assert sorted(job.result.cliques) == sorted(
+                ENGINE.run(g).cliques
+            )
+            fresh = sched.submit(JobSpec(graph=_graph())).wait(30)
+        assert fresh.status is JobStatus.DONE
+        assert not fresh.cache_hit
+        assert sorted(fresh.result.cliques) == expected

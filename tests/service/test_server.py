@@ -371,6 +371,70 @@ class TestRoundTrip:
             client.submit(g, config=EnumerationConfig(), k_min=2)
 
 
+#: ``wait`` timeouts the server must refuse; the client encodes the
+#: floats as JSON's NaN / Infinity tokens, which decode back to floats
+BAD_WAIT_TIMEOUTS = [
+    pytest.param("inf", id="str-inf"),
+    pytest.param("abc", id="str"),
+    pytest.param([1], id="list"),
+    pytest.param(True, id="bool"),
+    pytest.param(float("nan"), id="nan"),
+    pytest.param(float("inf"), id="infinity"),
+    pytest.param(1e300, id="past-timeout-max"),
+    pytest.param(-5, id="negative"),
+]
+
+
+class TestWaitTimeout:
+    """A ``wait`` timeout is null or a finite number of seconds in
+    ``[0, threading.TIMEOUT_MAX]``; anything else is a typed refusal
+    naming ``timeout`` — not an OverflowError, ValueError or
+    TypeError, and not a wait that times out at once."""
+
+    @staticmethod
+    def _refused(client, job_id, timeout):
+        with pytest.raises(ServiceError, match="timeout") as info:
+            client.call("wait", job_id=job_id, timeout=timeout)
+        message = str(info.value)
+        for name in ("OverflowError", "ValueError", "TypeError"):
+            assert name not in message
+
+    @pytest.mark.parametrize("timeout", BAD_WAIT_TIMEOUTS)
+    def test_refused_on_a_pending_job(self, server, timeout):
+        import threading
+
+        release = threading.Event()
+        original = server.scheduler.engine.run
+
+        def gated(graph, config=None, on_clique=None):
+            release.wait(30)
+            return original(graph, config, on_clique)
+
+        server.scheduler.engine.run = gated
+        try:
+            with ServiceClient(server.address) as client:
+                job_id = client.submit(barbell_graph(3))
+                self._refused(client, job_id, timeout)
+                assert client.status(job_id)["status"] != "done"
+        finally:
+            release.set()
+            server.scheduler.engine.run = original
+
+    @pytest.mark.parametrize("timeout", BAD_WAIT_TIMEOUTS)
+    def test_refused_on_a_finished_job(self, client, g, timeout):
+        job_id = client.submit(g, k_min=2)
+        assert client.wait(job_id, timeout=60)["status"] == "done"
+        self._refused(client, job_id, timeout)
+        assert client.ping()["pong"]  # the connection survives
+
+    @pytest.mark.parametrize("timeout", [None, 0, 0.5, 60])
+    def test_valid_timeouts_still_wait(self, client, g, timeout):
+        job_id = client.submit(g, k_min=2)
+        client.wait(job_id, timeout=60)
+        job = client.call("wait", job_id=job_id, timeout=timeout)["job"]
+        assert job["status"] == "done"
+
+
 class TestRequestSizeBound:
     def test_overlong_line_refused_and_server_survives(
         self, server, monkeypatch

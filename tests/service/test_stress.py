@@ -11,13 +11,15 @@ pool.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.core import clique_enumerator
-from repro.core.generators import planted_partition
+from repro.core import clique_enumerator, graph_io
+from repro.core.generators import erdos_renyi, planted_partition
+from repro.core.memory_model import predict_profile, seed_sublist_count
 from repro.engine import EnumerationConfig, EnumerationEngine
 from repro.parallel import thread_backend
 from repro.service import scheduler as scheduler_module
@@ -222,3 +224,64 @@ class TestRaisingSinkRegression:
             job.wait(timeout=120)
             assert job.status is JobStatus.FAILED
             assert "exploded mid-stream" in (job.error or "")
+
+
+class TestPredictionMemoUnderConcurrentSubmits:
+    def test_concurrent_submitters_share_a_churning_memo(
+        self, tmp_path, monkeypatch
+    ):
+        """Eight submitters race on a three-entry prediction memo over
+        more (graph, window) keys than it holds, with a tiny switch
+        interval: every job is still charged its fresh prediction and
+        the memo never outgrows its bound."""
+        monkeypatch.setattr(scheduler_module, "PREDICTION_MEMO_SIZE", 3)
+        graphs = [erdos_renyi(24, 0.3, seed=s) for s in range(3)]
+        paths = [str(tmp_path / f"g{s}.json") for s in range(3)]
+        for g, path in zip(graphs, paths):
+            graph_io.write_json(g, path)
+        windows = [(1, None), (3, None), (3, 4)]
+        expected = {
+            (gi, w): predict_profile(
+                g.n, g.m, w[0],
+                seed_sublist_count(g) if w[0] <= 2 else None,
+                k_max=w[1],
+            ).peak_bytes("memory")
+            for gi, g in enumerate(graphs)
+            for w in windows
+        }
+        keys = list(expected)
+        submitted = []
+        lock = threading.Lock()
+
+        def submitter(sched, offset):
+            for i in range(12):
+                key = keys[(offset + i) % len(keys)]
+                gi, (k_min, k_max) = key
+                job = sched.submit(JobSpec(
+                    graph=paths[gi], sink="count",
+                    config=EnumerationConfig(k_min=k_min, k_max=k_max),
+                ))
+                with lock:
+                    submitted.append((key, job))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with JobScheduler(workers=2) as sched:
+                threads = [
+                    threading.Thread(target=submitter, args=(sched, t))
+                    for t in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                sched.drain(timeout=120)
+                assert len(sched._profiles) <= 3
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(submitted) == 8 * 12
+        for key, job in submitted:
+            assert job.status is JobStatus.DONE, job.error
+            assert job.predicted_peak_bytes == expected[key], key
