@@ -134,6 +134,32 @@ def bench_wah_and_any_fused(benchmark, wah_batch):
     benchmark(run)
 
 
+def bench_wah_units_any_first_misses(benchmark, wah_batch):
+    """BitOneExists at its worst case: each of the 512 streams' units
+    against its pair's row with the group of the stream's first unit
+    cleared, so every pair misses its first unit and the second phase
+    probes all the rest (compare bench_wah_and_any_fused)."""
+    _, _, aw, ao, rows, _ = wah_batch
+    ids = np.arange(rows.shape[0], dtype=np.int64)
+    full = np.full_like(rows, np.iinfo(np.uint64).max)
+    units = wk.batch_and_units(aw, ao, full, ids, ids)
+    vals, groups, offsets = units
+    has = np.flatnonzero(np.diff(offsets))
+    misses = rows.copy()
+    n_bits = 64 * rows.shape[1]
+    for i in has:
+        first = wk.GROUP_BITS * int(groups[offsets[i]])
+        for bit in range(first, min(first + wk.GROUP_BITS, n_bits)):
+            misses[i, bit >> 6] &= ~np.uint64(1 << (bit & 63))
+    # the first units alone meet none of their rows
+    heads = (vals[offsets[has]], groups[offsets[has]],
+             np.arange(has.size + 1))
+    assert not wk.batch_units_any(
+        heads, heads[2], misses, has, np.arange(has.size)
+    ).any()
+    benchmark(wk.batch_units_any, units, ao, misses, ids, ids)
+
+
 def bench_wah_encode_batch(benchmark, wah_batch):
     """Batch raw-word→WAH encode of 512 CN strings over the genome
     graph's 64-bit-padded 12,480-bit universe."""

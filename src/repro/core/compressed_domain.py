@@ -46,14 +46,19 @@ Both models run on the structure-of-arrays word layout of
 bitset step's helpers (``pair_groups``, ``select_children``,
 ``emit_cliques``), with no per-sub-list or per-parent loop.  A
 ``"pairs"`` batch decodes each CN string once, as a parent: the child
-CN strings' nonzero units (``batch_and_units``) are written as words
-(``batch_encode_units``) and, gathered per generated clique, feed its
-maximality test (``batch_units_any``); ``"bitscan"`` scans the child
-words for partners, so it runs the composed ``batch_and_rows`` and
+CN strings' nonzero units (``batch_and_units``), gathered per
+generated clique, feed its maximality test (``batch_units_any``, which
+stops at a pair's first hit), and only the children
+``select_children`` keeps are written as words
+(``batch_encode_units``); ``"bitscan"`` scans the child words for
+partners, so it runs the composed ``batch_and_rows`` and
 ``batch_and_rows_any``.  The counter model charges algorithmic
 operations, not loop iterations, so bulk charging a batch equals
-charging its pairs one by one.  Every batch kernel produces the
-byte-identical words of its scalar oracle in ``tests/wah_oracle.py``
+charging its pairs one by one; likewise the kernel tallies charge
+every test in full and every child's words as written
+(``unit_word_counts``), so they do not depend on what the kernels
+skip.  Every batch kernel produces the byte-identical words of its
+scalar oracle in ``tests/wah_oracle.py``
 (``tests/core/test_wah_kernel_arrays.py``).
 
 Thread safety: one expander serves one run, but its :meth:`step` may be
@@ -93,6 +98,8 @@ from repro.core.wah_kernels import (
     batch_units_any,
     nonzero_group_counts,
     take_streams,
+    take_units,
+    unit_word_counts,
 )
 
 __all__ = ["CompressedExpander", "STEP_MODELS"]
@@ -221,9 +228,11 @@ class CompressedExpander:
     def _pairs_batch(self, lo, hi, batch, counters, emit, scratch):
         """Expand sub-lists ``[lo, hi)`` as one vectorised pair batch.
 
-        The AND's units are the child CN strings and feed the
-        maximality tests.  Returns the children as a batch, or None
-        when it retains none.
+        The AND's units are the child CN strings: they feed the
+        maximality tests, and only the children ``select_children``
+        keeps are encoded.  Every child's words are charged as written
+        (``unit_word_counts``), kept or not.  Returns the children as a
+        batch, or None when it retains none.
         """
         first, pvi, pvj, psid = generated_cliques(
             self._adj, batch.tails, batch.tail_offsets[lo:hi + 1], counters
@@ -238,14 +247,19 @@ class CompressedExpander:
             part.cn_words, part.cn_offsets, self._adj, pvi[starts],
             psid[starts], scratch,
         )
-        streams = batch_encode_units(units, part.n_groups, scratch)
+        offsets = np.zeros(starts.size + 1, dtype=np.int64)
+        np.cumsum(unit_word_counts(units, part.n_groups), out=offsets[1:])
+        scratch.word_ops += int(offsets[-1])
         # BitOneExists(child_cn & adj[vj]) for every generated clique
         nonmax = batch_units_any(
-            units, streams[1], self._adj, pvj, group_of, scratch
+            units, offsets, self._adj, pvj, group_of, scratch
         )
         return self._children(
             batch, psid + lo, pvi, pvj, nonmax, starts, group_of,
-            streams, None, counters, emit,
+            lambda kids: batch_encode_units(
+                take_units(units, kids), part.n_groups
+            ),
+            counters, emit,
         )
 
     def _step_bitscan(self, batch, counters, emit):
@@ -312,25 +326,26 @@ class CompressedExpander:
         starts, group_of = pair_groups(parent_of)
         return self._children(
             batch, psid[parent_of], pvi[parent_of], flat_p, nonmax,
-            starts, group_of, (chw, cho), parent_of[starts],
+            starts, group_of,
+            lambda kids: take_streams(chw, cho, parent_of[starts[kids]]),
             counters, emit,
         )
 
     def _children(
-        self, batch, sid, vi, vj, nonmax, starts, group_of, streams,
-        stream_of, counters, emit,
+        self, batch, sid, vi, vj, nonmax, starts, group_of, child_cn,
+        counters, emit,
     ):
         """Emit and select the cliques of one batch: both models' one
         children assembly.
 
         Generated clique ``c`` is ``prefix[sid[c]] + (vi[c], vj[c])``,
         maximal where ``nonmax[c]`` is false; the cliques from
-        ``starts[g]`` on form group ``g`` (``group_of[c]``), whose child
-        CN is stream ``stream_of[g]`` of the SoA batch ``streams``
-        (stream ``g`` when ``stream_of`` is None).  The maximal cliques
-        are emitted in order, and every group with at least two
-        non-maximal cliques becomes a child sub-list.  Returns the
-        children as a batch, or None when there are none.
+        ``starts[g]`` on form group ``g`` (``group_of[c]``), and
+        ``child_cn(kids)`` gives the child CN strings of groups ``kids``
+        as an SoA batch.  The maximal cliques are emitted in order, and
+        every group with at least two non-maximal cliques becomes a
+        child sub-list.  Returns the children as a batch, or None when
+        there are none.
         """
         maximal = np.flatnonzero(~nonmax)
         emit_cliques(
@@ -347,9 +362,7 @@ class CompressedExpander:
         parent = starts[kids]
         tail_offsets = np.zeros(kids.size + 1, dtype=np.int64)
         np.cumsum(counts, out=tail_offsets[1:])
-        cn_words, cn_offsets = take_streams(
-            *streams, kids if stream_of is None else stream_of[kids]
-        )
+        cn_words, cn_offsets = child_cn(kids)
         return CompressedLevelBatch(
             prefixes=np.column_stack(
                 (batch.prefixes[sid[parent]], vi[parent])

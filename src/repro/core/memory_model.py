@@ -205,7 +205,13 @@ class PredictedProfile:
         if level_store is None or level_store == "memory":
             return raw
         if level_store == "wah":
-            return max(1, int(raw / self.wah_ratio)) if raw else 0
+            if not raw:
+                return 0
+            try:
+                return max(1, int(raw / self.wah_ratio))
+            except OverflowError:  # raw is past the float range
+                num, den = self.wah_ratio.as_integer_ratio()
+                return raw * den // num
         if level_store == "disk":
             return max(1, raw // DISK_RESIDENT_RATIO) if raw else 0
         raise ValueError(
@@ -235,6 +241,10 @@ def _clique_count_bound(n: int, m: int, j: int) -> int:
     prod = 1.0
     for i in range(j):
         prod *= (x - i) / (i + 1)
+    if math.isinf(prod):
+        # past the float range (m over ~530k edges): C(ceil(x), j) is
+        # an exact integer no smaller than C(x, j)
+        return math.comb(math.ceil(x), j)
     return math.floor(prod)
 
 

@@ -30,7 +30,10 @@ groups, its *units*: group ``G`` of a row is bits ``[31G, 31G + 31)``,
 at most two ``uint64`` loads, so zero fills cost nothing and one-fills
 are split into unit groups.  The adjacency operand is never encoded or
 copied.  Both compose halves the step calls itself, so it tests its
-child CN strings' units without decoding the words it encoded.
+child CN strings' units without decoding any words, and encodes only
+the children it keeps (:func:`unit_word_counts` sizes the rest).
+:func:`batch_units_any` probes every pair's first unit, then the rest
+only for the pairs that missed, so a test stops at its first hit.
 
 Equivalence contract: every kernel here produces byte-identical
 canonical words (and identical predicates) to the scalar kernels of the
@@ -58,6 +61,8 @@ __all__ = [
     "batch_encode_units",
     "batch_units_any",
     "nonzero_group_counts",
+    "take_units",
+    "unit_word_counts",
     "batch_decode_groups",
     "batch_decode_words",
     "batch_indices_above",
@@ -126,6 +131,19 @@ def concat_streams(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return words, offsets
 
 
+def _run_index(
+    start: np.ndarray, lens: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat source positions of the runs ``[start[i], start[i] +
+    lens[i])`` laid back to back, and the gathered runs' offsets."""
+    out_offsets = np.zeros(lens.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=out_offsets[1:])
+    # element q of output run i is source start[i] + q
+    src = np.arange(int(out_offsets[-1]), dtype=np.int64)
+    src += np.repeat(start - out_offsets[:-1], lens)
+    return src, out_offsets
+
+
 def _take_index(
     offsets: np.ndarray, ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -133,13 +151,7 @@ def _take_index(
     gathered batch's offsets: the index half of :func:`take_streams`."""
     ids = np.asarray(ids, dtype=np.int64)
     start = offsets[ids]
-    lens = offsets[ids + 1] - start
-    out_offsets = np.zeros(ids.size + 1, dtype=np.int64)
-    np.cumsum(lens, out=out_offsets[1:])
-    # element q of output stream i is source start[i] + q
-    src = np.arange(int(out_offsets[-1]), dtype=np.int64)
-    src += np.repeat(start - out_offsets[:-1], lens)
-    return src, out_offsets
+    return _run_index(start, offsets[ids + 1] - start)
 
 
 def take_streams(
@@ -243,11 +255,18 @@ def _cum_at(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def nonzero_group_counts(
     words: np.ndarray, offsets: np.ndarray
 ) -> np.ndarray:
-    """Each stream's nonzero-group count, read off its words: a literal
-    counts 1, a one-fill its length, a zero fill 0 — the number of
-    units :func:`_nonzero_groups` gives it, none built."""
-    vals, lengths, _ = _expand(words, offsets)
-    return np.diff(_cum_at(np.where(vals != 0, lengths, 0), offsets))
+    """Each stream's nonzero-group count, read off its word headers in
+    one ``uint32`` pass: a nonzero literal counts 1, a one-fill its
+    length, a zero fill 0 — the number of units
+    :func:`_nonzero_groups` gives it, none built."""
+    # words - 1 wraps a zero literal past every literal: the nonzero
+    # literals are exactly the words below _LITERAL_MASK after it
+    count = np.where(
+        words >= _FILL_FLAG | _FILL_BIT,
+        words & _FILL_LEN_MASK,
+        words - np.uint32(1) < _LITERAL_MASK,
+    )
+    return np.diff(_cum_at(count, offsets))
 
 
 #: *units* ``(vals, groups, offsets)``: stream ``i``'s nonzero groups
@@ -297,29 +316,17 @@ def _probe(
     return (val & np.uint64(_LITERAL_MASK)).astype(np.uint32)
 
 
-def _and_units(
-    units: Units, offsets: np.ndarray, adj: np.ndarray,
-    rows: np.ndarray, ids: np.ndarray, scratch: WahScratch | None,
-) -> Units:
-    """Stream ``ids[i]``'s units, gathered by index, ANDed with
-    ``adj[rows[i]]``: every pair's units, values possibly zero.
-
-    Tallies one AND per pair, the CN words it reads (by the streams'
-    word ``offsets``) and the adjacency groups it probes.
-    """
-    vals, groups, nz_offsets = units
-    src, unit_offsets = _take_index(nz_offsets, ids)
-    pair = np.repeat(
-        np.arange(ids.size, dtype=np.int64), np.diff(unit_offsets)
-    )
-    groups = groups[src]
-    vals = vals[src] & _probe(adj, rows[pair], groups)
+def _tally_pairs(
+    scratch: WahScratch | None, offsets: np.ndarray, ids: np.ndarray,
+    n_units: int,
+) -> None:
+    """Tally one AND per pair, the CN words it reads (by the streams'
+    word ``offsets``) and the ``n_units`` adjacency groups it gathers."""
     if scratch is not None:
         scratch.and_ops += int(ids.size)
         scratch.word_ops += int(
-            (offsets[ids + 1] - offsets[ids]).sum() + src.size
+            (offsets[ids + 1] - offsets[ids]).sum() + n_units
         )
-    return vals, groups, unit_offsets
 
 
 def batch_and_units(
@@ -330,12 +337,63 @@ def batch_and_units(
     every ``stream[ids[i]] & adj[rows[i]]``, exactly the units
     :func:`_nonzero_groups` decodes from the encoded result.  Each
     stream is decoded once, however many pairs reference it."""
-    units = _nonzero_groups(words, offsets, _row_groups(adj.shape[1]))
-    vals, groups, unit_offsets = _and_units(
-        units, offsets, adj, rows, ids, scratch
+    vals, groups, nz_offsets = _nonzero_groups(
+        words, offsets, _row_groups(adj.shape[1])
     )
+    src, unit_offsets = _take_index(nz_offsets, ids)
+    pair = np.repeat(
+        np.arange(ids.size, dtype=np.int64), np.diff(unit_offsets)
+    )
+    groups = groups[src]
+    vals = vals[src] & _probe(adj, rows[pair], groups)
+    _tally_pairs(scratch, offsets, ids, src.size)
     nz = vals != 0
     return vals[nz], groups[nz], _cum_at(nz, unit_offsets)
+
+
+def take_units(units: Units, ids: np.ndarray) -> Units:
+    """Unit streams ``ids`` (with repeats) as a new units batch: the
+    :func:`take_streams` of units."""
+    vals, groups, unit_offsets = units
+    src, out_offsets = _take_index(unit_offsets, ids)
+    return vals[src], groups[src], out_offsets
+
+
+def _unit_gaps(
+    units: Units, n_groups: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each unit's zero gap (the groups between it and the unit before
+    it in its stream, or group 0), each stream's zero tail after its
+    last unit (all ``n_groups`` when it has none), and the position of
+    each non-empty stream's first unit."""
+    _, groups, unit_offsets = units
+    has = unit_offsets[1:] > unit_offsets[:-1]
+    first = unit_offsets[:-1][has]
+    prev_end = np.zeros(groups.size, dtype=np.int64)
+    prev_end[1:] = groups[:-1] + 1
+    prev_end[first] = 0
+    tail = np.full(has.size, n_groups, dtype=np.int64)
+    tail[has] -= groups[unit_offsets[1:][has] - 1] + 1
+    return groups - prev_end, tail, first
+
+
+def unit_word_counts(units: Units, n_groups: int) -> np.ndarray:
+    """Each stream of units' canonical word count over ``n_groups``
+    groups, ``np.diff`` of :func:`batch_encode_units`' offsets, with no
+    word written: one word per literal unit, per run of one-units in
+    adjacent groups, per zero gap and per zero tail."""
+    vals, _, unit_offsets = units
+    gap, tail, first = _unit_gaps(units, n_groups)
+    # a one-unit right after a one-unit of its stream extends its fill
+    one = vals == _LITERAL_MASK
+    extends = np.zeros(one.size, dtype=bool)
+    np.logical_and(one[1:], one[:-1], out=extends[1:])
+    extends &= gap == 0
+    extends[first] = False
+    per_unit = (gap > 0).astype(np.int64)
+    per_unit += 1
+    per_unit -= extends
+    return np.diff(_cum_at(per_unit, unit_offsets)) + (tail > 0)
 
 
 def batch_encode_units(
@@ -344,23 +402,18 @@ def batch_encode_units(
     """The encode half of :func:`batch_and_rows`: every stream of units
     as canonical WAH words over ``n_groups`` groups, written by
     :func:`_encode_runs`; ``scratch`` tallies the words written."""
-    vals, groups, unit_offsets = units
+    vals, _, unit_offsets = units
     n_pairs = unit_offsets.size - 1
     # each stream's runs: a zero gap before every unit, a zero tail after
     # its last; slot 2u + pair[u] is unit u's gap, the next its group
-    n_units = int(groups.size)
+    n_units = int(vals.size)
     count = np.diff(unit_offsets)
     pair = np.repeat(np.arange(n_pairs, dtype=np.int64), count)
-    has = count > 0
-    prev_end = np.zeros(n_units, dtype=np.int64)
-    prev_end[1:] = groups[:-1] + 1
-    prev_end[unit_offsets[:-1][has]] = 0
-    tail = np.full(n_pairs, n_groups, dtype=np.int64)
-    tail[has] -= groups[unit_offsets[1:][has] - 1] + 1
+    gap_len, tail, _ = _unit_gaps(units, n_groups)
     seg_len = np.ones(2 * n_units + n_pairs, dtype=np.int64)
     seg_val = np.zeros(seg_len.size, dtype=np.uint32)
     gap = 2 * np.arange(n_units, dtype=np.int64) + pair
-    seg_len[gap] = groups - prev_end
+    seg_len[gap] = gap_len
     seg_val[gap + 1] = vals
     seg_len[2 * unit_offsets[1:] + np.arange(n_pairs)] = tail
     seg_pair = np.repeat(np.arange(n_pairs, dtype=np.int64), 2 * count + 1)
@@ -379,12 +432,28 @@ def batch_units_any(
 ) -> np.ndarray:
     """``BitOneExists(stream[ids[i]] & adj[rows[i]])`` for every pair,
     from the streams' nonzero units and word ``offsets``: the step
-    feeds its AND's units here rather than re-decode the child CN
-    strings it just encoded."""
-    vals, _, pair_offsets = _and_units(
-        units, offsets, adj, rows, ids, scratch
-    )
-    return np.diff(_cum_at(vals != 0, pair_offsets)) > 0
+    feeds its AND's units here, so no child CN string is decoded.
+
+    Two vectorised phases: every pair probes its first unit, then only
+    the pairs that missed probe the rest, so no unit is probed twice.
+    ``scratch`` tallies the full test, every unit of every pair.
+    """
+    vals, groups, nz_offsets = units
+    ids = np.asarray(ids, dtype=np.int64)
+    start = nz_offsets[ids]
+    count = nz_offsets[ids + 1] - start
+    _tally_pairs(scratch, offsets, ids, int(count.sum()))
+    hit = np.zeros(ids.size, dtype=bool)
+    live = np.flatnonzero(count)
+    first = start[live]
+    hit[live] = (vals[first] & _probe(adj, rows[live], groups[first])) != 0
+    live = live[~hit[live] & (count[live] > 1)]
+    rest = count[live] - 1
+    src, _ = _run_index(start[live] + 1, rest)
+    pair = np.repeat(live, rest)
+    found = (vals[src] & _probe(adj, rows[pair], groups[src])) != 0
+    hit[pair[found]] = True
+    return hit
 
 
 def batch_and_rows(

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import threading
 from collections.abc import Callable
 from typing import Any, TypeVar, cast
@@ -60,9 +61,13 @@ DEFAULT_BUCKETS = (
 )
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def _format_value(value: float) -> str:
-    """A sample value in exposition form (ints without the ``.0``)."""
-    if value == math.inf:
+    """A sample value in exposition form (ints without the ``.0``; an
+    int past the float range, such as a memory-model cap, as +Inf)."""
+    if value > _FLOAT_MAX:
         return "+Inf"
     if value == -math.inf:
         return "-Inf"

@@ -221,7 +221,7 @@ class Tracer:
         """The newest ``limit`` ring records, oldest first."""
         records = list(self._ring)
         if limit is not None and limit >= 0:
-            records = records[-limit:]
+            records = records[max(0, len(records) - limit):]
         return records
 
     def close(self) -> None:

@@ -379,12 +379,15 @@ class EnumerationServer:
                 "or configure(trace=True)"
             )
         limit = request.get("limit")
-        return {
-            "ok": True,
-            "records": tracer.records(
-                None if limit is None else int(limit)
-            ),
-        }
+        if limit is not None and (
+            isinstance(limit, bool) or not isinstance(limit, int)
+            or limit < 0
+        ):
+            raise ParameterError(
+                "limit must be null or a non-negative integer, got "
+                f"{limit!r}"
+            )
+        return {"ok": True, "records": tracer.records(limit)}
 
     def _op_shutdown(self, request: dict) -> dict:
         # ack first, then stop the listener from a helper thread so this

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import sys
+
 import pytest
 
 from repro.core.clique_enumerator import LevelStats, enumerate_maximal_cliques
@@ -10,6 +13,7 @@ from repro.core.graph import Graph
 from repro.core.memory_model import (
     DISK_RESIDENT_RATIO,
     WAH_COMPRESSION_RATIO,
+    _clique_count_bound,
     available_memory_bytes,
     bytes_to_unit,
     check_paper_recurrences,
@@ -166,6 +170,33 @@ class TestPredictProfile:
 
     def test_seed_count_on_edgeless_graph(self):
         assert seed_sublist_count(Graph(6)) == 0
+
+    def test_caps_past_the_float_range_stay_exact_ints(self):
+        """Over ~530k edges a clique-count cap C(x, j) passes the float
+        range; the forward run then caps with the exact integer
+        C(ceil(x), j) instead of raising OverflowError, and every
+        store's peak is still an int."""
+        n, m = 2000, 600_000
+        x = (1 + math.sqrt(1 + 8 * m)) / 2
+        predicted = predict_profile(n, m, 3)
+        assert predicted.sizes[0] == 3
+        assert predicted.sizes[-1] <= math.ceil(x)
+        assert all(
+            isinstance(c, int) and c >= 0 for c in predicted.candidates
+        )
+        raw = predicted.peak_bytes("memory")
+        assert raw > sys.float_info.max
+        wah = predicted.peak_bytes("wah")
+        assert isinstance(wah, int)
+        assert 4 * wah < raw < 5 * wah
+        assert predicted.peak_bytes("disk") == raw // DISK_RESIDENT_RATIO
+        j = len(predicted.sizes) // 2
+        cap = _clique_count_bound(n, m, j)
+        assert cap == math.comb(math.ceil(x), j)
+        # no smaller than the real-valued binomial it stands in for
+        assert math.log(cap) >= (
+            math.lgamma(x + 1) - math.lgamma(j + 1) - math.lgamma(x - j + 1)
+        )
 
 
 class TestByteSizes:

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.errors import BitSetError
+from repro.core import wah_kernels
 from repro.core.wah_kernels import (
     GROUP_BITS,
     WahScratch,
@@ -32,13 +33,17 @@ from repro.core.wah_kernels import (
     batch_and_rows,
     batch_and_rows_any,
     batch_and_units,
+    batch_decode_groups,
     batch_decode_words,
     batch_encode_units,
     batch_encode_words,
     batch_indices_above,
     batch_units_any,
     concat_streams,
+    nonzero_group_counts,
     take_streams,
+    take_units,
+    unit_word_counts,
 )
 from wah_oracle import WahBitmap, wah_and_any, wah_and_into
 
@@ -315,6 +320,184 @@ class TestAndKernels:
         scratch = WahScratch()
         batch_and_rows_any(words, offsets, adj, rows, ids, scratch)
         assert (scratch.and_ops, scratch.word_ops) == (2, 2 * n_words + 6)
+
+
+def _random_units(rng, n_groups, n_streams):
+    """Random unit streams over ``n_groups`` groups: ascending groups,
+    nonzero values, about half of them all ones (so adjacent one-units
+    occur), some streams empty and some full."""
+    vals, groups, offsets = [], [], [0]
+    for _ in range(n_streams):
+        density = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0])
+        for grp in range(n_groups):
+            if rng.random() < density:
+                groups.append(grp)
+                vals.append(
+                    (1 << GROUP_BITS) - 1 if rng.random() < 0.5
+                    else rng.randrange(1, (1 << GROUP_BITS) - 1)
+                )
+        offsets.append(len(groups))
+    return (
+        np.array(vals, dtype=np.uint32),
+        np.array(groups, dtype=np.int64),
+        np.array(offsets, dtype=np.int64),
+    )
+
+
+class TestUnitKernels:
+    """The step's units path: word counts without encoding, the gather
+    of kept streams, and the two-phase ``BitOneExists``."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unit_word_counts_match_the_encode(self, seed):
+        rng = random.Random(700 + seed)
+        seen = set()
+        for _ in range(60):
+            n_groups = rng.choice([1, 2, 3, 5, 31, 64, 403])
+            units = _random_units(rng, n_groups, rng.randrange(0, 9))
+            vals, groups, offsets = units
+            words, word_offsets = batch_encode_units(units, n_groups)
+            np.testing.assert_array_equal(
+                unit_word_counts(units, n_groups), np.diff(word_offsets)
+            )
+            # the random units are what a decode of their words gives
+            for got, want in zip(
+                _nonzero_groups(words, word_offsets, n_groups), units
+            ):
+                np.testing.assert_array_equal(got, want)
+            ones = vals == (1 << GROUP_BITS) - 1
+            adjacent = any(
+                (one[1:] & one[:-1] & (np.diff(grp) == 1)).any()
+                for one, grp in (
+                    (ones[a:b], groups[a:b])
+                    for a, b in zip(offsets[:-1], offsets[1:])
+                )
+            )
+            seen.update(
+                name for name, hit in (
+                    ("adjacent ones", adjacent),
+                    ("group 0", (groups == 0).any()),
+                    ("last group", (groups == n_groups - 1).any()),
+                    ("empty stream", (np.diff(offsets) == 0).any()),
+                    ("one group", n_groups == 1 and vals.size > 0),
+                ) if hit
+            )
+        assert seen == {
+            "adjacent ones", "group 0", "last group", "empty stream",
+            "one group",
+        }
+
+    def test_unit_word_counts_of_no_streams(self):
+        units = take_units(_random_units(random.Random(1), 4, 3), [])
+        assert unit_word_counts(units, 4).size == 0
+        assert batch_encode_units(units, 4)[1].tolist() == [0]
+
+    def test_take_units_gathers_streams(self):
+        rng = random.Random(5)
+        units = _random_units(rng, 31, 6)
+        ids = np.array([4, 0, 4, 2], dtype=np.int64)
+        words, offsets = batch_encode_units(units, 31)
+        got_w, got_o = batch_encode_units(take_units(units, ids), 31)
+        ref_w, ref_o = take_streams(words, offsets, ids)
+        np.testing.assert_array_equal(got_w, ref_w)
+        np.testing.assert_array_equal(got_o, ref_o)
+
+    def test_units_any_probes_the_rest_only_after_a_miss(
+        self, monkeypatch
+    ):
+        """First unit hits, first misses and a later one hits, nothing
+        hits: the pair-for-pair answer is the oracle's, each unit is
+        probed at most once (the first of every pair with units, the
+        rest only of pairs that missed it), and the tallies are the
+        full test's: every pair's words and every one of its units."""
+        n = 640
+        ng = _n_groups(n)
+        cns = [
+            WahBitmap.from_indices(n, [3, 100, 200, 400]),
+            # a one-fill over groups 2..5, then a literal
+            WahBitmap.from_indices(n, list(range(62, 186)) + [500]),
+            WahBitmap.from_indices(n, []),
+            WahBitmap.from_indices(n, [639]),
+        ]
+        rows = [[3], [400], [5, 101, 639], [70, 500], list(range(n))]
+        words, offsets = concat_streams([m.wah_words() for m in cns])
+        adj = _words_matrix(rows, n)
+        ids, row = (
+            a.ravel() for a in np.meshgrid(
+                np.arange(len(cns)), np.arange(len(rows))
+            )
+        )
+        units = _nonzero_groups(words, offsets, ng)
+        probed = []
+        real_probe = wah_kernels._probe
+
+        def spy(adj, rows, groups):
+            probed.append(int(groups.size))
+            return real_probe(adj, rows, groups)
+
+        monkeypatch.setattr(wah_kernels, "_probe", spy)
+        scratch = WahScratch()
+        got = batch_units_any(units, offsets, adj, row, ids, scratch)
+        want, first_hit, n_units, n_words = [], [], [], []
+        for s, r in zip(ids.tolist(), row.tolist()):
+            cn = list(cns[s].iter_indices())
+            both = set(cn) & set(rows[r])
+            want.append(wah_and_any(
+                cns[s].wah_words(),
+                WahBitmap.from_words(adj[r]).wah_words(), ng,
+            ))
+            first_hit.append(bool(cn) and any(
+                i // GROUP_BITS == cn[0] // GROUP_BITS for i in both
+            ))
+            n_units.append(len({i // GROUP_BITS for i in cn}))
+            n_words.append(len(cns[s].wah_words()))
+        assert got.tolist() == want
+        outcomes = {
+            (bool(u), f, w) for u, f, w in zip(n_units, first_hit, want)
+        }
+        # a first-unit hit, a later hit after a miss, a miss on every
+        # unit, and a pair with no units at all
+        assert {
+            (True, True, True), (True, False, True), (True, False, False),
+            (False, False, False),
+        } <= outcomes
+        assert sum(probed) == sum(
+            1 if f else u for u, f in zip(n_units, first_hit)
+        )
+        assert sum(probed) < sum(n_units)
+        assert (scratch.and_ops, scratch.word_ops) == (
+            ids.size, sum(n_words) + sum(n_units)
+        )
+
+    def test_nonzero_group_counts_off_word_headers(self):
+        """A nonzero literal counts 1, a one-fill its length, a zero
+        fill and a zero literal 0, on canonical and non-canonical
+        streams alike (adjacent fills, literal 0 and all-ones words)."""
+        ng = 7
+        streams = [
+            [0x80000007],
+            [0xC0000007],
+            [0x00000001, 0x80000005, 0x7FFFFFFF],
+            [0x00000000, 0xC0000002, 0xC0000001, 0x80000003],
+            [0x7FFFFFFF] * 7,
+            [0x00000000] * 7,
+            [0x80000001, 0x80000002, 0x40000000, 0xC0000003],
+        ]
+        words, offsets = concat_streams(
+            [np.array(s, dtype=np.uint32) for s in streams]
+        )
+        want = (batch_decode_groups(words, offsets, ng) != 0).sum(axis=1)
+        np.testing.assert_array_equal(
+            nonzero_group_counts(words, offsets), want
+        )
+        assert want.tolist() == [0, 7, 2, 3, 7, 0, 4]
+        rng = random.Random(9)
+        maps, words, offsets = _random_batch(rng, 500, 20)
+        np.testing.assert_array_equal(
+            nonzero_group_counts(words, offsets),
+            [len({i // GROUP_BITS for i in m.iter_indices()})
+             for m in maps],
+        )
 
 
 class TestCodec:

@@ -17,6 +17,7 @@ decompressed bytes).
 from __future__ import annotations
 
 import itertools
+import threading
 import tracemalloc
 
 import numpy as np
@@ -380,6 +381,63 @@ class TestPairBatches:
         assert split.counters.snapshot() == whole.counters.snapshot()
         # kernel_word_ops, kernel_ands, decompressed bytes avoided
         assert split.domain_stats == whole.domain_stats
+
+    @pytest.mark.parametrize("backend, jobs", [
+        ("incore", None), ("threads", 2),
+    ])
+    def test_wah_step_encodes_only_kept_children(
+        self, monkeypatch, backend, jobs
+    ):
+        """Each pair batch's ``batch_encode_units`` sees exactly the
+        children ``select_children`` keeps (as many streams as the
+        batch creates sub-lists, none when it creates none), while the
+        run keeps the raw-word step's cliques, level counts and
+        counters and the kernel telemetry of the full encode: every
+        child's words are still charged as written."""
+        from repro.core import compressed_domain
+
+        monkeypatch.setattr(clique_enumerator, "PAIR_BATCH_BYTES", 4096)
+        g, _ = planted_clique(300, 12, 0.05, seed=0)
+        ref = ENGINE.run(
+            g, EnumerationConfig(backend="incore", level_store="memory")
+        )
+        local, lock, batches = threading.local(), threading.Lock(), []
+        real_encode = compressed_domain.batch_encode_units
+        real_batch = CompressedExpander._pairs_batch
+
+        def encode_spy(units, *rest):
+            local.streams += units[2].size - 1
+            return real_encode(units, *rest)
+
+        def batch_spy(self, lo, hi, batch, counters, *rest):
+            local.streams, before = 0, counters.sublists_created
+            out = real_batch(self, lo, hi, batch, counters, *rest)
+            with lock:
+                batches.append(
+                    (local.streams, counters.sublists_created - before)
+                )
+            return out
+
+        monkeypatch.setattr(
+            compressed_domain, "batch_encode_units", encode_spy
+        )
+        monkeypatch.setattr(CompressedExpander, "_pairs_batch", batch_spy)
+        kw = {} if jobs is None else {"jobs": jobs}
+        res = ENGINE.run(g, EnumerationConfig(
+            backend=backend, level_store="wah", **kw
+        ))
+        assert len(batches) > 10
+        assert any(created == 0 for _, created in batches)
+        assert [e for e, _ in batches] == [c for _, c in batches]
+        assert res.cliques == ref.cliques
+        assert _counts(res) == _counts(ref)
+        assert res.counters.snapshot() == ref.counters.snapshot()
+        # as recorded when the step encoded every child
+        assert res.domain_stats == {
+            "decompressed_bytes_avoided": 135920,
+            "kernel_word_ops": 110634,
+            "kernel_ands": 7142,
+        }
 
     def test_wah_batches_weigh_at_most_the_budget(self, monkeypatch):
         """Every pair batch the WAH step runs weighs at most the budget

@@ -88,6 +88,8 @@ class TestRing:
         assert [
             r["fields"]["i"] for r in tracer.records(limit=2)
         ] == [3, 4]
+        assert tracer.records(limit=0) == []
+        assert len(tracer.records(limit=9)) == 5
 
 
 class TestJsonl:

@@ -38,6 +38,12 @@ def _predicted_cost(g, config=None) -> int:
     return profile.peak_bytes(config.level_store or "memory")
 
 
+@pytest.fixture(scope="module")
+def dense_1100():
+    """544,002 edges: past the ~530k where C(x, j) leaves the floats."""
+    return erdos_renyi(1100, 0.9, seed=1)
+
+
 class _ConcurrencyProbe:
     """Wraps an engine's run() to record the max concurrent runs."""
 
@@ -79,6 +85,55 @@ class TestPrediction:
         assert job.predicted_peak_bytes is None
         assert job.status is JobStatus.FAILED
         assert "nonexistent" in job.error
+
+    @pytest.mark.parametrize("store", ["memory", "wah"])
+    def test_graph_past_the_float_caps_predicts_and_renders(
+        self, dense_1100, store
+    ):
+        """A 544k-edge graph's caps pass the float range: the submit
+        still predicts (an exact int), and the job's payload and the
+        metrics text render.  The job is queued behind a gated one and
+        cancelled, so it never enumerates."""
+        from repro.core.generators import barbell_graph
+        from repro.obs import Observability
+        from repro.service.protocol import encode_line
+
+        release = threading.Event()
+        sched = JobScheduler(
+            workers=1, memory_budget_bytes=64 * 2**20,
+            obs=Observability(metrics=True),
+        )
+        original = sched.engine.run
+
+        def gated(graph, config=None, on_clique=None):
+            release.wait(30)
+            return original(graph, config, on_clique)
+
+        sched.engine.run = gated
+        blocker = sched.submit(JobSpec(graph=barbell_graph(3)))
+        job = None
+        try:
+            job = sched.submit(JobSpec(
+                graph=dense_1100,
+                config=EnumerationConfig(k_min=3, level_store=store),
+            ))
+            assert job.status is JobStatus.PENDING
+            assert isinstance(job.predicted_peak_bytes, int)
+            assert job.predicted_peak_bytes > 2**1024
+            payload = job.to_dict()
+            assert payload["predicted_peak_bytes"] == (
+                job.predicted_peak_bytes
+            )
+            assert encode_line(payload)
+        finally:
+            if job is not None:
+                sched.cancel(job.id)
+            release.set()
+            sched.shutdown()
+        assert job.status is JobStatus.CANCELLED
+        assert blocker.status is JobStatus.DONE
+        text = sched.render_metrics()
+        assert "repro_predicted_peak_bytes +Inf" in text.splitlines()
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ParameterError, match="memory_budget_bytes"):

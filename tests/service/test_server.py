@@ -435,6 +435,58 @@ class TestWaitTimeout:
         assert job["status"] == "done"
 
 
+BAD_TRACE_LIMITS = [
+    pytest.param("abc", id="str"),
+    pytest.param("5", id="numeric-str"),
+    pytest.param([1], id="list"),
+    pytest.param(True, id="bool"),
+    pytest.param(2.5, id="float"),
+    pytest.param(float("nan"), id="nan"),
+    pytest.param(float("inf"), id="infinity"),
+    pytest.param(-5, id="negative"),
+]
+
+
+class TestTraceLimit:
+    """A ``trace`` limit is null or a non-negative integer; anything
+    else is a typed refusal naming ``limit`` — not an OverflowError,
+    ValueError or TypeError, and not a silently empty or full list."""
+
+    @pytest.fixture
+    def traced(self):
+        from repro.obs import Observability, set_observability
+
+        obs = Observability(trace=True, ring_size=256)
+        previous = set_observability(obs)
+        try:
+            with JobScheduler(workers=1) as sched:
+                with EnumerationServer(sched) as srv:
+                    with ServiceClient(srv.address) as c:
+                        yield c
+        finally:
+            set_observability(previous)
+            obs.close()
+
+    @pytest.mark.parametrize("limit", BAD_TRACE_LIMITS)
+    def test_refused(self, traced, g, limit):
+        traced.wait(traced.submit(g, k_min=2), timeout=60)
+        with pytest.raises(ServiceError, match="limit") as info:
+            traced.call("trace", limit=limit)
+        message = str(info.value)
+        for name in ("OverflowError", "ValueError", "TypeError"):
+            assert name not in message
+        assert traced.ping()["pong"]  # the connection survives
+
+    @pytest.mark.parametrize("limit", [None, 0, 1, 3, 10**6])
+    def test_valid_limits_return_the_newest_records(self, traced, g, limit):
+        traced.wait(traced.submit(g, k_min=2), timeout=60)
+        every = traced.trace()
+        assert len(every) > 3
+        got = traced.call("trace", limit=limit)["records"]
+        want = every if limit is None else every[len(every) - limit:]
+        assert got == want
+
+
 class TestRequestSizeBound:
     def test_overlong_line_refused_and_server_survives(
         self, server, monkeypatch
